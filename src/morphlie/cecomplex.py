@@ -13,7 +13,7 @@ from math import comb
 
 from .algebras import Representation, MorphismLieAlgebra
 from .errors import ShapeError
-from .linalg import Matrix, ZERO, determinant, rank
+from .linalg import Matrix, ZERO, determinant, product_is_zero, rank
 
 
 class ExteriorBasis:
@@ -120,8 +120,7 @@ class CEComplex:
             n: ce_differential(rep, n) for n in range(top + 1)
         }
         for n in range(top):
-            prod = self.differentials[n + 1] * self.differentials[n]
-            if not prod.is_zero():
+            if not product_is_zero(self.differentials[n + 1], self.differentials[n]):
                 raise ShapeError(f"differential composition at degree {n} is nonzero")
 
     def cochain_dim(self, n: int) -> int:
@@ -132,7 +131,7 @@ class CEComplex:
 
 
 def ce_cohomology_dim(rep: Representation, n: int) -> int:
-    """dim ker delta_n minus rank delta_{n-1}."""
+    """dim ker delta_n minus rank delta_{n-1}, after checking their product is 0."""
     if n < 0:
         return 0
     dim_n = cochain_dim(rep.algebra.dim, rep.dim_v, n)
@@ -140,8 +139,12 @@ def ce_cohomology_dim(rep: Representation, n: int) -> int:
         return 0
     delta_n = ce_differential(rep, n)
     cycles = dim_n - rank(delta_n)
-    boundaries = 0 if n == 0 else rank(ce_differential(rep, n - 1))
-    return cycles - boundaries
+    if n == 0:
+        return cycles
+    delta_prev = ce_differential(rep, n - 1)
+    if not product_is_zero(delta_n, delta_prev):
+        raise AssertionError("Chevalley-Eilenberg differential does not square to zero")
+    return cycles - rank(delta_prev)
 
 
 def pullback_rep(m: MorphismLieAlgebra, w: Representation) -> Representation:

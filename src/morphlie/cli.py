@@ -208,7 +208,7 @@ def cmd_cohomology(args) -> int:
     prev_simple_rank = 0
     for n in range(top + 1):
         dim_n = mla_cochain_dim(rep, n)
-        _ceiling(dim_n, args.size_ceiling)
+        _ceiling(max(dim_n, mla_cochain_dim(rep, n + 1)), args.size_ceiling)
         rank_n = rank(mla_differential(rep, n))
         row = {
             "degree": n,
@@ -236,7 +236,8 @@ def _mlg_table(args, triple) -> int:
     prev_rank = 0
     for n in range(top + 1):
         dim_n = mlg_cochain_dim(triple, n, args.normalized)
-        _ceiling(dim_n, args.size_ceiling)
+        _ceiling(max(dim_n, mlg_cochain_dim(triple, n + 1, args.normalized)),
+                 args.size_ceiling)
         rank_n = rank(mlg_differential(triple, n, args.normalized))
         rows.append({
             "degree": n,
@@ -261,7 +262,9 @@ def cmd_group_cohomology(args) -> int:
     prev_rank = 0
     for n in range(args.max_degree + 1):
         dim_n = group_cochain_dim(module.group, module.dim, n, args.normalized)
-        _ceiling(dim_n, args.size_ceiling)
+        _ceiling(max(dim_n, group_cochain_dim(module.group, module.dim, n + 1,
+                                              args.normalized)),
+                 args.size_ceiling)
         rank_n = rank(group_differential(module, n, args.normalized))
         rows.append({
             "degree": n,

@@ -28,7 +28,7 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
-from .linalg import Matrix, ZERO, is_invertible, rank, solve_columns
+from .linalg import Matrix, ZERO, is_invertible, product_is_zero, rank, solve_columns
 
 
 class AbelianExtension:
@@ -69,7 +69,7 @@ class AbelianExtension:
             (self.i, self.p, total.g, rep.dim_v, "g"),
             (self.i_bar, self.p_bar, total.h, rep.dim_w, "h"),
         ):
-            if not (p_mat * i_mat).is_zero():
+            if not product_is_zero(p_mat, i_mat):
                 raise ShapeError(f"p . i is nonzero on the {side} side")
             if rank(i_mat) != sub_dim:
                 raise ShapeError(f"inclusion on the {side} side is not injective")

@@ -28,7 +28,7 @@ from .errors import (
     SizeCeilingExceeded,
     ValidationError,
 )
-from .linalg import Matrix, ZERO, rank
+from .linalg import Matrix, ZERO, product_is_zero, rank
 
 
 class FiniteGroup:
@@ -205,7 +205,7 @@ def group_cohomology_dim(module: GroupModule, n: int, normalized: bool = False,
     if n == 0:
         return kernel
     delta_prev = group_differential(module, n - 1, normalized)
-    if not (delta_n * delta_prev).is_zero():
+    if not product_is_zero(delta_n, delta_prev):
         raise AssertionError("bar differential does not square to zero")
     return kernel - rank(delta_prev)
 
@@ -352,6 +352,6 @@ def mlg_cohomology_dim(t: GroupModuleTriple, n: int, normalized: bool = False,
     if n == 0:
         return kernel
     delta_prev = mlg_differential(t, n - 1, normalized)
-    if not (delta_n * delta_prev).is_zero():
+    if not product_is_zero(delta_n, delta_prev):
         raise AssertionError("morphism-group differential does not square to zero")
     return kernel - rank(delta_prev)

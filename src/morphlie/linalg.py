@@ -1,15 +1,24 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything in this package reduces to ranks and kernels of matrices with
 Fraction entries, so this module is deliberately dependency-free: stdlib
-fractions supply the canonical reduced p/q scalar type, and elimination is
-plain Gaussian reduction with exact pivots.  Zero-dimensional matrices
-(0 rows or 0 columns) are first-class citizens because top-degree cochain
-spaces are routinely empty.
+fractions supply the canonical reduced p/q scalar type, and every answer is
+exact.  Zero-dimensional matrices (0 rows or 0 columns) are first-class
+citizens because top-degree cochain spaces are routinely empty.
+
+``Matrix`` is dense, but the differentials it carries are a few percent
+nonzero, so ``rank`` and ``product_is_zero`` read only the nonzero entries:
+rank is sparse elimination on rows held as {column: Fraction}, pivoting on
+the shortest row and, inside it, on the column the fewest rows touch, which
+keeps fill-in low.  ``kernel_basis``, ``solve_columns`` and ``inverse`` stay
+dense reduced row echelon form with pivots taken in column order, because
+callers depend on what that order returns: the kernel basis with one free
+column per vector, and solutions whose free coordinates are 0.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -229,7 +238,11 @@ class Matrix:
 
 
 def _echelon(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns)."""
+    """Dense reduced row echelon form in place, pivots in column order.
+
+    Returns (rows, pivot columns); kernel_basis and solve_columns read their
+    outputs off this form.
+    """
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -252,8 +265,77 @@ def _echelon(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = _echelon(m.to_lists(), m.cols)
-    return len(pivots)
+    """Exact rank by sparse elimination.
+
+    Rows are dicts of their nonzero entries, and a column index records the
+    live rows touching each column.  Each step pivots on the shortest live
+    row, at the column of that row touched by the fewest other rows (ties
+    to the lowest index), and eliminates that column from those rows.
+    """
+    rows: dict[int, dict[int, Fraction]] = {}
+    touching: dict[int, set[int]] = {}
+    for i, dense in enumerate(m._rows):
+        row = {j: x for j, x in enumerate(dense) if x}
+        if row:
+            rows[i] = row
+            for j in row:
+                touching.setdefault(j, set()).add(i)
+    queue = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(queue)
+    pivots = 0
+    while rows:
+        length, i = heapq.heappop(queue)
+        row = rows.get(i)
+        if row is None or len(row) != length:
+            continue
+        del rows[i]
+        for j in row:
+            touching[j].discard(i)
+        c = min(row, key=lambda j: (len(touching[j]), j))
+        pivots += 1
+        targets = touching.pop(c)
+        if not targets:
+            continue
+        scale = -ONE / row.pop(c)
+        for k in targets:
+            other = rows[k]
+            f = other.pop(c) * scale
+            for j, x in row.items():
+                y = other.get(j)
+                if y is None:
+                    other[j] = f * x
+                    touching[j].add(k)
+                else:
+                    y += f * x
+                    if y:
+                        other[j] = y
+                    else:
+                        del other[j]
+                        touching[j].discard(k)
+            if other:
+                heapq.heappush(queue, (len(other), k))
+            else:
+                del rows[k]
+    return pivots
+
+
+def product_is_zero(a: Matrix, b: Matrix) -> bool:
+    """Whether a * b is the zero matrix, reading only nonzero entries.
+
+    Stops at the first nonzero row of the product, which is never formed.
+    """
+    if a.cols != b.rows:
+        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b._rows]
+    for dense in a._rows:
+        acc: dict[int, Fraction] = {}
+        for k, x in enumerate(dense):
+            if x:
+                for j, y in b_rows[k]:
+                    acc[j] = acc.get(j, ZERO) + x * y
+        if any(acc.values()):
+            return False
+    return True
 
 
 def kernel_basis(m: Matrix) -> Matrix:

@@ -130,6 +130,18 @@ def test_delta_squared_zero_for_conjugated_reps():
         CEComplex(rep)  # raises if any composition is nonzero
 
 
+def test_non_representation_is_refused():
+    # rho(e1) and rho(e2) do not commute, but a2 is abelian: d_1 . d_0 != 0.
+    broken = Representation(a2(), 2, [Matrix.from_rows([[0, 1], [0, 0]]),
+                                      Matrix.from_rows([[1, 0], [0, 0]])],
+                            validate=False)
+    assert ce_cohomology_dim(broken, 0) == 0
+    with pytest.raises(AssertionError, match="square to zero"):
+        ce_cohomology_dim(broken, 1)
+    with pytest.raises(ShapeError, match="composition at degree 0"):
+        CEComplex(broken, max_degree=1)
+
+
 def test_euler_characteristic_identity():
     for name, rep in _fixture_reps():
         dim_g = rep.algebra.dim

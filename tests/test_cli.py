@@ -157,6 +157,38 @@ class TestCohomology:
         assert code == 3
         assert "size-ceiling" in err
 
+    @pytest.mark.parametrize("doc, builder, argv", [
+        # dim C^1 = 14 <= 16 < dim C^2 = 18 for sl2 on V1.
+        ("sl2_doc", "mla_differential",
+         ["cohomology", "DOC", "rep", "--max-degree", "1", "--size-ceiling", "16"]),
+        # dim C^1 = 5 <= 7 < dim C^2 = 10 for the Z2 identity triple.
+        ("z2_doc", "mlg_differential",
+         ["cohomology", "DOC", "t", "--group", "--max-degree", "1", "--size-ceiling", "7"]),
+        # dim C^2 = 4 <= 6 < dim C^3 = 8 for the trivial Z2 module.
+        ("z2_doc", "group_differential",
+         ["group", "cohomology", "DOC", "v", "--max-degree", "2", "--size-ceiling", "6"]),
+    ])
+    def test_size_ceiling_covers_codomain(self, capsys, monkeypatch, request,
+                                          doc, builder, argv):
+        # The top differential maps into C^{top+1}, which is over the ceiling:
+        # the table is refused before that differential is built.
+        import morphlie.cli as cli
+
+        built = []
+        original = getattr(cli, builder)
+
+        def recording(obj, n, *rest):
+            built.append(n)
+            return original(obj, n, *rest)
+
+        monkeypatch.setattr(cli, builder, recording)
+        path = request.getfixturevalue(doc)
+        code, _, err = run(capsys, *[path if a == "DOC" else a for a in argv])
+        assert code == 3
+        assert "size-ceiling" in err
+        top = int(argv[argv.index("--max-degree") + 1])
+        assert top not in built and built == list(range(top))
+
     def test_negative_degree(self, capsys, a1_doc):
         code, _, err = run(capsys, "cohomology", a1_doc, "rep",
                            "--max-degree", "-1")

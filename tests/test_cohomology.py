@@ -159,13 +159,50 @@ def test_cone_cohomology_frozen_values():
     assert [mla_cohomology_dim(a1_triple(), n, cone=True) for n in range(3)] == [1, 1, 0]
 
 
+def _non_intertwining_rep() -> MorphismRep:
+    g = sl2()
+    return MorphismRep(MorphismLieAlgebra.identity(g), v1(g), v1(g),
+                       Matrix.from_rows([[0, 1], [0, 0]]), validate=False)
+
+
 def test_cone_refuses_non_intertwining_psi():
     # d_1 . d_0 = 0 on the cone needs psi rho_V(x) = rho_W(phi x) psi.
-    g = sl2()
-    broken = MorphismRep(MorphismLieAlgebra.identity(g), v1(g), v1(g),
-                         Matrix.from_rows([[0, 1], [0, 0]]), validate=False)
     with pytest.raises(AssertionError, match="square to zero"):
-        mla_cohomology_dim(broken, 1, cone=True)
+        mla_cohomology_dim(_non_intertwining_rep(), 1, cone=True)
+
+
+def test_default_and_simple_paths_refuse_non_intertwining_psi():
+    # The default complex is a subcomplex of the cone, so the same broken
+    # psi makes its d_1 . d_0 nonzero; the simple path checks d_1 against
+    # the restricted d_0, which is the whole d_0.
+    broken = _non_intertwining_rep()
+    with pytest.raises(AssertionError, match="square to zero"):
+        mla_cohomology_dim(broken, 1)
+    with pytest.raises(AssertionError, match="square to zero"):
+        simple_cohomology_dim(broken, 1)
+
+
+def test_mla_complex_refuses_non_intertwining_psi():
+    with pytest.raises(ShapeError, match="composition at degree 0"):
+        MLAComplex(_non_intertwining_rep(), max_degree=1)
+
+
+def test_degree0_differential_builds_no_pullback(monkeypatch):
+    import morphlie.cohomology as cohomology
+
+    calls = []
+
+    def counting_pullback(*args):
+        calls.append(args)
+        return pullback_rep(*args)
+
+    monkeypatch.setattr(cohomology, "pullback_rep", counting_pullback)
+    rep = heis_adjoint_triple()
+    mla_differential(rep, 0)
+    mla_differential(rep, 0, cone=True)
+    assert calls == []
+    mla_differential(rep, 1)
+    assert len(calls) == 1
 
 
 def test_complex_verifies_square_zero():

@@ -14,6 +14,7 @@ from morphlie.linalg import (
     inverse,
     is_invertible,
     kernel_basis,
+    product_is_zero,
     quotient_dim,
     rank,
     rat,
@@ -21,6 +22,8 @@ from morphlie.linalg import (
     solve,
     solve_columns,
 )
+
+from .oracles import o_rank
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -179,3 +182,94 @@ def test_solve_columns_multi():
     b = Matrix.from_rows([[2, 0], [1, 1]])
     x = solve_columns(m, b)
     assert x is not None and m * x == b
+
+
+# -- sparse rank and product_is_zero against the dense oracle -----------------
+
+# Cheaper to draw than st.fractions, over the same small range.
+entries = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4]))
+
+
+@st.composite
+def sparse_matrices(draw, rows=st.integers(0, 8), cols=st.integers(0, 8)):
+    """Random rational matrices whose density ranges from empty to full."""
+    r, c = draw(rows), draw(cols)
+    density = draw(st.integers(0, 4))
+    mask = draw(st.lists(st.integers(1, 4), min_size=r * c, max_size=r * c))
+    values = draw(st.lists(entries, min_size=r * c, max_size=r * c))
+    return Matrix(r, c, [x if k <= density else 0 for k, x in zip(mask, values)])
+
+
+def invertible(n: int):
+    """Lower unit-triangular times upper triangular with nonzero diagonal."""
+    nonzero = entries.filter(bool)
+
+    def build(parts):
+        below, diag, above = parts
+        lower, upper = Matrix.identity(n).to_lists(), Matrix.zeros(n, n).to_lists()
+        lo, up = iter(below), iter(above)
+        for i in range(n):
+            upper[i][i] = diag[i]
+            for j in range(i):
+                lower[i][j] = next(lo)
+                upper[j][i] = next(up)
+        return Matrix.from_rows(lower, cols=n) * Matrix.from_rows(upper, cols=n)
+
+    off = n * (n - 1) // 2
+    return st.tuples(
+        st.lists(entries, min_size=off, max_size=off),
+        st.lists(nonzero, min_size=n, max_size=n),
+        st.lists(entries, min_size=off, max_size=off),
+    ).map(build)
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_matrices())
+def test_sparse_rank_matches_oracle(m):
+    assert rank(m) == o_rank(m.to_lists())
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices(rows=st.integers(2, 8)), st.data())
+def test_sparse_rank_ignores_dependent_row(m, data):
+    # Appending a rational combination of existing rows keeps the rank.
+    coeffs = data.draw(st.lists(entries, min_size=m.rows, max_size=m.rows))
+    combo = [sum((c * x for c, x in zip(coeffs, m.col(j))), Fraction(0))
+             for j in range(m.cols)]
+    grown = Matrix.vstack([m, Matrix(1, m.cols, combo)])
+    assert rank(grown) == rank(m) == o_rank(grown.to_lists())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda rc: st.tuples(sparse_matrices(st.just(rc[0]), st.just(rc[1])),
+                         invertible(rc[0]), invertible(rc[1]))))
+def test_sparse_rank_of_conjugated_matrix(parts):
+    # P . D . Q fills in a sparse D; invertible P and Q keep its rank.
+    d, p, q = parts
+    conjugated = p * d * q
+    assert rank(conjugated) == rank(d) == o_rank(conjugated.to_lists())
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 5), (5, 0)])
+def test_sparse_rank_of_empty_shapes(rows, cols):
+    assert rank(Matrix.zeros(rows, cols)) == 0
+    assert product_is_zero(Matrix.zeros(rows, cols), Matrix.zeros(cols, 3))
+    assert product_is_zero(Matrix.zeros(3, rows), Matrix.zeros(rows, cols))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_product_is_zero_matches_dense_product(a, data):
+    b = data.draw(sparse_matrices(rows=st.just(a.cols), cols=st.integers(0, 6)))
+    assert product_is_zero(a, b) == (a * b).is_zero()
+    # A kernel basis makes a product that really is zero.
+    k = kernel_basis(a)
+    assert product_is_zero(a, k) and (a * k).is_zero()
+
+
+def test_product_is_zero_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError):
+        product_is_zero(Matrix.identity(2), Matrix.zeros(3, 1))
+    with pytest.raises(ShapeError):
+        product_is_zero(Matrix.zeros(0, 2), Matrix.zeros(0, 2))
