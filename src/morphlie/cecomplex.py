@@ -13,7 +13,7 @@ from math import comb
 
 from .algebras import Representation, MorphismLieAlgebra
 from .errors import ShapeError
-from .linalg import Matrix, ZERO, determinant, product_is_zero, rank
+from .linalg import Complex, Matrix, ZERO, determinant
 
 
 class ExteriorBasis:
@@ -105,6 +105,12 @@ def ce_differential(rep: Representation, n: int) -> Matrix:
     return Matrix.from_rows(mat, cols=len(src) * dim_v)
 
 
+def ce_complex(rep: Representation) -> Complex:
+    """The Chevalley-Eilenberg complex of a representation."""
+    return Complex(lambda n: cochain_dim(rep.algebra.dim, rep.dim_v, n),
+                   lambda n: ce_differential(rep, n), "Chevalley-Eilenberg")
+
+
 class CEComplex:
     """The cochain complex of a representation, with differentials by degree.
 
@@ -114,37 +120,20 @@ class CEComplex:
 
     def __init__(self, rep: Representation, max_degree: int | None = None):
         self.rep = rep
-        top = rep.algebra.dim if max_degree is None else max_degree
-        self.max_degree = top
-        self.differentials: dict[int, Matrix] = {
-            n: ce_differential(rep, n) for n in range(top + 1)
-        }
-        for n in range(top):
-            if not product_is_zero(self.differentials[n + 1], self.differentials[n]):
-                raise ShapeError(f"differential composition at degree {n} is nonzero")
+        self.complex = ce_complex(rep)
+        self.max_degree = rep.algebra.dim if max_degree is None else max_degree
+        self.differentials = self.complex.verified(self.max_degree)
 
     def cochain_dim(self, n: int) -> int:
-        return cochain_dim(self.rep.algebra.dim, self.rep.dim_v, n)
+        return self.complex.dim(n)
 
     def cohomology_dim(self, n: int) -> int:
-        return ce_cohomology_dim(self.rep, n)
+        return self.complex.dim_H(n)
 
 
 def ce_cohomology_dim(rep: Representation, n: int) -> int:
     """dim ker delta_n minus rank delta_{n-1}, after checking their product is 0."""
-    if n < 0:
-        return 0
-    dim_n = cochain_dim(rep.algebra.dim, rep.dim_v, n)
-    if dim_n == 0:
-        return 0
-    delta_n = ce_differential(rep, n)
-    cycles = dim_n - rank(delta_n)
-    if n == 0:
-        return cycles
-    delta_prev = ce_differential(rep, n - 1)
-    if not product_is_zero(delta_n, delta_prev):
-        raise AssertionError("Chevalley-Eilenberg differential does not square to zero")
-    return cycles - rank(delta_prev)
+    return ce_complex(rep).dim_H(n)
 
 
 def pullback_rep(m: MorphismLieAlgebra, w: Representation) -> Representation:
@@ -200,3 +189,21 @@ def precompose_matrix(minors: Matrix, dim_w: int) -> Matrix:
             for r in range(dim_w):
                 out[s * dim_w + r][t * dim_w + r] = coeff
     return Matrix.from_rows(out, cols=n_dst * dim_w)
+
+
+def morphism_matrix(d_v: Matrix, d_w: Matrix, psi: Matrix, tuples: int = 0,
+                    pre_phi: Matrix | None = None,
+                    d_pull: Matrix | None = None) -> Matrix:
+    """The morphism differential's block layout, shared by Lie and group side.
+
+    Degree 0 (no pre_phi) stacks (d_v, d_w . psi, 0); degree n >= 1 is
+    [[d_v, 0, 0], [0, d_w, 0], [psi . , -pre_phi, -d_pull]] on (theta,
+    gamma, eta), with psi postcomposed over ``tuples`` source tuples.
+    """
+    if pre_phi is None:
+        return Matrix.vstack([d_v, d_w * psi, Matrix.zeros(psi.rows, psi.cols)])
+    return Matrix.block([
+        [d_v, Matrix.zeros(d_v.rows, d_w.cols), Matrix.zeros(d_v.rows, d_pull.cols)],
+        [Matrix.zeros(d_w.rows, d_v.cols), d_w, Matrix.zeros(d_w.rows, d_pull.cols)],
+        [postcompose_matrix(psi, tuples), -pre_phi, -d_pull],
+    ])

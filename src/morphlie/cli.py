@@ -14,13 +14,7 @@ import json
 import sys
 from math import comb
 
-from .cohomology import (
-    mla_cochain_dim,
-    mla_cohomology_dim,
-    mla_differential,
-    simple_differential,
-    simple_cohomology_dim,
-)
+from .cohomology import mla_complex
 from .documents import ProblemDocument, check_document
 from .errors import (
     MorphismAlgebraError,
@@ -30,15 +24,10 @@ from .errors import (
     UnknownObject,
 )
 from .extensions import AbelianExtension, build_extension
-from .groups import (
-    group_cochain_dim,
-    group_cohomology_dim,
-    group_differential,
-    mlg_cochain_dim,
-    mlg_cohomology_dim,
-    mlg_differential,
-)
-from .linalg import rank
+from .groups import group_complex, mlg_complex
+# rank is imported for bench/selftest.py, which checks that the tracer
+# rebinds it here as in linalg and cohomology; the tables rank through Complex.
+from .linalg import rank  # noqa: F401
 from .sampling import Sampler
 from .shlie import (
     SkeletalMorphismSh,
@@ -197,87 +186,25 @@ def cmd_cohomology(args) -> int:
     if args.group:
         triple = _named(doc.group_module_triples, args.name,
                         "group module triple")
-        return _mlg_table(args, triple)
+        return _table(args, mlg_complex(triple, args.normalized, args.size_ceiling),
+                      2, kind="group-module-triple", normalized=args.normalized)
     rep = _named(doc.morphism_reps, args.name, "morphism rep")
-    base = rep.base
-    top = args.max_degree if args.max_degree is not None else (
-        min(base.g.dim, base.h.dim) + 1)
-    _nonnegative(top)
-    rows = []
-    prev_rank = 0
-    prev_simple_rank = 0
-    for n in range(top + 1):
-        dim_n = mla_cochain_dim(rep, n)
-        _ceiling(max(dim_n, mla_cochain_dim(rep, n + 1)), args.size_ceiling)
-        rank_n = rank(mla_differential(rep, n))
-        row = {
-            "degree": n,
-            "cochains": dim_n,
-            "rank": rank_n,
-            "cocycles": dim_n - rank_n,
-            "coboundaries": prev_rank,
-            "cohomology": mla_cohomology_dim(rep, n),
-        }
-        if args.simple:
-            row["simple_coboundaries"] = prev_simple_rank
-            row["simple_cohomology"] = simple_cohomology_dim(rep, n)
-        rows.append(row)
-        prev_rank = rank_n
-        prev_simple_rank = rank(simple_differential(rep, n))
-    _emit_table(args, {"object": args.name, "kind": "morphism-rep",
-                       "rows": rows})
-    return EXIT_OK
-
-
-def _mlg_table(args, triple) -> int:
-    top = args.max_degree if args.max_degree is not None else 2
-    _nonnegative(top)
-    rows = []
-    prev_rank = 0
-    for n in range(top + 1):
-        dim_n = mlg_cochain_dim(triple, n, args.normalized)
-        _ceiling(max(dim_n, mlg_cochain_dim(triple, n + 1, args.normalized)),
-                 args.size_ceiling)
-        rank_n = rank(mlg_differential(triple, n, args.normalized))
-        rows.append({
-            "degree": n,
-            "cochains": dim_n,
-            "rank": rank_n,
-            "cocycles": dim_n - rank_n,
-            "coboundaries": prev_rank,
-            "cohomology": mlg_cohomology_dim(
-                triple, n, args.normalized, size_ceiling=args.size_ceiling),
-        })
-        prev_rank = rank_n
-    _emit_table(args, {"object": args.name, "kind": "group-module-triple",
-                       "normalized": args.normalized, "rows": rows})
-    return EXIT_OK
+    return _table(args, mla_complex(rep, size_ceiling=args.size_ceiling),
+                  min(rep.base.g.dim, rep.base.h.dim) + 1, args.simple,
+                  kind="morphism-rep")
 
 
 def cmd_group_cohomology(args) -> int:
     doc = ProblemDocument.loads(_read(args.file))
     module = _named(doc.group_modules, args.name, "group module")
-    _nonnegative(args.max_degree)
-    rows = []
-    prev_rank = 0
-    for n in range(args.max_degree + 1):
-        dim_n = group_cochain_dim(module.group, module.dim, n, args.normalized)
-        _ceiling(max(dim_n, group_cochain_dim(module.group, module.dim, n + 1,
-                                              args.normalized)),
-                 args.size_ceiling)
-        rank_n = rank(group_differential(module, n, args.normalized))
-        rows.append({
-            "degree": n,
-            "cochains": dim_n,
-            "rank": rank_n,
-            "cocycles": dim_n - rank_n,
-            "coboundaries": prev_rank,
-            "cohomology": group_cohomology_dim(
-                module, n, args.normalized, size_ceiling=args.size_ceiling),
-        })
-        prev_rank = rank_n
-    _emit_table(args, {"object": args.name, "kind": "group-module",
-                       "normalized": args.normalized, "rows": rows})
+    return _table(args, group_complex(module, args.normalized, args.size_ceiling),
+                  2, kind="group-module", normalized=args.normalized)
+
+
+def _table(args, cx, default_top: int, simple: bool = False, **header) -> int:
+    top = default_top if args.max_degree is None else args.max_degree
+    _nonnegative(top)
+    _emit_table(args, {"object": args.name, **header, "rows": cx.table(top, simple)})
     return EXIT_OK
 
 
@@ -470,12 +397,6 @@ def _named(store: dict, name: str, kind: str):
 def _nonnegative(top: int) -> None:
     if top < 0:
         raise ShapeError("max degree must be nonnegative")
-
-
-def _ceiling(needed: int, size_ceiling: int | None) -> None:
-    if size_ceiling is not None and needed > size_ceiling:
-        raise SizeCeilingExceeded(
-            f"cochain space needs {needed} coordinates, ceiling is {size_ceiling}")
 
 
 def _write_document(args, out: ProblemDocument, summary: str) -> None:

@@ -43,7 +43,7 @@ from .algebras import (
 from .cecomplex import (
     ce_differential,
     cochain_dim,
-    postcompose_matrix,
+    morphism_matrix,
     precompose_matrix,
     pullback_rep,
     wedge_minor_matrix,
@@ -55,11 +55,11 @@ from .errors import (
     ShapeError,
 )
 from .linalg import (
+    Complex,
     Matrix,
     ZERO,
     complete_basis,
     inverse,
-    product_is_zero,
     rank,
     solve,
     solve_columns,
@@ -182,32 +182,20 @@ def mla_differential(rep: MorphismRep, n: int, cone: bool = False) -> Matrix:
     if n < 0:
         raise ShapeError("degree must be nonnegative")
     base = rep.base
-    if n == 0:
-        d_v = ce_differential(rep.v, 0)
-        d_w = ce_differential(rep.w, 0)
-        if cone:
-            return Matrix.block([
-                [d_v, Matrix.zeros(d_v.rows, rep.dim_w)],
-                [Matrix.zeros(d_w.rows, rep.dim_v), d_w],
-                [rep.psi, -Matrix.identity(rep.dim_w)],
-            ])
-        eta_rows = cochain_dim(base.g.dim, rep.dim_w, 0)
-        return Matrix.vstack([
-            d_v,
-            d_w * rep.psi,
-            Matrix.zeros(eta_rows, rep.dim_v),
+    d_v = ce_differential(rep.v, n)
+    d_w = ce_differential(rep.w, n)
+    if n == 0 and cone:
+        return Matrix.block([
+            [d_v, Matrix.zeros(d_v.rows, rep.dim_w)],
+            [Matrix.zeros(d_w.rows, rep.dim_v), d_w],
+            [rep.psi, -Matrix.identity(rep.dim_w)],
         ])
-    dims_in = mla_block_dims(rep, n)
-    d_theta = ce_differential(rep.v, n)
-    d_gamma = ce_differential(rep.w, n)
-    d_eta = ce_differential(pullback_rep(base, rep.w), n - 1)
-    post_psi = postcompose_matrix(rep.psi, comb(base.g.dim, n))
-    pre_phi = precompose_matrix(wedge_minor_matrix(base.phi, n), rep.dim_w)
-    return Matrix.block([
-        [d_theta, Matrix.zeros(d_theta.rows, dims_in[1]), Matrix.zeros(d_theta.rows, dims_in[2])],
-        [Matrix.zeros(d_gamma.rows, dims_in[0]), d_gamma, Matrix.zeros(d_gamma.rows, dims_in[2])],
-        [post_psi, -pre_phi, -d_eta],
-    ])
+    if n == 0:
+        return morphism_matrix(d_v, d_w, rep.psi)
+    return morphism_matrix(
+        d_v, d_w, rep.psi, comb(base.g.dim, n),
+        precompose_matrix(wedge_minor_matrix(base.phi, n), rep.dim_w),
+        ce_differential(pullback_rep(base, rep.w), n - 1))
 
 
 def apply_mla_differential(c: MCochain) -> MCochain:
@@ -216,26 +204,38 @@ def apply_mla_differential(c: MCochain) -> MCochain:
     return MCochain.from_vector(c.rep, c.degree + 1, mat.apply(c.to_vector()))
 
 
+def _eta_free(rep: MorphismRep, n: int) -> range:
+    """Columns of the (theta, gamma) blocks of a degree-n >= 1 cochain."""
+    return range(sum(mla_block_dims(rep, n)[:2]))
+
+
+def mla_complex(rep: MorphismRep, cone: bool = False,
+                size_ceiling: int | None = None) -> Complex:
+    """The morphism complex of rep, or its full mapping cone with ``cone=True``.
+
+    The simple variant keeps the eta-free columns of each differential.
+    """
+    return Complex(lambda n: mla_cochain_dim(rep, n, cone),
+                   lambda n: mla_differential(rep, n, cone), "morphism",
+                   size_ceiling, lambda n: _eta_free(rep, n))
+
+
 class MLAComplex:
     """All differentials of a morphism representation, verified square-zero."""
 
     def __init__(self, rep: MorphismRep, max_degree: int | None = None):
         base = rep.base
-        top = max(base.g.dim + 1, base.h.dim) if max_degree is None else max_degree
         self.rep = rep
-        self.max_degree = top
-        self.differentials: dict[int, Matrix] = {
-            n: mla_differential(rep, n) for n in range(top + 1)
-        }
-        for n in range(top):
-            if not product_is_zero(self.differentials[n + 1], self.differentials[n]):
-                raise ShapeError(f"differential composition at degree {n} is nonzero")
+        self.complex = mla_complex(rep)
+        self.max_degree = (max(base.g.dim + 1, base.h.dim) if max_degree is None
+                           else max_degree)
+        self.differentials = self.complex.verified(self.max_degree)
 
     def cochain_dim(self, n: int) -> int:
-        return mla_cochain_dim(self.rep, n)
+        return self.complex.dim(n)
 
     def cohomology_dim(self, n: int) -> int:
-        return mla_cohomology_dim(self.rep, n)
+        return self.complex.dim_H(n)
 
 
 def mla_cohomology_dim(rep: MorphismRep, n: int, cone: bool = False) -> int:
@@ -244,50 +244,22 @@ def mla_cohomology_dim(rep: MorphismRep, n: int, cone: bool = False) -> int:
     Reported only after delta_n . delta_{n-1} = 0 has been verified; with
     ``cone=True`` this is the full cone's dimension.
     """
-    if n < 0:
-        return 0
-    dim_n = mla_cochain_dim(rep, n, cone)
-    if dim_n == 0:
-        return 0
-    delta_n = mla_differential(rep, n, cone)
-    cycles = dim_n - rank(delta_n)
-    if n == 0:
-        return cycles
-    delta_prev = mla_differential(rep, n - 1, cone)
-    if not product_is_zero(delta_n, delta_prev):
-        raise AssertionError("morphism differential does not square to zero")
-    return cycles - rank(delta_prev)
+    return mla_complex(rep, cone).dim_H(n)
 
 
 def simple_differential(rep: MorphismRep, n: int) -> Matrix:
     """delta restricted to cochains with vanishing eta component."""
     full = mla_differential(rep, n)
-    if n == 0:
-        return full
-    dims = mla_block_dims(rep, n)
-    keep = list(range(dims[0] + dims[1]))
-    return full.submatrix(range(full.rows), keep)
+    return full if n == 0 else full.submatrix(range(full.rows), _eta_free(rep, n))
 
 
 def simple_cohomology_dim(rep: MorphismRep, n: int) -> int:
     """Cohomology with coboundaries restricted to eta-free cochains.
 
-    delta_n . delta_{n-1} = 0 is verified on the restricted delta_{n-1}
-    before reporting.
+    delta_n . delta_{n-1} = 0 is verified before reporting; the restricted
+    delta_{n-1} is a column selection of delta_{n-1}, so it follows.
     """
-    if n == 0:
-        return mla_cohomology_dim(rep, 0)
-    if n < 0:
-        return 0
-    dim_n = mla_cochain_dim(rep, n)
-    if dim_n == 0:
-        return 0
-    delta_n = mla_differential(rep, n)
-    cycles = dim_n - rank(delta_n)
-    delta_prev = simple_differential(rep, n - 1)
-    if not product_is_zero(delta_n, delta_prev):
-        raise AssertionError("morphism differential does not square to zero")
-    return cycles - rank(delta_prev)
+    return mla_complex(rep).dim_H(n, simple=True)
 
 
 def invariant_vectors_dim(rep: MorphismRep) -> int:

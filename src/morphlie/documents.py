@@ -67,7 +67,11 @@ def parse_scalar(value: Any, where: str) -> Fraction:
             raise ParseError(f"{where}: zero denominator in {text!r}")
         if not _RATIONAL.match(text):
             raise ParseError(f"{where}: {text!r} is not a rational 'p/q' string")
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ValueError as exc:  # past Python's integer digit limit
+            raise ParseError(f"{where}: a rational of {len(text)} characters "
+                             "is too long to read") from exc
     raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
@@ -177,15 +181,15 @@ class ProblemDocument:
 
     @classmethod
     def from_dict(cls, data: Any) -> ProblemDocument:
-        """Build and validate every object; raise on the first failure."""
+        """Build and validate every object; raise on the first failure.
+
+        A malformed entry raises ParseError, any other failure ValidationError.
+        """
         doc = cls()
-        for row in doc._build(data):
-            if not row.ok:
-                raise ValidationError(
-                    f"{row.section}/{row.name}: {row.detail}")
+        doc._build(data, strict=True)
         return doc
 
-    def _build(self, data: Any) -> list[CheckRow]:
+    def _build(self, data: Any, strict: bool = False) -> list[CheckRow]:
         """Construct all objects in dependency order, one report row each."""
         top = _require_mapping(data, "document")
         unknown = set(top) - set(SECTIONS)
@@ -213,6 +217,9 @@ class ProblemDocument:
                     store[name] = builder(where, value)
                     rows.append(CheckRow(section, name, True))
                 except MorphismAlgebraError as exc:
+                    if strict:
+                        kind = ParseError if isinstance(exc, ParseError) else ValidationError
+                        raise kind(f"{where}: {exc}") from exc
                     rows.append(CheckRow(section, name, False, str(exc)))
         return rows
 
@@ -519,6 +526,9 @@ def _decode(text: str) -> Any:
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # An integer past Python's digit limit, or nesting past the stack.
+        raise ParseError(f"cannot decode the document: {exc}") from exc
 
 
 def _lie_algebra_data(a: LieAlgebra) -> dict:

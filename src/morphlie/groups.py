@@ -22,13 +22,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebras import CheckResult
-from .errors import (
-    NotAHomomorphism,
-    ShapeError,
-    SizeCeilingExceeded,
-    ValidationError,
-)
-from .linalg import Matrix, ZERO, product_is_zero, rank
+from .cecomplex import morphism_matrix
+from .errors import NotAHomomorphism, ShapeError, ValidationError
+from .linalg import Complex, Matrix, ZERO
 
 
 class FiniteGroup:
@@ -190,31 +186,20 @@ def group_differential(module: GroupModule, n: int,
     return Matrix.from_rows(out, cols=len(src) * dim)
 
 
+def group_complex(module: GroupModule, normalized: bool = False,
+                  size_ceiling: int | None = None) -> Complex:
+    """The bar complex of a module (normalized subcomplex if requested)."""
+    return Complex(lambda n: group_cochain_dim(module.group, module.dim, n, normalized),
+                   lambda n: group_differential(module, n, normalized), "bar",
+                   size_ceiling)
+
+
 def group_cohomology_dim(module: GroupModule, n: int, normalized: bool = False,
                          size_ceiling: int | None = None) -> int:
     """dim H^n of the bar complex (normalized subcomplex if requested)."""
     if n < 0:
         raise ShapeError("degree must be nonnegative")
-    _check_ceiling(
-        size_ceiling,
-        max(group_cochain_dim(module.group, module.dim, k, normalized)
-            for k in range(max(0, n - 1), n + 2)),
-    )
-    delta_n = group_differential(module, n, normalized)
-    kernel = delta_n.cols - rank(delta_n)
-    if n == 0:
-        return kernel
-    delta_prev = group_differential(module, n - 1, normalized)
-    if not product_is_zero(delta_n, delta_prev):
-        raise AssertionError("bar differential does not square to zero")
-    return kernel - rank(delta_prev)
-
-
-def _check_ceiling(size_ceiling: int | None, needed: int) -> None:
-    if size_ceiling is not None and needed > size_ceiling:
-        raise SizeCeilingExceeded(
-            f"cochain space needs {needed} coordinates, ceiling is {size_ceiling}"
-        )
+    return group_complex(module, normalized, size_ceiling).dim_H(n)
 
 
 class GroupModuleTriple:
@@ -303,24 +288,12 @@ def mlg_differential(t: GroupModuleTriple, n: int,
     """Matrix of the morphism-group differential C^n_mLG -> C^{n+1}_mLG."""
     if n < 0:
         raise ShapeError("degree must be nonnegative")
-    if n == 0:
-        dv = group_differential(t.v, 0, normalized)
-        dw = group_differential(t.w, 0, normalized)
-        return Matrix.vstack([dv, dw * t.psi, Matrix.zeros(t.dim_w, t.dim_v)])
     dv = group_differential(t.v, n, normalized)
     dw = group_differential(t.w, n, normalized)
-    d_pull = group_differential(pullback_module(t), n - 1, normalized)
+    if n == 0:
+        return morphism_matrix(dv, dw, t.psi)
     g_tuples = group_cochain_tuples(t.g, n, normalized)
     h_index = {tup: i for i, tup in enumerate(group_cochain_tuples(t.h, n, normalized))}
-
-    post = [[ZERO] * (len(g_tuples) * t.dim_v) for _ in range(len(g_tuples) * t.dim_w)]
-    for s in range(len(g_tuples)):
-        for r in range(t.dim_w):
-            for c in range(t.dim_v):
-                if t.psi[r, c]:
-                    post[s * t.dim_w + r][s * t.dim_v + c] = t.psi[r, c]
-    post_psi = Matrix.from_rows(post, cols=len(g_tuples) * t.dim_v)
-
     pre = [[ZERO] * (len(h_index) * t.dim_w) for _ in range(len(g_tuples) * t.dim_w)]
     for s, tup in enumerate(g_tuples):
         mapped = tuple(t.phi[x] for x in tup)
@@ -329,13 +302,16 @@ def mlg_differential(t: GroupModuleTriple, n: int,
             for r in range(t.dim_w):
                 pre[s * t.dim_w + r][m_idx * t.dim_w + r] = Fraction(1)
     pre_phi = Matrix.from_rows(pre, cols=len(h_index) * t.dim_w)
+    return morphism_matrix(dv, dw, t.psi, len(g_tuples), pre_phi,
+                           group_differential(pullback_module(t), n - 1, normalized))
 
-    th, ga, la = mlg_block_dims(t, n, normalized)
-    return Matrix.block([
-        [dv, Matrix.zeros(dv.rows, ga), Matrix.zeros(dv.rows, la)],
-        [Matrix.zeros(dw.rows, th), dw, Matrix.zeros(dw.rows, la)],
-        [post_psi, -pre_phi, -d_pull],
-    ])
+
+def mlg_complex(t: GroupModuleTriple, normalized: bool = False,
+                size_ceiling: int | None = None) -> Complex:
+    """The morphism-group complex of a triple."""
+    return Complex(lambda n: mlg_cochain_dim(t, n, normalized),
+                   lambda n: mlg_differential(t, n, normalized), "morphism-group",
+                   size_ceiling)
 
 
 def mlg_cohomology_dim(t: GroupModuleTriple, n: int, normalized: bool = False,
@@ -343,15 +319,4 @@ def mlg_cohomology_dim(t: GroupModuleTriple, n: int, normalized: bool = False,
     """dim H^n_mLG, verifying that consecutive differentials compose to zero."""
     if n < 0:
         raise ShapeError("degree must be nonnegative")
-    _check_ceiling(
-        size_ceiling,
-        max(mlg_cochain_dim(t, k, normalized) for k in range(max(0, n - 1), n + 2)),
-    )
-    delta_n = mlg_differential(t, n, normalized)
-    kernel = delta_n.cols - rank(delta_n)
-    if n == 0:
-        return kernel
-    delta_prev = mlg_differential(t, n - 1, normalized)
-    if not product_is_zero(delta_n, delta_prev):
-        raise AssertionError("morphism-group differential does not square to zero")
-    return kernel - rank(delta_prev)
+    return mlg_complex(t, normalized, size_ceiling).dim_H(n)

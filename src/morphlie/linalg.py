@@ -14,15 +14,19 @@ keeps fill-in low.  ``kernel_basis``, ``solve_columns`` and ``inverse`` stay
 dense reduced row echelon form with pivots taken in column order, because
 callers depend on what that order returns: the kernel basis with one free
 column per vector, and solutions whose free coordinates are 0.
+
+``Complex`` is the one cochain complex behind every cohomology dimension in
+the package: a degree -> differential function with cached ranks, one
+d . d = 0 check through ``product_is_zero``, and the rows of a CLI table.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import ShapeError, SubspaceViolation
+from .errors import ShapeError, SizeCeilingExceeded, SubspaceViolation
 
 Rational = Fraction
 
@@ -175,7 +179,7 @@ class Matrix:
     def __neg__(self) -> Matrix:
         out = Matrix(self.rows, self.cols)
         for i in range(self.rows):
-            out._rows[i] = [-a for a in self._rows[i]]
+            out._rows[i] = [-a if a else ZERO for a in self._rows[i]]
         return out
 
     def scale(self, c: Scalar) -> Matrix:
@@ -336,6 +340,101 @@ def product_is_zero(a: Matrix, b: Matrix) -> bool:
         if any(acc.values()):
             return False
     return True
+
+
+class Complex:
+    """A cochain complex given degree by degree: H^n = ker d_n / im d_{n-1}.
+
+    ``dim(n)`` is dim C^n and ``differential(n)`` builds d_n: C^n -> C^{n+1}.
+    Ranks are cached.  A differential is refused before it is built if
+    max(dim C^n, dim C^{n+1}) exceeds ``size_ceiling``, is built once, and is
+    held only while a neighbouring degree may still need it: building d_n
+    drops every held matrix but d_{n-1} and d_{n+1}.  ``keep(n)`` lists the
+    columns of d_n that the simple variant keeps (n >= 1; s_0 = d_0).  Every
+    dimension is reported only after d_n . d_{n-1} = 0 has been checked.
+    """
+
+    def __init__(self, dim: Callable[[int], int],
+                 differential: Callable[[int], Matrix], name: str,
+                 size_ceiling: int | None = None,
+                 keep: Callable[[int], Sequence[int]] | None = None):
+        self.dim = dim
+        self.differential = differential
+        self.name = name
+        self.size_ceiling = size_ceiling
+        self.keep = keep
+        self._held: dict[int, Matrix] = {}
+        self._ranks: dict[tuple[int, bool], int] = {}
+        self._verified: set[int] = set()
+
+    def _refuse(self, lo: int, hi: int) -> None:
+        if self.size_ceiling is None:
+            return
+        needed = max(self.dim(k) for k in range(max(lo, 0), hi + 1))
+        if needed > self.size_ceiling:
+            raise SizeCeilingExceeded(
+                f"cochain space needs {needed} coordinates, ceiling is {self.size_ceiling}")
+
+    def matrix(self, n: int) -> Matrix:
+        """d_n, built on first use."""
+        m = self._held.get(n)
+        if m is None:
+            self._refuse(n, n + 1)
+            self._held = {k: d for k, d in self._held.items() if abs(k - n) == 1}
+            m = self._held[n] = self.differential(n)
+        return m
+
+    def rank(self, n: int, simple: bool = False) -> int:
+        """Rank of d_n, or with ``simple`` of s_n: d_n on the columns keep(n)."""
+        simple = simple and n > 0 and self.keep is not None
+        if n < 0:
+            return 0
+        if (n, simple) not in self._ranks:
+            d = self.matrix(n)
+            self._ranks[n, simple] = rank(
+                d.submatrix(range(d.rows), self.keep(n)) if simple else d)
+        return self._ranks[n, simple]
+
+    def verify(self, n: int) -> None:
+        """Raise AssertionError unless d_n . d_{n-1} = 0."""
+        if n <= 0 or n in self._verified:
+            return
+        prev = self.matrix(n - 1)
+        if not product_is_zero(self.matrix(n), prev):
+            raise AssertionError(f"{self.name} differential does not square to zero")
+        self._verified.add(n)
+
+    def verified(self, top: int) -> dict[int, Matrix]:
+        """d_0, ..., d_top, each checked against the one before."""
+        out = {}
+        for n in range(top + 1):
+            out[n] = self.matrix(n)
+            self.verify(n)
+        return out
+
+    def dim_H(self, n: int, simple: bool = False) -> int:
+        """dim C^n - rank d_n - rank d_{n-1}, or rank s_{n-1} with ``simple``."""
+        if n < 0:
+            return 0
+        self._refuse(n - 1, n + 1)
+        if self.dim(n) == 0:
+            return 0
+        self.verify(n)
+        return self.dim(n) - self.rank(n) - self.rank(n - 1, simple)
+
+    def table(self, top: int, simple: bool = False) -> list[dict]:
+        """The rows of a cohomology table in degrees 0..top."""
+        rows = []
+        for n in range(top + 1):
+            dim_n, rank_n = self.dim(n), self.rank(n)
+            row = {"degree": n, "cochains": dim_n, "rank": rank_n,
+                   "cocycles": dim_n - rank_n, "coboundaries": self.rank(n - 1),
+                   "cohomology": self.dim_H(n)}
+            if simple:
+                row["simple_coboundaries"] = self.rank(n - 1, simple=True)
+                row["simple_cohomology"] = self.dim_H(n, simple=True)
+            rows.append(row)
+        return rows
 
 
 def kernel_basis(m: Matrix) -> Matrix:

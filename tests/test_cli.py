@@ -172,16 +172,18 @@ class TestCohomology:
                                           doc, builder, argv):
         # The top differential maps into C^{top+1}, which is over the ceiling:
         # the table is refused before that differential is built.
-        import morphlie.cli as cli
+        import morphlie.cohomology
+        import morphlie.groups
 
+        owner = morphlie.cohomology if builder == "mla_differential" else morphlie.groups
         built = []
-        original = getattr(cli, builder)
+        original = getattr(owner, builder)
 
         def recording(obj, n, *rest):
             built.append(n)
             return original(obj, n, *rest)
 
-        monkeypatch.setattr(cli, builder, recording)
+        monkeypatch.setattr(owner, builder, recording)
         path = request.getfixturevalue(doc)
         code, _, err = run(capsys, *[path if a == "DOC" else a for a in argv])
         assert code == 3
@@ -193,6 +195,70 @@ class TestCohomology:
         code, _, err = run(capsys, "cohomology", a1_doc, "rep",
                            "--max-degree", "-1")
         assert code == 2
+
+
+def _record_calls(monkeypatch, module, name):
+    """Replace module.name wherever a morphlie module holds it; log each call."""
+    import sys
+
+    original = getattr(module, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args[1] if len(args) > 1 else None)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("morphlie")
+                and vars(mod).get(name) is original):
+            monkeypatch.setattr(mod, name, recording)
+    return calls
+
+
+class TestTableCalls:
+    """A table of degrees 0..top builds each d_n once and ranks each matrix once."""
+
+    @pytest.mark.parametrize("doc, module, builder, argv, ranks", [
+        ("sl2_doc", "cohomology", "mla_differential",
+         ["cohomology", "DOC", "rep", "--max-degree", "3"], 4),
+        # s_0 = d_0, so --simple adds the ranks of s_1 and s_2 only.
+        ("sl2_doc", "cohomology", "mla_differential",
+         ["cohomology", "DOC", "rep", "--max-degree", "3", "--simple"], 6),
+        ("z2_doc", "groups", "mlg_differential",
+         ["cohomology", "DOC", "t", "--group", "--max-degree", "3"], 4),
+        ("z2_doc", "groups", "group_differential",
+         ["group", "cohomology", "DOC", "sign", "--max-degree", "3"], 4),
+    ])
+    def test_each_differential_built_and_ranked_once(
+            self, capsys, monkeypatch, request, doc, module, builder, argv, ranks):
+        import importlib
+
+        import morphlie.linalg
+
+        path = request.getfixturevalue(doc)
+        built = _record_calls(monkeypatch, importlib.import_module(f"morphlie.{module}"),
+                              builder)
+        ranked = _record_calls(monkeypatch, morphlie.linalg, "rank")
+        code, _, _ = run(capsys, *[path if a == "DOC" else a for a in argv])
+        assert code == 0
+        assert built == [0, 1, 2, 3]
+        assert len(ranked) == ranks
+
+
+class TestInputBoundary:
+    """Inputs past Python's own limits are parse errors, not tracebacks."""
+
+    @pytest.mark.parametrize("text", [
+        '{"lie_algebras": {"g": {"dim": 1, "brackets": [[0, 0, ["1/'
+        + "7" * 5000 + '"]]]}}}',
+        '{"lie_algebras": {"g": {"dim": ' + "9" * 5000 + ', "brackets": []}}}',
+        "[" * 100000 + "]" * 100000,
+    ], ids=["long-denominator", "long-integer", "deep-nesting"])
+    def test_parse_error_exit_2(self, capsys, tmp_path, text):
+        path = write(tmp_path, "doc.json", text)
+        code, _, err = run(capsys, "cohomology", path, "rep")
+        assert code == 2
+        assert "parse-error" in err and "Traceback" not in err
 
 
 class TestGroupCohomology:

@@ -183,7 +183,7 @@ def test_default_and_simple_paths_refuse_non_intertwining_psi():
 
 
 def test_mla_complex_refuses_non_intertwining_psi():
-    with pytest.raises(ShapeError, match="composition at degree 0"):
+    with pytest.raises(AssertionError, match="square to zero"):
         MLAComplex(_non_intertwining_rep(), max_degree=1)
 
 

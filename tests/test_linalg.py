@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphlie.errors import ShapeError, SubspaceViolation
+from morphlie.errors import ShapeError, SizeCeilingExceeded, SubspaceViolation
 from morphlie.linalg import (
+    Complex,
     Matrix,
     complete_basis,
     determinant,
@@ -273,3 +274,48 @@ def test_product_is_zero_rejects_mismatched_shapes():
         product_is_zero(Matrix.identity(2), Matrix.zeros(3, 1))
     with pytest.raises(ShapeError):
         product_is_zero(Matrix.zeros(0, 2), Matrix.zeros(0, 2))
+
+
+def _interval_complex(d1_entries=(1, -1), size_ceiling=None):
+    """C^0 = Q, C^1 = Q^2, C^2 = Q with d_0 = (1, 1)^T, d_1 = d1_entries.
+
+    Returns the Complex and the log of degrees whose differential was built,
+    with the degrees held alongside at that moment.
+    """
+    dims = [1, 2, 1]
+    mats = [Matrix.from_rows([[1], [1]]), Matrix.from_rows([list(d1_entries)]),
+            Matrix(0, 1)]
+    log = []
+
+    def build(n):
+        log.append((n, sorted(cx._held)))
+        return mats[n]
+
+    cx = Complex(lambda n: dims[n] if 0 <= n < 3 else 0, build, "interval",
+                 size_ceiling, keep=lambda n: [0])
+    return cx, log
+
+
+def test_complex_table_builds_each_differential_once():
+    cx, log = _interval_complex()
+    rows = cx.table(2, simple=True)
+    assert [r["cohomology"] for r in rows] == [0, 0, 0]
+    assert [r["rank"] for r in rows] == [1, 1, 0]
+    assert [r["coboundaries"] for r in rows] == [0, 1, 1]
+    # s_1 keeps column 0 of d_1, whose rank is 1.
+    assert [r["simple_coboundaries"] for r in rows] == [0, 1, 1]
+    # Building d_n first drops every held matrix but d_{n-1}.
+    assert log == [(0, []), (1, [0]), (2, [1])]
+    assert sorted(cx._held) == [1, 2]
+
+
+def test_complex_refuses_non_square_zero_and_oversized():
+    cx, _ = _interval_complex(d1_entries=(1, 1))
+    assert cx.dim_H(0) == 0
+    with pytest.raises(AssertionError, match="interval differential does not square to zero"):
+        cx.dim_H(1)
+    cx, log = _interval_complex(size_ceiling=1)
+    with pytest.raises(SizeCeilingExceeded, match="needs 2 coordinates"):
+        cx.rank(0)
+    assert log == []
+    assert cx.dim_H(-1) == 0 and cx.rank(-1) == 0
