@@ -122,19 +122,21 @@ def _unit(dim: int, i: int) -> Vector:
 
 
 def check_jacobi(a: LieAlgebra) -> CheckResult:
-    """[[x,y],z] + [[y,z],x] + [[z,x],y] = 0 on all basis triples."""
+    """[[x,y],z] + [[y,z],x] + [[z,x],y] = 0 on all basis triples.
+
+    [[e_p, e_q], e_r] = sum_l c[p][q][l] c[l][r], summed over the nonzero
+    structure constants only.
+    """
+    nonzero = [[[(l, x) for l, x in enumerate(cij) if x] for cij in ci] for ci in a.c]
     for i in range(a.dim):
-        ei = _unit(a.dim, i)
         for j in range(i + 1, a.dim):
-            ej = _unit(a.dim, j)
             for k in range(j + 1, a.dim):
-                ek = _unit(a.dim, k)
-                total = a.bracket(a.bracket(ei, ej), ek)
-                for t, term in enumerate(a.bracket(a.bracket(ej, ek), ei)):
-                    total[t] += term
-                for t, term in enumerate(a.bracket(a.bracket(ek, ei), ej)):
-                    total[t] += term
-                if any(total):
+                total: dict[int, Fraction] = {}
+                for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, x in nonzero[p][q]:
+                        for m, y in nonzero[l][r]:
+                            total[m] = total.get(m, ZERO) + x * y
+                if any(total.values()):
                     return CheckResult(
                         False,
                         f"Jacobi identity fails on basis triple (e{i+1}, e{j+1}, e{k+1})",

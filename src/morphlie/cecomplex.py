@@ -9,6 +9,7 @@ That layout fixes the matrix form of every differential in the package.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import comb
 
 from .algebras import Representation, MorphismLieAlgebra
@@ -69,7 +70,7 @@ def ce_differential(rep: Representation, n: int) -> Matrix:
     dim_v = rep.dim_v
     src = ExteriorBasis(g.dim, n)
     dst = ExteriorBasis(g.dim, n + 1)
-    mat = [[ZERO] * (len(src) * dim_v) for _ in range(len(dst) * dim_v)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(len(dst) * dim_v)]
 
     for t_idx, tup in enumerate(dst.tuples):
         for i in range(n + 1):
@@ -79,11 +80,10 @@ def ce_differential(rep: Representation, n: int) -> Matrix:
             sign = 1 if i % 2 == 0 else -1
             rho = rep.action[tup[i]]
             for r in range(dim_v):
-                row = mat[t_idx * dim_v + r]
-                rho_row = rho._rows[r]
-                for c in range(dim_v):
-                    if rho_row[c]:
-                        row[s_idx * dim_v + c] += sign * rho_row[c]
+                row = rows[t_idx * dim_v + r]
+                for c, x in rho.row_items(r):
+                    col = s_idx * dim_v + c
+                    row[col] = row.get(col, ZERO) + sign * x
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
                 # Bracket-insertion term with sign (-1)^{i+j} for 1-based i < j.
@@ -101,8 +101,9 @@ def ce_differential(rep: Representation, n: int) -> Matrix:
                     s_idx = src.index[stup]
                     total = coeff * pair_sign * ssign
                     for r in range(dim_v):
-                        mat[t_idx * dim_v + r][s_idx * dim_v + r] += total
-    return Matrix.from_rows(mat, cols=len(src) * dim_v)
+                        row, col = rows[t_idx * dim_v + r], s_idx * dim_v + r
+                        row[col] = row.get(col, ZERO) + total
+    return Matrix.from_dicts(rows, len(src) * dim_v)
 
 
 def ce_complex(rep: Representation) -> Complex:
@@ -161,14 +162,9 @@ def wedge_minor_matrix(phi: Matrix, n: int) -> Matrix:
 
 def postcompose_matrix(psi: Matrix, num_tuples: int) -> Matrix:
     """Matrix of f -> psi . f on flattened cochains over a fixed tuple basis."""
-    out = [[ZERO] * (num_tuples * psi.cols) for _ in range(num_tuples * psi.rows)]
-    for s in range(num_tuples):
-        for r in range(psi.rows):
-            orow = out[s * psi.rows + r]
-            for c in range(psi.cols):
-                if psi._rows[r][c]:
-                    orow[s * psi.cols + c] = psi._rows[r][c]
-    return Matrix.from_rows(out, cols=num_tuples * psi.cols)
+    rows = [{s * psi.cols + c: x for c, x in psi.row_items(r)}
+            for s in range(num_tuples) for r in range(psi.rows)]
+    return Matrix.from_dicts(rows, num_tuples * psi.cols)
 
 
 def precompose_matrix(minors: Matrix, dim_w: int) -> Matrix:
@@ -180,15 +176,12 @@ def precompose_matrix(minors: Matrix, dim_w: int) -> Matrix:
     """
     n_src = minors.cols  # tuples over g
     n_dst = minors.rows  # tuples over h
-    out = [[ZERO] * (n_dst * dim_w) for _ in range(n_src * dim_w)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(n_src * dim_w)]
     for t in range(n_dst):
-        for s in range(n_src):
-            coeff = minors._rows[t][s]
-            if not coeff:
-                continue
+        for s, coeff in minors.row_items(t):
             for r in range(dim_w):
-                out[s * dim_w + r][t * dim_w + r] = coeff
-    return Matrix.from_rows(out, cols=n_dst * dim_w)
+                rows[s * dim_w + r][t * dim_w + r] = coeff
+    return Matrix.from_dicts(rows, n_dst * dim_w)
 
 
 def morphism_matrix(d_v: Matrix, d_w: Matrix, psi: Matrix, tuples: int = 0,

@@ -319,7 +319,8 @@ def cmd_sh_from_cocycle(args) -> int:
     doc = ProblemDocument.loads(_read(args.file))
     cochain = _named(doc.cochains, args.cochain, "cochain")
     skeletal = triple_to_skeletal(cochain.rep.base, cochain.rep, cochain)
-    out = _skeletal_document(skeletal)
+    _, rep, extracted = skeletal_to_triple(skeletal)
+    out = _skeletal_document(skeletal, rep, extracted)
     _write_document(args, out, "built the skeletal object; all axioms verified")
     return EXIT_OK
 
@@ -350,7 +351,7 @@ def cmd_sh_twist(args) -> int:
     phi = s.matrix(dst.dim1, src.dim0)
     twisted = twist_equivalence(skeletal, sigma, sigma_p, phi)
     base, rep, cochain = skeletal_to_triple(twisted)
-    out = _skeletal_document(twisted)
+    out = _skeletal_document(twisted, rep, cochain)
     out.cochains["twist"] = _twist_cochain(rep, sigma, sigma_p, phi)
     _write_document(args, out,
                     f"twisted with seed {args.seed}; the cochain moved by "
@@ -364,8 +365,8 @@ def _twist_cochain(rep, sigma, sigma_p, phi):
     return MCochain(rep, 2, theta=sigma, gamma=sigma_p, eta=phi)
 
 
-def _skeletal_document(skeletal) -> ProblemDocument:
-    base, rep, cochain = skeletal_to_triple(skeletal)
+def _skeletal_document(skeletal, rep, cochain) -> ProblemDocument:
+    """The document of a skeletal object and its already extracted triple."""
     out = _base_document(rep)
     out.cochains["cochain"] = cochain
     out.two_term_sh["source"] = skeletal.source

@@ -113,7 +113,7 @@ def vector_data(v: list[Fraction]) -> list[str]:
 
 
 def matrix_data(m: Matrix) -> list[list[str]]:
-    return [[rat_str(m[r, c]) for c in range(m.cols)] for r in range(m.rows)]
+    return [[rat_str(x) for x in row] for row in m.to_lists()]
 
 
 def _require_mapping(value: Any, where: str) -> dict:

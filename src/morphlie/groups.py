@@ -162,28 +162,27 @@ def group_differential(module: GroupModule, n: int,
     src = group_cochain_tuples(group, n, normalized)
     dst = group_cochain_tuples(group, n + 1, normalized)
     src_index = {t: i for i, t in enumerate(src)}
-    out = [[ZERO] * (len(src) * dim) for _ in range(len(dst) * dim)]
+    out: list[dict[int, Fraction]] = [{} for _ in range(len(dst) * dim)]
 
     def add_identity(row_tuple: int, col_tuple: int | None, sign: int) -> None:
         if col_tuple is None:
             return
         for a in range(dim):
-            out[row_tuple * dim + a][col_tuple * dim + a] += sign
+            row, col = out[row_tuple * dim + a], col_tuple * dim + a
+            row[col] = row.get(col, ZERO) + sign
 
     for r, tup in enumerate(dst):
         action = module.action[tup[0]]
         s = src_index.get(tup[1:])
         if s is not None:
+            # The action term comes first, into rows that are still empty.
             for a in range(dim):
-                row = out[r * dim + a]
-                for b in range(dim):
-                    if action[a, b]:
-                        row[s * dim + b] += action[a, b]
+                out[r * dim + a] = {s * dim + b: x for b, x in action.row_items(a)}
         for i in range(1, n + 1):
             merged = tup[:i - 1] + (group.mul[tup[i - 1]][tup[i]],) + tup[i + 1:]
             add_identity(r, src_index.get(merged), -1 if i % 2 else 1)
         add_identity(r, src_index.get(tup[:n]), -1 if (n + 1) % 2 else 1)
-    return Matrix.from_rows(out, cols=len(src) * dim)
+    return Matrix.from_dicts(out, len(src) * dim)
 
 
 def group_complex(module: GroupModule, normalized: bool = False,
@@ -294,14 +293,12 @@ def mlg_differential(t: GroupModuleTriple, n: int,
         return morphism_matrix(dv, dw, t.psi)
     g_tuples = group_cochain_tuples(t.g, n, normalized)
     h_index = {tup: i for i, tup in enumerate(group_cochain_tuples(t.h, n, normalized))}
-    pre = [[ZERO] * (len(h_index) * t.dim_w) for _ in range(len(g_tuples) * t.dim_w)]
-    for s, tup in enumerate(g_tuples):
-        mapped = tuple(t.phi[x] for x in tup)
-        m_idx = h_index.get(mapped)
-        if m_idx is not None:
-            for r in range(t.dim_w):
-                pre[s * t.dim_w + r][m_idx * t.dim_w + r] = Fraction(1)
-    pre_phi = Matrix.from_rows(pre, cols=len(h_index) * t.dim_w)
+    pre = []
+    for tup in g_tuples:
+        m_idx = h_index.get(tuple(t.phi[x] for x in tup))
+        for r in range(t.dim_w):
+            pre.append({} if m_idx is None else {m_idx * t.dim_w + r: 1})
+    pre_phi = Matrix.from_dicts(pre, len(h_index) * t.dim_w)
     return morphism_matrix(dv, dw, t.psi, len(g_tuples), pre_phi,
                            group_differential(pullback_module(t), n - 1, normalized))
 

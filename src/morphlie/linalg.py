@@ -6,14 +6,15 @@ fractions supply the canonical reduced p/q scalar type, and every answer is
 exact.  Zero-dimensional matrices (0 rows or 0 columns) are first-class
 citizens because top-degree cochain spaces are routinely empty.
 
-``Matrix`` is dense, but the differentials it carries are a few percent
-nonzero, so ``rank`` and ``product_is_zero`` read only the nonzero entries:
-rank is sparse elimination on rows held as {column: Fraction}, pivoting on
-the shortest row and, inside it, on the column the fewest rows touch, which
-keeps fill-in low.  ``kernel_basis``, ``solve_columns`` and ``inverse`` stay
-dense reduced row echelon form with pivots taken in column order, because
-callers depend on what that order returns: the kernel basis with one free
-column per vector, and solutions whose free coordinates are 0.
+``Matrix`` stores each row as a dict {column: Fraction} of its nonzero
+entries, the only matrix format in the package: the differentials it carries
+are a few percent nonzero.  ``rank`` is sparse elimination on a copy of those
+rows, pivoting on the shortest row and, inside it, on the column the fewest
+rows touch, which keeps fill-in low; ``product_is_zero`` multiplies stored
+rows.  ``kernel_basis``, ``solve_columns``, ``inverse`` and ``determinant``
+work on a dense copy in reduced row echelon form with pivots taken in column
+order, because callers depend on what that order returns: the kernel basis
+with one free column per vector, and solutions whose free coordinates are 0.
 
 ``Complex`` is the one cochain complex behind every cohomology dimension in
 the package: a degree -> differential function with cached ranks, one
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ItemsView, Iterable, Mapping, Sequence
 
 from .errors import ShapeError, SizeCeilingExceeded, SubspaceViolation
 
@@ -55,7 +56,12 @@ def rat_str(value: Fraction) -> str:
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions, stored row-major."""
+    """Immutable matrix of Fractions; each row stores only its nonzero entries.
+
+    Row i is a dict {column: entry} holding no zero entry.  Every operation
+    that can cancel drops the zeros it makes, so ``==`` and ``is_zero`` can
+    compare stored rows directly.
+    """
 
     __slots__ = ("rows", "cols", "_rows")
 
@@ -63,13 +69,13 @@ class Matrix:
         if rows < 0 or cols < 0:
             raise ShapeError(f"matrix dimensions must be nonnegative, got {rows}x{cols}")
         data = [rat(x) for x in entries]
-        if not data and rows * cols:
-            data = [ZERO] * (rows * cols)
-        if len(data) != rows * cols:
+        if data and len(data) != rows * cols:
             raise ShapeError(f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}")
         self.rows = rows
         self.cols = cols
-        self._rows = [data[i * cols:(i + 1) * cols] for i in range(rows)]
+        self._rows: list[dict[int, Fraction]] = [
+            {j: x for j, x in enumerate(data[i * cols:(i + 1) * cols]) if x}
+            for i in range(rows)]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> Matrix:
@@ -89,15 +95,27 @@ class Matrix:
         return cls(n, width, flat)
 
     @classmethod
+    def from_dicts(cls, rows: Sequence[Mapping[int, Scalar]], cols: int) -> Matrix:
+        """The matrix whose row i has the entries {column: value} of rows[i].
+
+        Zero values are dropped; a column outside range(cols) is a ShapeError.
+        """
+        out = cls(len(rows), cols)
+        for stored, row in zip(out._rows, rows):
+            for j, x in row.items():
+                if not 0 <= j < cols:
+                    raise ShapeError(f"column {j} outside a matrix with {cols} columns")
+                if x := rat(x):
+                    stored[j] = x
+        return out
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> Matrix:
         return cls(rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
-        m = cls(n, n)
-        for i in range(n):
-            m._rows[i][i] = ONE
-        return m
+        return cls.from_dicts([{i: ONE} for i in range(n)], n)
 
     @classmethod
     def column(cls, entries: Sequence[Scalar]) -> Matrix:
@@ -111,11 +129,12 @@ class Matrix:
         if any(b.rows != rows for b in blocks):
             raise ShapeError("hstack blocks disagree on row count")
         out = cls(rows, sum(b.cols for b in blocks))
-        for i in range(rows):
-            row: list[Fraction] = []
-            for b in blocks:
-                row.extend(b._rows[i])
-            out._rows[i] = row
+        offset = 0
+        for b in blocks:
+            for row, part in zip(out._rows, b._rows):
+                for j, x in part.items():
+                    row[offset + j] = x
+            offset += b.cols
         return out
 
     @classmethod
@@ -126,11 +145,7 @@ class Matrix:
         if any(b.cols != cols for b in blocks):
             raise ShapeError("vstack blocks disagree on column count")
         out = cls(sum(b.rows for b in blocks), cols)
-        r = 0
-        for b in blocks:
-            for i in range(b.rows):
-                out._rows[r] = list(b._rows[i])
-                r += 1
+        out._rows = [dict(row) for b in blocks for row in b._rows]
         return out
 
     @classmethod
@@ -139,21 +154,30 @@ class Matrix:
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self._rows[i][j]
+        if not -self.cols <= j < self.cols:
+            raise IndexError("matrix column index out of range")
+        return self._rows[i].get(j % self.cols, ZERO)
 
     def row(self, i: int) -> list[Fraction]:
-        return list(self._rows[i])
+        out = [ZERO] * self.cols
+        for j, x in self._rows[i].items():
+            out[j] = x
+        return out
+
+    def row_items(self, i: int) -> ItemsView[int, Fraction]:
+        """The (column, entry) pairs of row i's nonzero entries, read-only."""
+        return self._rows[i].items()
 
     def col(self, j: int) -> list[Fraction]:
-        return [self._rows[i][j] for i in range(self.rows)]
+        return [self[i, j] for i in range(self.rows)]
 
     def to_lists(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._rows]
+        return [self.row(i) for i in range(self.rows)]
 
     def transpose(self) -> Matrix:
         out = Matrix(self.cols, self.rows)
-        for i in range(self.rows):
-            for j, x in enumerate(self._rows[i]):
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
                 out._rows[j][i] = x
         return out
 
@@ -163,47 +187,28 @@ class Matrix:
         return self.rows == other.rows and self.cols == other.cols and self._rows == other._rows
 
     def __add__(self, other: Matrix) -> Matrix:
-        self._same_shape(other)
-        out = Matrix(self.rows, self.cols)
-        for i in range(self.rows):
-            out._rows[i] = [a + b for a, b in zip(self._rows[i], other._rows[i])]
-        return out
+        return self._combine(other, ONE)
 
     def __sub__(self, other: Matrix) -> Matrix:
-        self._same_shape(other)
-        out = Matrix(self.rows, self.cols)
-        for i in range(self.rows):
-            out._rows[i] = [a - b for a, b in zip(self._rows[i], other._rows[i])]
-        return out
+        return self._combine(other, -ONE)
 
     def __neg__(self) -> Matrix:
-        out = Matrix(self.rows, self.cols)
-        for i in range(self.rows):
-            out._rows[i] = [-a if a else ZERO for a in self._rows[i]]
-        return out
+        return self.scale(-ONE)
 
     def scale(self, c: Scalar) -> Matrix:
         c = rat(c)
         out = Matrix(self.rows, self.cols)
-        for i in range(self.rows):
-            out._rows[i] = [c * a for a in self._rows[i]]
+        if c:
+            out._rows = [{j: c * x for j, x in row.items()} for row in self._rows]
         return out
 
     def __mul__(self, other: Matrix) -> Matrix:
-        """Matrix product, skipping zero entries (differentials are sparse)."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         out = Matrix(self.rows, other.cols)
-        orows = other._rows
-        for i in range(self.rows):
-            acc = out._rows[i]
-            for k, a in enumerate(self._rows[i]):
-                if a:
-                    for j, b in enumerate(orows[k]):
-                        if b:
-                            acc[j] += a * b
+        out._rows = [_row_times(row, other._rows) for row in self._rows]
         return out
 
     def apply(self, vector: Sequence[Scalar]) -> list[Fraction]:
@@ -211,34 +216,51 @@ class Matrix:
         if len(vector) != self.cols:
             raise ShapeError(f"vector of length {len(vector)} against {self.rows}x{self.cols} matrix")
         vec = [rat(x) for x in vector]
-        out = [ZERO] * self.rows
-        for i in range(self.rows):
-            s = ZERO
-            for a, b in zip(self._rows[i], vec):
-                if a and b:
-                    s += a * b
-            out[i] = s
-        return out
+        return [sum((x * vec[j] for j, x in row.items()), ZERO) for row in self._rows]
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> Matrix:
+        targets: dict[int, list[int]] = {}
+        for a, j in enumerate(col_idx):
+            targets.setdefault(j, []).append(a)
         out = Matrix(len(row_idx), len(col_idx))
-        for a, i in enumerate(row_idx):
-            src = self._rows[i]
-            out._rows[a] = [src[j] for j in col_idx]
+        for row, i in zip(out._rows, row_idx):
+            for j, x in self._rows[i].items():
+                for a in targets.get(j, ()):
+                    row[a] = x
         return out
 
     def is_zero(self) -> bool:
-        return all(not x for r in self._rows for x in r)
+        return not any(self._rows)
 
     def __repr__(self) -> str:
         if self.rows * self.cols <= 12:
-            body = "; ".join(" ".join(rat_str(x) for x in r) for r in self._rows)
+            body = "; ".join(" ".join(rat_str(x) for x in r) for r in self.to_lists())
             return f"Matrix({self.rows}x{self.cols}: {body})"
         return f"Matrix({self.rows}x{self.cols})"
 
-    def _same_shape(self, other: Matrix) -> None:
+    def _combine(self, other: Matrix, sign: Fraction) -> Matrix:
+        """self + sign * other, dropping the entries that cancel."""
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
+        out = Matrix(self.rows, self.cols)
+        for row, a, b in zip(out._rows, self._rows, other._rows):
+            row.update(a)
+            for j, y in b.items():
+                x = row.get(j, ZERO) + sign * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+        return out
+
+
+def _row_times(row: dict[int, Fraction], rows: list[dict[int, Fraction]]) -> dict[int, Fraction]:
+    """The nonzero entries of row . M, for M stored as ``rows``."""
+    acc: dict[int, Fraction] = {}
+    for k, x in row.items():
+        for j, y in rows[k].items():
+            acc[j] = acc.get(j, ZERO) + x * y
+    return {j: x for j, x in acc.items() if x}
 
 
 def _echelon(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -271,18 +293,17 @@ def _echelon(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction
 def rank(m: Matrix) -> int:
     """Exact rank by sparse elimination.
 
-    Rows are dicts of their nonzero entries, and a column index records the
-    live rows touching each column.  Each step pivots on the shortest live
+    Works on a copy of the stored rows, and a column index records the live
+    rows touching each column.  Each step pivots on the shortest live
     row, at the column of that row touched by the fewest other rows (ties
     to the lowest index), and eliminates that column from those rows.
     """
     rows: dict[int, dict[int, Fraction]] = {}
     touching: dict[int, set[int]] = {}
-    for i, dense in enumerate(m._rows):
-        row = {j: x for j, x in enumerate(dense) if x}
-        if row:
-            rows[i] = row
-            for j in row:
+    for i, stored in enumerate(m._rows):
+        if stored:
+            rows[i] = dict(stored)
+            for j in stored:
                 touching.setdefault(j, set()).add(i)
     queue = [(len(row), i) for i, row in rows.items()]
     heapq.heapify(queue)
@@ -324,22 +345,13 @@ def rank(m: Matrix) -> int:
 
 
 def product_is_zero(a: Matrix, b: Matrix) -> bool:
-    """Whether a * b is the zero matrix, reading only nonzero entries.
+    """Whether a * b is the zero matrix.
 
     Stops at the first nonzero row of the product, which is never formed.
     """
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b._rows]
-    for dense in a._rows:
-        acc: dict[int, Fraction] = {}
-        for k, x in enumerate(dense):
-            if x:
-                for j, y in b_rows[k]:
-                    acc[j] = acc.get(j, ZERO) + x * y
-        if any(acc.values()):
-            return False
-    return True
+    return not any(_row_times(row, b._rows) for row in a._rows)
 
 
 class Complex:
@@ -456,8 +468,7 @@ def solve(m: Matrix, b: Matrix) -> Matrix | None:
         raise ShapeError(f"solve: {m.rows}x{m.cols} matrix against {b.rows}x{b.cols} right-hand side")
     if b.cols != 1:
         raise ShapeError("solve expects a single right-hand column; see solve_columns")
-    x = solve_columns(m, b)
-    return x
+    return solve_columns(m, b)
 
 
 def solve_columns(m: Matrix, b: Matrix) -> Matrix | None:
@@ -471,7 +482,7 @@ def solve_columns(m: Matrix, b: Matrix) -> Matrix | None:
             return None
     out = Matrix(m.cols, b.cols)
     for r, p in enumerate(pivots):
-        out._rows[p] = rows[r][m.cols:]
+        out._rows[p] = {j: x for j, x in enumerate(rows[r][m.cols:]) if x}
     return out
 
 
@@ -505,7 +516,7 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ShapeError("inverse of a non-square matrix")
     inv = solve_columns(m, Matrix.identity(m.rows))
-    if inv is None or rank(m) != m.rows:
+    if inv is None:
         raise ShapeError("matrix is singular")
     return inv
 
@@ -524,29 +535,13 @@ def complete_basis(partial: Matrix) -> tuple[Matrix, list[int]]:
 
     Standard basis vectors are tried in index order (lowest first); returns
     the completed square matrix [partial | chosen e_i] and the chosen indices.
+    Those are the pivot columns past ``partial`` in the column-order echelon
+    form of [partial | I].
     """
-    n = partial.rows
-    cols = [partial.col(j) for j in range(partial.cols)]
-    base_rank = rank(partial)
-    if base_rank != partial.cols:
+    n, k = partial.rows, partial.cols
+    aug = [partial.row(r) + [ONE if c == r else ZERO for c in range(n)] for r in range(n)]
+    _, pivots = _echelon(aug, k + n)
+    if pivots[:k] != list(range(k)):
         raise ShapeError("complete_basis expects independent columns")
-    chosen: list[int] = []
-    current = base_rank
-    for i in range(n):
-        if current == n:
-            break
-        candidate = [ZERO] * n
-        candidate[i] = ONE
-        trial = Matrix(n, len(cols) + 1)
-        for r in range(n):
-            trial._rows[r] = [c[r] for c in cols] + [candidate[r]]
-        if rank(trial) > current:
-            cols.append(candidate)
-            chosen.append(i)
-            current += 1
-    if current != n:
-        raise ShapeError("could not complete to a basis")
-    full = Matrix(n, n)
-    for r in range(n):
-        full._rows[r] = [c[r] for c in cols]
-    return full, chosen
+    chosen = [c - k for c in pivots[k:]]
+    return Matrix.hstack([partial, Matrix.identity(n).submatrix(range(n), chosen)]), chosen

@@ -214,3 +214,48 @@ def test_ad_matrix_matches_bracket(coords):
     for j in range(3):
         e_j = [Fraction(1) if t == j else Fraction(0) for t in range(3)]
         assert ad.col(j) == g.bracket(x, e_j)
+
+
+def _jacobi_reference(c, dim):
+    """First failing basis triple i<j<k of a structure table, on plain lists."""
+    def br(x, y):
+        out = [Fraction(0)] * dim
+        for i in range(dim):
+            for j in range(dim):
+                for k in range(dim):
+                    out[k] += x[i] * y[j] * c[i][j][k]
+        return out
+
+    e = [[Fraction(int(a == b)) for a in range(dim)] for b in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                terms = (br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i]),
+                         br(br(e[k], e[i]), e[j]))
+                if any(sum(t) for t in zip(*terms)):
+                    return f"Jacobi identity fails on basis triple (e{i+1}, e{j+1}, e{k+1})"
+    return None
+
+
+@st.composite
+def antisymmetric_tables(draw):
+    """Random antisymmetric tables, sparse; most are not Lie algebras."""
+    dim = draw(st.integers(0, 5))
+    value = st.one_of(st.just(0), st.just(0), st.integers(-2, 2))
+    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            vec = [Fraction(x) for x in draw(st.lists(value, min_size=dim, max_size=dim))]
+            c[i][j] = vec
+            c[j][i] = [-x for x in vec]
+    return dim, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(antisymmetric_tables())
+def test_check_jacobi_matches_brute_force(table):
+    dim, c = table
+    expected = _jacobi_reference(c, dim)
+    res = check_jacobi(LieAlgebra(dim, c))
+    assert res.ok == (expected is None)
+    assert res.detail == expected

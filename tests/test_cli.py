@@ -367,6 +367,20 @@ class TestSh:
         twisted = ProblemDocument.load(twisted_path)
         assert twisted.cochains["twist"].degree == 2
 
+    def test_degree_3_differential_builds(self, capsys, monkeypatch, sl2_doc, tmp_path):
+        # from-cocycle: the input's cocycle check, then skeletal_to_triple's
+        # own; twist reuses the triple it extracted to write its document.
+        import morphlie.cohomology
+
+        built = _record_calls(monkeypatch, morphlie.cohomology, "mla_differential")
+        skel_path = str(tmp_path / "skel.json")
+        run(capsys, "sh", "from-cocycle", sl2_doc, "c3", "-o", skel_path)
+        assert built == [3, 3]
+        built.clear()
+        code, _, _ = run(capsys, "sh", "twist", skel_path, "morphism",
+                         "--seed", "11", "-o", str(tmp_path / "twisted.json"))
+        assert code == 0 and built == [3, 3, 2, 3]
+
     def test_twist_deterministic(self, capsys, sl2_doc, tmp_path):
         skel_path = str(tmp_path / "skel.json")
         run(capsys, "sh", "from-cocycle", sl2_doc, "c3", "-o", skel_path)

@@ -319,3 +319,45 @@ def test_complex_refuses_non_square_zero_and_oversized():
         cx.rank(0)
     assert log == []
     assert cx.dim_H(-1) == 0 and cx.rank(-1) == 0
+
+
+def _greedy_completion(partial):
+    """Lowest-index e_i first, each kept when it raises the oracle rank."""
+    n = partial.rows
+    cols = [partial.col(j) for j in range(partial.cols)]
+    chosen = []
+    for i in range(n):
+        e = [Fraction(int(r == i)) for r in range(n)]
+        if o_rank([list(row) for row in zip(*(cols + [e]))]) > len(cols):
+            cols.append(e)
+            chosen.append(i)
+    return cols, chosen
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(rows=st.integers(0, 7), cols=st.integers(0, 4)))
+def test_complete_basis_matches_greedy_reference(m):
+    if o_rank(m.to_lists()) < m.cols:
+        with pytest.raises(ShapeError, match="independent columns"):
+            complete_basis(m)
+        return
+    cols, chosen = _greedy_completion(m)
+    full, got = complete_basis(m)
+    assert got == chosen
+    assert (full.rows, full.cols) == (m.rows, m.rows)
+    assert [full.col(j) for j in range(full.cols)] == cols
+
+
+def test_complete_basis_rejects_dependent_columns():
+    with pytest.raises(ShapeError, match="independent columns"):
+        complete_basis(Matrix.from_rows([[1, 2], [2, 4], [0, 0]]))
+    with pytest.raises(ShapeError, match="independent columns"):
+        complete_basis(Matrix.from_rows([[1, 0, 1], [0, 1, 1]]))
+
+
+def test_inverse_of_singular_matrix():
+    with pytest.raises(ShapeError, match="singular"):
+        inverse(Matrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(ShapeError, match="singular"):
+        inverse(Matrix.zeros(3, 3))
+    assert inverse(Matrix.zeros(0, 0)) == Matrix.zeros(0, 0)
