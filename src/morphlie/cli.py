@@ -31,11 +31,11 @@ from .linalg import rank  # noqa: F401
 from .sampling import Sampler
 from .shlie import (
     SkeletalMorphismSh,
+    _twist_with_triple,
     check_sh_morphism,
     check_two_term_sh,
     skeletal_to_triple,
     triple_to_skeletal,
-    twist_equivalence,
 )
 
 EXIT_OK = 0
@@ -349,8 +349,7 @@ def cmd_sh_twist(args) -> int:
     sigma = s.matrix(src.dim1, comb(src.dim0, 2))
     sigma_p = s.matrix(dst.dim1, comb(dst.dim0, 2))
     phi = s.matrix(dst.dim1, src.dim0)
-    twisted = twist_equivalence(skeletal, sigma, sigma_p, phi)
-    base, rep, cochain = skeletal_to_triple(twisted)
+    twisted, (_, rep, cochain) = _twist_with_triple(skeletal, sigma, sigma_p, phi)
     out = _skeletal_document(twisted, rep, cochain)
     out.cochains["twist"] = _twist_cochain(rep, sigma, sigma_p, phi)
     _write_document(args, out,

@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import FiniteGroup, GroupModule, GroupModuleTriple
-from .linalg import Matrix, rat_str
+from .linalg import Matrix, ZERO, rat_str
 from .shlie import ShMorphism, TwoTermSh
 
 _RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?$")
@@ -63,6 +63,8 @@ def parse_scalar(value: Any, where: str) -> Fraction:
                          "write rationals as 'p/q' strings")
     if isinstance(value, str):
         text = value.strip()
+        if text == "0":
+            return ZERO
         if "/" in text and text.endswith("/0"):
             raise ParseError(f"{where}: zero denominator in {text!r}")
         if not _RATIONAL.match(text):

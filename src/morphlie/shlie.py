@@ -12,7 +12,8 @@ by exactly the coboundary of that data.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, prod
 
 from .algebras import (
     CheckResult,
@@ -22,33 +23,42 @@ from .algebras import (
     Representation,
     check_jacobi,
 )
-from .cecomplex import ExteriorBasis
+from .cecomplex import ExteriorBasis, sort_with_sign
 from .cohomology import MCochain, mla_differential
 from .errors import NotACocycle, ShapeError, ValidationError
-from .linalg import Matrix, ZERO, determinant
+from .linalg import Matrix, ZERO
 
 
 def evaluate_alternating(coeffs: Matrix, dim_in: int, k: int,
                          vectors: list[list[Fraction]]) -> list[Fraction]:
     """Evaluate a skew k-linear map at k coordinate vectors.
 
-    coeffs has one column per increasing k-tuple; the value is
-    sum over tuples T of coeffs[:, T] * det(vectors restricted to rows T).
+    coeffs has one column per increasing k-tuple T of range(dim_in), the
+    map's value at (e_T1, ..., e_Tk).  By multilinearity the value is a sum
+    over one nonzero coordinate of each argument: an index tuple that
+    repeats contributes nothing, any other adds the product of its
+    coordinates, times the sign that sorts it, to the weight of its sorted
+    tuple's column.  One pass over each row of coeffs then sums the weighted
+    columns.  The cost follows the product of the arguments' supports.
     """
     if len(vectors) != k:
         raise ShapeError(f"need exactly {k} argument vectors")
-    basis = ExteriorBasis(dim_in, k)
-    out = [ZERO] * coeffs.rows
-    arg = Matrix.from_rows(
-        [[vectors[j][i] for j in range(k)] for i in range(dim_in)], cols=k
-    )
-    for t_idx, tup in enumerate(basis.tuples):
-        minor = determinant(arg.submatrix(tup, range(k)))
-        if minor:
-            for r in range(coeffs.rows):
-                if coeffs[r, t_idx]:
-                    out[r] += minor * coeffs[r, t_idx]
-    return out
+    if any(len(v) != dim_in for v in vectors):
+        raise ShapeError(f"argument vectors must have length {dim_in}")
+    if coeffs.cols != comb(dim_in, k):
+        raise ShapeError(f"coeffs must have {comb(dim_in, k)} columns")
+    index = ExteriorBasis(dim_in, k).index
+    weights: dict[int, Fraction] = {}
+    supports = [[(i, x) for i, x in enumerate(v) if x] for v in vectors]
+    for picks in product(*supports):
+        sorted_sign = sort_with_sign(tuple(i for i, _ in picks))
+        if sorted_sign is None:
+            continue
+        tup, sign = sorted_sign
+        col = index[tup]
+        weights[col] = weights.get(col, ZERO) + sign * prod(x for _, x in picks)
+    return [sum((x * weights[j] for j, x in coeffs.row_items(r) if j in weights), ZERO)
+            for r in range(coeffs.rows)]
 
 
 class TwoTermSh:
@@ -142,33 +152,34 @@ def check_two_term_sh(t: TwoTermSh) -> CheckResult:
         lhs = t.d.apply(t.l3.col(t.triples.index[(i, j, k)]))
         ei, ej, ek = _unit(dim0, i), _unit(dim0, j), _unit(dim0, k)
         rhs = _vadd(
-            g0.bracket(ei, g0.bracket(ej, ek)),
-            g0.bracket(ej, g0.bracket(ek, ei)),
-            g0.bracket(ek, g0.bracket(ei, ej)),
+            g0.bracket(ei, g0.c[j][k]),
+            g0.bracket(ej, g0.c[k][i]),
+            g0.bracket(ek, g0.c[i][j]),
         )
         if lhs != rhs:
             return CheckResult(False, f"axiom (iii) fails at (e{i+1}, e{j+1}, e{k+1})")
     for i in range(dim0):
         for j in range(i + 1, dim0):
             ei, ej = _unit(dim0, i), _unit(dim0, j)
+            act_ij = t.act1(g0.c[i][j])
             for a in range(dim1):
-                pa = _unit(dim1, a)
                 lhs = t.l3_eval(ei, ej, t.d.col(a))
-                first = t.action1[i].apply(t.action1[j].apply(pa))
-                second = [-x for x in t.action1[j].apply(t.action1[i].apply(pa))]
-                third = [-x for x in t.act1(g0.bracket(ei, ej)).apply(pa)]
+                first = t.action1[i].apply(t.action1[j].col(a))
+                second = [-x for x in t.action1[j].apply(t.action1[i].col(a))]
+                third = [-x for x in act_ij.col(a)]
                 if lhs != _vadd(first, second, third):
                     return CheckResult(
                         False, f"axiom (iv) fails at (e{i+1}, e{j+1}, p{a+1})"
                     )
     quads = ExteriorBasis(dim0, 4)
-    for (i, j, k, l) in quads.tuples:
-        units = [_unit(dim0, m) for m in (i, j, k, l)]
+    for quad in quads.tuples:
+        i, j, k, l = quad
+        units = [_unit(dim0, m) for m in quad]
         terms = []
         # l2(x, l3(y, z, t)) with alternating signs over argument omission.
         for pos in range(4):
-            rest = [units[m] for m in range(4) if m != pos]
-            val = t.act1(units[pos]).apply(t.l3_eval(*rest))
+            rest = quad[:pos] + quad[pos + 1:]
+            val = t.action1[quad[pos]].apply(t.l3.col(t.triples.index[rest]))
             sign = 1 if pos % 2 == 0 else -1
             terms.append([sign * x for x in val])
         # -l3(l2(., .), ., .) over the six pairs, with the displayed signs.
@@ -177,7 +188,7 @@ def check_two_term_sh(t: TwoTermSh) -> CheckResult:
             ((1, 2), -1), ((1, 3), 1), ((2, 3), -1),
         ):
             rest = [units[m] for m in range(4) if m != p and m != q]
-            val = t.l3_eval(g0.bracket(units[p], units[q]), rest[0], rest[1])
+            val = t.l3_eval(g0.c[quad[p]][quad[q]], rest[0], rest[1])
             terms.append([sign * x for x in val])
         total = _vadd(*terms)
         if any(total):
@@ -232,7 +243,6 @@ def check_sh_morphism(src: TwoTermSh, dst: TwoTermSh, m: ShMorphism) -> CheckRes
         return CheckResult(False, "condition (i) fails: phi0 . d differs from d' . phi1")
     pairs = ExteriorBasis(src.dim0, 2)
     for (i, j) in pairs.tuples:
-        ei, ej = _unit(src.dim0, i), _unit(src.dim0, j)
         lhs = dst.d.apply(m.phi2.col(pairs.index[(i, j)]))
         rhs_first = m.phi0.apply(src.bracket0.c[i][j])
         rhs_second = dst.bracket0.bracket(m.phi0.col(i), m.phi0.col(j))
@@ -246,12 +256,13 @@ def check_sh_morphism(src: TwoTermSh, dst: TwoTermSh, m: ShMorphism) -> CheckRes
             if lhs != [x - y for x, y in zip(rhs_first, rhs_second)]:
                 return CheckResult(False, f"condition (iii) fails at (e{i+1}, p{a+1})")
     for (i, j, k) in src.triples.tuples:
-        units = [_unit(src.dim0, t) for t in (i, j, k)]
+        tri = (i, j, k)
+        units = [_unit(src.dim0, t) for t in tri]
         terms = []
-        for c in range(3):
-            x, y, z = units[c], units[(c + 1) % 3], units[(c + 2) % 3]
-            terms.append(dst.act1(m.phi0.apply(x)).apply(m.phi2_eval(src.dim0, y, z)))
-            terms.append(m.phi2_eval(src.dim0, x, src.bracket0.bracket(y, z)))
+        for x, y, z in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            terms.append(dst.act1(m.phi0.col(tri[x])).apply(
+                m.phi2_eval(src.dim0, units[y], units[z])))
+            terms.append(m.phi2_eval(src.dim0, units[x], src.bracket0.c[tri[y]][tri[z]]))
         lhs = _vadd(*terms)
         rhs_first = m.phi1.apply(src.l3.col(src.triples.index[(i, j, k)]))
         rhs_second = evaluate_alternating(
@@ -345,6 +356,13 @@ def twist_equivalence(s: SkeletalMorphismSh, sigma: Matrix, sigma_p: Matrix,
     The twisted object is re-verified, and the extracted cochain is
     asserted to move by exactly the coboundary of (sigma, sigma', phi).
     """
+    return _twist_with_triple(s, sigma, sigma_p, phi)[0]
+
+
+def _twist_with_triple(s: SkeletalMorphismSh, sigma: Matrix, sigma_p: Matrix, phi: Matrix
+                       ) -> tuple[SkeletalMorphismSh,
+                                  tuple[MorphismLieAlgebra, MorphismRep, MCochain]]:
+    """twist_equivalence, also returning the triple extracted from the twist."""
     src, dst, mor = s.source, s.target, s.morphism
     if (sigma.rows, sigma.cols) != (src.dim1, comb(src.dim0, 2)):
         raise ShapeError(f"sigma must be {src.dim1}x{comb(src.dim0, 2)}")
@@ -358,7 +376,6 @@ def twist_equivalence(s: SkeletalMorphismSh, sigma: Matrix, sigma_p: Matrix,
     pairs = ExteriorBasis(src.dim0, 2)
     cols = []
     for (i, j) in pairs.tuples:
-        ei, ej = _unit(src.dim0, i), _unit(src.dim0, j)
         base_val = mor.phi2.col(pairs.index[(i, j)])
         total = _vadd(
             base_val,
@@ -383,13 +400,13 @@ def twist_equivalence(s: SkeletalMorphismSh, sigma: Matrix, sigma_p: Matrix,
     )
 
     _, rep, before = skeletal_to_triple(s)
-    _, _, after = skeletal_to_triple(twisted)
+    triple = skeletal_to_triple(twisted)
     simple = MCochain(rep, 2, theta=sigma, gamma=sigma_p, eta=phi)
     boundary = mla_differential(rep, 2).apply(simple.to_vector())
-    moved = [a - b for a, b in zip(after.to_vector(), before.to_vector())]
+    moved = [a - b for a, b in zip(triple[2].to_vector(), before.to_vector())]
     if moved != boundary:
         raise AssertionError("twist did not move the cochain by the coboundary")
-    return twisted
+    return twisted, triple
 
 
 def _act_reversed(t: TwoTermSh, p: list[Fraction], x: list[Fraction]) -> list[Fraction]:
@@ -400,16 +417,15 @@ def _act_reversed(t: TwoTermSh, p: list[Fraction], x: list[Fraction]) -> list[Fr
 def _twisted_l3(t: TwoTermSh, sigma: Matrix) -> Matrix:
     """l3 + {l2(x, sigma(y, z)) + c.p.} + {sigma(x, l2(y, z)) + c.p.}."""
     cols = []
-    for (i, j, k) in t.triples.tuples:
-        units = [_unit(t.dim0, m) for m in (i, j, k)]
-        terms = [t.l3.col(t.triples.index[(i, j, k)])]
-        for c in range(3):
-            x, y, z = units[c], units[(c + 1) % 3], units[(c + 2) % 3]
-            terms.append(t.act1(x).apply(
-                evaluate_alternating(sigma, t.dim0, 2, [y, z])
+    for tri in t.triples.tuples:
+        units = [_unit(t.dim0, m) for m in tri]
+        terms = [t.l3.col(t.triples.index[tri])]
+        for x, y, z in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            terms.append(t.action1[tri[x]].apply(
+                evaluate_alternating(sigma, t.dim0, 2, [units[y], units[z]])
             ))
             terms.append(evaluate_alternating(
-                sigma, t.dim0, 2, [x, t.bracket0.bracket(y, z)]
+                sigma, t.dim0, 2, [units[x], t.bracket0.c[tri[y]][tri[z]]]
             ))
         cols.append(_vadd(*terms))
     if not cols:

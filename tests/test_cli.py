@@ -369,7 +369,8 @@ class TestSh:
 
     def test_degree_3_differential_builds(self, capsys, monkeypatch, sl2_doc, tmp_path):
         # from-cocycle: the input's cocycle check, then skeletal_to_triple's
-        # own; twist reuses the triple it extracted to write its document.
+        # own; twist: one extraction before and one after the twist, then the
+        # coboundary of the twist, and its document reuses the second triple.
         import morphlie.cohomology
 
         built = _record_calls(monkeypatch, morphlie.cohomology, "mla_differential")
@@ -379,7 +380,7 @@ class TestSh:
         built.clear()
         code, _, _ = run(capsys, "sh", "twist", skel_path, "morphism",
                          "--seed", "11", "-o", str(tmp_path / "twisted.json"))
-        assert code == 0 and built == [3, 3, 2, 3]
+        assert code == 0 and built == [3, 3, 2]
 
     def test_twist_deterministic(self, capsys, sl2_doc, tmp_path):
         skel_path = str(tmp_path / "skel.json")

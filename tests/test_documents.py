@@ -78,6 +78,22 @@ class TestScalars:
     def test_non_canonical_fraction_normalizes(self):
         assert parse_scalar("2/4", "x") == Fraction(1, 2)
 
+    def test_zero_strings(self):
+        for text in ("0", " 0 "):
+            value = parse_scalar(text, "x")
+            assert value == 0 and isinstance(value, Fraction)
+
+    def test_zero_like_error_messages(self):
+        for bad, message in (
+            ("1/0", "x: zero denominator in '1/0'"),
+            ("+0", "x: '+0' is not a rational 'p/q' string"),
+            ("1/00", "x: '1/00' is not a rational 'p/q' string"),
+            (0.0, "x: floating point is not accepted; write rationals as 'p/q' strings"),
+        ):
+            with pytest.raises(ParseError) as info:
+                parse_scalar(bad, "x")
+            assert str(info.value) == message
+
 
 class TestMatrices:
     def test_basic(self):

@@ -1,6 +1,9 @@
 """Tests for 2-term sh Lie algebras, morphisms, skeletal objects, twists."""
 
+import itertools
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -61,6 +64,70 @@ class TestEvaluateAlternating:
     def test_wrong_argument_count(self):
         with pytest.raises(ShapeError):
             evaluate_alternating(Matrix.zeros(1, 3), 3, 2, [[Fraction(1)] * 3])
+
+    def test_short_argument_rejected(self):
+        with pytest.raises(ShapeError):
+            evaluate_alternating(Matrix.zeros(1, 3), 3, 2, [[1, 0], [0, 1, 0]])
+
+    def test_long_argument_rejected(self):
+        with pytest.raises(ShapeError):
+            evaluate_alternating(Matrix.from_rows([[1, 2, 3]]), 3, 2,
+                                 [[1, 0, 0, 9], [0, 1, 0, 5]])
+
+    def test_coefficient_columns_must_match_tuples(self):
+        with pytest.raises(ShapeError):
+            evaluate_alternating(Matrix.zeros(2, 4), 3, 2, [[1, 0, 0], [0, 1, 0]])
+
+    def test_matches_leibniz_expansion(self):
+        rng = random.Random(20261018)
+        checked = 0
+        for k in (1, 2, 3):
+            for dim_in in range(3, 7):
+                for _ in range(6):
+                    coeffs = _random_coeffs(rng, 2, comb(dim_in, k))
+                    vectors = [_random_vector(rng, dim_in) for _ in range(k)]
+                    if k > 1 and rng.random() < 0.3:
+                        vectors[-1] = list(vectors[0])
+                    if rng.random() < 0.2:
+                        vectors[rng.randrange(k)] = [Fraction(0)] * dim_in
+                    got = evaluate_alternating(coeffs, dim_in, k, vectors)
+                    assert got == _leibniz_reference(coeffs.to_lists(), dim_in, k, vectors)
+                    checked += any(got)
+        assert checked > 30
+
+    def test_leibniz_on_empty_basis(self):
+        for dim_in, k in ((0, 1), (1, 2), (2, 3)):
+            coeffs = Matrix.zeros(2, 0)
+            vectors = [[Fraction(1)] * dim_in for _ in range(k)]
+            got = evaluate_alternating(coeffs, dim_in, k, vectors)
+            assert got == _leibniz_reference([[], []], dim_in, k, vectors) == [0, 0]
+
+
+def _random_vector(rng: random.Random, dim: int) -> list[Fraction]:
+    return [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.7
+            else Fraction(0) for _ in range(dim)]
+
+
+def _random_coeffs(rng: random.Random, rows: int, cols: int) -> Matrix:
+    return Matrix.from_rows([_random_vector(rng, cols) for _ in range(rows)], cols=cols)
+
+
+def _leibniz_reference(coeffs, dim_in, k, vectors):
+    """sum over increasing tuples T of coeffs[:, T] * det(vectors on rows T),
+    the determinant summed over permutations with plain lists."""
+    out = [Fraction(0)] * len(coeffs)
+    for t_idx, tup in enumerate(itertools.combinations(range(dim_in), k)):
+        det = Fraction(0)
+        for perm in itertools.permutations(range(k)):
+            inversions = sum(1 for a in range(k) for b in range(a + 1, k)
+                             if perm[a] > perm[b])
+            term = Fraction(-1 if inversions % 2 else 1)
+            for col in range(k):
+                term *= vectors[col][tup[perm[col]]]
+            det += term
+        for r, row in enumerate(coeffs):
+            out[r] += row[t_idx] * det
+    return out
 
 
 class TestCheckTwoTermSh:
