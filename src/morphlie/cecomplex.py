@@ -153,11 +153,9 @@ def wedge_minor_matrix(phi: Matrix, n: int) -> Matrix:
     """
     src = ExteriorBasis(phi.cols, n)
     dst = ExteriorBasis(phi.rows, n)
-    rows = [
-        [determinant(phi.submatrix(t, s)) for s in src.tuples]
-        for t in dst.tuples
-    ]
-    return Matrix.from_rows(rows, cols=len(src))
+    rows = [{col: determinant(phi.submatrix(t, s)) for col, s in enumerate(src.tuples)}
+            for t in dst.tuples]
+    return Matrix.from_dicts(rows, len(src))
 
 
 def postcompose_matrix(psi: Matrix, num_tuples: int) -> Matrix:

@@ -13,10 +13,6 @@ class ShapeError(MorphismAlgebraError):
     """Matrix or tensor dimensions do not match the declared objects."""
 
 
-class SubspaceViolation(MorphismAlgebraError):
-    """A claimed subspace inclusion span(B) <= span(Z) fails."""
-
-
 class RotaBaxterViolation(MorphismAlgebraError):
     """The weighted Rota-Baxter identity fails on some basis pair."""
 

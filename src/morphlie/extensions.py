@@ -93,11 +93,9 @@ class AbelianExtension:
             for b in range(a + 1, dim_sub):
                 if any(alg.bracket(va, i_mat.col(b))):
                     raise ShapeError(f"included subspace on the {side} side is not abelian")
-            for k in range(alg.dim):
-                ek = [Fraction(1) if t == k else ZERO for t in range(alg.dim)]
-                br = alg.bracket(ek, va)
-                if solve_columns(i_mat, Matrix.column(br)) is None:
-                    raise ShapeError(f"included subspace on the {side} side is not an ideal")
+            # Column k of ad(va) is [va, e_k] = -[e_k, va].
+            if solve_columns(i_mat, alg.ad_matrix(va)) is None:
+                raise ShapeError(f"included subspace on the {side} side is not an ideal")
 
     @classmethod
     def from_blocks(cls, rep: MorphismRep,

@@ -8,13 +8,15 @@ citizens because top-degree cochain spaces are routinely empty.
 
 ``Matrix`` stores each row as a dict {column: Fraction} of its nonzero
 entries, the only matrix format in the package: the differentials it carries
-are a few percent nonzero.  ``rank`` is sparse elimination on a copy of those
-rows, pivoting on the shortest row and, inside it, on the column the fewest
-rows touch, which keeps fill-in low; ``product_is_zero`` multiplies stored
-rows.  ``kernel_basis``, ``solve_columns``, ``inverse`` and ``determinant``
-work on a dense copy in reduced row echelon form with pivots taken in column
-order, because callers depend on what that order returns: the kernel basis
-with one free column per vector, and solutions whose free coordinates are 0.
+are a few percent nonzero.  ``product_is_zero`` multiplies stored rows.  One
+sparse elimination on a copy of the rows, ``_eliminate``, is behind ranks,
+determinants, kernels and solutions.  For ``rank`` and ``determinant`` it
+pivots on the shortest row and, inside it, on the column the fewest rows
+touch, which keeps fill-in low.  For ``kernel_basis``, ``solve_columns``,
+``inverse`` and ``complete_basis`` it pivots on a row's lowest column and
+clears it from every other row, which ends in the unique reduced row echelon
+form: callers depend on what that form returns, the kernel basis with one
+free column per vector and solutions whose free coordinates are 0.
 
 ``Complex`` is the one cochain complex behind every cohomology dimension in
 the package: a degree -> differential function with cached ranks, one
@@ -27,7 +29,7 @@ import heapq
 from fractions import Fraction
 from typing import Callable, ItemsView, Iterable, Mapping, Sequence
 
-from .errors import ShapeError, SizeCeilingExceeded, SubspaceViolation
+from .errors import ShapeError, SizeCeilingExceeded
 
 Rational = Fraction
 
@@ -263,67 +265,49 @@ def _row_times(row: dict[int, Fraction], rows: list[dict[int, Fraction]]) -> dic
     return {j: x for j, x in acc.items() if x}
 
 
-def _echelon(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Dense reduced row echelon form in place, pivots in column order.
+def _eliminate(rows: Iterable[Mapping[int, Fraction]],
+               reduce: bool) -> dict[int, tuple[int, dict[int, Fraction]]]:
+    """Sparse exact elimination on a copy of ``rows``: {pivot column: (row index, row)}.
 
-    Returns (rows, pivot columns); kernel_basis and solve_columns read their
-    outputs off this form.
+    A lazy heap yields the shortest live row; a column index records the rows
+    touching each column.  Rank mode pivots at the row's column the fewest
+    other live rows touch (ties to the lowest) and clears it from live rows.
+    With ``reduce`` the row pivots at its lowest column, scaled to 1, and
+    pivot rows are cleared too: they end as the unique reduced row echelon form.
     """
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ONE / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def rank(m: Matrix) -> int:
-    """Exact rank by sparse elimination.
-
-    Works on a copy of the stored rows, and a column index records the live
-    rows touching each column.  Each step pivots on the shortest live
-    row, at the column of that row touched by the fewest other rows (ties
-    to the lowest index), and eliminates that column from those rows.
-    """
-    rows: dict[int, dict[int, Fraction]] = {}
+    work = {i: dict(row) for i, row in enumerate(rows) if row}
+    live = set(work)
     touching: dict[int, set[int]] = {}
-    for i, stored in enumerate(m._rows):
-        if stored:
-            rows[i] = dict(stored)
-            for j in stored:
-                touching.setdefault(j, set()).add(i)
-    queue = [(len(row), i) for i, row in rows.items()]
-    heapq.heapify(queue)
-    pivots = 0
-    while rows:
-        length, i = heapq.heappop(queue)
-        row = rows.get(i)
-        if row is None or len(row) != length:
-            continue
-        del rows[i]
+    for i, row in work.items():
         for j in row:
-            touching[j].discard(i)
-        c = min(row, key=lambda j: (len(touching[j]), j))
-        pivots += 1
+            touching.setdefault(j, set()).add(i)
+    queue = [(len(row), i) for i, row in work.items()]
+    heapq.heapify(queue)
+    pivots: dict[int, tuple[int, dict[int, Fraction]]] = {}
+    while live:
+        length, i = heapq.heappop(queue)
+        row = work[i]
+        if i not in live or len(row) != length:
+            continue
+        live.discard(i)
+        if reduce:
+            c = min(row)
+            if (inv := ONE / row[c]) != ONE:
+                for j in row:
+                    row[j] *= inv
+        else:
+            for j in row:
+                touching[j].discard(i)
+            c = min(row, key=lambda j: (len(touching[j]), j))
         targets = touching.pop(c)
+        targets.discard(i)
+        pivots[c] = (i, row)
         if not targets:
             continue
-        scale = -ONE / row.pop(c)
+        pivot = row.pop(c)
+        scale = -ONE / pivot
         for k in targets:
-            other = rows[k]
+            other = work[k]
             f = other.pop(c) * scale
             for j, x in row.items():
                 y = other.get(j)
@@ -337,11 +321,17 @@ def rank(m: Matrix) -> int:
                     else:
                         del other[j]
                         touching[j].discard(k)
-            if other:
+            if not other:
+                live.discard(k)
+            elif k in live:
                 heapq.heappush(queue, (len(other), k))
-            else:
-                del rows[k]
+        row[c] = pivot
     return pivots
+
+
+def rank(m: Matrix) -> int:
+    """Exact rank: the number of pivots of the sparse elimination."""
+    return len(_eliminate(m._rows, reduce=False))
 
 
 def product_is_zero(a: Matrix, b: Matrix) -> bool:
@@ -450,61 +440,67 @@ class Complex:
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """Columns spanning ker(m); a 0xN matrix has the full N-dim kernel."""
-    rows, pivots = _echelon(m.to_lists(), m.cols)
-    free = [c for c in range(m.cols) if c not in pivots]
+    """Columns spanning ker(m); a 0xN matrix has the full N-dim kernel.
+
+    Free column f of the reduced row echelon form gives 1 at f, 0 at the
+    other free columns, and minus the reduced rows' entries at f on pivots.
+    """
+    pivots = _eliminate(m._rows, reduce=True)
+    free = {f: k for k, f in enumerate(c for c in range(m.cols) if c not in pivots)}
     out = Matrix(m.cols, len(free))
-    for k, f in enumerate(free):
+    for f, k in free.items():
         out._rows[f][k] = ONE
-        for r, p in enumerate(pivots):
-            if rows[r][f]:
-                out._rows[p][k] = -rows[r][f]
+    for p, (_, row) in pivots.items():
+        out._rows[p] = {free[j]: -x for j, x in row.items() if j != p}
     return out
 
 
 def solve(m: Matrix, b: Matrix) -> Matrix | None:
     """One exact solution x of m x = b (free coordinates 0), or None."""
-    if b.rows != m.rows:
-        raise ShapeError(f"solve: {m.rows}x{m.cols} matrix against {b.rows}x{b.cols} right-hand side")
     if b.cols != 1:
         raise ShapeError("solve expects a single right-hand column; see solve_columns")
     return solve_columns(m, b)
 
 
 def solve_columns(m: Matrix, b: Matrix) -> Matrix | None:
-    """Solve m X = b for every column of b at once; None if any fails."""
-    aug = [m.row(i) + b.row(i) for i in range(m.rows)]
-    rows, pivots = _echelon(aug, m.cols)
-    # A pivot that only appears past column m.cols marks an inconsistency.
-    used = len(pivots)
-    for i in range(used, len(rows)):
-        if any(rows[i][m.cols:]):
-            return None
-    out = Matrix(m.cols, b.cols)
-    for r, p in enumerate(pivots):
-        out._rows[p] = {j: x for j, x in enumerate(rows[r][m.cols:]) if x}
+    """Solve m X = b for every column of b at once; None if any fails.
+
+    Reads X off the reduced row echelon form of [m | b]: free coordinates
+    are 0, and a pivot at or past column m.cols marks an inconsistency.
+    """
+    if b.rows != m.rows:
+        raise ShapeError(f"solve: {m.rows}x{m.cols} matrix against {b.rows}x{b.cols} right-hand side")
+    n = m.cols
+    aug = [{**row, **{n + j: x for j, x in rhs.items()}} for row, rhs in zip(m._rows, b._rows)]
+    pivots = _eliminate(aug, reduce=True)
+    if any(p >= n for p in pivots):
+        return None
+    out = Matrix(n, b.cols)
+    for p, (_, row) in pivots.items():
+        out._rows[p] = {j - n: x for j, x in row.items() if j >= n}
     return out
 
 
 def determinant(m: Matrix) -> Fraction:
+    """Product of the rank-mode pivots, times the sign of row -> pivot column.
+
+    Elimination adds only multiples of pivot rows, and a pivot row is zero on
+    earlier pivot columns, so the pivot rows form a permuted triangular matrix.
+    """
     if m.rows != m.cols:
         raise ShapeError("determinant of a non-square matrix")
-    rows = m.to_lists()
-    n = m.rows
+    pivots = _eliminate(m._rows, reduce=False)
+    if len(pivots) < m.rows:
+        return ZERO
     det = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
+    column = [0] * m.rows
+    for c, (i, row) in pivots.items():
+        det *= row[c]
+        column[i] = c
+    for i in range(m.rows):
+        while (c := column[i]) != i:
+            column[i], column[c] = column[c], c
             det = -det
-        det *= rows[c][c]
-        inv = ONE / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return det
 
 
@@ -521,26 +517,17 @@ def inverse(m: Matrix) -> Matrix:
     return inv
 
 
-def quotient_dim(z: Matrix, b: Matrix) -> int:
-    """dim(span z / span b), after checking span(b) <= span(z)."""
-    if z.rows != b.rows:
-        raise ShapeError("quotient_dim: ambient dimensions differ")
-    if b.cols and solve_columns(z, b) is None:
-        raise SubspaceViolation("columns of b do not all lie in span(z)")
-    return rank(z) - rank(b)
-
-
 def complete_basis(partial: Matrix) -> tuple[Matrix, list[int]]:
     """Extend independent columns to a full basis of the ambient space.
 
     Standard basis vectors are tried in index order (lowest first); returns
     the completed square matrix [partial | chosen e_i] and the chosen indices.
-    Those are the pivot columns past ``partial`` in the column-order echelon
+    Those are the pivot columns past ``partial`` in the reduced row echelon
     form of [partial | I].
     """
     n, k = partial.rows, partial.cols
-    aug = [partial.row(r) + [ONE if c == r else ZERO for c in range(n)] for r in range(n)]
-    _, pivots = _echelon(aug, k + n)
+    pivots = sorted(_eliminate([{**row, k + r: ONE} for r, row in enumerate(partial._rows)],
+                               reduce=True))
     if pivots[:k] != list(range(k)):
         raise ShapeError("complete_basis expects independent columns")
     chosen = [c - k for c in pivots[k:]]

@@ -8,7 +8,7 @@ produced by these routines (and, for the tiny fixtures, checked by hand).
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 Z = Fraction(0)
 
@@ -32,6 +32,41 @@ def o_rank(rows):
         if rk == len(rows):
             break
     return rk
+
+
+def o_rref(rows, ncols):
+    """Dense reduced row echelon form, pivots taken in column order.
+
+    Returns (the nonzero reduced rows, their pivot columns).
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        rk = len(pivots)
+        piv = next((i for i in range(rk, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        rows[rk] = [x / rows[rk][c] for x in rows[rk]]
+        for i in range(len(rows)):
+            if i != rk and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rk])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def o_det(rows):
+    """Leibniz formula: the signed sum over all permutations."""
+    n = len(rows)
+    total = Z
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = Fraction(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
 
 
 def o_eval(f, idx, dim_out):

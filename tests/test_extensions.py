@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, MorphismRep, Representation
 from morphlie.cohomology import MCochain, mla_differential
 from morphlie.errors import NotACocycle, NotASection, NotSimplyCohomologous, ShapeError
 from morphlie.extensions import (
@@ -12,7 +13,7 @@ from morphlie.extensions import (
     coboundary_isomorphism,
     extract_cocycle,
 )
-from morphlie.fixtures import a2_triple, heis, sl2_v1_triple, standard_morphism_reps
+from morphlie.fixtures import a1, a2_triple, heis, sl2_v1_triple, standard_morphism_reps
 from morphlie.linalg import Matrix, kernel_basis
 
 
@@ -198,3 +199,20 @@ def test_not_simply_cohomologous_rejected():
     c2 = MCochain(rep, 2)  # differs from c by a NON-coboundary (c is not exact)
     with pytest.raises(NotSimplyCohomologous):
         coboundary_isomorphism(rep, c, c2, Matrix.zeros(1, 2), Matrix.zeros(1, 2))
+
+
+@pytest.mark.parametrize("brackets, problem", [
+    ({(1, 2): [1, 0, 0]}, "not abelian"),
+    ({(0, 1): [1, 0, 0]}, "not an ideal"),
+])
+def test_included_subspace_must_be_an_abelian_ideal(brackets, problem):
+    # a1 extended by a trivial 2-dim V, with V = span(e1, e2) in total g;
+    # [e1, e2] = e0 breaks abelianness and [e0, e1] = e0 the ideal property.
+    base = MorphismLieAlgebra.identity(a1())
+    rep = MorphismRep(base, Representation.trivial(base.g, 2),
+                      Representation.trivial(base.h, 2), Matrix.identity(2))
+    total = MorphismLieAlgebra.identity(LieAlgebra.from_brackets(3, brackets))
+    i = Matrix.from_rows([[0, 0], [1, 0], [0, 1]])
+    p = Matrix.from_rows([[1, 0, 0]])
+    with pytest.raises(ShapeError, match=f"^included subspace on the g side is {problem}$"):
+        AbelianExtension(rep, None, total, i, p, i, p)

@@ -1,4 +1,4 @@
-"""Exact linear algebra kernel: ranks, kernels, solving, quotients."""
+"""Exact linear algebra kernel: ranks, kernels, solving, determinants."""
 
 from fractions import Fraction
 
@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphlie.errors import ShapeError, SizeCeilingExceeded, SubspaceViolation
+from morphlie.errors import ShapeError, SizeCeilingExceeded
 from morphlie.linalg import (
     Complex,
     Matrix,
@@ -16,7 +16,6 @@ from morphlie.linalg import (
     is_invertible,
     kernel_basis,
     product_is_zero,
-    quotient_dim,
     rank,
     rat,
     rat_str,
@@ -24,7 +23,7 @@ from morphlie.linalg import (
     solve_columns,
 )
 
-from .oracles import o_rank
+from .oracles import o_det, o_rank, o_rref
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -93,21 +92,6 @@ def test_solve_zero_dimensional():
     assert x is not None and x.rows == 2
 
 
-def test_quotient_dim_and_violation():
-    z = Matrix.from_rows([[1, 0], [0, 1], [0, 0]])
-    b = Matrix.from_rows([[1], [1], [0]])
-    assert quotient_dim(z, b) == 1
-    outside = Matrix.from_rows([[0], [0], [1]])
-    with pytest.raises(SubspaceViolation):
-        quotient_dim(z, outside)
-
-
-def test_zero_dimensional_quotient():
-    z = Matrix.zeros(3, 0)
-    b = Matrix.zeros(3, 0)
-    assert quotient_dim(z, b) == 0
-
-
 def test_block_assembly():
     a = Matrix.identity(2)
     b = Matrix.zeros(2, 1)
@@ -170,12 +154,6 @@ def test_solve_is_exact_when_it_succeeds(mb):
     x = solve(m, b)
     if x is not None:
         assert m * x == b
-
-
-@settings(max_examples=40, deadline=None)
-@given(matrices)
-def test_quotient_by_self_is_zero(m):
-    assert quotient_dim(m, m) == 0
 
 
 def test_solve_columns_multi():
@@ -361,3 +339,118 @@ def test_inverse_of_singular_matrix():
     with pytest.raises(ShapeError, match="singular"):
         inverse(Matrix.zeros(3, 3))
     assert inverse(Matrix.zeros(0, 0)) == Matrix.zeros(0, 0)
+
+
+# -- the reduced-row-echelon routines against the dense oracle ---------------
+
+@st.composite
+def low_rank_matrices(draw, rows=st.integers(0, 7), cols=st.integers(0, 7)):
+    """A . B through an inner dimension of at most 3: rank-deficient, dense."""
+    r, c, inner = draw(rows), draw(cols), draw(st.integers(0, 3))
+    a = draw(sparse_matrices(st.just(r), st.just(inner)))
+    b = draw(sparse_matrices(st.just(inner), st.just(c)))
+    return a * b
+
+
+rref_inputs = st.one_of(sparse_matrices(), low_rank_matrices())
+
+
+def _oracle_solution(m, b):
+    """X read off o_rref([m | b]) with free coordinates 0, or None."""
+    n = m.cols
+    rows, pivots = o_rref([m.row(i) + b.row(i) for i in range(m.rows)], n + b.cols)
+    if any(p >= n for p in pivots):
+        return None
+    x = [[Fraction(0)] * b.cols for _ in range(n)]
+    for row, p in zip(rows, pivots):
+        x[p] = row[n:]
+    return x
+
+
+@settings(max_examples=120, deadline=None)
+@given(rref_inputs)
+def test_kernel_basis_matches_oracle_rref(m):
+    rows, pivots = o_rref(m.to_lists(), m.cols)
+    free = [c for c in range(m.cols) if c not in pivots]
+    expected = [[Fraction(int(c == f)) for c in range(m.cols)] for f in free]
+    for vector, f in zip(expected, free):
+        for row, p in zip(rows, pivots):
+            vector[p] = -row[f]
+    k = kernel_basis(m)
+    assert (k.rows, k.cols) == (m.cols, len(free))
+    assert [k.col(j) for j in range(k.cols)] == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(rref_inputs, st.data())
+def test_solve_columns_matches_oracle_rref(m, data):
+    # A random right-hand side is often inconsistent; m . X never is.
+    k = data.draw(st.integers(0, 3))
+    rhs = data.draw(st.one_of(
+        sparse_matrices(st.just(m.rows), st.just(k)),
+        sparse_matrices(st.just(m.cols), st.just(k)).map(lambda x: m * x)))
+    x = solve_columns(m, rhs)
+    expected = _oracle_solution(m, rhs)
+    assert (x is None) == (expected is None)
+    if x is not None:
+        assert (x.rows, x.cols) == (m.cols, k)
+        assert x.to_lists() == expected
+        assert m * x == rhs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.one_of(sparse_matrices(st.just(n), st.just(n)),
+                        low_rank_matrices(st.just(n), st.just(n)))))
+def test_inverse_and_determinant_match_oracles(m):
+    n = m.rows
+    assert determinant(m) == o_det(m.to_lists())
+    rows, pivots = o_rref([m.row(i) + [Fraction(int(i == j)) for j in range(n)]
+                           for i in range(n)], 2 * n)
+    if pivots[:n] != list(range(n)):
+        with pytest.raises(ShapeError, match="singular"):
+            inverse(m)
+        return
+    assert inverse(m).to_lists() == [row[n:] for row in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(sparse_matrices(rows=st.integers(0, 7), cols=st.integers(0, 4)),
+                 low_rank_matrices(rows=st.integers(0, 7), cols=st.integers(0, 4))))
+def test_complete_basis_matches_oracle_rref(m):
+    n, k = m.rows, m.cols
+    _, pivots = o_rref([m.row(i) + [Fraction(int(i == j)) for j in range(n)]
+                        for i in range(n)], k + n)
+    if pivots[:k] != list(range(k)):
+        with pytest.raises(ShapeError, match="independent columns"):
+            complete_basis(m)
+        return
+    full, chosen = complete_basis(m)
+    assert chosen == [p - k for p in pivots[k:]]
+    assert [full.col(j) for j in range(k, n)] == [
+        [Fraction(int(i == c)) for i in range(n)] for c in chosen]
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 4), (4, 0)])
+def test_rref_routines_on_empty_shapes(rows, cols):
+    m = Matrix.zeros(rows, cols)
+    assert kernel_basis(m) == Matrix.identity(cols)
+    assert solve_columns(m, Matrix.zeros(rows, 2)) == Matrix.zeros(cols, 2)
+    # The zero map onto a nonzero space has no solution.
+    assert (solve_columns(m, Matrix(rows, 1, [1] * rows)) is None) == (rows > 0)
+    full, chosen = complete_basis(Matrix.zeros(rows, 0))
+    assert full == Matrix.identity(rows) and chosen == list(range(rows))
+    if cols > 0:
+        with pytest.raises(ShapeError, match="independent columns"):
+            complete_basis(m)
+    if rows == cols:
+        assert determinant(m) == 1 and inverse(m) == m
+
+
+def test_determinant_sign_follows_pivot_permutation():
+    # Rank mode pivots the length-1 rows first, on columns 2 and 0.
+    m = Matrix.from_rows([[0, 0, 3], [5, 0, 0], [1, 2, 4]])
+    assert determinant(m) == o_det(m.to_lists()) == 30
+    assert determinant(Matrix.from_rows([[0, 1], [1, 0]])) == -1
+    with pytest.raises(ShapeError, match="non-square"):
+        determinant(Matrix.zeros(2, 3))
