@@ -12,7 +12,9 @@ from pathlib import Path
 
 from morphlie.cli import main
 
-workdir = Path(tempfile.mkdtemp(prefix="morphlie-demo-"))
+# The work directory is removed when the demo ends (see the last line).
+tmp = tempfile.TemporaryDirectory(prefix="morphlie-demo-")
+workdir = Path(tmp.name)
 
 # One document: a line and a plane, both abelian, the identity triple
 # on the line, and the area cocycle on the plane.
@@ -113,3 +115,5 @@ bad_path.write_text('{"lie_algebras": {')
 print("$ morphlie check bad.json            (truncated JSON)")
 code = main(["check", str(bad_path)])
 print(f"(exit {code})")
+
+tmp.cleanup()

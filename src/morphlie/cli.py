@@ -4,7 +4,8 @@ Commands: check, cohomology, extend, extract, sh (verify, from-cocycle,
 to-triple, twist), and group cohomology.  Exit codes form a stable
 taxonomy: 0 all checks pass, 1 a check or axiom failed, 2 the document or
 the request is invalid (parse errors, unknown names, shape or validation
-errors), 3 a size ceiling refused the computation.
+errors, an output file that cannot be written), 3 a size ceiling refused
+the computation.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .cohomology import mla_complex
 from .documents import ProblemDocument, check_document
 from .errors import (
     MorphismAlgebraError,
+    OutputError,
     ParseError,
     ShapeError,
     SizeCeilingExceeded,
@@ -165,7 +167,7 @@ def cmd_check(args) -> int:
     rows = check_document(_read(args.file))
     failures = [r for r in rows if not r.ok]
     if args.json:
-        print(json.dumps({"results": [vars(r) for r in rows]}, indent=2))
+        print(json.dumps({"results": [r._asdict() for r in rows]}, indent=2))
     else:
         for r in rows:
             if r.ok:
@@ -386,6 +388,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def _named(store: dict, name: str, kind: str):
@@ -401,7 +405,10 @@ def _nonnegative(top: int) -> None:
 
 def _write_document(args, out: ProblemDocument, summary: str) -> None:
     if args.output:
-        out.dump(args.output)
+        try:
+            out.dump(args.output)
+        except OSError as exc:
+            raise OutputError(f"cannot write {args.output}: {exc.strerror}") from exc
         print(f"{summary}; wrote {args.output}")
     else:
         print(out.dumps())

@@ -469,17 +469,16 @@ def _subalgebra_structure(g, basis: Matrix) -> list[list[list[Fraction]]]:
     """Structure constants of span(basis) in the basis coordinates."""
     dim_p = basis.cols
     table = [[[ZERO] * dim_p for _ in range(dim_p)] for _ in range(dim_p)]
-    for i in range(dim_p):
-        for j in range(dim_p):
-            if i == j:
-                continue
-            value = g.bracket(basis.col(i), basis.col(j))
-            coords = solve(basis, Matrix.column(value))
-            if coords is None:
-                raise NotASubalgebra(
-                    f"bracket of basis columns {i+1} and {j+1} leaves the span"
-                )
-            table[i][j] = coords.col(0)
+    pairs = [(i, j) for i in range(dim_p) for j in range(i + 1, dim_p)]
+    brackets = [g.bracket(basis.col(i), basis.col(j)) for i, j in pairs]
+    coords = solve_columns(basis, Matrix.from_rows(brackets, basis.rows).transpose())
+    if coords is None:  # one solve per pair i < j names the first one outside the span
+        for (i, j), value in zip(pairs, brackets):
+            if solve(basis, Matrix.column(value)) is None:
+                raise NotASubalgebra(f"bracket of basis columns {i+1} and {j+1} leaves the span")
+    for k, (i, j) in enumerate(pairs):
+        table[i][j] = coords.col(k)
+        table[j][i] = [-x for x in table[i][j]]
     return table
 
 

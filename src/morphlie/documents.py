@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .algebras import (
     LieAlgebra,
@@ -136,8 +135,7 @@ def _field(entry: dict, key: str, where: str) -> Any:
     return entry[key]
 
 
-@dataclass
-class ShMorphismEntry:
+class ShMorphismEntry(NamedTuple):
     """A named sh morphism together with its source and target names."""
 
     source: str
@@ -145,8 +143,7 @@ class ShMorphismEntry:
     morphism: ShMorphism
 
 
-@dataclass
-class CheckRow:
+class CheckRow(NamedTuple):
     """One line of a validation report."""
 
     section: str

@@ -49,6 +49,10 @@ class ParseError(MorphismAlgebraError):
     """A problem document is syntactically malformed."""
 
 
+class OutputError(MorphismAlgebraError):
+    """A command cannot write the file it was asked to write."""
+
+
 class UnknownObject(MorphismAlgebraError):
     """A command references a name the document does not define."""
 

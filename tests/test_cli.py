@@ -1,6 +1,9 @@
 """End-to-end tests for the command line driver."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -260,6 +263,33 @@ class TestInputBoundary:
         assert code == 2
         assert "parse-error" in err and "Traceback" not in err
 
+    def test_non_utf8_file_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error (parse-error): cannot read {path}: 'utf-8' codec")
+
+
+class TestStartUp:
+    """The import path of every request stays free of dataclasses and its chain."""
+
+    def test_cli_loads_no_dataclasses_inspect_dis_or_ast(self, a1_doc):
+        script = ("import sys\n"
+                  "sys.path.insert(0, sys.argv[1])\n"
+                  "before = set(sys.modules)\n"
+                  "from morphlie.cli import main\n"
+                  "code = main(['cohomology', sys.argv[2], 'rep'])\n"
+                  "print(' '.join(sorted(set(sys.modules) - before)))\n"
+                  "sys.exit(code)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-I", "-c", script, str(src), a1_doc],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        added = set(done.stdout.splitlines()[-1].split())
+        assert "morphlie.cli" in added
+        assert not added & {"dataclasses", "inspect", "dis", "ast"}
+
 
 class TestGroupCohomology:
     def test_normalized_trivial(self, capsys, z2_doc):
@@ -314,6 +344,14 @@ class TestExtendExtract:
     def test_extract_wrong_total(self, capsys, sl2_doc):
         code, _, err = run(capsys, "extract", sl2_doc, "phi", "rep")
         assert code == 2
+
+    @pytest.mark.parametrize("target", ["missing-dir/out.json", "."],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_output_is_an_output_error(self, capsys, sl2_doc, tmp_path, target):
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, "extend", sl2_doc, "c2", "-o", path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error (output-error): cannot write {path}: ")
 
     def test_document_to_stdout(self, capsys, sl2_doc):
         code, out, err = run(capsys, "extend", sl2_doc, "c2")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphlie.algebras import MorphismLieAlgebra, MorphismRep, Representation
+from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, MorphismRep, Representation
 from morphlie.cecomplex import ce_cohomology_dim, ce_differential, pullback_rep
 from morphlie.cohomology import (
     MCochain,
@@ -470,6 +470,58 @@ def test_quotient_rejects_non_subalgebra():
     ef_span = Matrix.from_rows([[1, 0], [0, 1], [0, 0]])
     with pytest.raises(NotASubalgebra):
         quotient_morphism_rep(m, ef_span, Matrix.identity(3))
+
+
+@pytest.mark.parametrize("algebra", [a1, a2, heis, sl2])
+def test_subalgebra_structure_in_a_rational_basis(algebra):
+    """P c_ij = [P e_i, P e_j] for every ordered pair, with P unitriangular."""
+    g = algebra()
+    basis = Matrix.from_rows([[1 if i == j else Fraction(i + j + 1, j + 1) if i < j else 0
+                               for j in range(g.dim)] for i in range(g.dim)])
+    table = quotient_morphism_rep(MorphismLieAlgebra.identity(g), basis, basis).base.g.c
+    for i in range(g.dim):
+        assert not any(table[i][i])
+        for j in range(g.dim):
+            assert basis.apply(table[i][j]) == g.bracket(basis.col(i), basis.col(j))
+
+
+def test_subalgebra_structure_pinned_on_sl2():
+    m = MorphismLieAlgebra.identity(sl2())
+    full = quotient_morphism_rep(m, Matrix.identity(3), Matrix.identity(3))
+    assert full.base.g.c == sl2().c
+    # The Borel subalgebra span(e, h): [e, h] = -2e.
+    borel = Matrix.from_rows([[1, 0], [0, 0], [0, 1]])
+    sub = quotient_morphism_rep(m, borel, borel).base.g.c
+    assert sub == [[[0, 0], [-2, 0]], [[2, 0], [0, 0]]]
+
+
+def test_subalgebra_structure_solves_once_per_side(monkeypatch):
+    """p = q = sl2: one solve_columns over the three brackets i < j per side."""
+    import morphlie.cohomology as cohomology
+
+    calls = []
+    solve, solve_columns = cohomology.solve, cohomology.solve_columns
+    monkeypatch.setattr(cohomology, "solve",
+                        lambda m, b: calls.append("solve") or solve(m, b))
+    monkeypatch.setattr(cohomology, "solve_columns",
+                        lambda m, b: calls.append(b.cols) or solve_columns(m, b))
+    quotient_morphism_rep(MorphismLieAlgebra.identity(sl2()),
+                          Matrix.identity(3), Matrix.identity(3))
+    # p's brackets, q's brackets, then phi(p) inside q.
+    assert calls == [3, 3, 3]
+
+
+def test_non_subalgebra_names_the_first_pair():
+    m = MorphismLieAlgebra.identity(sl2())
+    ef_span = Matrix.from_rows([[1, 0], [0, 1], [0, 0]])
+    with pytest.raises(NotASubalgebra, match="^bracket of basis columns 1 and 2 leaves the span$"):
+        quotient_morphism_rep(m, ef_span, Matrix.identity(3))
+    # sl2 + a line on (e, f, h, z); p = span(e, z, f): [e, z] = 0 stays, [e, f] = h leaves.
+    g = LieAlgebra.from_brackets(4, {(0, 1): [0, 0, 1, 0], (2, 0): [2, 0, 0, 0],
+                                     (2, 1): [0, -2, 0, 0]})
+    p = Matrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 0, 0], [0, 1, 0]])
+    with pytest.raises(NotASubalgebra, match="^bracket of basis columns 1 and 3 leaves the span$"):
+        quotient_morphism_rep(MorphismLieAlgebra.identity(g), p, Matrix.identity(4))
 
 
 def test_quotient_rejects_unpreserved_subalgebra():

@@ -3,7 +3,8 @@
 Each demo runs in a subprocess with ``PYTHONPATH=src``; its stdout and
 stderr must equal the files under ``tests/demo_output/``.  The temporary
 directory that ``problem_documents.py`` writes into is made under pytest's
-``tmp_path`` and replaced by ``<tmpdir>`` before comparing.
+``tmp_path`` and replaced by ``<tmpdir>`` before comparing; the demo must
+remove it again.
 ``skeletal_objects.py`` prints objects built from an exact kernel basis,
 so a change of basis shows here.
 """
@@ -41,3 +42,4 @@ def test_demo_output_is_unchanged(name, tmp_path):
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.stdout").read_text(encoding="utf-8")
     assert err == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
+    assert not any(tmp_path.iterdir()), "the demo left temporary files behind"
