@@ -11,6 +11,8 @@ queryable check so that broken data can still be represented and diagnosed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, islice
+from math import comb
 from typing import Sequence
 
 from .errors import NotAHomomorphism, RotaBaxterViolation, ShapeError, ValidationError
@@ -121,27 +123,31 @@ def _unit(dim: int, i: int) -> Vector:
     return v
 
 
-def check_jacobi(a: LieAlgebra) -> CheckResult:
-    """[[x,y],z] + [[y,z],x] + [[z,x],y] = 0 on all basis triples.
+def jacobiator(a: LieAlgebra) -> Matrix:
+    """[[x,y],z] + [[y,z],x] + [[z,x],y] on the basis triples, one column each.
 
-    [[e_p, e_q], e_r] = sum_l c[p][q][l] c[l][r], summed over the nonzero
+    Columns follow the increasing triples in lexicographic order, and
+    [[e_p, e_q], e_r] = sum_l c[p][q][l] c[l][r] is summed over the nonzero
     structure constants only.
     """
     nonzero = [[[(l, x) for l, x in enumerate(cij) if x] for cij in ci] for ci in a.c]
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            for k in range(j + 1, a.dim):
-                total: dict[int, Fraction] = {}
-                for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, x in nonzero[p][q]:
-                        for m, y in nonzero[l][r]:
-                            total[m] = total.get(m, ZERO) + x * y
-                if any(total.values()):
-                    return CheckResult(
-                        False,
-                        f"Jacobi identity fails on basis triple (e{i+1}, e{j+1}, e{k+1})",
-                    )
-    return CheckResult(True)
+    rows: list[dict[int, Fraction]] = [{} for _ in range(a.dim)]
+    for t, (i, j, k) in enumerate(combinations(range(a.dim), 3)):
+        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, x in nonzero[p][q]:
+                for m, y in nonzero[l][r]:
+                    rows[m][t] = rows[m].get(t, ZERO) + x * y
+    return Matrix.from_dicts(rows, comb(a.dim, 3))
+
+
+def check_jacobi(a: LieAlgebra) -> CheckResult:
+    """The Jacobiator vanishes; a failure names its first nonzero column."""
+    t = jacobiator(a).first_nonzero_col()
+    if t is None:
+        return CheckResult(True)
+    i, j, k = next(islice(combinations(range(a.dim), 3), t, None))
+    return CheckResult(
+        False, f"Jacobi identity fails on basis triple (e{i+1}, e{j+1}, e{k+1})")
 
 
 class Representation:
@@ -239,9 +245,9 @@ class MorphismRep:
 
     def __init__(self, base: MorphismLieAlgebra, v: Representation, w: Representation,
                  psi: Matrix, validate: bool = True):
-        if v.algebra is not base.g and v.algebra.dim != base.g.dim:
+        if v.algebra is not base.g and v.algebra.c != base.g.c:
             raise ShapeError("V must be a representation of g")
-        if w.algebra is not base.h and w.algebra.dim != base.h.dim:
+        if w.algebra is not base.h and w.algebra.c != base.h.c:
             raise ShapeError("W must be a representation of h")
         if psi.rows != w.dim_v or psi.cols != v.dim_v:
             raise ShapeError(f"psi must be {w.dim_v}x{v.dim_v}, got {psi.rows}x{psi.cols}")

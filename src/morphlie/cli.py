@@ -15,8 +15,8 @@ import json
 import sys
 from math import comb
 
-from .cohomology import mla_complex
-from .documents import ProblemDocument, check_document
+from .cohomology import MCochain, mla_complex
+from .documents import ProblemDocument, ShMorphismEntry, check_document
 from .errors import (
     MorphismAlgebraError,
     OutputError,
@@ -24,6 +24,7 @@ from .errors import (
     ShapeError,
     SizeCeilingExceeded,
     UnknownObject,
+    UsageError,
 )
 from .extensions import AbelianExtension, build_extension
 from .groups import group_complex, mlg_complex
@@ -88,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_co.add_argument("name")
     p_co.add_argument("--max-degree", type=int, default=None)
     p_co.add_argument("--simple", action="store_true",
-                      help="add the eta-free coboundary columns")
+                      help="add the eta-free coboundary columns "
+                           "(morphism reps only)")
     p_co.add_argument("--group", action="store_true",
                       help="treat the name as a group module triple")
     p_co.add_argument("--normalized", action="store_true",
@@ -184,6 +186,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    if args.group and args.simple:
+        raise UsageError("--simple applies to morphism reps, not to --group")
+    if args.normalized and not args.group:
+        raise UsageError("--normalized needs --group")
     doc = ProblemDocument.loads(_read(args.file))
     if args.group:
         triple = _named(doc.group_module_triples, args.name,
@@ -321,8 +327,7 @@ def cmd_sh_from_cocycle(args) -> int:
     doc = ProblemDocument.loads(_read(args.file))
     cochain = _named(doc.cochains, args.cochain, "cochain")
     skeletal = triple_to_skeletal(cochain.rep.base, cochain.rep, cochain)
-    _, rep, extracted = skeletal_to_triple(skeletal)
-    out = _skeletal_document(skeletal, rep, extracted)
+    out = _skeletal_document(skeletal, cochain.rep, cochain)
     _write_document(args, out, "built the skeletal object; all axioms verified")
     return EXIT_OK
 
@@ -353,27 +358,19 @@ def cmd_sh_twist(args) -> int:
     phi = s.matrix(dst.dim1, src.dim0)
     twisted, (_, rep, cochain) = _twist_with_triple(skeletal, sigma, sigma_p, phi)
     out = _skeletal_document(twisted, rep, cochain)
-    out.cochains["twist"] = _twist_cochain(rep, sigma, sigma_p, phi)
+    out.cochains["twist"] = MCochain(rep, 2, theta=sigma, gamma=sigma_p, eta=phi)
     _write_document(args, out,
                     f"twisted with seed {args.seed}; the cochain moved by "
                     "exactly the coboundary of the twist")
     return EXIT_OK
 
 
-def _twist_cochain(rep, sigma, sigma_p, phi):
-    from .cohomology import MCochain
-
-    return MCochain(rep, 2, theta=sigma, gamma=sigma_p, eta=phi)
-
-
 def _skeletal_document(skeletal, rep, cochain) -> ProblemDocument:
-    """The document of a skeletal object and its already extracted triple."""
+    """The document of a skeletal object and the triple it was built from."""
     out = _base_document(rep)
     out.cochains["cochain"] = cochain
     out.two_term_sh["source"] = skeletal.source
     out.two_term_sh["target"] = skeletal.target
-    from .documents import ShMorphismEntry
-
     out.sh_morphisms["morphism"] = ShMorphismEntry(
         "source", "target", skeletal.morphism)
     return out

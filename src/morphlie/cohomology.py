@@ -564,11 +564,4 @@ def quotient_morphism_rep(m: MorphismLieAlgebra, p_basis: Matrix,
 def check_subalgebra_deformation_cocycle(qrep: QuotientMorphismRep, pdot: Matrix,
                                          qdot: Matrix) -> bool:
     """Whether (pdot, qdot, 0) is a 1-cocycle in quotient coefficients."""
-    base = qrep.base
-    if (pdot.rows, pdot.cols) != (qrep.dim_v, base.g.dim):
-        raise ShapeError(f"pdot must be {qrep.dim_v}x{base.g.dim}")
-    if (qdot.rows, qdot.cols) != (qrep.dim_w, base.h.dim):
-        raise ShapeError(f"qdot must be {qrep.dim_w}x{base.h.dim}")
-    cochain = MCochain(qrep, 1, theta=pdot, gamma=qdot)
-    image = mla_differential(qrep, 1).apply(cochain.to_vector())
-    return all(x == 0 for x in image)
+    return check_infinitesimal_deformation(qrep, pdot, qdot)

@@ -53,6 +53,10 @@ class OutputError(MorphismAlgebraError):
     """A command cannot write the file it was asked to write."""
 
 
+class UsageError(MorphismAlgebraError):
+    """A command combines options that do not go together."""
+
+
 class UnknownObject(MorphismAlgebraError):
     """A command references a name the document does not define."""
 

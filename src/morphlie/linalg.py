@@ -234,6 +234,10 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self._rows)
 
+    def first_nonzero_col(self) -> int | None:
+        """The lowest column holding a nonzero entry; None for a zero matrix."""
+        return min((min(row) for row in self._rows if row), default=None)
+
     def __repr__(self) -> str:
         if self.rows * self.cols <= 12:
             body = "; ".join(" ".join(rat_str(x) for x in r) for r in self.to_lists())

@@ -414,3 +414,132 @@ def o_gp_dims(order, mul, identity, rho, dim, max_degree, normalized):
         dims.append(cn - r - prev_rank)
         prev_rank = r
     return dims
+
+
+# ---------------------------------------------------------------- sh objects
+#
+# A 2-term sh object is a dict: "dim0", "dim1", "c" (the structure table of
+# g0), "act" (dense dim1 x dim1 matrices of l2(e_i, .)), "d" (dense
+# dim0 x dim1) and "l3" (a cochain dict over increasing triples).  phi2 is a
+# cochain dict over increasing pairs.
+
+
+def _unit_vec(dim, i):
+    return [Fraction(int(k == i)) for k in range(dim)]
+
+
+def _bracket(c, x, y):
+    out = [Z] * len(x)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            out = _vadd(out, _vscale(xi * yj, c[i][j]))
+    return out
+
+
+def _act(mats, x, dim):
+    return [[sum((x[i] * mats[i][r][s] for i in range(len(x))), Z) for s in range(dim)]
+            for r in range(dim)]
+
+
+def _multi(f, vectors, dim_out):
+    """A skew cochain dict at arbitrary vectors, one index tuple at a time."""
+    out = [Z] * dim_out
+    for idx in product(*(range(len(v)) for v in vectors)):
+        coeff = Fraction(1)
+        for v, i in zip(vectors, idx):
+            coeff *= v[i]
+        if coeff:
+            out = _vadd(out, _vscale(coeff, o_eval(f, idx, dim_out)))
+    return out
+
+
+def _column(m, a):
+    return [row[a] for row in m]
+
+
+def o_sh_failure(t):
+    """The first failing 2-term sh axiom as (label, index tuple), or None.
+
+    Scan order: (i) over (e_i, p_a), (ii) over a <= b, (iii) over increasing
+    triples, (iv) over i < j and then a, (v) over increasing quadruples.
+    """
+    n0, n1, c, mats, d, l3 = t["dim0"], t["dim1"], t["c"], t["act"], t["d"], t["l3"]
+    e0 = [_unit_vec(n0, i) for i in range(n0)]
+    e1 = [_unit_vec(n1, a) for a in range(n1)]
+    dp = [_column(d, a) for a in range(n1)]
+    for i in range(n0):
+        for a in range(n1):
+            if _mv(d, _mv(mats[i], e1[a])) != _bracket(c, e0[i], dp[a]):
+                return "i", (i, a)
+    for a in range(n1):
+        for b in range(a, n1):
+            lhs = _mv(_act(mats, dp[a], n1), e1[b])
+            if lhs != _vscale(-1, _mv(_act(mats, dp[b], n1), e1[a])):
+                return "ii", (a, b)
+    for i, j, k in combinations(range(n0), 3):
+        x, y, z = e0[i], e0[j], e0[k]
+        rhs = _vadd(_bracket(c, x, _bracket(c, y, z)), _bracket(c, y, _bracket(c, z, x)),
+                    _bracket(c, z, _bracket(c, x, y)))
+        if _mv(d, _multi(l3, [x, y, z], n1)) != rhs:
+            return "iii", (i, j, k)
+    for i, j in combinations(range(n0), 2):
+        x, y = e0[i], e0[j]
+        for a in range(n1):
+            p = e1[a]
+            rhs = _vadd(_mv(mats[i], _mv(mats[j], p)), _vscale(-1, _mv(mats[j], _mv(mats[i], p))),
+                        _vscale(-1, _mv(_act(mats, _bracket(c, x, y), n1), p)))
+            if _multi(l3, [x, y, dp[a]], n1) != rhs:
+                return "iv", (i, j, a)
+    for quad in combinations(range(n0), 4):
+        xs = [e0[q] for q in quad]
+        total = [Z] * n1
+        for pos in range(4):
+            rest = xs[:pos] + xs[pos + 1:]
+            total = _vadd(total, _vscale((-1) ** pos, _mv(mats[quad[pos]], _multi(l3, rest, n1))))
+        for p, q in combinations(range(4), 2):
+            rest = [xs[m] for m in range(4) if m not in (p, q)]
+            term = _multi(l3, [_bracket(c, xs[p], xs[q])] + rest, n1)
+            total = _vadd(total, _vscale((-1) ** (p + q), term))
+        if any(total):
+            return "v", quad
+    return None
+
+
+def o_sh_morphism_failure(s, t, phi0, phi1, phi2):
+    """The first failing morphism condition as (label, index tuple), or None.
+
+    phi0 and phi1 are dense; scan order: (i), (ii) over increasing pairs,
+    (iii) over (e_i, p_a), (iv) over increasing triples.
+    """
+    n0, n1, m0, m1 = s["dim0"], s["dim1"], t["dim0"], t["dim1"]
+    e0 = [_unit_vec(n0, i) for i in range(n0)]
+    e1 = [_unit_vec(n1, a) for a in range(n1)]
+    for a in range(n1):
+        if _mv(phi0, _column(s["d"], a)) != _mv(t["d"], _column(phi1, a)):
+            return "i", ()
+    image = [_mv(phi0, x) for x in e0]
+    pulled = [_act(t["act"], image[i], m1) for i in range(n0)]
+    for i, j in combinations(range(n0), 2):
+        lhs = _mv(t["d"], _multi(phi2, [e0[i], e0[j]], m1))
+        rhs = _vadd(_mv(phi0, _bracket(s["c"], e0[i], e0[j])),
+                    _vscale(-1, _bracket(t["c"], image[i], image[j])))
+        if lhs != rhs:
+            return "ii", (i, j)
+    for i in range(n0):
+        for a in range(n1):
+            lhs = _multi(phi2, [e0[i], _column(s["d"], a)], m1)
+            rhs = _vadd(_mv(phi1, _mv(s["act"][i], e1[a])),
+                        _vscale(-1, _mv(pulled[i], _column(phi1, a))))
+            if lhs != rhs:
+                return "iii", (i, a)
+    for tri in combinations(range(n0), 3):
+        xs = [e0[k] for k in tri]
+        lhs = [Z] * m1
+        for x, y, z in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            lhs = _vadd(lhs, _mv(pulled[tri[x]], _multi(phi2, [xs[y], xs[z]], m1)),
+                        _multi(phi2, [xs[x], _bracket(s["c"], xs[y], xs[z])], m1))
+        rhs = _vadd(_mv(phi1, _multi(s["l3"], xs, n1)),
+                    _vscale(-1, _multi(t["l3"], [image[k] for k in tri], m1)))
+        if lhs != rhs:
+            return "iv", tri
+    return None

@@ -17,6 +17,7 @@ from morphlie.algebras import (
     check_morphism_homomorphism,
     check_morphism_rep,
     is_lie_homomorphism,
+    jacobiator,
     rota_baxter_morphism,
 )
 from morphlie.errors import (
@@ -114,6 +115,20 @@ def test_morphism_rep_shape_errors():
     m = MorphismLieAlgebra.identity(g)
     with pytest.raises(ShapeError):
         MorphismRep(m, v1(g), v0(g), Matrix.identity(2))
+
+
+def test_morphism_rep_needs_modules_of_its_own_algebras():
+    # A module of another algebra of the same dimension is refused; a copy
+    # of g with the same structure constants is accepted.
+    g = sl2()
+    m = MorphismLieAlgebra.identity(g)
+    other = Representation.trivial(LieAlgebra.abelian(3), 1)
+    with pytest.raises(ShapeError, match="V must be a representation of g"):
+        MorphismRep(m, other, Representation.trivial(g, 1), Matrix.identity(1))
+    with pytest.raises(ShapeError, match="W must be a representation of h"):
+        MorphismRep(m, Representation.trivial(g, 1), other, Matrix.identity(1))
+    copy = Representation.trivial(sl2(), 1)
+    assert MorphismRep(m, copy, copy, Matrix.identity(1)).dim_v == 1
 
 
 def test_intertwining_holds_on_fixture():
@@ -259,3 +274,23 @@ def test_check_jacobi_matches_brute_force(table):
     res = check_jacobi(LieAlgebra(dim, c))
     assert res.ok == (expected is None)
     assert res.detail == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(antisymmetric_tables())
+def test_jacobiator_columns_match_brute_force(table):
+    dim, c = table
+
+    def br(x, y):
+        return [sum((x[i] * y[j] * c[i][j][k] for i in range(dim) for j in range(dim)),
+                    Fraction(0)) for k in range(dim)]
+
+    e = [[Fraction(int(a == b)) for a in range(dim)] for b in range(dim)]
+    triples = [(i, j, k) for i in range(dim) for j in range(i + 1, dim)
+               for k in range(j + 1, dim)]
+    jac = jacobiator(LieAlgebra(dim, c))
+    assert (jac.rows, jac.cols) == (dim, len(triples))
+    for t, (i, j, k) in enumerate(triples):
+        terms = (br(br(e[i], e[j]), e[k]), br(br(e[j], e[k]), e[i]),
+                 br(br(e[k], e[i]), e[j]))
+        assert jac.col(t) == [sum(xs, Fraction(0)) for xs in zip(*terms)]

@@ -148,6 +148,16 @@ class TestCohomology:
         rows = json.loads(out)["rows"]
         assert [r["cohomology"] for r in rows] == [1, 1]
 
+    @pytest.mark.parametrize("doc, argv, flag", [
+        ("z2_doc", ["t", "--group", "--simple"], "--simple"),
+        ("sl2_doc", ["rep", "--normalized"], "--normalized"),
+    ])
+    def test_flag_outside_its_mode_refused(self, capsys, request, doc, argv, flag):
+        code, out, err = run(capsys, "cohomology", request.getfixturevalue(doc), *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error (usage-error): ") and flag in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_size_ceiling(self, capsys, z2_doc):
         code, _, err = run(capsys, "cohomology", z2_doc, "t", "--group",
                            "--max-degree", "3", "--size-ceiling", "10")
@@ -406,19 +416,19 @@ class TestSh:
         assert twisted.cochains["twist"].degree == 2
 
     def test_degree_3_differential_builds(self, capsys, monkeypatch, sl2_doc, tmp_path):
-        # from-cocycle: the input's cocycle check, then skeletal_to_triple's
-        # own; twist: one extraction before and one after the twist, then the
-        # coboundary of the twist, and its document reuses the second triple.
+        # from-cocycle: the input's cocycle check only, as its document
+        # holds the triple it was given; twist: one extraction, the
+        # coboundary of the twist, then the twisted cochain's cocycle check.
         import morphlie.cohomology
 
         built = _record_calls(monkeypatch, morphlie.cohomology, "mla_differential")
         skel_path = str(tmp_path / "skel.json")
         run(capsys, "sh", "from-cocycle", sl2_doc, "c3", "-o", skel_path)
-        assert built == [3, 3]
+        assert built == [3]
         built.clear()
         code, _, _ = run(capsys, "sh", "twist", skel_path, "morphism",
                          "--seed", "11", "-o", str(tmp_path / "twisted.json"))
-        assert code == 0 and built == [3, 3, 2]
+        assert code == 0 and built == [3, 2, 3]
 
     def test_twist_deterministic(self, capsys, sl2_doc, tmp_path):
         skel_path = str(tmp_path / "skel.json")

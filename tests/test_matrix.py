@@ -123,6 +123,14 @@ def test_from_rows_with_zeros_equals_from_dicts(rc):
     assert Matrix(r, c, [x for row in ref for x in row]) == of(ref, c)
 
 
+@settings(max_examples=100, deadline=None)
+@given(shaped())
+def test_first_nonzero_col_matches_plain_lists(rc):
+    r, c, ref = rc
+    expected = next((j for j in range(c) if any(row[j] for row in ref)), None)
+    assert of(ref, c).first_nonzero_col() == expected
+
+
 def test_from_dicts_rejects_column_outside_shape():
     with pytest.raises(ShapeError):
         Matrix.from_dicts([{2: 1}], 2)

@@ -3,7 +3,6 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 
@@ -13,19 +12,19 @@ from morphlie.cohomology import MCochain, mla_differential
 from morphlie.errors import NotACocycle, ShapeError, ValidationError
 from morphlie.fixtures import a2, heis, sl2, sl2_v1_triple, v1
 from morphlie.linalg import Matrix, kernel_basis
+from morphlie.sampling import Sampler
 from morphlie.shlie import (
     ShMorphism,
     SkeletalMorphismSh,
     TwoTermSh,
     check_sh_morphism,
     check_two_term_sh,
-    evaluate_alternating,
     skeletal_to_triple,
     triple_to_skeletal,
     twist_equivalence,
 )
 
-from .oracles import o_mla_matrix
+from .oracles import o_mla_matrix, o_sh_failure, o_sh_morphism_failure
 
 
 def _skeletal_from(rep: MorphismRep, flat) -> SkeletalMorphismSh:
@@ -38,96 +37,6 @@ def _closed_degree3(rep: MorphismRep) -> list[list[Fraction]]:
 
 def _cols(m: Matrix) -> list[list[Fraction]]:
     return [m.col(j) for j in range(m.cols)]
-
-
-class TestEvaluateAlternating:
-    def test_degree_one_is_matrix_apply(self):
-        coeffs = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
-        vec = [Fraction(1), Fraction(0), Fraction(-2)]
-        assert evaluate_alternating(coeffs, 3, 1, [vec]) == coeffs.apply(vec)
-
-    def test_skew_in_arguments(self):
-        coeffs = Matrix.from_rows([[1, 2, 7], [0, -3, 5]])
-        u = [Fraction(1), Fraction(2), Fraction(3)]
-        v = [Fraction(-1), Fraction(4), Fraction(0)]
-        uv = evaluate_alternating(coeffs, 3, 2, [u, v])
-        vu = evaluate_alternating(coeffs, 3, 2, [v, u])
-        assert uv == [-x for x in vu]
-        assert evaluate_alternating(coeffs, 3, 2, [u, u]) == [Fraction(0)] * 2
-
-    def test_basis_tuple_recovers_column(self):
-        coeffs = Matrix.from_rows([[1, 2, 7], [0, -3, 5]])
-        e0 = [Fraction(1), Fraction(0), Fraction(0)]
-        e2 = [Fraction(0), Fraction(0), Fraction(1)]
-        assert evaluate_alternating(coeffs, 3, 2, [e0, e2]) == coeffs.col(1)
-
-    def test_wrong_argument_count(self):
-        with pytest.raises(ShapeError):
-            evaluate_alternating(Matrix.zeros(1, 3), 3, 2, [[Fraction(1)] * 3])
-
-    def test_short_argument_rejected(self):
-        with pytest.raises(ShapeError):
-            evaluate_alternating(Matrix.zeros(1, 3), 3, 2, [[1, 0], [0, 1, 0]])
-
-    def test_long_argument_rejected(self):
-        with pytest.raises(ShapeError):
-            evaluate_alternating(Matrix.from_rows([[1, 2, 3]]), 3, 2,
-                                 [[1, 0, 0, 9], [0, 1, 0, 5]])
-
-    def test_coefficient_columns_must_match_tuples(self):
-        with pytest.raises(ShapeError):
-            evaluate_alternating(Matrix.zeros(2, 4), 3, 2, [[1, 0, 0], [0, 1, 0]])
-
-    def test_matches_leibniz_expansion(self):
-        rng = random.Random(20261018)
-        checked = 0
-        for k in (1, 2, 3):
-            for dim_in in range(3, 7):
-                for _ in range(6):
-                    coeffs = _random_coeffs(rng, 2, comb(dim_in, k))
-                    vectors = [_random_vector(rng, dim_in) for _ in range(k)]
-                    if k > 1 and rng.random() < 0.3:
-                        vectors[-1] = list(vectors[0])
-                    if rng.random() < 0.2:
-                        vectors[rng.randrange(k)] = [Fraction(0)] * dim_in
-                    got = evaluate_alternating(coeffs, dim_in, k, vectors)
-                    assert got == _leibniz_reference(coeffs.to_lists(), dim_in, k, vectors)
-                    checked += any(got)
-        assert checked > 30
-
-    def test_leibniz_on_empty_basis(self):
-        for dim_in, k in ((0, 1), (1, 2), (2, 3)):
-            coeffs = Matrix.zeros(2, 0)
-            vectors = [[Fraction(1)] * dim_in for _ in range(k)]
-            got = evaluate_alternating(coeffs, dim_in, k, vectors)
-            assert got == _leibniz_reference([[], []], dim_in, k, vectors) == [0, 0]
-
-
-def _random_vector(rng: random.Random, dim: int) -> list[Fraction]:
-    return [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.7
-            else Fraction(0) for _ in range(dim)]
-
-
-def _random_coeffs(rng: random.Random, rows: int, cols: int) -> Matrix:
-    return Matrix.from_rows([_random_vector(rng, cols) for _ in range(rows)], cols=cols)
-
-
-def _leibniz_reference(coeffs, dim_in, k, vectors):
-    """sum over increasing tuples T of coeffs[:, T] * det(vectors on rows T),
-    the determinant summed over permutations with plain lists."""
-    out = [Fraction(0)] * len(coeffs)
-    for t_idx, tup in enumerate(itertools.combinations(range(dim_in), k)):
-        det = Fraction(0)
-        for perm in itertools.permutations(range(k)):
-            inversions = sum(1 for a in range(k) for b in range(a + 1, k)
-                             if perm[a] > perm[b])
-            term = Fraction(-1 if inversions % 2 else 1)
-            for col in range(k):
-                term *= vectors[col][tup[perm[col]]]
-            det += term
-        for r, row in enumerate(coeffs):
-            out[r] += row[t_idx] * det
-    return out
 
 
 class TestCheckTwoTermSh:
@@ -147,6 +56,14 @@ class TestCheckTwoTermSh:
     def test_identity_complex_is_valid(self):
         for g in (sl2(), heis()):
             assert check_two_term_sh(TwoTermSh.identity_complex(g))
+
+    def test_identity_complex_of_a_non_lie_bracket(self):
+        # The action is the unchecked ad list, so a bracket without Jacobi
+        # still builds, and its Jacobiator shows up in axiom (iii).
+        bad = LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]})
+        res = check_two_term_sh(TwoTermSh.identity_complex(bad))
+        assert not res
+        assert res.detail == "axiom (iii) fails at (e1, e2, e3)"
 
     def test_axiom_i_violation(self):
         g = sl2()
@@ -418,6 +335,24 @@ class TestTwist:
         assert back.target.l3 == s.target.l3
         assert back.morphism.phi2 == s.morphism.phi2
 
+    @pytest.mark.parametrize("seed", [None, 3, 8])
+    def test_twist_adds_the_oracle_coboundary(self, seed):
+        """The twisted (l3, l3', phi2) are the old blocks plus the oracle's
+        degree-2 differential applied to (sigma, sigma', phi)."""
+        sampler = Sampler(1 if seed is None else seed)
+        rep = sl2_v1_triple() if seed is None else sampler.morphism_rep()
+        s = triple_to_skeletal(rep.base, rep, sampler.closed_cochain(rep, 3))
+        sigma, sigma_p, phi = sampler.twist_data(rep)
+        twisted = twist_equivalence(s, sigma, sigma_p, phi)
+        shift = MCochain(rep, 2, theta=sigma, gamma=sigma_p, eta=phi).to_vector()
+        moved = [sum((x * y for x, y in zip(row, shift)), Fraction(0))
+                 for row in o_mla_matrix(_raw(rep), 2)]
+        assert any(moved)
+        before, after = (
+            MCochain(rep, 3, theta=t.source.l3, gamma=t.target.l3,
+                     eta=t.morphism.phi2).to_vector() for t in (s, twisted))
+        assert after == [a + b for a, b in zip(before, moved)]
+
     def test_shape_errors(self):
         _, s = self._sl2_skeletal()
         good = Matrix.zeros(2, 3)
@@ -427,3 +362,159 @@ class TestTwist:
             twist_equivalence(s, good, Matrix.zeros(1, 3), good)
         with pytest.raises(ShapeError):
             twist_equivalence(s, good, good, Matrix.zeros(2, 2))
+
+
+_SH_DETAILS = {
+    "i": "axiom (i) fails at (e{}, p{})",
+    "ii": "axiom (ii) fails at (p{}, p{})",
+    "iii": "axiom (iii) fails at (e{}, e{}, e{})",
+    "iv": "axiom (iv) fails at (e{}, e{}, p{})",
+    "v": "axiom (v) fails at (e{}, e{}, e{}, e{})",
+}
+_MORPHISM_DETAILS = {
+    "i": "condition (i) fails: phi0 . d differs from d' . phi1",
+    "ii": "condition (ii) fails at (e{}, e{})",
+    "iii": "condition (iii) fails at (e{}, p{})",
+    "iv": "condition (iv) fails at (e{}, e{}, e{})",
+}
+
+
+def _oracle_detail(details, found):
+    if found is None:
+        return None
+    label, index = found
+    return details[label].format(*(k + 1 for k in index))
+
+
+def _sh_raw(t: TwoTermSh) -> dict:
+    return {"dim0": t.dim0, "dim1": t.dim1, "c": t.bracket0.c,
+            "act": [m.to_lists() for m in t.action1], "d": t.d.to_lists(),
+            "l3": {tup: t.l3.col(k) for k, tup in enumerate(t.triples.tuples)}}
+
+
+def _sl2_plus_line() -> LieAlgebra:
+    """sl2 + a central line, a 4-dim Lie algebra with quadruples to check."""
+    return LieAlgebra.from_brackets(
+        4, {(0, 1): [0, 0, 1, 0], (2, 0): [2, 0, 0, 0], (2, 1): [0, -2, 0, 0]})
+
+
+def _valid_sh_objects() -> list[TwoTermSh]:
+    """Objects satisfying every axiom, with d = 0 and with d != 0."""
+    objects = []
+    for seed in (1, 2):
+        rep = Sampler(seed).morphism_rep()
+        c = Sampler(seed).closed_cochain(rep, 3)
+        objects.append(TwoTermSh(rep.base.g, list(rep.v.action),
+                                 Matrix.zeros(rep.base.g.dim, rep.dim_v), l3=c.theta))
+    g4 = _sl2_plus_line()
+    line = Matrix.identity(2).scale(3)
+    objects.append(TwoTermSh(g4, list(v1(sl2()).action) + [line], Matrix.zeros(4, 2)))
+    objects.append(TwoTermSh(LieAlgebra.abelian(4),
+                             [Matrix.from_rows([[k, 0], [0, 1 - k]]) for k in range(4)],
+                             Matrix.zeros(4, 2)))
+    for g in (sl2(), heis(), g4):
+        objects.append(TwoTermSh.identity_complex(g))
+    # d kills p2, so l3 valued in p2 passes (iii) and is seen by (iv) only.
+    objects.append(TwoTermSh(LieAlgebra.abelian(3), [Matrix.zeros(2, 2)] * 3,
+                             Matrix.from_rows([[1, 0], [0, 0], [0, 0]])))
+    return objects
+
+
+def _bump(rng: random.Random, m: Matrix) -> Matrix:
+    """m with one random entry moved by a nonzero amount."""
+    rows = m.to_lists()
+    rows[rng.randrange(m.rows)][rng.randrange(m.cols)] += Fraction(
+        rng.choice([-2, -1, 1, 3]), rng.choice([1, 2]))
+    return Matrix.from_rows(rows, cols=m.cols)
+
+
+def _perturbed_sh(rng: random.Random, t: TwoTermSh) -> TwoTermSh:
+    g, action, d, l3 = t.bracket0, list(t.action1), t.d, t.l3
+    kinds = ["none"] + (["bracket"] if g.dim > 1 else []) + (
+        ["action", "d", "l3"] if t.dim1 else [])
+    kind = rng.choice(kinds)
+    if kind == "bracket":
+        i, j = rng.sample(range(g.dim), 2)
+        k, x = rng.randrange(g.dim), Fraction(rng.choice([-1, 1, 2]))
+        table = [[list(v) for v in row] for row in g.c]
+        table[i][j][k] += x
+        table[j][i][k] -= x
+        g = LieAlgebra(g.dim, table)
+    elif kind == "action":
+        i = rng.randrange(g.dim)
+        action[i] = _bump(rng, action[i])
+    elif kind == "d":
+        d = _bump(rng, d)
+    elif kind == "l3" and l3.cols:
+        l3 = _bump(rng, l3)
+    return TwoTermSh(g, action, d, l3=l3)
+
+
+def _valid_morphisms() -> list[tuple[TwoTermSh, TwoTermSh, ShMorphism]]:
+    """Sh morphisms satisfying every condition, with d = 0 and with d != 0."""
+    out = []
+    for rep in (sl2_v1_triple(), Sampler(4).morphism_rep(), Sampler(6).morphism_rep()):
+        s = triple_to_skeletal(rep.base, rep, Sampler(7).closed_cochain(rep, 3))
+        out.append((s.source, s.target, s.morphism))
+    for t in _valid_sh_objects()[2:]:
+        out.append((t, t, ShMorphism.identity(t)))
+    return out
+
+
+def _perturbed_morphism(rng: random.Random, src: TwoTermSh, dst: TwoTermSh,
+                        m: ShMorphism) -> tuple[TwoTermSh, TwoTermSh, ShMorphism]:
+    phi0, phi1, phi2 = m.phi0, m.phi1, m.phi2
+    kind = rng.choice(["none", "phi0", "phi1", "phi2", "l3", "l3'"])
+    if kind == "phi0":
+        phi0 = _bump(rng, phi0)
+    elif kind == "phi1" and phi1.rows and phi1.cols:
+        phi1 = _bump(rng, phi1)
+    elif kind == "phi2" and phi2.rows and phi2.cols:
+        phi2 = _bump(rng, phi2)
+    elif kind == "l3" and src.l3.rows and src.l3.cols:
+        src = TwoTermSh(src.bracket0, src.action1, src.d, l3=_bump(rng, src.l3))
+    elif kind == "l3'" and dst.l3.rows and dst.l3.cols:
+        dst = TwoTermSh(dst.bracket0, dst.action1, dst.d, l3=_bump(rng, dst.l3))
+    return src, dst, ShMorphism(phi0, phi1, phi2)
+
+
+class TestOracleReferee:
+    """check_two_term_sh and check_sh_morphism against dense brute force."""
+
+    def test_sh_axioms_match_oracle(self):
+        rng = random.Random(20261018)
+        bases = _valid_sh_objects()
+        failed = set()
+        for base in bases:
+            assert check_two_term_sh(base)
+        for _ in range(240):
+            base = rng.choice(bases)
+            t = _perturbed_sh(rng, base)
+            found = o_sh_failure(_sh_raw(t))
+            res = check_two_term_sh(t)
+            assert (res.ok, res.detail) == (found is None,
+                                            _oracle_detail(_SH_DETAILS, found))
+            if found:
+                failed.add((found[0], base.d.is_zero()))
+        assert {label for label, _ in failed} == set(_SH_DETAILS)
+        assert any(zero for _, zero in failed) and not all(zero for _, zero in failed)
+
+    def test_morphism_conditions_match_oracle(self):
+        rng = random.Random(20261019)
+        bases = _valid_morphisms()
+        failed = set()
+        for src, dst, m in bases:
+            assert check_sh_morphism(src, dst, m)
+        for _ in range(240):
+            src, dst, m = _perturbed_morphism(rng, *rng.choice(bases))
+            raw_phi2 = {tup: m.phi2.col(k) for k, tup
+                        in enumerate(itertools.combinations(range(src.dim0), 2))}
+            found = o_sh_morphism_failure(_sh_raw(src), _sh_raw(dst), m.phi0.to_lists(),
+                                          m.phi1.to_lists(), raw_phi2)
+            res = check_sh_morphism(src, dst, m)
+            assert (res.ok, res.detail) == (found is None,
+                                            _oracle_detail(_MORPHISM_DETAILS, found))
+            if found:
+                failed.add((found[0], src.d.is_zero()))
+        assert {label for label, _ in failed} == set(_MORPHISM_DETAILS)
+        assert any(zero for _, zero in failed) and not all(zero for _, zero in failed)
