@@ -81,9 +81,6 @@ class LieAlgebra:
             table[j][i] = [-x for x in vals]
         return cls(dim, table)
 
-    def bracket_basis(self, i: int, j: int) -> Vector:
-        return list(self.c[i][j])
-
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """Bilinear extension of the basis brackets to coordinate vectors."""
         if len(x) != self.dim or len(y) != self.dim:

@@ -112,26 +112,6 @@ def ce_complex(rep: Representation) -> Complex:
                    lambda n: ce_differential(rep, n), "Chevalley-Eilenberg")
 
 
-class CEComplex:
-    """The cochain complex of a representation, with differentials by degree.
-
-    delta_{n+1} . delta_n = 0 is verified exactly for every stored pair at
-    construction.
-    """
-
-    def __init__(self, rep: Representation, max_degree: int | None = None):
-        self.rep = rep
-        self.complex = ce_complex(rep)
-        self.max_degree = rep.algebra.dim if max_degree is None else max_degree
-        self.differentials = self.complex.verified(self.max_degree)
-
-    def cochain_dim(self, n: int) -> int:
-        return self.complex.dim(n)
-
-    def cohomology_dim(self, n: int) -> int:
-        return self.complex.dim_H(n)
-
-
 def ce_cohomology_dim(rep: Representation, n: int) -> int:
     """dim ker delta_n minus rank delta_{n-1}, after checking their product is 0."""
     return ce_complex(rep).dim_H(n)
@@ -182,19 +162,19 @@ def precompose_matrix(minors: Matrix, dim_w: int) -> Matrix:
     return Matrix.from_dicts(rows, n_dst * dim_w)
 
 
-def morphism_matrix(d_v: Matrix, d_w: Matrix, psi: Matrix, tuples: int = 0,
-                    pre_phi: Matrix | None = None,
-                    d_pull: Matrix | None = None) -> Matrix:
-    """The morphism differential's block layout, shared by Lie and group side.
+def morphism_matrix(d_v: Matrix, d_w: Matrix, psi: Matrix, tuples: int,
+                    pre_phi: Matrix, d_pull: Matrix, graph: bool = False) -> Matrix:
+    """The mapping-cone differential, shared by the Lie and the group side.
 
-    Degree 0 (no pre_phi) stacks (d_v, d_w . psi, 0); degree n >= 1 is
-    [[d_v, 0, 0], [0, d_w, 0], [psi . , -pre_phi, -d_pull]] on (theta,
-    gamma, eta), with psi postcomposed over ``tuples`` source tuples.
+    [[d_v, 0, 0], [0, d_w, 0], [psi . , -pre_phi, -d_pull]] on (theta, gamma,
+    eta), with psi postcomposed over ``tuples`` source tuples.  With C^{-1} = 0
+    degree 0 is the same matrix: d_pull has no columns, pre_phi is the
+    identity on W and tuples is 1.  With ``graph`` the map is restricted to
+    the graph {(v, psi v)} of psi, the default complex's C^0 = V.
     """
-    if pre_phi is None:
-        return Matrix.vstack([d_v, d_w * psi, Matrix.zeros(psi.rows, psi.cols)])
-    return Matrix.block([
+    d = Matrix.block([
         [d_v, Matrix.zeros(d_v.rows, d_w.cols), Matrix.zeros(d_v.rows, d_pull.cols)],
         [Matrix.zeros(d_w.rows, d_v.cols), d_w, Matrix.zeros(d_w.rows, d_pull.cols)],
         [postcompose_matrix(psi, tuples), -pre_phi, -d_pull],
     ])
+    return d * Matrix.vstack([Matrix.identity(psi.cols), psi]) if graph else d

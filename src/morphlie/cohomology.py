@@ -70,18 +70,22 @@ def mla_block_dims(rep: MorphismRep, n: int,
                    cone: bool = False) -> tuple[int, int, int]:
     """Flat sizes of the (theta, gamma, eta) blocks at degree n.
 
-    Degree 0 has the blocks (V, 0, 0), or (V, W, 0) on the full cone.
+    Degree 0 has the blocks (V, W, 0) on the full cone and (V, 0, 0) in the
+    default complex.
     """
-    if n < 0:
-        return (0, 0, 0)
-    if n == 0:
-        return (rep.dim_v, rep.dim_w if cone else 0, 0)
     base = rep.base
     return (
         cochain_dim(base.g.dim, rep.dim_v, n),
-        cochain_dim(base.h.dim, rep.dim_w, n),
+        cochain_dim(base.h.dim, rep.dim_w, n) if n or cone else 0,
         cochain_dim(base.g.dim, rep.dim_w, n - 1),
     )
+
+
+def mla_block_shapes(rep: MorphismRep, n: int) -> tuple[tuple[int, int], ...]:
+    """(rows, tuples) of the theta, gamma and eta value arrays at degree n >= 1."""
+    base = rep.base
+    return ((rep.dim_v, comb(base.g.dim, n)), (rep.dim_w, comb(base.h.dim, n)),
+            (rep.dim_w, comb(base.g.dim, n - 1)))
 
 
 def mla_cochain_dim(rep: MorphismRep, n: int, cone: bool = False) -> int:
@@ -99,7 +103,6 @@ class MCochain:
     def __init__(self, rep: MorphismRep, degree: int,
                  theta: Matrix | None = None, gamma: Matrix | None = None,
                  eta: Matrix | None = None, v: list[Fraction] | None = None):
-        base = rep.base
         self.rep = rep
         self.degree = degree
         if degree < 0:
@@ -114,20 +117,15 @@ class MCochain:
             return
         if v is not None:
             raise ShapeError("positive degree carries no V-vector")
-        nt = comb(base.g.dim, degree)
-        ng = comb(base.h.dim, degree)
-        ne = comb(base.g.dim, degree - 1)
-        theta = theta if theta is not None else Matrix.zeros(rep.dim_v, nt)
-        gamma = gamma if gamma is not None else Matrix.zeros(rep.dim_w, ng)
-        eta = eta if eta is not None else Matrix.zeros(rep.dim_w, ne)
-        if (theta.rows, theta.cols) != (rep.dim_v, nt):
-            raise ShapeError(f"theta must be {rep.dim_v}x{nt}")
-        if (gamma.rows, gamma.cols) != (rep.dim_w, ng):
-            raise ShapeError(f"gamma must be {rep.dim_w}x{ng}")
-        if (eta.rows, eta.cols) != (rep.dim_w, ne):
-            raise ShapeError(f"eta must be {rep.dim_w}x{ne}")
+        blocks = []
+        for name, block, (rows, cols) in zip(("theta", "gamma", "eta"), (theta, gamma, eta),
+                                             mla_block_shapes(rep, degree)):
+            block = block if block is not None else Matrix.zeros(rows, cols)
+            if (block.rows, block.cols) != (rows, cols):
+                raise ShapeError(f"{name} must be {rows}x{cols}")
+            blocks.append(block)
         self.v = None
-        self.theta, self.gamma, self.eta = theta, gamma, eta
+        self.theta, self.gamma, self.eta = blocks
 
     def to_vector(self) -> list[Fraction]:
         """Flatten to (theta-block, gamma-block, eta-block) coordinates."""
@@ -144,17 +142,11 @@ class MCochain:
         dims = mla_block_dims(rep, degree)
         if len(flat) != sum(dims):
             raise ShapeError(f"flat vector must have length {sum(dims)}")
-        if degree == 0:
-            return cls(rep, 0, v=list(flat))
-        base = rep.base
-        shapes = [
-            (rep.dim_v, comb(base.g.dim, degree)),
-            (rep.dim_w, comb(base.h.dim, degree)),
-            (rep.dim_w, comb(base.g.dim, degree - 1)),
-        ]
+        if degree <= 0:
+            return cls(rep, degree, v=list(flat))
         blocks = []
         pos = 0
-        for rows, ncols in shapes:
+        for rows, ncols in mla_block_shapes(rep, degree):
             data = flat[pos:pos + rows * ncols]
             pos += rows * ncols
             cols = [data[t * rows:(t + 1) * rows] for t in range(ncols)]
@@ -176,26 +168,19 @@ class MCochain:
 def mla_differential(rep: MorphismRep, n: int, cone: bool = False) -> Matrix:
     """Block matrix of the morphism differential from degree n to n+1.
 
-    With ``cone=True`` degree 0 is the full cone's map on (v, w); higher
-    degrees are the same either way.
+    Every degree is the mapping cone's matrix; degree 0 has no eta block,
+    and the default complex restricts it to the graph of psi, while
+    ``cone=True`` keeps the full cone's map on (v, w).
     """
     if n < 0:
         raise ShapeError("degree must be nonnegative")
     base = rep.base
-    d_v = ce_differential(rep.v, n)
-    d_w = ce_differential(rep.w, n)
-    if n == 0 and cone:
-        return Matrix.block([
-            [d_v, Matrix.zeros(d_v.rows, rep.dim_w)],
-            [Matrix.zeros(d_w.rows, rep.dim_v), d_w],
-            [rep.psi, -Matrix.identity(rep.dim_w)],
-        ])
-    if n == 0:
-        return morphism_matrix(d_v, d_w, rep.psi)
+    d_pull = (ce_differential(pullback_rep(base, rep.w), n - 1) if n
+              else Matrix.zeros(rep.dim_w, 0))
     return morphism_matrix(
-        d_v, d_w, rep.psi, comb(base.g.dim, n),
-        precompose_matrix(wedge_minor_matrix(base.phi, n), rep.dim_w),
-        ce_differential(pullback_rep(base, rep.w), n - 1))
+        ce_differential(rep.v, n), ce_differential(rep.w, n), rep.psi, comb(base.g.dim, n),
+        precompose_matrix(wedge_minor_matrix(base.phi, n), rep.dim_w), d_pull,
+        graph=n == 0 and not cone)
 
 
 def apply_mla_differential(c: MCochain) -> MCochain:
@@ -205,7 +190,7 @@ def apply_mla_differential(c: MCochain) -> MCochain:
 
 
 def _eta_free(rep: MorphismRep, n: int) -> range:
-    """Columns of the (theta, gamma) blocks of a degree-n >= 1 cochain."""
+    """Columns of the (theta, gamma) blocks of a degree-n cochain."""
     return range(sum(mla_block_dims(rep, n)[:2]))
 
 
@@ -220,24 +205,6 @@ def mla_complex(rep: MorphismRep, cone: bool = False,
                    size_ceiling, lambda n: _eta_free(rep, n))
 
 
-class MLAComplex:
-    """All differentials of a morphism representation, verified square-zero."""
-
-    def __init__(self, rep: MorphismRep, max_degree: int | None = None):
-        base = rep.base
-        self.rep = rep
-        self.complex = mla_complex(rep)
-        self.max_degree = (max(base.g.dim + 1, base.h.dim) if max_degree is None
-                           else max_degree)
-        self.differentials = self.complex.verified(self.max_degree)
-
-    def cochain_dim(self, n: int) -> int:
-        return self.complex.dim(n)
-
-    def cohomology_dim(self, n: int) -> int:
-        return self.complex.dim_H(n)
-
-
 def mla_cohomology_dim(rep: MorphismRep, n: int, cone: bool = False) -> int:
     """dim ker delta_n minus rank delta_{n-1} in the morphism complex.
 
@@ -250,7 +217,7 @@ def mla_cohomology_dim(rep: MorphismRep, n: int, cone: bool = False) -> int:
 def simple_differential(rep: MorphismRep, n: int) -> Matrix:
     """delta restricted to cochains with vanishing eta component."""
     full = mla_differential(rep, n)
-    return full if n == 0 else full.submatrix(range(full.rows), _eta_free(rep, n))
+    return full.submatrix(range(full.rows), _eta_free(rep, n))
 
 
 def simple_cohomology_dim(rep: MorphismRep, n: int) -> int:

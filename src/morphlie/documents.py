@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import comb
 from typing import Any, Callable, NamedTuple
 
 from .algebras import (
@@ -24,7 +25,7 @@ from .algebras import (
     Representation,
     check_jacobi,
 )
-from .cohomology import MCochain
+from .cohomology import MCochain, mla_block_shapes
 from .errors import (
     MorphismAlgebraError,
     ParseError,
@@ -103,10 +104,6 @@ def parse_matrix(value: Any, where: str, rows: int | None = None,
     if cols is not None and m.cols != cols:
         raise ParseError(f"{where}: expected {cols} columns, got {m.cols}")
     return m
-
-
-def scalar_data(x: Fraction) -> str:
-    return rat_str(x)
 
 
 def vector_data(v: list[Fraction]) -> list[str]:
@@ -287,26 +284,20 @@ class ProblemDocument:
         return MorphismRep(base, v, w, psi)
 
     def _build_cochain(self, where: str, value: Any) -> MCochain:
-        from math import comb
-
         entry = _require_mapping(value, where)
         rep = self._ref(self.morphism_reps, _field(entry, "morphism_rep", where),
                         where, "morphism rep")
         degree = _require_int(_field(entry, "degree", where), f"{where}.degree")
+        if degree < 0:
+            raise ParseError(f"{where}.degree: expected a nonnegative integer")
         if degree == 0:
             return MCochain(rep, 0,
                             v=parse_vector(_field(entry, "v", where),
                                            f"{where}.v", rep.dim_v))
-        base = rep.base
-        shapes = {
-            "theta": (rep.dim_v, comb(base.g.dim, degree)),
-            "gamma": (rep.dim_w, comb(base.h.dim, degree)),
-            "eta": (rep.dim_w, comb(base.g.dim, degree - 1)),
-        }
-        blocks = {}
-        for key, (r, c) in shapes.items():
-            if key in entry:
-                blocks[key] = parse_matrix(entry[key], f"{where}.{key}", r, c)
+        blocks = {key: parse_matrix(entry[key], f"{where}.{key}", r, c)
+                  for key, (r, c) in zip(("theta", "gamma", "eta"),
+                                         mla_block_shapes(rep, degree))
+                  if key in entry}
         return MCochain(rep, degree, **blocks)
 
     def _build_group(self, where: str, value: Any) -> FiniteGroup:
@@ -349,8 +340,6 @@ class ProblemDocument:
         return GroupModuleTriple(g, h, phi, v, w, psi)
 
     def _build_two_term_sh(self, where: str, value: Any) -> TwoTermSh:
-        from math import comb
-
         entry = _require_mapping(value, where)
         bracket0 = self._ref(self.lie_algebras, _field(entry, "bracket0", where),
                              where, "Lie algebra")
@@ -368,8 +357,6 @@ class ProblemDocument:
         return TwoTermSh(bracket0, action1, d, l3=l3)
 
     def _build_sh_morphism(self, where: str, value: Any) -> ShMorphismEntry:
-        from math import comb
-
         entry = _require_mapping(value, where)
         source_name = _field(entry, "source", where)
         target_name = _field(entry, "target", where)

@@ -106,16 +106,7 @@ class AbelianExtension:
         canonical section recovers the defining cocycle, and the induced
         representation must agree with rep exactly.
         """
-        base = rep.base
-        i = Matrix.vstack([Matrix.zeros(base.g.dim, rep.dim_v),
-                           Matrix.identity(rep.dim_v)])
-        p = Matrix.hstack([Matrix.identity(base.g.dim),
-                           Matrix.zeros(base.g.dim, rep.dim_v)])
-        i_bar = Matrix.vstack([Matrix.zeros(base.h.dim, rep.dim_w),
-                               Matrix.identity(rep.dim_w)])
-        p_bar = Matrix.hstack([Matrix.identity(base.h.dim),
-                               Matrix.zeros(base.h.dim, rep.dim_w)])
-        ext = cls(rep, None, total, i, p, i_bar, p_bar)
+        ext = cls(rep, None, total, *_block_maps(rep))
         cocycle, induced = extract_cocycle(ext, *ext.canonical_section())
         if (induced.v.action != rep.v.action
                 or induced.w.action != rep.w.action
@@ -148,6 +139,17 @@ class AbelianExtension:
     def __repr__(self) -> str:
         return (f"AbelianExtension(total_g={self.total.g.dim}, "
                 f"total_h={self.total.h.dim})")
+
+
+def _block_maps(rep: MorphismRep) -> tuple[Matrix, Matrix, Matrix, Matrix]:
+    """i, p, i_bar, p_bar for total bases ordered base first, then fiber."""
+    maps = []
+    for base_dim, fiber_dim in ((rep.base.g.dim, rep.dim_v), (rep.base.h.dim, rep.dim_w)):
+        maps.append(Matrix.vstack([Matrix.zeros(base_dim, fiber_dim),
+                                   Matrix.identity(fiber_dim)]))
+        maps.append(Matrix.hstack([Matrix.identity(base_dim),
+                                   Matrix.zeros(base_dim, fiber_dim)]))
+    return tuple(maps)
 
 
 def _cocycle_failure_block(rep: MorphismRep, image: list[Fraction]) -> str:
@@ -207,12 +209,7 @@ def build_extension(rep: MorphismRep, cocycle: MCochain) -> AbelianExtension:
         [cocycle.eta, rep.psi],
     ])
     total = MorphismLieAlgebra(g_hat, h_hat, phi_hat)
-
-    i = Matrix.vstack([Matrix.zeros(base.g.dim, rep.dim_v), Matrix.identity(rep.dim_v)])
-    p = Matrix.hstack([Matrix.identity(base.g.dim), Matrix.zeros(base.g.dim, rep.dim_v)])
-    i_bar = Matrix.vstack([Matrix.zeros(base.h.dim, rep.dim_w), Matrix.identity(rep.dim_w)])
-    p_bar = Matrix.hstack([Matrix.identity(base.h.dim), Matrix.zeros(base.h.dim, rep.dim_w)])
-    return AbelianExtension(rep, cocycle, total, i, p, i_bar, p_bar)
+    return AbelianExtension(rep, cocycle, total, *_block_maps(rep))
 
 
 def _fiber_coordinates(i_mat: Matrix, vectors: Matrix, context: str) -> Matrix:

@@ -284,13 +284,11 @@ def mlg_cochain_dim(t: GroupModuleTriple, n: int, normalized: bool = False) -> i
 
 def mlg_differential(t: GroupModuleTriple, n: int,
                      normalized: bool = False) -> Matrix:
-    """Matrix of the morphism-group differential C^n_mLG -> C^{n+1}_mLG."""
-    if n < 0:
-        raise ShapeError("degree must be nonnegative")
-    dv = group_differential(t.v, n, normalized)
-    dw = group_differential(t.w, n, normalized)
-    if n == 0:
-        return morphism_matrix(dv, dw, t.psi)
+    """Matrix of the morphism-group differential C^n_mLG -> C^{n+1}_mLG.
+
+    The mapping cone's matrix in every degree; degree 0 has no Lambda block
+    and is restricted to the graph of psi, so that C^0 = V.
+    """
     g_tuples = group_cochain_tuples(t.g, n, normalized)
     h_index = {tup: i for i, tup in enumerate(group_cochain_tuples(t.h, n, normalized))}
     pre = []
@@ -299,8 +297,11 @@ def mlg_differential(t: GroupModuleTriple, n: int,
         for r in range(t.dim_w):
             pre.append({} if m_idx is None else {m_idx * t.dim_w + r: 1})
     pre_phi = Matrix.from_dicts(pre, len(h_index) * t.dim_w)
-    return morphism_matrix(dv, dw, t.psi, len(g_tuples), pre_phi,
-                           group_differential(pullback_module(t), n - 1, normalized))
+    d_pull = (group_differential(pullback_module(t), n - 1, normalized) if n
+              else Matrix.zeros(t.dim_w, 0))
+    return morphism_matrix(group_differential(t.v, n, normalized),
+                           group_differential(t.w, n, normalized), t.psi, len(g_tuples),
+                           pre_phi, d_pull, graph=n == 0)
 
 
 def mlg_complex(t: GroupModuleTriple, normalized: bool = False,

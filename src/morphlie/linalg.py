@@ -31,8 +31,6 @@ from typing import Callable, ItemsView, Iterable, Mapping, Sequence
 
 from .errors import ShapeError, SizeCeilingExceeded
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -409,14 +407,6 @@ class Complex:
         if not product_is_zero(self.matrix(n), prev):
             raise AssertionError(f"{self.name} differential does not square to zero")
         self._verified.add(n)
-
-    def verified(self, top: int) -> dict[int, Matrix]:
-        """d_0, ..., d_top, each checked against the one before."""
-        out = {}
-        for n in range(top + 1):
-            out[n] = self.matrix(n)
-            self.verify(n)
-        return out
 
     def dim_H(self, n: int, simple: bool = False) -> int:
         """dim C^n - rank d_n - rank d_{n-1}, or rank s_{n-1} with ``simple``."""

@@ -10,10 +10,12 @@ combinations of a kernel basis.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 
-from .algebras import MorphismLieAlgebra, MorphismRep, Representation
+from .algebras import MorphismRep, Representation, _unit
 from .cohomology import MCochain, mla_block_dims, mla_differential
 from .fixtures import (
     sign_module,
@@ -158,18 +160,10 @@ class Sampler:
 
     def twist_data(self, rep: MorphismRep) -> tuple[Matrix, Matrix, Matrix]:
         """Random (sigma, sigma', phi) twist data for a skeletal object."""
-        from math import comb
-
         g_dim, h_dim = rep.base.g.dim, rep.base.h.dim
         return (self.matrix(rep.dim_v, comb(g_dim, 2)),
                 self.matrix(rep.dim_w, comb(h_dim, 2)),
                 self.matrix(rep.dim_w, g_dim))
-
-
-def _unit(dim: int, i: int) -> list[Fraction]:
-    v = [ZERO] * dim
-    v[i] = Fraction(1)
-    return v
 
 
 def _intertwiner_constraints(pairs: list[tuple[Matrix, Matrix]],
@@ -197,6 +191,4 @@ def _intertwiner_constraints(pairs: list[tuple[Matrix, Matrix]],
 
 def _all_maps(domain: int, codomain: int):
     """All functions {0..domain-1} -> {0..codomain-1} as index tuples."""
-    import itertools
-
     return itertools.product(range(codomain), repeat=domain)

@@ -280,6 +280,18 @@ class TestInputBoundary:
         assert code == 2 and out == ""
         assert err.startswith(f"error (parse-error): cannot read {path}: 'utf-8' codec")
 
+    def test_negative_cochain_degree(self, capsys, tmp_path):
+        data = _base_document(a1_triple()).to_dict()
+        data["cochains"] = {"bad": {"morphism_rep": "rep", "degree": -1}}
+        path = write(tmp_path, "doc.json", json.dumps(data))
+        code, out, err = run(capsys, "check", path)
+        assert code == 1 and err == ""
+        assert "FAIL  cochains/bad: cochains/bad.degree: expected a nonnegative integer" in out
+        for argv in (["cohomology", path, "rep"], ["extend", path, "bad"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error (parse-error): cochains/bad") and err.count("\n") == 1
+
 
 class TestStartUp:
     """The import path of every request stays free of dataclasses and its chain."""
@@ -417,8 +429,9 @@ class TestSh:
 
     def test_degree_3_differential_builds(self, capsys, monkeypatch, sl2_doc, tmp_path):
         # from-cocycle: the input's cocycle check only, as its document
-        # holds the triple it was given; twist: one extraction, the
-        # coboundary of the twist, then the twisted cochain's cocycle check.
+        # holds the triple it was given; twist: the coboundary of the twist,
+        # then the twisted cochain's cocycle check.  Extraction builds none:
+        # the skeletal object's axioms already are the rows of d_3.
         import morphlie.cohomology
 
         built = _record_calls(monkeypatch, morphlie.cohomology, "mla_differential")
@@ -428,7 +441,11 @@ class TestSh:
         built.clear()
         code, _, _ = run(capsys, "sh", "twist", skel_path, "morphism",
                          "--seed", "11", "-o", str(tmp_path / "twisted.json"))
-        assert code == 0 and built == [3, 2, 3]
+        assert code == 0 and built == [2, 3]
+        built.clear()
+        code, _, _ = run(capsys, "sh", "to-triple", skel_path, "morphism",
+                         "-o", str(tmp_path / "triple.json"))
+        assert code == 0 and built == []
 
     def test_twist_deterministic(self, capsys, sl2_doc, tmp_path):
         skel_path = str(tmp_path / "skel.json")

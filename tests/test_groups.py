@@ -300,6 +300,23 @@ class TestMlgDifferential:
         assert (delta.rows, delta.cols) == (mlg_cochain_dim(t, 1), 1)
         assert delta.is_zero()
 
+    def test_degree0_differential_builds_no_pullback(self, monkeypatch):
+        import morphlie.groups as groups
+
+        calls = []
+
+        def counting_pullback(*args):
+            calls.append(args)
+            return pullback_module(*args)
+
+        monkeypatch.setattr(groups, "pullback_module", counting_pullback)
+        t = klein_to_z2_triple()
+        mlg_differential(t, 0)
+        mlg_differential(t, 0, normalized=True)
+        assert calls == []
+        mlg_differential(t, 1)
+        assert len(calls) == 1
+
     def test_block_dims(self):
         t = klein_to_z2_triple()
         assert mlg_block_dims(t, 0) == (1, 0, 0)

@@ -10,7 +10,7 @@ from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, MorphismRep, Repre
 from morphlie.cecomplex import ce_differential
 from morphlie.cohomology import MCochain, mla_differential
 from morphlie.errors import NotACocycle, ShapeError, ValidationError
-from morphlie.fixtures import a2, heis, sl2, sl2_v1_triple, v1
+from morphlie.fixtures import a2, heis, sl2, sl2_v1_triple, standard_morphism_reps, v1
 from morphlie.linalg import Matrix, kernel_basis
 from morphlie.sampling import Sampler
 from morphlie.shlie import (
@@ -215,6 +215,33 @@ class TestSkeletal:
             assert c2.to_vector() == flat
             assert rep2.base.g.c == rep.base.g.c
             assert rep2.base.h.c == rep.base.h.c
+
+    def test_construction_accepts_exactly_the_closed_cochains(self):
+        # Source axiom (v), target axiom (v) and morphism condition (iv) are
+        # the three block rows of d_3, so skeletal_to_triple checks nothing.
+        sampler = Sampler(404)
+        seen = set()
+        for name, rep in standard_morphism_reps():
+            delta = mla_differential(rep, 3)
+            flats = _cols(Matrix.identity(delta.cols))
+            flats += [[sampler.fraction() for _ in range(delta.cols)] for _ in range(2)]
+            flats += [sampler.closed_cochain(rep, 3).to_vector() for _ in range(2)]
+            for flat in flats:
+                closed = not any(delta.apply(flat))
+                c = MCochain.from_vector(rep, 3, flat)
+                m = rep.base
+                source = TwoTermSh(m.g, list(rep.v.action),
+                                   Matrix.zeros(m.g.dim, rep.dim_v), l3=c.theta)
+                target = TwoTermSh(m.h, list(rep.w.action),
+                                   Matrix.zeros(m.h.dim, rep.dim_w), l3=c.gamma)
+                try:
+                    SkeletalMorphismSh(source, target, ShMorphism(m.phi, rep.psi, c.eta))
+                    accepted = True
+                except ValidationError:
+                    accepted = False
+                assert accepted == closed, name
+                seen.add(closed)
+        assert seen == {True, False}
 
     def test_non_cocycle_rejected(self):
         rep = sl2_v1_triple()
