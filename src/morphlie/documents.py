@@ -215,7 +215,8 @@ class ProblemDocument:
                 except MorphismAlgebraError as exc:
                     if strict:
                         kind = ParseError if isinstance(exc, ParseError) else ValidationError
-                        raise kind(f"{where}: {exc}") from exc
+                        msg = str(exc)
+                        raise kind(msg if msg.startswith(where) else f"{where}: {msg}") from exc
                     rows.append(CheckRow(section, name, False, str(exc)))
         return rows
 

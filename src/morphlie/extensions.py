@@ -20,7 +20,7 @@ from .algebras import (
     is_lie_homomorphism,
 )
 from .cecomplex import ExteriorBasis
-from .cohomology import MCochain, mla_block_dims, mla_differential
+from .cohomology import MCochain, _first_nonzero, mla_differential
 from .errors import (
     NotACocycle,
     NotASection,
@@ -152,17 +152,6 @@ def _block_maps(rep: MorphismRep) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     return tuple(maps)
 
 
-def _cocycle_failure_block(rep: MorphismRep, image: list[Fraction]) -> str:
-    dims = mla_block_dims(rep, 3)
-    names = ("theta", "gamma", "eta")
-    pos = 0
-    for name, size in zip(names, dims):
-        if any(image[pos:pos + size]):
-            return name
-        pos += size
-    return "none"
-
-
 def _extended_algebra(g: LieAlgebra, rep_action, dim_v: int,
                       value_block: Matrix) -> LieAlgebra:
     """g (+) V with bracket twisted by a Hom(wedge^2 g, V) value block."""
@@ -192,10 +181,9 @@ def build_extension(rep: MorphismRep, cocycle: MCochain) -> AbelianExtension:
     """
     if cocycle.degree != 2:
         raise ShapeError("extension cocycles live in degree 2")
-    image = mla_differential(rep, 2).apply(cocycle.to_vector())
-    if any(image):
-        block = _cocycle_failure_block(rep, image)
-        raise NotACocycle(f"differential of the cochain is nonzero in the {block} block")
+    spot = _first_nonzero(rep, 3, mla_differential(rep, 2).apply(cocycle.to_vector()))
+    if spot is not None:
+        raise NotACocycle(f"differential of the cochain is nonzero in the {spot[0]} block")
 
     base = rep.base
     g_hat = _extended_algebra(base.g, rep.v.action, rep.dim_v, cocycle.theta)

@@ -143,6 +143,9 @@ def group_cochain_tuples(group: FiniteGroup, n: int,
 
 def group_cochain_dim(group: FiniteGroup, dim: int, n: int,
                       normalized: bool = False) -> int:
+    """dim * |G|^n, or dim * (|G| - 1)^n normalized; no cochains below degree 0."""
+    if n < 0:
+        return 0
     pool = group.order - 1 if normalized else group.order
     return dim * pool ** n
 
@@ -267,13 +270,9 @@ def pullback_module(t: GroupModuleTriple) -> GroupModule:
 def mlg_block_dims(t: GroupModuleTriple, n: int,
                    normalized: bool = False) -> tuple[int, int, int]:
     """(Theta, Gamma, Lambda) coordinate counts in degree n; degree 0 is V."""
-    if n < 0:
-        raise ShapeError("degree must be nonnegative")
-    if n == 0:
-        return (t.dim_v, 0, 0)
     return (
         group_cochain_dim(t.g, t.dim_v, n, normalized),
-        group_cochain_dim(t.h, t.dim_w, n, normalized),
+        group_cochain_dim(t.h, t.dim_w, n, normalized) if n else 0,
         group_cochain_dim(t.g, t.dim_w, n - 1, normalized),
     )
 

@@ -275,6 +275,60 @@ def o_mla_dims(raw, max_degree, cone=False):
     return dims
 
 
+# ----------------------------------------------------------- derivations
+
+
+def _derivation_residuals(raw, d, dl, w):
+    """(report, residual) of each derivation identity, in report order.
+
+    d (dim_v x dim_g) and dl (dim_w x dim_h) are lists of rows, w a W-vector:
+      d[x,y] - rho_V(x) d(y) + rho_V(y) d(x)         on basis pairs of g,
+      dl[x,y] - rho_W(x) dl(y) + rho_W(y) dl(x)      on basis pairs of h,
+      rho_W(phi x) w - psi d(x) + dl(phi x)          on basis vectors of g.
+    """
+    col = lambda m, j: [row[j] for row in m]
+    for name, e, dim, c, act, m in (("first", "e", raw["dim_g"], raw["c_g"], raw["act_v"], d),
+                                    ("second", "f", raw["dim_h"], raw["c_h"], raw["act_w"], dl)):
+        for i, j in combinations(range(dim), 2):
+            yield (f"{name} identity fails on basis pair ({e}{i+1}, {e}{j+1})",
+                   _vadd(_mv(m, c[i][j]), _vscale(-1, _mv(act[i], col(m, j))),
+                         _mv(act[j], col(m, i))))
+    for i in range(raw["dim_g"]):
+        phi_x = col(raw["phi"], i)
+        rho_w = [_vscale(phi_x[j], _mv(a, w)) for j, a in enumerate(raw["act_w"])]
+        yield (f"third identity fails at basis vector e{i+1}",
+               _vadd([Z] * raw["dim_w"], *rho_w, _vscale(-1, _mv(raw["psi"], col(d, i))),
+                     _mv(dl, phi_x)))
+
+
+def o_derivation_failure(raw, d, dl, w):
+    """The report of the first identity (d, dl, w) breaks, or None for a derivation."""
+    return next((report for report, res in _derivation_residuals(raw, d, dl, w) if any(res)),
+                None)
+
+
+def o_derivation_dims(raw):
+    """(invariant vectors, Der, InnDer) from the definitions, without cochains.
+
+    Der solves the three identities in the unknowns (d, dl, w).  InnDer is
+    spanned by the triples (rho_V(.) v, rho_W(.) psi v, 0), and the invariant
+    vectors are the v whose triple is zero.
+    """
+    dv, dw, dg, dh = raw["dim_v"], raw["dim_w"], raw["dim_g"], raw["dim_h"]
+    n = dv * dg + dw * dh + dw
+    cols = []
+    for k in range(n):
+        x = [Fraction(int(i == k)) for i in range(n)]
+        d = [[x[j * dv + r] for j in range(dg)] for r in range(dv)]
+        dl = [[x[dv * dg + j * dw + r] for j in range(dh)] for r in range(dw)]
+        cols.append([y for _, res in _derivation_residuals(raw, d, dl, x[n - dw:]) for y in res])
+    inner = [row for a in raw["act_v"] for row in a] + [
+        [sum((a[r][s] * raw["psi"][s][c] for s in range(dw)), Z) for c in range(dv)]
+        for a in raw["act_w"] for r in range(dw)]
+    r_inner = o_rank(inner)
+    return dv - r_inner, n - o_rank(cols), r_inner
+
+
 # ---------------------------------------------------------------- groups
 
 

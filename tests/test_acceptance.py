@@ -10,16 +10,19 @@ on the full cone (``cone=True``, degree 0 = V + W).  On the default complex
 cohomology in every degree except 1, where the default is larger by dim W.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 from morphlie.cecomplex import ce_cohomology_dim, ce_differential, pullback_rep
 from morphlie.cohomology import (
     MCochain,
+    derivation_space_dim,
+    inner_derivation_dim,
     invariant_vectors_dim,
     mla_cohomology_dim,
     mla_differential,
     outer_derivation_dim,
-    check_derivation,
 )
 from morphlie.extensions import build_extension, coboundary_isomorphism, extract_cocycle
 from morphlie.fixtures import (
@@ -46,9 +49,13 @@ from morphlie.linalg import Matrix, kernel_basis
 from morphlie.sampling import Sampler
 from morphlie.shlie import skeletal_to_triple, triple_to_skeletal, twist_equivalence
 
+from .oracles import o_derivation_dims, o_derivation_failure
+from .test_cohomology import _raw
+
 RANDOM_ROUNDS = 50
 COCYCLE_ROUNDS = 20
 CONE_ROUNDS = 20
+DERIVATION_ROUNDS = 10
 
 
 def report(num: int, ok: bool, summary: str) -> str:
@@ -308,20 +315,47 @@ def test_criterion_09_group_fixture():
 
 def test_criterion_10_low_degree_invariants():
     failures = []
-    for name, rep in standard_morphism_reps():
-        if invariant_vectors_dim(rep) != mla_cohomology_dim(rep, 0):
-            failures.append(f"{name}: stacked kernel differs at degree 0")
-        if outer_derivation_dim(rep) != mla_cohomology_dim(rep, 1):
-            failures.append(f"{name}: Der - InnDer differs at degree 1")
+    s = Sampler(404)
+    reps = standard_morphism_reps() + [(f"random #{k}", s.morphism_rep())
+                                       for k in range(DERIVATION_ROUNDS)]
+    for name, rep in reps:
+        raw = _raw(rep)
+        invariants, der, inner = o_derivation_dims(raw)
+        ours = (invariant_vectors_dim(rep), derivation_space_dim(rep),
+                inner_derivation_dim(rep), outer_derivation_dim(rep))
+        if ours != (invariants, der, inner, der - inner):
+            failures.append(f"{name}: (invariants, Der, InnDer, outer) {ours} against "
+                            f"the identities' {(invariants, der, inner, der - inner)}")
         kb = kernel_basis(mla_differential(rep, 1))
         for j in range(kb.cols):
             c = MCochain.from_vector(rep, 1, kb.col(j))
-            res = check_derivation(rep, c.theta, c.gamma, c.eta.col(0))
-            if not res:
+            broken = o_derivation_failure(raw, c.theta.to_lists(), c.gamma.to_lists(),
+                                          c.eta.col(0))
+            if broken:
                 failures.append(f"{name}: cocycle #{j} fails the "
-                                f"identity-by-identity check: {res.detail}")
+                                f"identity-by-identity check: {broken}")
     ok = not failures
-    line = report(10, ok, "degree 0 equals the stacked-kernel invariants and "
-                  "degree 1 equals Der - InnDer on every fixture"
+    line = report(10, ok, "invariant vectors, Der, InnDer and Der - InnDer read off "
+                  "the morphism differential equal the derivation identities' "
+                  "dimensions, and every 1-cocycle satisfies the identities, on "
+                  f"fixtures and {DERIVATION_ROUNDS} random inputs"
                   + ("" if ok else f"; failures: {failures[:3]}"))
     assert ok, line
+
+
+def test_oracles_import_nothing_from_the_package():
+    """The checks above are two computations only while the oracles stay apart.
+
+    Every import in tests/oracles.py, at any depth, must be absolute and
+    outside morphlie; a relative import could reach the package through
+    another test module.
+    """
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    imports = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports += [(0, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imports.append((node.level, node.module or ""))
+    shared = [name for level, name in imports if level or name.split(".")[0] == "morphlie"]
+    assert imports and not shared, shared

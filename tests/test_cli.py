@@ -290,7 +290,9 @@ class TestInputBoundary:
         for argv in (["cohomology", path, "rep"], ["extend", path, "bad"]):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
-            assert err.startswith("error (parse-error): cochains/bad") and err.count("\n") == 1
+            assert err == ("error (parse-error): cochains/bad.degree: "
+                           "expected a nonnegative integer\n")
+            assert err.count("cochains/bad") == 1
 
 
 class TestStartUp:

@@ -37,6 +37,7 @@ from morphlie.fixtures import (
     a1,
     a1_triple,
     a2,
+    a2_triple,
     heis,
     heis_adjoint_triple,
     sl2,
@@ -48,7 +49,7 @@ from morphlie.fixtures import (
 )
 from morphlie.linalg import Matrix
 
-from .oracles import o_mla_dims, o_mla_matrix
+from .oracles import o_derivation_dims, o_derivation_failure, o_mla_dims, o_mla_matrix
 
 
 def _raw(rep: MorphismRep) -> dict:
@@ -248,12 +249,15 @@ def test_simple_equals_kernel_when_lower_differential_zero():
 
 def test_invariant_vectors_match_degree0_cohomology():
     for name, rep in standard_morphism_reps():
-        assert invariant_vectors_dim(rep) == mla_cohomology_dim(rep, 0), name
+        invariants, _, _ = o_derivation_dims(_raw(rep))
+        assert invariant_vectors_dim(rep) == mla_cohomology_dim(rep, 0) == invariants, name
 
 
 def test_outer_derivations_match_degree1_cohomology():
     for name, rep in standard_morphism_reps():
-        assert outer_derivation_dim(rep) == mla_cohomology_dim(rep, 1), name
+        _, der, inner = o_derivation_dims(_raw(rep))
+        assert (derivation_space_dim(rep), inner_derivation_dim(rep)) == (der, inner), name
+        assert outer_derivation_dim(rep) == mla_cohomology_dim(rep, 1) == der - inner, name
 
 
 def test_sl2_v1_derivation_count():
@@ -296,6 +300,23 @@ def test_a1_nonderivation_reports_third_identity():
     assert "third identity" in res.detail
 
 
+def test_check_derivation_names_the_one_failing_identity():
+    """Each triple breaks exactly one identity, not at the first basis pair."""
+    g = sl2()
+    no_w = MorphismRep(MorphismLieAlgebra.identity(g), v1(g),
+                       Representation.trivial(g, 0), Matrix.zeros(0, 2))
+    res = check_derivation(no_w, Matrix.from_rows([[-1, -1, -1], [0, -1, 1]]),
+                           Matrix.zeros(0, 3), [])
+    assert (res.ok, res.detail) == (False, "first identity fails on basis pair (e2, e3)")
+    no_v = MorphismRep(MorphismLieAlgebra(a1(), g, Matrix.zeros(3, 1)),
+                       Representation.trivial(a1(), 0), v1(g), Matrix.zeros(2, 0))
+    res = check_derivation(no_v, Matrix.zeros(0, 1),
+                           Matrix.from_rows([[-1, -1, -1], [-1, -1, 1]]), [0, 0])
+    assert (res.ok, res.detail) == (False, "second identity fails on basis pair (f1, f3)")
+    res = check_derivation(a2_triple(), Matrix.from_rows([[0, 1]]), Matrix.zeros(1, 2), [0])
+    assert (res.ok, res.detail) == (False, "third identity fails at basis vector e2")
+
+
 def test_check_derivation_shape_errors():
     rep = a1_triple()
     with pytest.raises(ShapeError):
@@ -310,11 +331,13 @@ _small = st.integers(min_value=-2, max_value=2)
        st.lists(_small, min_size=6, max_size=6),
        st.lists(_small, min_size=2, max_size=2))
 def test_derivation_routes_agree_on_random_triples(flat_d, flat_del, w):
-    """check_derivation cross-verifies its two routes internally."""
+    """The verdict and report agree with the oracle's identity-by-identity residuals."""
     rep = sl2_v1_triple()
-    d = Matrix.from_rows([flat_d[0:3], flat_d[3:6]])
-    del_ = Matrix.from_rows([flat_del[0:3], flat_del[3:6]])
-    check_derivation(rep, d, del_, [Fraction(x) for x in w])  # raises on disagreement
+    d = [flat_d[0:3], flat_d[3:6]]
+    del_ = [flat_del[0:3], flat_del[3:6]]
+    res = check_derivation(rep, Matrix.from_rows(d), Matrix.from_rows(del_), w)
+    expected = o_derivation_failure(_raw(rep), d, del_, w)
+    assert (res.ok, res.detail) == (expected is None, expected)
 
 
 def test_vanishing_implication_away_from_degree_one():

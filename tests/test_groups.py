@@ -22,6 +22,7 @@ from morphlie.groups import (
     FiniteGroup,
     GroupModule,
     GroupModuleTriple,
+    group_cochain_dim,
     group_cochain_tuples,
     group_cohomology_dim,
     group_differential,
@@ -175,6 +176,8 @@ class TestCochainTuples:
     def test_negative_degree(self):
         with pytest.raises(ShapeError):
             group_cochain_tuples(FiniteGroup.trivial(), -1)
+        assert group_cochain_dim(FiniteGroup.cyclic(2), 1, -1) == 0
+        assert group_cochain_dim(FiniteGroup.trivial(), 1, -1, normalized=True) == 0
 
 
 class TestGroupDifferential:
@@ -323,6 +326,7 @@ class TestMlgDifferential:
         assert mlg_block_dims(t, 1) == (4, 2, 1)
         assert mlg_block_dims(t, 2) == (16, 4, 4)
         assert mlg_block_dims(t, 2, normalized=True) == (9, 1, 3)
+        assert mlg_block_dims(t, -1) == mlg_block_dims(t, -1, normalized=True) == (0, 0, 0)
 
     def test_squares_to_zero(self):
         for name, t in _triple_fixtures():

@@ -25,6 +25,7 @@ from morphlie.shlie import (
 )
 
 from .oracles import o_mla_matrix, o_sh_failure, o_sh_morphism_failure
+from .test_cohomology import _raw
 
 
 def _skeletal_from(rep: MorphismRep, flat) -> SkeletalMorphismSh:
@@ -275,17 +276,6 @@ class TestSkeletal:
         rep = sl2_v1_triple()
         ours = mla_differential(rep, 2)
         assert ours == Matrix.from_rows(o_mla_matrix(_raw(rep), 2), cols=ours.cols)
-
-
-def _raw(rep: MorphismRep):
-    base = rep.base
-    return {
-        "dim_g": base.g.dim, "c_g": base.g.c,
-        "dim_h": base.h.dim, "c_h": base.h.c,
-        "dim_v": rep.dim_v, "act_v": [m.to_lists() for m in rep.v.action],
-        "dim_w": rep.dim_w, "act_w": [m.to_lists() for m in rep.w.action],
-        "phi": base.phi.to_lists(), "psi": rep.psi.to_lists(),
-    }
 
 
 class TestTwist:
