@@ -6,17 +6,18 @@ a representation is a list of action matrices, and a morphism Lie algebra
 (g, h, phi) is a pair of algebras with a homomorphism given as a matrix.
 Antisymmetry is enforced at construction; the Jacobi identity is a separate
 queryable check so that broken data can still be represented and diagnosed.
+Every bracket and every check sums over the nonzero structure constants only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, combinations_with_replacement, islice
 from math import comb
 from typing import Sequence
 
 from .errors import NotAHomomorphism, RotaBaxterViolation, ShapeError, ValidationError
-from .linalg import Matrix, Scalar, ZERO, rat
+from .linalg import Matrix, ONE, Scalar, ZERO, rat
 
 Vector = list[Fraction]
 
@@ -42,7 +43,8 @@ class LieAlgebra:
 
     Antisymmetry c[i][j][k] = -c[j][i][k] is required at construction;
     whether the data satisfies Jacobi is a separate question answered by
-    check_jacobi, so near-Lie data can be built and examined.
+    check_jacobi, so near-Lie data can be built and examined.  ``nonzero[i][j]``
+    lists the pairs (k, c[i][j][k]) with c[i][j][k] != 0.
     """
 
     def __init__(self, dim: int, structure: Sequence[Sequence[Sequence[Scalar]]]):
@@ -51,18 +53,14 @@ class LieAlgebra:
         if len(structure) != dim or any(len(row) != dim for row in structure):
             raise ShapeError(f"structure table must be {dim}x{dim} vectors")
         self.dim = dim
-        self.c: list[list[Vector]] = [
-            [[rat(x) for x in structure[i][j]] for j in range(dim)] for i in range(dim)
-        ]
-        for i in range(dim):
-            for j in range(dim):
-                if len(self.c[i][j]) != dim:
-                    raise ShapeError("bracket vectors must have length dim")
-                for k in range(dim):
-                    if self.c[i][j][k] != -self.c[j][i][k]:
-                        raise ShapeError(
-                            f"structure constants not antisymmetric at (e{i+1}, e{j+1})"
-                        )
+        self.c: list[list[Vector]] = [[[rat(x) for x in cij] for cij in ci] for ci in structure]
+        if any(len(cij) != dim for ci in self.c for cij in ci):
+            raise ShapeError("bracket vectors must have length dim")
+        self.nonzero: list[list[list[tuple[int, Fraction]]]] = [
+            [[(k, x) for k, x in enumerate(cij) if x] for cij in ci] for ci in self.c]
+        for i, j in combinations_with_replacement(range(dim), 2):
+            if self.nonzero[i][j] != [(k, -x) for k, x in self.nonzero[j][i]]:
+                raise ShapeError(f"structure constants not antisymmetric at (e{i+1}, e{j+1})")
 
     @classmethod
     def abelian(cls, dim: int) -> LieAlgebra:
@@ -86,17 +84,8 @@ class LieAlgebra:
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeError("vectors must have length dim")
         out: Vector = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                cij = self.c[i][j]
-                coeff = rat(xi) * rat(yj)
-                for k in range(self.dim):
-                    if cij[k]:
-                        out[k] += coeff * cij[k]
+        for k, z in _bracket_items(self, _items(x), _items(y)).items():
+            out[k] = z
         return out
 
     def ad_matrix(self, x: Sequence[Scalar]) -> Matrix:
@@ -120,6 +109,22 @@ def _unit(dim: int, i: int) -> Vector:
     return v
 
 
+def _items(x: Sequence[Scalar]) -> list[tuple[int, Fraction]]:
+    return [(i, rat(xi)) for i, xi in enumerate(x) if xi]
+
+
+def _bracket_items(a: LieAlgebra, xs: list[tuple[int, Fraction]],
+                   ys: list[tuple[int, Fraction]]) -> dict[int, Fraction]:
+    """[x, y] for x, y given by their (index, coefficient) nonzeros; sums may cancel to 0."""
+    out: dict[int, Fraction] = {}
+    for i, x in xs:
+        ci = a.nonzero[i]
+        for j, y in ys:
+            for k, z in ci[j]:
+                out[k] = out.get(k, ZERO) + x * y * z
+    return out
+
+
 def jacobiator(a: LieAlgebra) -> Matrix:
     """[[x,y],z] + [[y,z],x] + [[z,x],y] on the basis triples, one column each.
 
@@ -127,12 +132,11 @@ def jacobiator(a: LieAlgebra) -> Matrix:
     [[e_p, e_q], e_r] = sum_l c[p][q][l] c[l][r] is summed over the nonzero
     structure constants only.
     """
-    nonzero = [[[(l, x) for l, x in enumerate(cij) if x] for cij in ci] for ci in a.c]
     rows: list[dict[int, Fraction]] = [{} for _ in range(a.dim)]
     for t, (i, j, k) in enumerate(combinations(range(a.dim), 3)):
         for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-            for l, x in nonzero[p][q]:
-                for m, y in nonzero[l][r]:
+            for l, x in a.nonzero[p][q]:
+                for m, y in a.nonzero[l][r]:
                     rows[m][t] = rows[m].get(t, ZERO) + x * y
     return Matrix.from_dicts(rows, comb(a.dim, 3))
 
@@ -160,33 +164,45 @@ class Representation:
         self.algebra = algebra
         self.dim_v = dim_v
         self.action = list(action)
+        self._verdict: CheckResult | None = None
         if validate:
             res = self.check()
             if not res:
                 raise ValidationError(res.detail)
 
     def check(self) -> CheckResult:
-        """rho([e_i,e_j]) = rho(e_i)rho(e_j) - rho(e_j)rho(e_i) on basis pairs."""
-        a = self.algebra
-        for i in range(a.dim):
-            for j in range(i + 1, a.dim):
-                lhs = self.act(a.c[i][j])
-                rhs = self.action[i] * self.action[j] - self.action[j] * self.action[i]
-                if lhs != rhs:
-                    return CheckResult(
-                        False, f"representation axiom fails on basis pair (e{i+1}, e{j+1})"
-                    )
+        """rho([e_i,e_j]) = rho(e_i)rho(e_j) - rho(e_j)rho(e_i) on basis pairs.
+
+        Evaluated on the first call only, which stores the verdict.  One
+        product per basis vector, rho(e_i) . [rho(e_k) for k != i] side by
+        side, holds every rho(e_i)rho(e_j), j != i, as a block.
+        """
+        if self._verdict is None:
+            self._verdict = self._first_failure()
+        return self._verdict
+
+    def _first_failure(self) -> CheckResult:
+        a, n = self.algebra, self.dim_v
+        if a.dim < 2:
+            return CheckResult(True)
+        products = [m * Matrix.hstack(self.action[:i] + self.action[i + 1:])
+                    for i, m in enumerate(self.action)]
+        block = [range(k * n, k * n + n) for k in range(a.dim)]
+        for i, j in combinations(range(a.dim), 2):
+            # rho(e_j)rho(e_i) + rho([e_i, e_j]) against rho(e_i)rho(e_j): product j holds
+            # the first at block i, product i (which skips e_i) the last at block j - 1.
+            terms = [(ONE, products[j].submatrix(range(n), block[i]))]
+            terms += [(x, self.action[k]) for k, x in a.nonzero[i][j]]
+            if Matrix.lincomb(terms, n, n) != products[i].submatrix(range(n), block[j - 1]):
+                return CheckResult(
+                    False, f"representation axiom fails on basis pair (e{i+1}, e{j+1})")
         return CheckResult(True)
 
     def act(self, x: Sequence[Scalar]) -> Matrix:
         """Matrix of rho(x) for a coordinate vector x."""
         if len(x) != self.algebra.dim:
             raise ShapeError("vector must have length dim g")
-        out = Matrix.zeros(self.dim_v, self.dim_v)
-        for i, xi in enumerate(x):
-            if xi:
-                out = out + self.action[i].scale(xi)
-        return out
+        return Matrix.lincomb(zip(x, self.action), self.dim_v, self.dim_v)
 
     @classmethod
     def trivial(cls, algebra: LieAlgebra, dim_v: int) -> Representation:
@@ -197,17 +213,23 @@ class Representation:
 
 
 def is_lie_homomorphism(g: LieAlgebra, h: LieAlgebra, phi: Matrix) -> CheckResult:
-    """phi([x,y]_g) = [phi x, phi y]_h on all basis pairs."""
+    """phi([x,y]_g) = [phi x, phi y]_h on all basis pairs.
+
+    Both sides are summed over the nonzero entries of phi's columns and the
+    nonzero structure constants of g and h.
+    """
     if phi.rows != h.dim or phi.cols != g.dim:
         raise ShapeError(f"phi must be {h.dim}x{g.dim}, got {phi.rows}x{phi.cols}")
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = phi.apply(g.c[i][j])
-            rhs = h.bracket(phi.col(i), phi.col(j))
-            if lhs != rhs:
-                return CheckResult(
-                    False, f"homomorphism equation fails on basis pair (e{i+1}, e{j+1})"
-                )
+    transposed = phi.transpose()
+    cols = [list(transposed.row_items(i)) for i in range(g.dim)]
+    for i, j in combinations(range(g.dim), 2):
+        diff = _bracket_items(h, cols[i], cols[j])
+        for k, x in g.nonzero[i][j]:
+            for a, y in cols[k]:
+                diff[a] = diff.get(a, ZERO) - x * y
+        if any(diff.values()):
+            return CheckResult(
+                False, f"homomorphism equation fails on basis pair (e{i+1}, e{j+1})")
     return CheckResult(True)
 
 
@@ -272,7 +294,11 @@ class MorphismRep:
 
 
 def check_morphism_rep(m: MorphismRep) -> CheckResult:
-    """Rep axioms for V and W plus the intertwining of psi, on bases."""
+    """Rep axioms for V and W plus the intertwining of psi, on bases.
+
+    V and W answer with the verdict of their own first check, so a triple
+    built from validated modules evaluates only the intertwining.
+    """
     res = m.v.check()
     if not res:
         return CheckResult(False, f"V: {res.detail}")

@@ -89,11 +89,7 @@ def ce_differential(rep: Representation, n: int) -> Matrix:
                 # Bracket-insertion term with sign (-1)^{i+j} for 1-based i < j.
                 pair_sign = 1 if (i + j) % 2 == 0 else -1
                 rest = tuple(tup[t] for t in range(n + 1) if t != i and t != j)
-                bracket = g.c[tup[i]][tup[j]]
-                for k in range(g.dim):
-                    coeff = bracket[k]
-                    if not coeff:
-                        continue
+                for k, coeff in g.nonzero[tup[i]][tup[j]]:
                     sorted_sign = sort_with_sign((k,) + rest)
                     if sorted_sign is None:
                         continue

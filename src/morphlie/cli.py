@@ -16,7 +16,7 @@ import sys
 from math import comb
 
 from .cohomology import MCochain, mla_complex
-from .documents import ProblemDocument, ShMorphismEntry, check_document
+from .documents import ProblemDocument, ShMorphismEntry, check_document, located
 from .errors import (
     MorphismAlgebraError,
     OutputError,
@@ -175,7 +175,7 @@ def cmd_check(args) -> int:
             if r.ok:
                 print(f"ok    {r.section}/{r.name}")
             else:
-                print(f"FAIL  {r.section}/{r.name}: {r.detail}")
+                print(f"FAIL  {located(f'{r.section}/{r.name}', r.detail)}")
         objects = "object" if len(rows) == 1 else "objects"
         fails = "failure" if len(failures) == 1 else "failures"
         print(f"{len(rows)} {objects} checked, {len(failures)} {fails}")

@@ -140,6 +140,11 @@ class ShMorphismEntry(NamedTuple):
     morphism: ShMorphism
 
 
+def located(where: str, msg: str) -> str:
+    """msg prefixed with the object path ``where``, unless msg already starts with it."""
+    return msg if msg.startswith(where) else f"{where}: {msg}"
+
+
 class CheckRow(NamedTuple):
     """One line of a validation report."""
 
@@ -215,8 +220,7 @@ class ProblemDocument:
                 except MorphismAlgebraError as exc:
                     if strict:
                         kind = ParseError if isinstance(exc, ParseError) else ValidationError
-                        msg = str(exc)
-                        raise kind(msg if msg.startswith(where) else f"{where}: {msg}") from exc
+                        raise kind(located(where, str(exc))) from exc
                     rows.append(CheckRow(section, name, False, str(exc)))
         return rows
 
@@ -522,7 +526,7 @@ def _lie_algebra_data(a: LieAlgebra) -> dict:
     brackets = []
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
-            if any(a.c[i][j]):
+            if a.nonzero[i][j]:
                 brackets.append([i, j, vector_data(a.c[i][j])])
     return {"dim": a.dim, "brackets": brackets}
 

@@ -68,12 +68,15 @@ class Matrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar] = ()):
         if rows < 0 or cols < 0:
             raise ShapeError(f"matrix dimensions must be nonnegative, got {rows}x{cols}")
-        data = [rat(x) for x in entries]
-        if data and len(data) != rows * cols:
-            raise ShapeError(f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}")
         self.rows = rows
         self.cols = cols
-        self._rows: list[dict[int, Fraction]] = [
+        data = [rat(x) for x in entries]
+        if not data:
+            self._rows: list[dict[int, Fraction]] = [{} for _ in range(rows)]
+            return
+        if len(data) != rows * cols:
+            raise ShapeError(f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}")
+        self._rows = [
             {j: x for j, x in enumerate(data[i * cols:(i + 1) * cols]) if x}
             for i in range(rows)]
 
@@ -107,6 +110,28 @@ class Matrix:
                     raise ShapeError(f"column {j} outside a matrix with {cols} columns")
                 if x := rat(x):
                     stored[j] = x
+        return out
+
+    @classmethod
+    def lincomb(cls, terms: Iterable[tuple[Scalar, Matrix]], rows: int, cols: int) -> Matrix:
+        """The rows x cols matrix sum c * m over (c, m) in terms; cancelled entries are dropped."""
+        out = cls(rows, cols)
+        for c, m in terms:
+            if m.rows != rows or m.cols != cols:
+                raise ShapeError(f"shape mismatch: {rows}x{cols} vs {m.rows}x{m.cols}")
+            if not (c := rat(c)):
+                continue
+            unit = c == ONE
+            for row, part in zip(out._rows, m._rows):
+                for j, x in part.items():
+                    if not unit:
+                        x = c * x
+                    if (y := row.get(j)) is None:
+                        row[j] = x
+                    elif y := y + x:
+                        row[j] = y
+                    else:
+                        del row[j]
         return out
 
     @classmethod
@@ -187,10 +212,10 @@ class Matrix:
         return self.rows == other.rows and self.cols == other.cols and self._rows == other._rows
 
     def __add__(self, other: Matrix) -> Matrix:
-        return self._combine(other, ONE)
+        return Matrix.lincomb(((ONE, self), (ONE, other)), self.rows, self.cols)
 
     def __sub__(self, other: Matrix) -> Matrix:
-        return self._combine(other, -ONE)
+        return Matrix.lincomb(((ONE, self), (-ONE, other)), self.rows, self.cols)
 
     def __neg__(self) -> Matrix:
         return self.scale(-ONE)
@@ -212,11 +237,23 @@ class Matrix:
         return out
 
     def apply(self, vector: Sequence[Scalar]) -> list[Fraction]:
-        """Multiply by a coordinate vector, returning a plain list."""
+        """Multiply by a coordinate vector, returning a plain list.
+
+        Only the vector's nonzero entries are read: each row is matched
+        against them from whichever of the two is shorter.
+        """
         if len(vector) != self.cols:
             raise ShapeError(f"vector of length {len(vector)} against {self.rows}x{self.cols} matrix")
-        vec = [rat(x) for x in vector]
-        return [sum((x * vec[j] for j, x in row.items()), ZERO) for row in self._rows]
+        vec = {j: rat(x) for j, x in enumerate(vector) if x}
+        out = []
+        for row in self._rows:
+            short, long = (row, vec) if len(row) < len(vec) else (vec, row)
+            acc = ZERO
+            for j, x in short.items():
+                if (y := long.get(j)) is not None:
+                    acc += x * y
+            out.append(acc)
+        return out
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> Matrix:
         targets: dict[int, list[int]] = {}
@@ -241,21 +278,6 @@ class Matrix:
             body = "; ".join(" ".join(rat_str(x) for x in r) for r in self.to_lists())
             return f"Matrix({self.rows}x{self.cols}: {body})"
         return f"Matrix({self.rows}x{self.cols})"
-
-    def _combine(self, other: Matrix, sign: Fraction) -> Matrix:
-        """self + sign * other, dropping the entries that cancel."""
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        out = Matrix(self.rows, self.cols)
-        for row, a, b in zip(out._rows, self._rows, other._rows):
-            row.update(a)
-            for j, y in b.items():
-                x = row.get(j, ZERO) + sign * y
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-        return out
 
 
 def _row_times(row: dict[int, Fraction], rows: list[dict[int, Fraction]]) -> dict[int, Fraction]:

@@ -597,3 +597,41 @@ def o_sh_morphism_failure(s, t, phi0, phi1, phi2):
         if lhs != rhs:
             return "iv", tri
     return None
+
+
+# ------------------------------------------------------------- validators
+# Each returns the report of the first basis pair that fails, or None.
+
+
+def _mm(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Z) for j in range(len(a))]
+            for i in range(len(a))]
+
+
+def o_antisymmetry_failure(c):
+    """c[i][j] = -c[j][i], checked entry by entry over all (i, j) row by row."""
+    dim = len(c)
+    for i in range(dim):
+        for j in range(dim):
+            if any(c[i][j][k] != -c[j][i][k] for k in range(dim)):
+                return f"structure constants not antisymmetric at (e{i+1}, e{j+1})"
+    return None
+
+
+def o_rep_failure(c, act):
+    """rho([e_i, e_j]) = rho(e_i)rho(e_j) - rho(e_j)rho(e_i) for square lists act[i]."""
+    for i, j in combinations(range(len(c)), 2):
+        lhs = _act(act, c[i][j], len(act[i]))
+        rhs = [[p - q for p, q in zip(r, s)]
+               for r, s in zip(_mm(act[i], act[j]), _mm(act[j], act[i]))]
+        if lhs != rhs:
+            return f"representation axiom fails on basis pair (e{i+1}, e{j+1})"
+    return None
+
+
+def o_hom_failure(c_g, c_h, phi):
+    """phi[e_i, e_j] = [phi e_i, phi e_j] for phi given as dim_h rows."""
+    for i, j in combinations(range(len(c_g)), 2):
+        if _mv(phi, c_g[i][j]) != _bracket(c_h, _column(phi, i), _column(phi, j)):
+            return f"homomorphism equation fails on basis pair (e{i+1}, e{j+1})"
+    return None

@@ -1,5 +1,7 @@
 """Core algebra layer: brackets, representations, morphisms, Rota-Baxter."""
 
+import copy
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,8 +28,24 @@ from morphlie.errors import (
     ShapeError,
     ValidationError,
 )
-from morphlie.fixtures import a1, a2, heis, sl2, sl2_v1_triple, v0, v1
-from morphlie.linalg import Matrix
+from morphlie.fixtures import (
+    a1,
+    a2,
+    heis,
+    sl2,
+    sl2_v1_triple,
+    standard_morphism_reps,
+    v0,
+    v1,
+)
+from morphlie.linalg import Matrix, inverse
+from morphlie.sampling import Sampler
+
+from .oracles import o_antisymmetry_failure, o_hom_failure, o_rep_failure
+from .test_cohomology import _raw
+
+VALIDATOR_DRAWS = 10
+BUMPS_PER_INPUT = 6
 
 
 def test_sl2_satisfies_jacobi():
@@ -51,6 +69,90 @@ def test_broken_bracket_reports_first_triple():
 def test_antisymmetry_enforced_at_construction():
     with pytest.raises(ShapeError):
         LieAlgebra(2, [[[0, 0], [1, 0]], [[1, 0], [0, 0]]])
+
+
+def test_short_bracket_vector_is_a_shape_error():
+    # c[1][0] is short; every length is checked before any antisymmetry.
+    with pytest.raises(ShapeError, match="bracket vectors must have length dim"):
+        LieAlgebra(2, [[[0, 0], [0, 0]], [[0], [0, 0]]])
+
+
+def _verdicts(raw):
+    """(package, oracle) reports for antisymmetry of g and h, V, W and phi."""
+    ours, theirs = [], []
+    algebras = []
+    for c in (raw["c_g"], raw["c_h"]):
+        try:
+            algebras.append(LieAlgebra(len(c), c))
+            ours.append(None)
+        except ShapeError as exc:
+            algebras.append(None)
+            ours.append(str(exc))
+        theirs.append(o_antisymmetry_failure(c))
+    g, h = algebras
+    for alg, c, act, n in ((g, raw["c_g"], raw["act_v"], raw["dim_v"]),
+                           (h, raw["c_h"], raw["act_w"], raw["dim_w"])):
+        if alg is not None:
+            rep = Representation(alg, n, [Matrix.from_rows(a, cols=n) for a in act],
+                                 validate=False)
+            ours.append(rep.check().detail)
+            theirs.append(o_rep_failure(c, act))
+    if g is not None and h is not None:
+        ours.append(is_lie_homomorphism(g, h, Matrix.from_rows(raw["phi"], cols=g.dim)).detail)
+        theirs.append(o_hom_failure(raw["c_g"], raw["c_h"], raw["phi"]))
+    return ours, theirs
+
+
+def _conjugated(rep, s):
+    """The raw data of rep with g and h in random dense bases P and Q."""
+    g, h, phi = rep.base.g, rep.base.h, rep.base.phi
+    p, q = s.invertible_matrix(g.dim), s.invertible_matrix(h.dim)
+    out = _raw(rep)
+    for key, alg, m in (("c_g", g, p), ("c_h", h, q)):
+        m_inv = inverse(m)
+        out[key] = [[m_inv.apply(alg.bracket(m.col(i), m.col(j))) for j in range(alg.dim)]
+                    for i in range(alg.dim)]
+    out["act_v"] = [rep.v.act(p.col(i)).to_lists() for i in range(g.dim)]
+    out["act_w"] = [rep.w.act(q.col(i)).to_lists() for i in range(h.dim)]
+    out["phi"] = (inverse(q) * phi * p).to_lists()
+    return out
+
+
+def _bumped(raw, rng):
+    """A copy with one entry raised by 1; skew_* also lowers c[j][i][k], keeping antisymmetry."""
+    out = copy.deepcopy(raw)
+    kind = rng.choice(["c_g", "c_h", "skew_g", "skew_h", "act_v", "act_w", "phi"])
+    if kind == "phi":
+        if out["dim_g"] and out["dim_h"]:
+            out["phi"][rng.randrange(out["dim_h"])][rng.randrange(out["dim_g"])] += 1
+    elif kind.startswith("act_"):
+        n, mats = out["dim_" + kind[-1]], out[kind]
+        if n and mats:
+            mats[rng.randrange(len(mats))][rng.randrange(n)][rng.randrange(n)] += 1
+    elif dim := out["dim_" + kind[-1]]:
+        c = out["c_" + kind[-1]]
+        i, j, k = (rng.randrange(dim) for _ in range(3))
+        c[i][j][k] += 1
+        if kind.startswith("skew_") and i != j:
+            c[j][i][k] -= 1
+    return out
+
+
+def test_validators_agree_with_dense_oracles():
+    """Antisymmetry, the representation axiom and the homomorphism law name the
+    same first failing pair as the dense oracles, or pass with them, on the
+    catalog, Sampler(404) draws, dense conjugated bases and one-entry bumps."""
+    s, rng = Sampler(404), random.Random(404)
+    catalog = [rep for _, rep in standard_morphism_reps()]
+    inputs = [_raw(rep) for rep in catalog + [s.morphism_rep() for _ in range(VALIDATOR_DRAWS)]]
+    inputs += [_conjugated(rep, s) for rep in catalog]
+    failing = 0
+    for k, raw in enumerate(inputs):
+        for case in [raw] + [_bumped(raw, rng) for _ in range(BUMPS_PER_INPUT)]:
+            ours, theirs = _verdicts(case)
+            assert ours == theirs, f"input #{k}"
+            failing += sum(r is not None for r in theirs)
+    assert failing >= len(inputs) * BUMPS_PER_INPUT // 2
 
 
 def test_bracket_is_bilinear():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from morphlie.algebras import MorphismLieAlgebra, adjoint_morphism_rep
 from morphlie.cli import _base_document, main
 from morphlie.documents import ProblemDocument
 from morphlie.fixtures import (
@@ -258,6 +259,57 @@ class TestTableCalls:
         assert len(ranked) == ranks
 
 
+def _record_axiom_evaluations(monkeypatch):
+    """Patch Representation.check; return the list of distinct verdicts it produced.
+
+    A stored verdict comes back as the same object, so the list grows only
+    when the representation axiom is evaluated afresh.
+    """
+    from morphlie.algebras import Representation
+
+    original = Representation.check
+    verdicts = []
+
+    def recording(self):
+        res = original(self)
+        if not any(res is v for v in verdicts):
+            verdicts.append(res)
+        return res
+
+    monkeypatch.setattr(Representation, "check", recording)
+    return verdicts
+
+
+class TestValidationCalls:
+    """Each loaded representation has its axiom evaluated once, however often it is asked."""
+
+    def test_adjoint_triple_document_evaluates_v_and_w_once(self, capsys, monkeypatch,
+                                                            tmp_path):
+        path = str(tmp_path / "adjoint.json")
+        _base_document(adjoint_morphism_rep(MorphismLieAlgebra.identity(sl2()))).dump(path)
+        evaluated = _record_axiom_evaluations(monkeypatch)
+        code, out, _ = run(capsys, "check", path)
+        assert code == 0 and "0 failures" in out
+        assert len(evaluated) == 2
+
+    def test_extract_and_twist_on_sl2_v1(self, capsys, monkeypatch, sl2_doc, tmp_path):
+        ext_path, skel_path = str(tmp_path / "ext.json"), str(tmp_path / "skel.json")
+        assert run(capsys, "extend", sl2_doc, "c2", "-o", ext_path)[0] == 0
+        assert run(capsys, "sh", "from-cocycle", sl2_doc, "c3", "-o", skel_path)[0] == 0
+        evaluated = _record_axiom_evaluations(monkeypatch)
+        # The document's V and W, the induced V and W of the extraction, and
+        # W pulled back along phi for the induced triple's closedness check.
+        code, _, _ = run(capsys, "extract", ext_path, "phi_hat", "rep",
+                         "-o", str(tmp_path / "back.json"))
+        assert code == 0 and len(evaluated) == 5
+        evaluated.clear()
+        # The document's V and W, V and W of the triple the skeletal object
+        # gives, and W pulled back for the degree-2 and degree-3 differentials.
+        code, _, _ = run(capsys, "sh", "twist", skel_path, "morphism",
+                         "--seed", "11", "-o", str(tmp_path / "twisted.json"))
+        assert code == 0 and len(evaluated) == 6
+
+
 class TestInputBoundary:
     """Inputs past Python's own limits are parse errors, not tracebacks."""
 
@@ -286,7 +338,8 @@ class TestInputBoundary:
         path = write(tmp_path, "doc.json", json.dumps(data))
         code, out, err = run(capsys, "check", path)
         assert code == 1 and err == ""
-        assert "FAIL  cochains/bad: cochains/bad.degree: expected a nonnegative integer" in out
+        assert "FAIL  cochains/bad.degree: expected a nonnegative integer\n" in out
+        assert out.count("cochains/bad") == 1
         for argv in (["cohomology", path, "rep"], ["extend", path, "bad"]):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
