@@ -305,15 +305,19 @@ def check_morphism_rep(m: MorphismRep) -> CheckResult:
     res = m.w.check()
     if not res:
         return CheckResult(False, f"W: {res.detail}")
-    base = m.base
-    for i in range(base.g.dim):
-        lhs = m.psi * m.v.action[i]
-        rhs = m.w.act(base.phi.col(i)) * m.psi
-        if lhs != rhs:
-            return CheckResult(
-                False, f"psi fails to intertwine the actions at basis vector e{i+1}"
-            )
+    i = _intertwining_failure(m.psi, m.v.action, m.w, m.base.phi)
+    if i is not None:
+        return CheckResult(False, f"psi fails to intertwine the actions at basis vector e{i+1}")
     return CheckResult(True)
+
+
+def _intertwining_failure(psi: Matrix, v_action: Sequence[Matrix], w: Representation,
+                          phi: Matrix) -> int | None:
+    """The first i with psi rho_V(e_i) != rho_W(phi e_i) psi, or None."""
+    for i, a in enumerate(v_action):
+        if psi * a != w.act(phi.col(i)) * psi:
+            return i
+    return None
 
 
 def check_morphism_homomorphism(source: MorphismLieAlgebra, target: MorphismLieAlgebra,
@@ -344,6 +348,13 @@ class RotaBaxterDatum:
 
     The optional module part (rep, r_v) must satisfy the companion identity
     rho(Rx) R_V v = R_V (rho(Rx) v + rho(x) R_V v + weight rho(x) v).
+    Both are checked once, as the morphism Lie algebra they amount to: the
+    operator identity is the homomorphism law of R from g_R, g with the
+    twisted bracket, to g, and the module identity is the intertwining of
+    R_V from V with the twisted action rho(Rx) + rho(x) R_V + weight rho(x)
+    to V.  ``morphism`` is (g_R, g, R) and ``module`` is (V twisted, V, R_V),
+    or None without module data; g_R is checked for Jacobi and the twisted
+    action for the representation axiom.
     """
 
     def __init__(self, algebra: LieAlgebra, r: Matrix, weight: Scalar,
@@ -357,7 +368,29 @@ class RotaBaxterDatum:
         self.weight = rat(weight)
         self.rep = rep
         self.r_v = r_v
-        self._validate()
+        n = algebra.dim
+        g_r = LieAlgebra(n, [[self.twisted_bracket(_unit(n, i), _unit(n, j)) for j in range(n)]
+                             for i in range(n)])
+        res = is_lie_homomorphism(g_r, algebra, r)
+        if not res:
+            raise RotaBaxterViolation(f"operator identity: {res.detail}")
+        twisted_action = None
+        if rep is not None and r_v is not None:
+            if r_v.rows != rep.dim_v or r_v.cols != rep.dim_v:
+                raise ShapeError("r_v must be square of size dim V")
+            twisted_action = [rep.act(r.col(i)) + rep.action[i] * r_v
+                              + rep.action[i].scale(self.weight) for i in range(n)]
+            i = _intertwining_failure(r_v, twisted_action, rep, r)
+            if i is not None:
+                raise RotaBaxterViolation(f"module identity fails at basis vector e{i+1}")
+        res = check_jacobi(g_r)
+        if not res:
+            raise RotaBaxterViolation(f"twisted bracket is not Lie: {res.detail}")
+        self.morphism = MorphismLieAlgebra(g_r, algebra, r, validate=False)
+        self.module = None
+        if twisted_action is not None:
+            self.module = MorphismRep(self.morphism, Representation(g_r, rep.dim_v, twisted_action),
+                                      rep, r_v, validate=False)
 
     def twisted_bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """[x,y]_R = [Rx,y] + [x,Ry] + weight [x,y]."""
@@ -370,57 +403,12 @@ class RotaBaxterDatum:
             out[k] += self.weight * t
         return out
 
-    def _validate(self) -> None:
-        a = self.algebra
-        for i in range(a.dim):
-            ei = _unit(a.dim, i)
-            for j in range(i + 1, a.dim):
-                ej = _unit(a.dim, j)
-                lhs = a.bracket(self.r.apply(ei), self.r.apply(ej))
-                rhs = self.r.apply(self.twisted_bracket(ei, ej))
-                if lhs != rhs:
-                    raise RotaBaxterViolation(
-                        f"operator identity fails on basis pair (e{i+1}, e{j+1})"
-                    )
-        if self.rep is None or self.r_v is None:
-            return
-        rep, rv = self.rep, self.r_v
-        if rv.rows != rep.dim_v or rv.cols != rep.dim_v:
-            raise ShapeError("r_v must be square of size dim V")
-        for i in range(a.dim):
-            ei = _unit(a.dim, i)
-            rho_rei = rep.act(self.r.apply(ei))
-            lhs = rho_rei * rv
-            rhs = rv * (rho_rei + rep.action[i] * rv + rep.action[i].scale(self.weight))
-            if lhs != rhs:
-                raise RotaBaxterViolation(
-                    f"module identity fails at basis vector e{i+1}"
-                )
-
 
 def rota_baxter_morphism(d: RotaBaxterDatum) -> tuple[MorphismLieAlgebra, MorphismRep | None]:
     """The morphism Lie algebra (g_R, g, R) induced by a Rota-Baxter operator.
 
-    g_R carries the twisted bracket; R becomes a homomorphism g_R -> g.  When
+    g_R carries the twisted bracket; R is a homomorphism g_R -> g.  When
     module data is present, (V with the twisted action, V, R_V) is returned as
-    a representation of (g_R, g, R).  All output invariants are re-verified.
+    a representation of (g_R, g, R).  Both were checked when ``d`` was built.
     """
-    a = d.algebra
-    table = [
-        [d.twisted_bracket(_unit(a.dim, i), _unit(a.dim, j)) for j in range(a.dim)]
-        for i in range(a.dim)
-    ]
-    g_r = LieAlgebra(a.dim, table)
-    res = check_jacobi(g_r)
-    if not res:
-        raise RotaBaxterViolation(f"twisted bracket is not Lie: {res.detail}")
-    morphism = MorphismLieAlgebra(g_r, a, d.r)
-    if d.rep is None or d.r_v is None:
-        return morphism, None
-    rep, rv = d.rep, d.r_v
-    twisted_action = [
-        rep.act(d.r.col(i)) + rep.action[i] * rv + rep.action[i].scale(d.weight)
-        for i in range(a.dim)
-    ]
-    v_twisted = Representation(g_r, rep.dim_v, twisted_action)
-    return morphism, MorphismRep(morphism, v_twisted, rep, rv)
+    return d.morphism, d.module

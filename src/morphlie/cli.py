@@ -16,7 +16,7 @@ import sys
 from math import comb
 
 from .cohomology import MCochain, mla_complex
-from .documents import ProblemDocument, ShMorphismEntry, check_document, located
+from .documents import CheckRow, ProblemDocument, ShMorphismEntry, check_document, located
 from .errors import (
     MorphismAlgebraError,
     OutputError,
@@ -34,11 +34,11 @@ from .linalg import rank  # noqa: F401
 from .sampling import Sampler
 from .shlie import (
     SkeletalMorphismSh,
-    _twist_with_triple,
     check_sh_morphism,
     check_two_term_sh,
     skeletal_to_triple,
     triple_to_skeletal,
+    twist_equivalence,
 )
 
 EXIT_OK = 0
@@ -167,7 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_check(args) -> int:
     rows = check_document(_read(args.file))
-    failures = [r for r in rows if not r.ok]
+    failures = _print_rows(args, rows)
+    if not args.json:
+        objects = "object" if len(rows) == 1 else "objects"
+        fails = "failure" if failures == 1 else "failures"
+        print(f"{len(rows)} {objects} checked, {failures} {fails}")
+    return EXIT_CHECK_FAILED if failures else EXIT_OK
+
+
+def _print_rows(args, rows: list[CheckRow]) -> int:
+    """Print ok/FAIL rows, or with --json a {"results": [...]} list; count the failures."""
     if args.json:
         print(json.dumps({"results": [r._asdict() for r in rows]}, indent=2))
     else:
@@ -176,10 +185,7 @@ def cmd_check(args) -> int:
                 print(f"ok    {r.section}/{r.name}")
             else:
                 print(f"FAIL  {located(f'{r.section}/{r.name}', r.detail)}")
-        objects = "object" if len(rows) == 1 else "objects"
-        fails = "failure" if len(failures) == 1 else "failures"
-        print(f"{len(rows)} {objects} checked, {len(failures)} {fails}")
-    return EXIT_CHECK_FAILED if failures else EXIT_OK
+    return sum(not r.ok for r in rows)
 
 
 # -- cohomology tables --------------------------------------------------------
@@ -293,41 +299,26 @@ def _extension_document(ext) -> ProblemDocument:
 
 def cmd_sh_verify(args) -> int:
     doc = ProblemDocument.loads(_read(args.file))
-    reports = []
     if args.name in doc.two_term_sh:
-        reports.append(("two_term_sh", args.name,
-                        check_two_term_sh(doc.two_term_sh[args.name])))
+        reports = [("two_term_sh", args.name, check_two_term_sh(doc.two_term_sh[args.name]))]
     elif args.name in doc.sh_morphisms:
         entry = doc.sh_morphisms[args.name]
         src = doc.two_term_sh[entry.source]
         dst = doc.two_term_sh[entry.target]
-        reports.append(("two_term_sh", entry.source, check_two_term_sh(src)))
-        reports.append(("two_term_sh", entry.target, check_two_term_sh(dst)))
-        reports.append(("sh_morphisms", args.name,
-                        check_sh_morphism(src, dst, entry.morphism)))
+        reports = [("two_term_sh", entry.source, check_two_term_sh(src)),
+                   ("two_term_sh", entry.target, check_two_term_sh(dst)),
+                   ("sh_morphisms", args.name, check_sh_morphism(src, dst, entry.morphism))]
     else:
         raise UnknownObject(
             f"no two-term sh algebra or sh morphism named {args.name!r}")
-    failures = [r for _, _, r in reports if not r.ok]
-    if args.json:
-        print(json.dumps({"results": [
-            {"section": s, "name": n, "ok": r.ok, "detail": r.detail}
-            for s, n, r in reports
-        ]}, indent=2))
-    else:
-        for section, name, res in reports:
-            if res.ok:
-                print(f"ok    {section}/{name}")
-            else:
-                print(f"FAIL  {section}/{name}: {res.detail}")
-    return EXIT_CHECK_FAILED if failures else EXIT_OK
+    rows = [CheckRow(section, name, res.ok, res.detail) for section, name, res in reports]
+    return EXIT_CHECK_FAILED if _print_rows(args, rows) else EXIT_OK
 
 
 def cmd_sh_from_cocycle(args) -> int:
     doc = ProblemDocument.loads(_read(args.file))
     cochain = _named(doc.cochains, args.cochain, "cochain")
-    skeletal = triple_to_skeletal(cochain.rep.base, cochain.rep, cochain)
-    out = _skeletal_document(skeletal, cochain.rep, cochain)
+    out = _skeletal_document(triple_to_skeletal(cochain.rep.base, cochain.rep, cochain))
     _write_document(args, out, "built the skeletal object; all axioms verified")
     return EXIT_OK
 
@@ -356,17 +347,18 @@ def cmd_sh_twist(args) -> int:
     sigma = s.matrix(src.dim1, comb(src.dim0, 2))
     sigma_p = s.matrix(dst.dim1, comb(dst.dim0, 2))
     phi = s.matrix(dst.dim1, src.dim0)
-    twisted, (_, rep, cochain) = _twist_with_triple(skeletal, sigma, sigma_p, phi)
-    out = _skeletal_document(twisted, rep, cochain)
-    out.cochains["twist"] = MCochain(rep, 2, theta=sigma, gamma=sigma_p, eta=phi)
+    twisted = twist_equivalence(skeletal, sigma, sigma_p, phi)
+    out = _skeletal_document(twisted)
+    out.cochains["twist"] = MCochain(twisted.triple[1], 2, theta=sigma, gamma=sigma_p, eta=phi)
     _write_document(args, out,
                     f"twisted with seed {args.seed}; the cochain moved by "
                     "exactly the coboundary of the twist")
     return EXIT_OK
 
 
-def _skeletal_document(skeletal, rep, cochain) -> ProblemDocument:
-    """The document of a skeletal object and the triple it was built from."""
+def _skeletal_document(skeletal: SkeletalMorphismSh) -> ProblemDocument:
+    """The document of a skeletal object and its triple."""
+    _, rep, cochain = skeletal.triple
     out = _base_document(rep)
     out.cochains["cochain"] = cochain
     out.two_term_sh["source"] = skeletal.source

@@ -344,36 +344,19 @@ def _subalgebra_structure(g, basis: Matrix) -> list[list[list[Fraction]]]:
     return table
 
 
-class QuotientMorphismRep(MorphismRep):
-    """The (g/p, h/q, phi-bar) representation of a sub-morphism-Lie-algebra.
-
-    Extra fields record the quotient coordinates: proj_g maps x to the
-    coordinates of x mod p (likewise proj_h), and lift_g/lift_h embed the
-    chosen quotient basis vectors back into g and h.
-    """
-
-    def __init__(self, base, v, w, psi, proj_g, proj_h, lift_g, lift_h,
-                 full: MorphismLieAlgebra):
-        super().__init__(base, v, w, psi)
-        self.proj_g = proj_g
-        self.proj_h = proj_h
-        self.lift_g = lift_g
-        self.lift_h = lift_h
-        self.full = full
-
-
-def _quotient_data(g, basis: Matrix):
-    """Projection to and lift from quotient coordinates for span(basis)."""
+def _quotient_data(g, basis: Matrix) -> tuple[Matrix, Matrix, list[Matrix]]:
+    """Projection to and lift from quotient coordinates for span(basis), and
+    the action of each basis column on g/span(basis): proj . ad(x) . lift."""
     full, _ = complete_basis(basis)
     inv = inverse(full)
     dim_p = basis.cols
     proj = inv.submatrix(range(dim_p, g.dim), range(g.dim))
     lift = full.submatrix(range(g.dim), range(dim_p, g.dim))
-    return proj, lift
+    return proj, lift, [proj * g.ad_matrix(basis.col(i)) * lift for i in range(dim_p)]
 
 
 def quotient_morphism_rep(m: MorphismLieAlgebra, p_basis: Matrix,
-                          q_basis: Matrix) -> QuotientMorphismRep:
+                          q_basis: Matrix) -> MorphismRep:
     """The representation of (p, q, phi|_p) on (g/p, h/q, phi-bar).
 
     p_basis and q_basis must have independent columns spanning subalgebras
@@ -397,33 +380,14 @@ def quotient_morphism_rep(m: MorphismLieAlgebra, p_basis: Matrix,
         raise NotPreserved("phi does not map the subalgebra p into q")
     sub_base = MorphismLieAlgebra(p_alg, q_alg, phi_p_cols)
 
-    proj_g, lift_g = _quotient_data(g, p_basis)
-    proj_h, lift_h = _quotient_data(h, q_basis)
-    dim_gq = g.dim - p_basis.cols
-    dim_hq = h.dim - q_basis.cols
-
-    v_action = []
-    for i in range(p_basis.cols):
-        p_vec = p_basis.col(i)
-        cols = [proj_g.apply(g.bracket(p_vec, lift_g.col(j))) for j in range(dim_gq)]
-        v_action.append(Matrix.from_rows(
-            [[cols[j][r] for j in range(dim_gq)] for r in range(dim_gq)], cols=dim_gq
-        ))
-    w_action = []
-    for i in range(q_basis.cols):
-        q_vec = q_basis.col(i)
-        cols = [proj_h.apply(h.bracket(q_vec, lift_h.col(j))) for j in range(dim_hq)]
-        w_action.append(Matrix.from_rows(
-            [[cols[j][r] for j in range(dim_hq)] for r in range(dim_hq)], cols=dim_hq
-        ))
-    v = Representation(p_alg, dim_gq, v_action)
-    w = Representation(q_alg, dim_hq, w_action)
-    psi_bar = proj_h * m.phi * lift_g
-    return QuotientMorphismRep(sub_base, v, w, psi_bar, proj_g, proj_h,
-                               lift_g, lift_h, m)
+    proj_g, lift_g, v_action = _quotient_data(g, p_basis)
+    proj_h, _, w_action = _quotient_data(h, q_basis)
+    v = Representation(p_alg, lift_g.cols, v_action)
+    w = Representation(q_alg, proj_h.rows, w_action)
+    return MorphismRep(sub_base, v, w, proj_h * m.phi * lift_g)
 
 
-def check_subalgebra_deformation_cocycle(qrep: QuotientMorphismRep, pdot: Matrix,
+def check_subalgebra_deformation_cocycle(qrep: MorphismRep, pdot: Matrix,
                                          qdot: Matrix) -> bool:
     """Whether (pdot, qdot, 0) is a 1-cocycle in quotient coefficients."""
     return check_infinitesimal_deformation(qrep, pdot, qdot)

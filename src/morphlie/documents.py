@@ -376,16 +376,6 @@ class ProblemDocument:
         return ShMorphismEntry(source_name, target_name,
                                ShMorphism(phi0, phi1, phi2))
 
-    # -- lookup -----------------------------------------------------------
-
-    def find(self, name: str) -> tuple[str, Any]:
-        """The (section, object) pair for a name, searching every section."""
-        for section in SECTIONS:
-            store = getattr(self, section)
-            if name in store:
-                return section, store[name]
-        raise UnknownObject(f"no object named {name!r} in the document")
-
     # -- serialization ----------------------------------------------------
 
     def _name_of(self, store: dict, obj: Any, kind: str) -> str:

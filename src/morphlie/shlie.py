@@ -9,9 +9,10 @@ nothing), so l2(x, .) is rep.act(x); axiom (iii) compares d . l3 with the
 Jacobiator, axiom (v) is the Chevalley-Eilenberg differential of l3, and
 morphism condition (iv) is the eta row of the degree-3 morphism
 differential.  Skeletal objects (d = 0 on both layers of a morphism pair)
-correspond to closed degree-3 cochains of a morphism Lie algebra, and
-twisting by (sigma, sigma', phi) adds the coboundary of that data to the
-cochain, whose skeletal object is then verified again.
+correspond to closed degree-3 cochains of a morphism Lie algebra: each
+object keeps the triple its checked data amounts to, and each triple's
+skeletal object is checked only for closedness.  Twisting by
+(sigma, sigma', phi) adds the coboundary of that data to the cochain.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .algebras import (
     MorphismRep,
     Representation,
     _unit,
-    check_jacobi,
     jacobiator,
 )
 from .cecomplex import (
@@ -224,7 +224,13 @@ class SkeletalMorphismSh:
     """A morphism pair of 2-term sh Lie algebras with both differentials zero.
 
     Construction verifies zero differentials, both five-identity suites,
-    and the four morphism conditions.
+    and the four morphism conditions.  ``triple`` holds the representation
+    triple (base, rep, cochain) the data amounts to, unchecked because the
+    suites already are its axioms: with d = 0, axiom (iii) is Jacobi, axiom
+    (iv) the representation axiom, morphism conditions (ii) and (iii) the
+    homomorphism law and the intertwining of phi1, and the three block rows
+    of the degree-3 differential of (l3, l3', phi2) are axiom (v) on each
+    side and condition (iv).
     """
 
     def __init__(self, source: TwoTermSh, target: TwoTermSh, morphism: ShMorphism):
@@ -240,6 +246,28 @@ class SkeletalMorphismSh:
         self.source = source
         self.target = target
         self.morphism = morphism
+        base = MorphismLieAlgebra(source.bracket0, target.bracket0, morphism.phi0,
+                                  validate=False)
+        rep = MorphismRep(base, source.rep, target.rep, morphism.phi1, validate=False)
+        self.triple = (base, rep, MCochain(rep, 3, theta=source.l3, gamma=target.l3,
+                                           eta=morphism.phi2))
+
+    @classmethod
+    def _of_closed(cls, base: MorphismLieAlgebra, rep: MorphismRep,
+                   c: MCochain) -> SkeletalMorphismSh:
+        """The skeletal object of a closed degree-3 cochain on a checked triple.
+
+        Its sh identities are the closedness of c and the axioms of the
+        triple, so none is evaluated again.
+        """
+        s = cls.__new__(cls)
+        s.source = TwoTermSh(base.g, list(rep.v.action), Matrix.zeros(base.g.dim, rep.dim_v),
+                             l3=c.theta)
+        s.target = TwoTermSh(base.h, list(rep.w.action), Matrix.zeros(base.h.dim, rep.dim_w),
+                             l3=c.gamma)
+        s.morphism = ShMorphism(base.phi, rep.psi, c.eta)
+        s.triple = (base, rep, c)
+        return s
 
     def __repr__(self) -> str:
         return (f"SkeletalMorphismSh(g0={self.source.dim0}, g1={self.source.dim1}, "
@@ -247,27 +275,13 @@ class SkeletalMorphismSh:
 
 
 def skeletal_to_triple(s: SkeletalMorphismSh) -> tuple[MorphismLieAlgebra, MorphismRep, MCochain]:
-    """Extract (morphism Lie algebra, representation, closed 3-cochain).
+    """The (morphism Lie algebra, representation, closed 3-cochain) of ``s``.
 
     Brackets come from the degree-0 l2 parts, actions from the mixed l2
-    parts, and the cochain is (l3, l3', phi2).  It is closed without a
-    further check: the three block rows of its degree-3 differential are
-    axiom (v) of the source, axiom (v) of the target and morphism condition
-    (iv), all verified when ``s`` was constructed.
+    parts, and the cochain is (l3, l3', phi2); ``s`` stores them, checked
+    by its own construction.
     """
-    g0, h0 = s.source.bracket0, s.target.bracket0
-    res = check_jacobi(g0)
-    if not res:
-        raise ValidationError(f"source bracket: {res.detail}")
-    res = check_jacobi(h0)
-    if not res:
-        raise ValidationError(f"target bracket: {res.detail}")
-    base = MorphismLieAlgebra(g0, h0, s.morphism.phi0)
-    v = Representation(g0, s.source.dim1, s.source.action1)
-    w = Representation(h0, s.target.dim1, s.target.action1)
-    rep = MorphismRep(base, v, w, s.morphism.phi1)
-    return base, rep, MCochain(rep, 3, theta=s.source.l3, gamma=s.target.l3,
-                               eta=s.morphism.phi2)
+    return s.triple
 
 
 def triple_to_skeletal(m: MorphismLieAlgebra, rep: MorphismRep,
@@ -275,19 +289,14 @@ def triple_to_skeletal(m: MorphismLieAlgebra, rep: MorphismRep,
     """Assemble the skeletal object of a closed degree-3 cochain.
 
     l2(x, v) = rho_V(x) v, l2'(h, w) = rho_W(h) w, l3 = theta, l3' = gamma,
-    phi2 = eta; the full axiom suite is re-verified by construction.
+    phi2 = eta.  Only closedness is checked: with the axioms of the triple
+    it is the whole sh suite.
     """
     if c.degree != 3:
         raise ShapeError("skeletal data needs a degree-3 cochain")
-    image = mla_differential(rep, 3).apply(c.to_vector())
-    if any(image):
+    if any(mla_differential(rep, 3).apply(c.to_vector())):
         raise NotACocycle("the cochain is not closed")
-    source = TwoTermSh(m.g, list(rep.v.action), Matrix.zeros(m.g.dim, rep.dim_v),
-                       l3=c.theta)
-    target = TwoTermSh(m.h, list(rep.w.action), Matrix.zeros(m.h.dim, rep.dim_w),
-                       l3=c.gamma)
-    morphism = ShMorphism(m.phi, rep.psi, c.eta)
-    return SkeletalMorphismSh(source, target, morphism)
+    return SkeletalMorphismSh._of_closed(m, rep, c)
 
 
 def twist_equivalence(s: SkeletalMorphismSh, sigma: Matrix, sigma_p: Matrix,
@@ -299,16 +308,9 @@ def twist_equivalence(s: SkeletalMorphismSh, sigma: Matrix, sigma_p: Matrix,
     phi2 gains phi1 sigma(x, y) - sigma'(phi0 x, phi0 y)
               - l2'(phi0 x, phi y) - l2'(phi x, phi0 y) + phi l2(x, y).
     Together these add the coboundary of the degree-2 cochain
-    (sigma, sigma', phi) to the extracted cocycle (l3, l3', phi2); the
-    skeletal object of the sum is then verified again, axiom by axiom.
+    (sigma, sigma', phi) to the cocycle (l3, l3', phi2) of ``s``; the sum
+    is checked closed, and its triple is stored on the result.
     """
-    return _twist_with_triple(s, sigma, sigma_p, phi)[0]
-
-
-def _twist_with_triple(s: SkeletalMorphismSh, sigma: Matrix, sigma_p: Matrix, phi: Matrix
-                       ) -> tuple[SkeletalMorphismSh,
-                                  tuple[MorphismLieAlgebra, MorphismRep, MCochain]]:
-    """twist_equivalence, also returning the triple of the twisted object."""
     src, dst = s.source, s.target
     if (sigma.rows, sigma.cols) != (src.dim1, comb(src.dim0, 2)):
         raise ShapeError(f"sigma must be {src.dim1}x{comb(src.dim0, 2)}")
@@ -316,9 +318,9 @@ def _twist_with_triple(s: SkeletalMorphismSh, sigma: Matrix, sigma_p: Matrix, ph
         raise ShapeError(f"sigma' must be {dst.dim1}x{comb(dst.dim0, 2)}")
     if (phi.rows, phi.cols) != (dst.dim1, src.dim0):
         raise ShapeError(f"phi must be {dst.dim1}x{src.dim0}")
-    base, rep, before = skeletal_to_triple(s)
+    base, rep, before = s.triple
     shift = MCochain(rep, 2, theta=sigma, gamma=sigma_p, eta=phi)
     boundary = mla_differential(rep, 2).apply(shift.to_vector())
     after = MCochain.from_vector(
         rep, 3, [a + b for a, b in zip(before.to_vector(), boundary)])
-    return triple_to_skeletal(base, rep, after), (base, rep, after)
+    return triple_to_skeletal(base, rep, after)

@@ -635,3 +635,31 @@ def o_hom_failure(c_g, c_h, phi):
         if _mv(phi, c_g[i][j]) != _bracket(c_h, _column(phi, i), _column(phi, j)):
             return f"homomorphism equation fails on basis pair (e{i+1}, e{j+1})"
     return None
+
+
+def o_rota_baxter_failure(c, r, weight, act=None, r_v=None):
+    """The first failing Rota-Baxter identity as (label, index tuple), or None.
+
+    r is dense, one row per coordinate.  The operator identity
+    [R e_i, R e_j] = R([R e_i, e_j] + [e_i, R e_j] + weight [e_i, e_j]) is
+    scanned over i < j, then, when act and r_v are given, the module identity
+    rho(R e_i) R_V = R_V (rho(R e_i) + rho(e_i) R_V + weight rho(e_i)) over i.
+    """
+    n = len(c)
+    e = [_unit_vec(n, i) for i in range(n)]
+    re = [_column(r, i) for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        twisted = _vadd(_bracket(c, re[i], e[j]), _bracket(c, e[i], re[j]),
+                        _vscale(weight, _bracket(c, e[i], e[j])))
+        if _bracket(c, re[i], re[j]) != _mv(r, twisted):
+            return "operator", (i, j)
+    if act is None:
+        return None
+    dim = len(r_v)
+    for i in range(n):
+        rho_r = _act(act, re[i], dim)
+        inner = [[p + q + weight * x for p, q, x in zip(row_p, row_q, row_x)]
+                 for row_p, row_q, row_x in zip(rho_r, _mm(act[i], r_v), act[i])]
+        if _mm(rho_r, r_v) != _mm(r_v, inner):
+            return "module", (i,)
+    return None

@@ -41,7 +41,12 @@ from morphlie.fixtures import (
 from morphlie.linalg import Matrix, inverse
 from morphlie.sampling import Sampler
 
-from .oracles import o_antisymmetry_failure, o_hom_failure, o_rep_failure
+from .oracles import (
+    o_antisymmetry_failure,
+    o_hom_failure,
+    o_rep_failure,
+    o_rota_baxter_failure,
+)
 from .test_cohomology import _raw
 
 VALIDATOR_DRAWS = 10
@@ -300,6 +305,99 @@ def test_rota_baxter_module_violation():
     bad_rv = Matrix.from_rows([[1, 0], [0, 0]])
     with pytest.raises(RotaBaxterViolation):
         RotaBaxterDatum(g, Matrix.identity(3), -1, rep=rep, r_v=bad_rv)
+
+
+def _direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
+    n = a.dim + b.dim
+    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(a.dim):
+        for j in range(a.dim):
+            table[i][j][:a.dim] = a.c[i][j]
+    for i in range(b.dim):
+        for j in range(b.dim):
+            table[a.dim + i][a.dim + j][a.dim:] = b.c[i][j]
+    return LieAlgebra(n, table)
+
+
+def _rota_baxter_data():
+    """(g, R, weight, rep, R_V) tuples that satisfy both identities.
+
+    R = 0 and R = -weight id on any g, -weight times the projection onto one
+    factor of a direct sum, and any R on an abelian algebra.  R_V = 0 suits
+    any R; R_V = -weight id suits R = 0 and R = -weight id; the adjoint
+    module with R_V = R suits every R.
+    """
+    rng = random.Random(20261018)
+    data = []
+    s = sl2()
+    for g, module in ((s, v1(s)), (heis(), None)):
+        for lam in (Fraction(3), Fraction(-1, 2)):
+            for r in (Matrix.zeros(3, 3), Matrix.identity(3).scale(-lam)):
+                data.append((g, r, lam, None, None))
+                data.append((g, r, lam, g.adjoint_rep(), r))
+                if module is not None:
+                    for r_v in (Matrix.zeros(2, 2), Matrix.identity(2).scale(-lam)):
+                        data.append((g, r, lam, module, r_v))
+    s = _direct_sum(sl2(), heis())
+    lam = Fraction(2)
+    for factor in (range(3), range(3, 6)):
+        r = Matrix.from_rows([[-lam if i == j and i in factor else 0 for j in range(6)]
+                              for i in range(6)])
+        data.append((s, r, lam, s.adjoint_rep(), r))
+        data.append((s, r, lam, Representation.trivial(s, 2), Matrix.zeros(2, 2)))
+    for dim in (2, 3):
+        g = LieAlgebra.abelian(dim)
+        for _ in range(3):
+            r = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)])
+            lam = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            data.append((g, r, lam, None, None))
+            data.append((g, r, lam, Representation.trivial(g, 2),
+                         Matrix.from_rows([[rng.randint(-2, 2) for _ in range(2)]
+                                           for _ in range(2)])))
+    return data
+
+
+def _bump_entry(rng: random.Random, m: Matrix) -> Matrix:
+    """m with one entry moved by a nonzero amount."""
+    rows = m.to_lists()
+    rows[rng.randrange(m.rows)][rng.randrange(m.cols)] += rng.choice([-1, 1, 2])
+    return Matrix.from_rows(rows, cols=m.cols)
+
+
+def test_rota_baxter_matches_oracle():
+    # The datum checks the operator identity as the homomorphism law of
+    # R: g_R -> g and the module identity as the intertwining of R_V; the
+    # dense oracle states both identities directly.
+    rng = random.Random(20261019)
+    cases = []
+    for g, r, lam, rep, r_v in _rota_baxter_data():
+        cases.append((g, r, lam, rep, r_v))
+        cases.append((g, _bump_entry(rng, r), lam, rep, r_v))
+        if rep is not None:
+            cases.append((g, r, lam, rep, _bump_entry(rng, r_v)))
+    seen = set()
+    for g, r, lam, rep, r_v in cases:
+        found = o_rota_baxter_failure(
+            g.c, r.to_lists(), lam, None if rep is None else [a.to_lists() for a in rep.action],
+            None if r_v is None else r_v.to_lists())
+        seen.add(None if found is None else found[0])
+        if found is None:
+            morphism, module = rota_baxter_morphism(RotaBaxterDatum(g, r, lam, rep, r_v))
+            assert o_hom_failure(morphism.g.c, g.c, r.to_lists()) is None
+            assert (module is None) == (rep is None)
+            if module is not None:
+                assert o_rep_failure(morphism.g.c,
+                                     [a.to_lists() for a in module.v.action]) is None
+                assert module.w is rep and module.psi == r_v
+            continue
+        label, index = found
+        expected = (f"operator identity: homomorphism equation fails on basis pair "
+                    f"(e{index[0] + 1}, e{index[1] + 1})" if label == "operator"
+                    else f"module identity fails at basis vector e{index[0] + 1}")
+        with pytest.raises(RotaBaxterViolation) as exc:
+            RotaBaxterDatum(g, r, lam, rep, r_v)
+        assert str(exc.value) == expected
+    assert seen == {None, "operator", "module"}
 
 
 def test_adjoint_morphism_rep_valid():

@@ -7,11 +7,21 @@ from pathlib import Path
 
 import pytest
 
-from morphlie.algebras import MorphismLieAlgebra, adjoint_morphism_rep
+from morphlie.algebras import (
+    LieAlgebra,
+    MorphismLieAlgebra,
+    MorphismRep,
+    Representation,
+    adjoint_morphism_rep,
+)
 from morphlie.cli import _base_document, main
+from morphlie.cohomology import MCochain
 from morphlie.documents import ProblemDocument
+from morphlie.extensions import build_extension
 from morphlie.fixtures import (
+    a1,
     a1_triple,
+    a2,
     sign_module,
     sl2,
     sl2_v1_triple,
@@ -303,11 +313,41 @@ class TestValidationCalls:
                          "-o", str(tmp_path / "back.json"))
         assert code == 0 and len(evaluated) == 5
         evaluated.clear()
-        # The document's V and W, V and W of the triple the skeletal object
-        # gives, and W pulled back for the degree-2 and degree-3 differentials.
+        # The document's V and W, and W pulled back for the degree-2 and
+        # degree-3 differentials; the triple the skeletal object keeps is
+        # its sh axioms, so its V and W are not checked again.
         code, _, _ = run(capsys, "sh", "twist", skel_path, "morphism",
                          "--seed", "11", "-o", str(tmp_path / "twisted.json"))
-        assert code == 0 and len(evaluated) == 6
+        assert code == 0 and len(evaluated) == 4
+
+    def test_sh_requests_evaluate_each_identity_once(self, capsys, monkeypatch, sl2_doc,
+                                                     tmp_path):
+        # A skeletal object keeps the triple its checked sh data amounts to,
+        # and the skeletal object of a triple is checked only for closedness.
+        import morphlie.algebras
+        import morphlie.cecomplex
+
+        skel_path = str(tmp_path / "skel.json")
+        wedges = _record_calls(monkeypatch, morphlie.cecomplex, "wedge_minor_matrix")
+        jacobi = _record_calls(monkeypatch, morphlie.algebras, "check_jacobi")
+        evaluated = _record_axiom_evaluations(monkeypatch)
+        expected = {
+            # d_3 of the cocycle check; the document's V and W and W pulled back.
+            ("sh", "from-cocycle", sl2_doc, "c3", "-o", skel_path): (1, 3),
+            # condition (iv) of the loaded object, then d_2 and d_3; V, W and
+            # W pulled back twice.
+            ("sh", "twist", skel_path, "morphism", "--seed", "11",
+             "-o", str(tmp_path / "twisted.json")): (3, 4),
+            # condition (iv) of the loaded object; the document's V and W.
+            ("sh", "to-triple", skel_path, "morphism",
+             "-o", str(tmp_path / "triple.json")): (1, 2),
+        }
+        for argv, (wedge_builds, axiom_evaluations) in expected.items():
+            for calls in (wedges, jacobi, evaluated):
+                calls.clear()
+            assert run(capsys, *argv)[0] == 0
+            assert (len(wedges), len(evaluated)) == (wedge_builds, axiom_evaluations), argv
+            assert len(jacobi) == 2, argv  # the document's g and h, on load
 
 
 class TestInputBoundary:
@@ -382,6 +422,71 @@ class TestGroupCohomology:
         assert [r["cohomology"] for r in rows] == [0, 0, 0]
 
 
+def _trivial_triple(g: LieAlgebra, dim: int) -> MorphismRep:
+    """(g, g, id) acting trivially on V = W = Q^dim with psi = id."""
+    return MorphismRep(MorphismLieAlgebra.identity(g), Representation.trivial(g, dim),
+                       Representation.trivial(g, dim), Matrix.identity(dim))
+
+
+def _r2() -> LieAlgebra:
+    """The nonabelian 2-dim algebra [e1, e2] = e1."""
+    return LieAlgebra.from_brackets(2, {(0, 1): [1, 0]})
+
+
+def _acted_line() -> LieAlgebra:
+    """[e1, e2] = e2: a1 acting on its fiber by 1, not trivially."""
+    return LieAlgebra.from_brackets(2, {(0, 1): [0, 1]})
+
+
+def _heis_center_first() -> LieAlgebra:
+    """The Heisenberg algebra [e2, e3] = e1: a1 with a non-abelian 2-dim fiber."""
+    return LieAlgebra.from_brackets(3, {(1, 2): [1, 0, 0]})
+
+
+def _fiber_scaled_semidirect():
+    """sl2 ⋉ V1 on both sides, with phi_hat doubling the fiber where psi is id."""
+    rep = sl2_v1_triple()
+    total = build_extension(rep, MCochain(rep, 2)).total
+    phi_hat = Matrix.block([[Matrix.identity(3), Matrix.zeros(3, 2)],
+                            [Matrix.zeros(2, 3), Matrix.identity(2).scale(2)]])
+    return (rep, total.g, total.h, phi_hat,
+            "error (shape-error): phi_hat . i differs from i_bar . psi")
+
+
+# Documents whose total morphism algebra loads, but is no extension of the
+# stated triple in the block basis: (rep, g_hat, h_hat, phi_hat, error).
+# Block maps make p . i = 0, i injective and p surjective, and the shapes
+# of i and p (likewise i_bar and p_bar) fail together, so those refusals
+# cannot be reached from a document.
+_EXTRACT_REFUSALS = {
+    "total-h-wrong-size": lambda: (
+        _trivial_triple(a2(), 0), a2(), a1(), Matrix.zeros(1, 2),
+        "error (shape-error): i_bar must be 1x0"),
+    "fiber-not-abelian-g": lambda: (
+        _trivial_triple(a1(), 2), _heis_center_first(), LieAlgebra.abelian(3),
+        Matrix.zeros(3, 3), "error (shape-error): included subspace on the g side is not abelian"),
+    "fiber-not-abelian-h": lambda: (
+        _trivial_triple(a1(), 2), LieAlgebra.abelian(3), _heis_center_first(),
+        Matrix.zeros(3, 3), "error (shape-error): included subspace on the h side is not abelian"),
+    "fiber-not-an-ideal": lambda: (
+        _trivial_triple(a1(), 1), _r2(), a2(), Matrix.zeros(2, 2),
+        "error (shape-error): included subspace on the g side is not an ideal"),
+    "p-not-a-homomorphism": lambda: (
+        _trivial_triple(a2(), 0), _r2(), a2(), Matrix.zeros(2, 2),
+        "error (shape-error): p is not a Lie algebra homomorphism"),
+    "p-bar-not-a-homomorphism": lambda: (
+        _trivial_triple(a2(), 0), a2(), _r2(), Matrix.zeros(2, 2),
+        "error (shape-error): p_bar is not a Lie algebra homomorphism"),
+    "fiber-block-not-psi": _fiber_scaled_semidirect,
+    "base-block-not-phi": lambda: (
+        _trivial_triple(a2(), 0), a2(), a2(), Matrix.zeros(2, 2),
+        "error (shape-error): p_bar . phi_hat differs from phi . p"),
+    "induced-rep-not-stated": lambda: (
+        _trivial_triple(a1(), 1), _acted_line(), _acted_line(), Matrix.identity(2),
+        "error (validation-error): total algebra does not induce the stated representation"),
+}
+
+
 class TestExtendExtract:
     def test_round_trip(self, capsys, sl2_doc, tmp_path):
         ext_path = str(tmp_path / "ext.json")
@@ -421,6 +526,16 @@ class TestExtendExtract:
     def test_extract_wrong_total(self, capsys, sl2_doc):
         code, _, err = run(capsys, "extract", sl2_doc, "phi", "rep")
         assert code == 2
+
+    @pytest.mark.parametrize("case", sorted(_EXTRACT_REFUSALS))
+    def test_extract_refuses_a_total_that_is_no_extension(self, capsys, tmp_path, case):
+        rep, g_hat, h_hat, phi_hat, message = _EXTRACT_REFUSALS[case]()
+        doc = _base_document(rep)
+        doc.lie_algebras["g_hat"] = g_hat
+        doc.lie_algebras["h_hat"] = h_hat
+        doc.morphisms["phi_hat"] = MorphismLieAlgebra(g_hat, h_hat, phi_hat)
+        path = write(tmp_path, "ext.json", doc.dumps())
+        assert run(capsys, "extract", path, "phi_hat", "rep") == (2, "", message + "\n")
 
     @pytest.mark.parametrize("target", ["missing-dir/out.json", "."],
                              ids=["missing-directory", "directory"])
@@ -509,7 +624,7 @@ class TestSh:
         b = str(tmp_path / "b.json")
         run(capsys, "sh", "twist", skel_path, "morphism", "--seed", "4", "-o", a)
         run(capsys, "sh", "twist", skel_path, "morphism", "--seed", "4", "-o", b)
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
 
 def _shape_only_sh():

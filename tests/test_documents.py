@@ -11,7 +11,7 @@ from morphlie.documents import (
     parse_scalar,
     parse_vector,
 )
-from morphlie.errors import ParseError, UnknownObject, ValidationError
+from morphlie.errors import ParseError, ValidationError
 from morphlie.fixtures import (
     sl2_v1_triple,
     z2_identity_triple,
@@ -224,18 +224,6 @@ class TestValidation:
         data["group_module_triples"]["t"]["phi"] = [0, 1, 1, 0]
         with pytest.raises(ValidationError, match="not a homomorphism"):
             ProblemDocument.from_dict(data)
-
-
-class TestFind:
-    def test_find_by_name(self):
-        doc = ProblemDocument.loads(rich_document_text())
-        section, obj = doc.find("t")
-        assert section == "group_module_triples"
-
-    def test_find_unknown(self):
-        doc = ProblemDocument.loads(rich_document_text())
-        with pytest.raises(UnknownObject, match="no object named"):
-            doc.find("missing")
 
 
 class TestSerializerReferences:

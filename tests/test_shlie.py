@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, MorphismRep, Representation
+from morphlie.algebras import (
+    LieAlgebra,
+    MorphismLieAlgebra,
+    MorphismRep,
+    Representation,
+    check_jacobi,
+    check_morphism_rep,
+)
 from morphlie.cecomplex import ce_differential
 from morphlie.cohomology import MCochain, mla_differential
 from morphlie.errors import NotACocycle, ShapeError, ValidationError
@@ -24,7 +31,13 @@ from morphlie.shlie import (
     twist_equivalence,
 )
 
-from .oracles import o_mla_matrix, o_sh_failure, o_sh_morphism_failure
+from .oracles import (
+    o_hom_failure,
+    o_mla_matrix,
+    o_rep_failure,
+    o_sh_failure,
+    o_sh_morphism_failure,
+)
 from .test_cohomology import _raw
 
 
@@ -243,6 +256,47 @@ class TestSkeletal:
                 assert accepted == closed, name
                 seen.add(closed)
         assert seen == {True, False}
+
+    def test_stored_triple_satisfies_the_identities_left_unchecked(self):
+        # Built from sh data, the object keeps its triple without checking
+        # it again: the suite has already evaluated Jacobi, the
+        # representation axiom, the homomorphism law and the intertwining.
+        sampler = Sampler(404)
+        for name, rep in standard_morphism_reps():
+            c = sampler.closed_cochain(rep, 3)
+            m = rep.base
+            s = SkeletalMorphismSh(
+                TwoTermSh(m.g, list(rep.v.action), Matrix.zeros(m.g.dim, rep.dim_v),
+                          l3=c.theta),
+                TwoTermSh(m.h, list(rep.w.action), Matrix.zeros(m.h.dim, rep.dim_w),
+                          l3=c.gamma),
+                ShMorphism(m.phi, rep.psi, c.eta))
+            base, back, cochain = skeletal_to_triple(s)
+            assert check_jacobi(base.g) and check_jacobi(base.h), name
+            assert o_hom_failure(base.g.c, base.h.c, base.phi.to_lists()) is None, name
+            for module, alg in ((back.v, base.g), (back.w, base.h)):
+                assert o_rep_failure(alg.c, [a.to_lists() for a in module.action]) is None
+            assert check_morphism_rep(back), name
+            assert cochain.to_vector() == c.to_vector()
+            assert not any(mla_differential(back, 3).apply(cochain.to_vector())), name
+
+    def test_returned_objects_pass_the_suite_and_the_oracles(self):
+        # triple_to_skeletal checks only closedness, and twist_equivalence
+        # adds a coboundary; the suite and the dense oracles referee both.
+        sampler = Sampler(404)
+        for name, rep in standard_morphism_reps():
+            for _ in range(2):
+                s = triple_to_skeletal(rep.base, rep, sampler.closed_cochain(rep, 3))
+                for obj in (s, twist_equivalence(s, *sampler.twist_data(rep))):
+                    src, dst, m = obj.source, obj.target, obj.morphism
+                    assert check_two_term_sh(src) and check_two_term_sh(dst), name
+                    assert check_sh_morphism(src, dst, m), name
+                    assert o_sh_failure(_sh_raw(src)) is None, name
+                    assert o_sh_failure(_sh_raw(dst)) is None, name
+                    raw_phi2 = {tup: m.phi2.col(k) for k, tup
+                                in enumerate(itertools.combinations(range(src.dim0), 2))}
+                    assert o_sh_morphism_failure(_sh_raw(src), _sh_raw(dst), m.phi0.to_lists(),
+                                                 m.phi1.to_lists(), raw_phi2) is None, name
 
     def test_non_cocycle_rejected(self):
         rep = sl2_v1_triple()
