@@ -10,36 +10,25 @@ the computation.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 from math import comb
+from types import SimpleNamespace
+from typing import Callable
 
 from .cohomology import MCochain, mla_complex
 from .documents import CheckRow, ProblemDocument, ShMorphismEntry, check_document, located
-from .errors import (
-    MorphismAlgebraError,
-    OutputError,
-    ParseError,
-    ShapeError,
-    SizeCeilingExceeded,
-    UnknownObject,
-    UsageError,
-)
+from .errors import (MorphismAlgebraError, OutputError, ParseError, ShapeError,
+                     SizeCeilingExceeded, UnknownObject, UsageError)
 from .extensions import AbelianExtension, build_extension
 from .groups import group_complex, mlg_complex
 # rank is imported for bench/selftest.py, which checks that the tracer
 # rebinds it here as in linalg and cohomology; the tables rank through Complex.
 from .linalg import rank  # noqa: F401
 from .sampling import Sampler
-from .shlie import (
-    SkeletalMorphismSh,
-    check_sh_morphism,
-    check_two_term_sh,
-    skeletal_to_triple,
-    triple_to_skeletal,
-    twist_equivalence,
-)
+from .shlie import (SkeletalMorphismSh, check_sh_morphism, check_two_term_sh,
+                    skeletal_to_triple, triple_to_skeletal, twist_equivalence)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -50,9 +39,9 @@ DEFAULT_SIZE_CEILING = 10 ** 6
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        handler, args = read_argv(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     except SizeCeilingExceeded as exc:
         print(f"error (size-ceiling): {exc}", file=sys.stderr)
         return EXIT_SIZE_CEILING
@@ -62,104 +51,102 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _category(exc: MorphismAlgebraError) -> str:
-    name = type(exc).__name__
-    out = []
-    for i, ch in enumerate(name):
-        if ch.isupper() and i > 0:
-            out.append("-")
-        out.append(ch.lower())
-    return "".join(out)
+    return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="morphlie",
-        description="Cohomology of morphism Lie algebras, exactly over Q.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- reading the command line --------------------------------------------------
+# Each request is a fresh process, so argv is read against COMMANDS (at the end
+# of the module), not an argparse tree.  COMMANDS maps the command words to
+# (handler, positional names, options, help); an option is (names, kind,
+# default, help), long name last: a "flag" stores True, an "int" or "str" a value.
 
-    p_check = sub.add_parser("check", help="validate every object in a document")
-    p_check.add_argument("file")
-    p_check.add_argument("--json", action="store_true")
-    p_check.set_defaults(handler=cmd_check)
+_HELP = (("-h", "--help"), "flag", False, "print this help")
+_METAVAR = {"flag": "", "int": " N", "str": " OUT"}
+_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
-    p_co = sub.add_parser("cohomology",
-                          help="per-degree cohomology table of a named object")
-    p_co.add_argument("file")
-    p_co.add_argument("name")
-    p_co.add_argument("--max-degree", type=int, default=None)
-    p_co.add_argument("--simple", action="store_true",
-                      help="add the eta-free coboundary columns "
-                           "(morphism reps only)")
-    p_co.add_argument("--group", action="store_true",
-                      help="treat the name as a group module triple")
-    p_co.add_argument("--normalized", action="store_true",
-                      help="normalized cochains (group mode only)")
-    p_co.add_argument("--json", action="store_true")
-    p_co.add_argument("--size-ceiling", type=int, default=DEFAULT_SIZE_CEILING)
-    p_co.set_defaults(handler=cmd_cohomology)
 
-    p_ext = sub.add_parser("extend",
-                           help="build the extension of a degree-2 cocycle")
-    p_ext.add_argument("file")
-    p_ext.add_argument("cochain")
-    p_ext.add_argument("-o", "--output", default=None)
-    p_ext.set_defaults(handler=cmd_extend)
+def read_argv(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
+    """The handler that argv names in COMMANDS, and the arguments it reads.
 
-    p_extract = sub.add_parser(
-        "extract",
-        help="read the cocycle of a block-basis extension off its canonical section")
-    p_extract.add_argument("file")
-    p_extract.add_argument("total", help="morphism name of the extension")
-    p_extract.add_argument("rep", help="morphism rep name of the base")
-    p_extract.add_argument("-o", "--output", default=None)
-    p_extract.set_defaults(handler=cmd_extract)
+    Options may follow the command words in any order; the last of a repeated
+    option wins.  A malformed command line raises UsageError.
+    """
+    n = 2 if argv[:1] in (["sh"], ["group"]) else 1
+    key = " ".join(argv[:n])
+    if key not in COMMANDS:
+        if len(argv) < n:
+            raise UsageError(f"{key or 'morphlie'} needs a command; see morphlie -h")
+        if _option((_HELP,), argv[n - 1]) != (_HELP, None):
+            raise UsageError(f"unknown command {key!r}; see morphlie -h")
+        return _print_help, SimpleNamespace(words=argv[:n - 1])
+    handler, wanted, options, _ = COMMANDS[key]
+    values = {names[-1][2:].replace("-", "_"): default for names, _, default, _ in options}
+    free, tokens = [], iter(argv[n:])
+    for token in tokens:
+        found = _option(options + (_HELP,), token)
+        if found is None:
+            free.append(token)
+            continue
+        (names, kind, _, _), value = found
+        if kind == "flag":
+            if value is not None:
+                raise UsageError(f"{names[-1]} takes no value: {token!r}")
+            if names == _HELP[0]:
+                return _print_help, SimpleNamespace(words=argv[:n])
+            value = True
+        elif value is None:
+            value = next(tokens, None)
+            if value is None or _option(options + (_HELP,), value):
+                raise UsageError(f"{token} needs a value")
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{token} needs an integer, not {value!r}") from None
+        values[names[-1][2:].replace("-", "_")] = value
+    if len(free) != len(wanted):
+        raise UsageError(f"unexpected argument {free[len(wanted)]!r}" if free[len(wanted):]
+                         else f"{key} needs {' '.join(wanted[len(free):]).upper()}")
+    return handler, SimpleNamespace(**values, **dict(zip(wanted, free)))
 
-    p_sh = sub.add_parser("sh", help="two-term sh Lie algebra commands")
-    sh_sub = p_sh.add_subparsers(dest="sh_command", required=True)
 
-    p_verify = sh_sub.add_parser("verify", help="run the axiom report")
-    p_verify.add_argument("file")
-    p_verify.add_argument("name")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(handler=cmd_sh_verify)
+def _option(options: tuple, token: str) -> tuple[tuple, str | None] | None:
+    """The option token names and its ``=value``, or None if token is a positional.
 
-    p_from = sh_sub.add_parser("from-cocycle",
-                               help="skeletal object of a degree-3 cocycle")
-    p_from.add_argument("file")
-    p_from.add_argument("cochain")
-    p_from.add_argument("-o", "--output", default=None)
-    p_from.set_defaults(handler=cmd_sh_from_cocycle)
+    Only a long name takes a unique prefix or an ``=value``.  As under argparse,
+    "-", a negative number and a token with a space are positionals.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=") if token[:2] == "--" else (token, "", "")
+    found = [o for o in options if name in o[0]]
+    if not found and token[:2] == "--" and len(name) > 2:
+        found = [o for o in options if o[0][-1].startswith(name)]
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option {token!r}: {', '.join(o[0][-1] for o in found)}")
+    if found:
+        return found[0], value if eq else None
+    if _NUMBER.match(token) or " " in token:
+        return None
+    raise UsageError(f"unknown option {token!r}")
 
-    p_to = sh_sub.add_parser("to-triple",
-                             help="representation triple of a skeletal morphism")
-    p_to.add_argument("file")
-    p_to.add_argument("name")
-    p_to.add_argument("-o", "--output", default=None)
-    p_to.set_defaults(handler=cmd_sh_to_triple)
 
-    p_twist = sh_sub.add_parser(
-        "twist", help="twist a skeletal morphism by seeded random data")
-    p_twist.add_argument("file")
-    p_twist.add_argument("name")
-    p_twist.add_argument("--seed", type=int, default=0)
-    p_twist.add_argument("-o", "--output", default=None)
-    p_twist.set_defaults(handler=cmd_sh_twist)
-
-    p_group = sub.add_parser("group", help="finite group cohomology commands")
-    group_sub = p_group.add_subparsers(dest="group_command", required=True)
-
-    p_gco = group_sub.add_parser("cohomology",
-                                 help="bar cohomology table of a group module")
-    p_gco.add_argument("file")
-    p_gco.add_argument("name")
-    p_gco.add_argument("--max-degree", type=int, default=2)
-    p_gco.add_argument("--normalized", action="store_true")
-    p_gco.add_argument("--json", action="store_true")
-    p_gco.add_argument("--size-ceiling", type=int, default=DEFAULT_SIZE_CEILING)
-    p_gco.set_defaults(handler=cmd_group_cohomology)
-
-    return parser
+def _print_help(args) -> int:
+    """Print the synopsis of the commands args.words begin, and a command's options."""
+    for key, (_, wanted, options, text) in COMMANDS.items():
+        if key.split()[:len(args.words)] != args.words:
+            continue
+        line = f"morphlie {key} {' '.join(wanted).upper()}"
+        for names, kind, _, _ in options:
+            word = f"[{names[0]}{_METAVAR[kind]}]"
+            if len(line) - line.rfind("\n") + len(word) > 72:
+                line += "\n" + " " * (line.index("[") - 1)
+            line += " " + word
+        print(line)
+        if key.split() == args.words:
+            print(f"\n{text}\n", *(f"  {', '.join(names) + _METAVAR[kind]:16}  {note}"
+                                    for names, kind, _, note in options + (_HELP,)), sep="\n")
+    return EXIT_OK
 
 
 # -- check ------------------------------------------------------------------
@@ -198,14 +185,12 @@ def cmd_cohomology(args) -> int:
         raise UsageError("--normalized needs --group")
     doc = ProblemDocument.loads(_read(args.file))
     if args.group:
-        triple = _named(doc.group_module_triples, args.name,
-                        "group module triple")
+        triple = _named(doc.group_module_triples, args.name, "group module triple")
         return _table(args, mlg_complex(triple, args.normalized, args.size_ceiling),
                       2, kind="group-module-triple", normalized=args.normalized)
     rep = _named(doc.morphism_reps, args.name, "morphism rep")
     return _table(args, mla_complex(rep, size_ceiling=args.size_ceiling),
-                  min(rep.base.g.dim, rep.base.h.dim) + 1, args.simple,
-                  kind="morphism-rep")
+                  min(rep.base.g.dim, rep.base.h.dim) + 1, args.simple, kind="morphism-rep")
 
 
 def cmd_group_cohomology(args) -> int:
@@ -217,21 +202,16 @@ def cmd_group_cohomology(args) -> int:
 
 def _table(args, cx, default_top: int, simple: bool = False, **header) -> int:
     top = default_top if args.max_degree is None else args.max_degree
-    _nonnegative(top)
+    if top < 0:
+        raise ShapeError("max degree must be nonnegative")
     _emit_table(args, {"object": args.name, **header, "rows": cx.table(top, simple)})
     return EXIT_OK
 
 
-_COLUMNS = [
-    ("degree", "n"),
-    ("cochains", "dim C"),
-    ("rank", "rank d"),
-    ("cocycles", "dim Z"),
-    ("coboundaries", "dim B"),
-    ("simple_coboundaries", "dim B_s"),
-    ("simple_cohomology", "dim H_s"),
-    ("cohomology", "dim H"),
-]
+_COLUMNS = [("degree", "n"), ("cochains", "dim C"), ("rank", "rank d"),
+            ("cocycles", "dim Z"), ("coboundaries", "dim B"),
+            ("simple_coboundaries", "dim B_s"), ("simple_cohomology", "dim H_s"),
+            ("cohomology", "dim H")]
 
 
 def _emit_table(args, payload: dict) -> None:
@@ -245,8 +225,7 @@ def _emit_table(args, payload: dict) -> None:
     widths = [max(len(h), 6) for _, h in keys]
     print("  " + "  ".join(h.rjust(w) for (_, h), w in zip(keys, widths)))
     for row in payload["rows"]:
-        print("  " + "  ".join(str(row[k]).rjust(w)
-                               for (k, _), w in zip(keys, widths)))
+        print("  " + "  ".join(str(row[k]).rjust(w) for (k, _), w in zip(keys, widths)))
 
 
 # -- extensions ---------------------------------------------------------------
@@ -256,7 +235,11 @@ def cmd_extend(args) -> int:
     doc = ProblemDocument.loads(_read(args.file))
     cochain = _named(doc.cochains, args.cochain, "cochain")
     ext = build_extension(cochain.rep, cochain)
-    out = _extension_document(ext)
+    out = _base_document(ext.rep)
+    out.cochains["cocycle"] = ext.cocycle
+    out.lie_algebras["g_hat"] = ext.total.g
+    out.lie_algebras["h_hat"] = ext.total.h
+    out.morphisms["phi_hat"] = ext.total
     _write_document(args, out,
                     f"built extension: total g dim {ext.total.g.dim}, "
                     f"total h dim {ext.total.h.dim}")
@@ -285,15 +268,6 @@ def _base_document(rep) -> ProblemDocument:
     return out
 
 
-def _extension_document(ext) -> ProblemDocument:
-    out = _base_document(ext.rep)
-    out.cochains["cocycle"] = ext.cocycle
-    out.lie_algebras["g_hat"] = ext.total.g
-    out.lie_algebras["h_hat"] = ext.total.h
-    out.morphisms["phi_hat"] = ext.total
-    return out
-
-
 # -- sh commands --------------------------------------------------------------
 
 
@@ -303,14 +277,12 @@ def cmd_sh_verify(args) -> int:
         reports = [("two_term_sh", args.name, check_two_term_sh(doc.two_term_sh[args.name]))]
     elif args.name in doc.sh_morphisms:
         entry = doc.sh_morphisms[args.name]
-        src = doc.two_term_sh[entry.source]
-        dst = doc.two_term_sh[entry.target]
+        src, dst = doc.two_term_sh[entry.source], doc.two_term_sh[entry.target]
         reports = [("two_term_sh", entry.source, check_two_term_sh(src)),
                    ("two_term_sh", entry.target, check_two_term_sh(dst)),
                    ("sh_morphisms", args.name, check_sh_morphism(src, dst, entry.morphism))]
     else:
-        raise UnknownObject(
-            f"no two-term sh algebra or sh morphism named {args.name!r}")
+        raise UnknownObject(f"no two-term sh algebra or sh morphism named {args.name!r}")
     rows = [CheckRow(section, name, res.ok, res.detail) for section, name, res in reports]
     return EXIT_CHECK_FAILED if _print_rows(args, rows) else EXIT_OK
 
@@ -323,13 +295,16 @@ def cmd_sh_from_cocycle(args) -> int:
     return EXIT_OK
 
 
-def cmd_sh_to_triple(args) -> int:
+def _loaded_skeletal(args) -> SkeletalMorphismSh:
+    """The skeletal object of the sh morphism args.name in args.file."""
     doc = ProblemDocument.loads(_read(args.file))
     entry = _named(doc.sh_morphisms, args.name, "sh morphism")
-    skeletal = SkeletalMorphismSh(doc.two_term_sh[entry.source],
-                                  doc.two_term_sh[entry.target],
-                                  entry.morphism)
-    base, rep, cochain = skeletal_to_triple(skeletal)
+    return SkeletalMorphismSh(doc.two_term_sh[entry.source], doc.two_term_sh[entry.target],
+                              entry.morphism)
+
+
+def cmd_sh_to_triple(args) -> int:
+    base, rep, cochain = skeletal_to_triple(_loaded_skeletal(args))
     out = _base_document(rep)
     out.cochains["cochain"] = cochain
     _write_document(args, out, "extracted the representation triple")
@@ -337,11 +312,7 @@ def cmd_sh_to_triple(args) -> int:
 
 
 def cmd_sh_twist(args) -> int:
-    doc = ProblemDocument.loads(_read(args.file))
-    entry = _named(doc.sh_morphisms, args.name, "sh morphism")
-    skeletal = SkeletalMorphismSh(doc.two_term_sh[entry.source],
-                                  doc.two_term_sh[entry.target],
-                                  entry.morphism)
+    skeletal = _loaded_skeletal(args)
     s = Sampler(args.seed)
     src, dst = skeletal.source, skeletal.target
     sigma = s.matrix(src.dim1, comb(src.dim0, 2))
@@ -363,8 +334,7 @@ def _skeletal_document(skeletal: SkeletalMorphismSh) -> ProblemDocument:
     out.cochains["cochain"] = cochain
     out.two_term_sh["source"] = skeletal.source
     out.two_term_sh["target"] = skeletal.target
-    out.sh_morphisms["morphism"] = ShMorphismEntry(
-        "source", "target", skeletal.morphism)
+    out.sh_morphisms["morphism"] = ShMorphismEntry("source", "target", skeletal.morphism)
     return out
 
 
@@ -387,11 +357,6 @@ def _named(store: dict, name: str, kind: str):
     return store[name]
 
 
-def _nonnegative(top: int) -> None:
-    if top < 0:
-        raise ShapeError("max degree must be nonnegative")
-
-
 def _write_document(args, out: ProblemDocument, summary: str) -> None:
     if args.output:
         try:
@@ -402,6 +367,41 @@ def _write_document(args, out: ProblemDocument, summary: str) -> None:
     else:
         print(out.dumps())
         print(summary, file=sys.stderr)
+
+
+# -- the command table --------------------------------------------------------
+
+_JSON = (("--json",), "flag", False, "print JSON")
+_OUTPUT = (("-o", "--output"), "str", None, "write the document to OUT, not to stdout")
+_CEILING = (("--size-ceiling",), "int", DEFAULT_SIZE_CEILING,
+            f"refuse a degree whose cochains exceed N (default {DEFAULT_SIZE_CEILING})")
+
+COMMANDS = {
+    "check": (cmd_check, ("file",), (_JSON,), "validate every object in a document"),
+    "cohomology": (cmd_cohomology, ("file", "name"), (
+        (("--max-degree",), "int", None,
+         "top degree (default min(dim g, dim h) + 1, or 2 with --group)"),
+        (("--simple",), "flag", False, "add the eta-free coboundary columns (morphism reps only)"),
+        (("--group",), "flag", False, "treat the name as a group module triple"),
+        (("--normalized",), "flag", False, "normalized cochains (group mode only)"),
+        _JSON, _CEILING), "per-degree cohomology table of a named object"),
+    "extend": (cmd_extend, ("file", "cochain"), (_OUTPUT,),
+               "build the extension of a degree-2 cocycle"),
+    "extract": (cmd_extract, ("file", "total", "rep"), (_OUTPUT,), "read the cocycle of "
+                "the extension TOTAL of the morphism rep REP off its canonical section"),
+    "sh verify": (cmd_sh_verify, ("file", "name"), (_JSON,), "run the axiom report"),
+    "sh from-cocycle": (cmd_sh_from_cocycle, ("file", "cochain"), (_OUTPUT,),
+                        "skeletal object of a degree-3 cocycle"),
+    "sh to-triple": (cmd_sh_to_triple, ("file", "name"), (_OUTPUT,),
+                     "representation triple of a skeletal morphism"),
+    "sh twist": (cmd_sh_twist, ("file", "name"), (
+        (("--seed",), "int", 0, "seed of the random twist data (default 0)"), _OUTPUT),
+        "twist a skeletal morphism by seeded random data"),
+    "group cohomology": (cmd_group_cohomology, ("file", "name"), (
+        (("--max-degree",), "int", 2, "top degree (default 2)"),
+        (("--normalized",), "flag", False, "normalized cochains"), _JSON, _CEILING),
+        "bar cohomology table of a group module"),
+}
 
 
 if __name__ == "__main__":

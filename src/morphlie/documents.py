@@ -80,7 +80,13 @@ def parse_scalar(value: Any, where: str) -> Fraction:
 def parse_vector(value: Any, where: str, length: int | None = None) -> list[Fraction]:
     if not isinstance(value, list):
         raise ParseError(f"{where}: expected a list of scalars")
-    out = [parse_scalar(x, f"{where}[{k}]") for k, x in enumerate(value)]
+    try:
+        out = [ZERO if x == "0" or (x == 0 and type(x) is int) else parse_scalar(x, where)
+               for x in value]
+    except ParseError:
+        for k, x in enumerate(value):  # only a failure pays for the entry's location
+            parse_scalar(x, f"{where}[{k}]")
+        raise
     if length is not None and len(out) != length:
         raise ParseError(f"{where}: expected {length} entries, got {len(out)}")
     return out
@@ -94,11 +100,18 @@ def parse_matrix(value: Any, where: str, rows: int | None = None,
         if rows not in (0, None) or cols is None:
             raise ParseError(f"{where}: an empty matrix needs known dimensions")
         return Matrix.zeros(0, cols)
-    data = [parse_vector(r, f"{where}[{k}]") for k, r in enumerate(value)]
+    try:
+        data = [parse_vector(r, where) for r in value]
+    except ParseError:
+        for k, r in enumerate(value):  # only a failure pays for the row's location
+            parse_vector(r, f"{where}[{k}]")
+        raise
     widths = {len(r) for r in data}
     if len(widths) != 1:
         raise ParseError(f"{where}: ragged rows")
-    m = Matrix.from_rows(data, cols=widths.pop())
+    # The exact zeros are ZERO itself; from_dicts drops any other zero entry.
+    m = Matrix.from_dicts([{j: x for j, x in enumerate(r) if x is not ZERO} for r in data],
+                          widths.pop())
     if rows is not None and m.rows != rows:
         raise ParseError(f"{where}: expected {rows} rows, got {m.rows}")
     if cols is not None and m.cols != cols:

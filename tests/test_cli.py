@@ -389,7 +389,7 @@ class TestInputBoundary:
 
 
 class TestStartUp:
-    """The import path of every request stays free of dataclasses and its chain."""
+    """A request loads neither dataclasses and its chain nor argparse and its own."""
 
     def test_cli_loads_no_dataclasses_inspect_dis_or_ast(self, a1_doc):
         script = ("import sys\n"
@@ -405,7 +405,8 @@ class TestStartUp:
         assert done.returncode == 0, done.stderr
         added = set(done.stdout.splitlines()[-1].split())
         assert "morphlie.cli" in added
-        assert not added & {"dataclasses", "inspect", "dis", "ast"}
+        assert not added & {"dataclasses", "inspect", "dis", "ast",
+                            "argparse", "gettext", "locale"}
 
 
 class TestGroupCohomology:

@@ -119,6 +119,54 @@ class TestMatrices:
             parse_vector(["1"], "v", 2)
 
 
+def _heis21_adjoint_data() -> dict:
+    """The heis21 adjoint module as document data: 21 action matrices of 21x21."""
+    from morphlie.algebras import LieAlgebra
+
+    g = LieAlgebra.from_brackets(21, {(i, 10 + i): [0] * 20 + [1] for i in range(10)})
+    doc = ProblemDocument()
+    doc.lie_algebras["heis21"] = g
+    doc.representations["v"] = g.adjoint_rep()
+    return doc.to_dict()
+
+
+class TestLargeActionMatrices:
+    """An entry deep in a large action matrix is read, or refused at its own path."""
+
+    @pytest.mark.parametrize("bad, message", [
+        ("1/0", "zero denominator in '1/0'"),
+        ("+0", "'+0' is not a rational 'p/q' string"),
+        (0.0, "floating point is not accepted; write rationals as 'p/q' strings"),
+        (False, "booleans are not scalars"),
+        (None, "expected a rational, got NoneType"),
+    ])
+    def test_bad_entry_names_its_path(self, bad, message):
+        data = _heis21_adjoint_data()
+        data["representations"]["v"]["action"][20][3][7] = bad
+        with pytest.raises(ParseError) as info:
+            ProblemDocument.from_dict(data)
+        assert str(info.value) == f"representations/v.action[20][3][7]: {message}"
+
+    def test_bad_row_names_its_path(self):
+        data = _heis21_adjoint_data()
+        data["representations"]["v"]["action"][20][3] = "0"
+        with pytest.raises(ParseError) as info:
+            ProblemDocument.from_dict(data)
+        assert str(info.value) == "representations/v.action[20][3]: expected a list of scalars"
+
+    @pytest.mark.parametrize("zero", ["0", 0, " 0 ", "0/4", "-0"])
+    def test_every_spelling_of_zero_is_zero(self, zero):
+        data = _heis21_adjoint_data()
+        action = data["representations"]["v"]["action"]
+        assert action[20][3][7] == "0"
+        action[20][3][7] = zero
+        loaded = ProblemDocument.from_dict(data).representations["v"].action
+        # == compares the stored nonzero entries, so a stored zero would differ.
+        expected = ProblemDocument.from_dict(_heis21_adjoint_data()).representations["v"]
+        assert loaded == expected.action
+        assert 7 not in dict(loaded[20].row_items(3))
+
+
 class TestRoundTrip:
     def test_full_document_round_trips(self):
         text = rich_document_text()
