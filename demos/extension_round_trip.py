@@ -40,8 +40,7 @@ print(f"canonical section recovers the cocycle bit-exactly: "
 # cohomologous cocycle; the induced representation never changes.
 d0 = Matrix.from_rows([[2, -1]])
 del0 = Matrix.from_rows([[0, 3]])
-shifted, induced2 = extract_cocycle(ext, *ext.shifted_section(d0, del0),
-                                    second=ext.canonical_section())
+shifted, induced2 = extract_cocycle(ext, *ext.shifted_section(d0, del0))
 print(f"shifted section induces the same representation: "
       f"{induced2.psi == induced.psi}")
 print()

@@ -173,9 +173,8 @@ class Representation:
     def check(self) -> CheckResult:
         """rho([e_i,e_j]) = rho(e_i)rho(e_j) - rho(e_j)rho(e_i) on basis pairs.
 
-        Evaluated on the first call only, which stores the verdict.  One
-        product per basis vector, rho(e_i) . [rho(e_k) for k != i] side by
-        side, holds every rho(e_i)rho(e_j), j != i, as a block.
+        Evaluated on the first call only, which stores the verdict.  Each
+        pair i < j forms rho(e_i)rho(e_j) and rho(e_j)rho(e_i) once.
         """
         if self._verdict is None:
             self._verdict = self._first_failure()
@@ -183,17 +182,10 @@ class Representation:
 
     def _first_failure(self) -> CheckResult:
         a, n = self.algebra, self.dim_v
-        if a.dim < 2:
-            return CheckResult(True)
-        products = [m * Matrix.hstack(self.action[:i] + self.action[i + 1:])
-                    for i, m in enumerate(self.action)]
-        block = [range(k * n, k * n + n) for k in range(a.dim)]
         for i, j in combinations(range(a.dim), 2):
-            # rho(e_j)rho(e_i) + rho([e_i, e_j]) against rho(e_i)rho(e_j): product j holds
-            # the first at block i, product i (which skips e_i) the last at block j - 1.
-            terms = [(ONE, products[j].submatrix(range(n), block[i]))]
-            terms += [(x, self.action[k]) for k, x in a.nonzero[i][j]]
-            if Matrix.lincomb(terms, n, n) != products[i].submatrix(range(n), block[j - 1]):
+            ri, rj = self.action[i], self.action[j]
+            terms = [(ONE, rj * ri)] + [(x, self.action[k]) for k, x in a.nonzero[i][j]]
+            if Matrix.lincomb(terms, n, n) != ri * rj:
                 return CheckResult(
                     False, f"representation axiom fails on basis pair (e{i+1}, e{j+1})")
         return CheckResult(True)

@@ -114,11 +114,15 @@ def ce_cohomology_dim(rep: Representation, n: int) -> int:
 
 
 def pullback_rep(m: MorphismLieAlgebra, w: Representation) -> Representation:
-    """The g-action on W obtained through phi: rho(x) w = rho_W(phi x) w."""
+    """The g-action on W obtained through phi: rho(x) w = rho_W(phi x) w.
+
+    Built unchecked: it satisfies the representation axiom because W does
+    and phi is a homomorphism.
+    """
     if w.algebra.dim != m.h.dim:
         raise ShapeError("w must be a representation of the target algebra")
     action = [w.act(m.phi.col(i)) for i in range(m.g.dim)]
-    return Representation(m.g, w.dim_v, action)
+    return Representation(m.g, w.dim_v, action, validate=False)
 
 
 def wedge_minor_matrix(phi: Matrix, n: int) -> Matrix:

@@ -618,6 +618,17 @@ def o_antisymmetry_failure(c):
     return None
 
 
+def o_jacobi_failure(c):
+    """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] = 0 over i < j < k."""
+    dim = len(c)
+    e = [_unit_vec(dim, i) for i in range(dim)]
+    for i, j, k in combinations(range(dim), 3):
+        if any(_vadd(_bracket(c, c[i][j], e[k]), _bracket(c, c[j][k], e[i]),
+                     _bracket(c, c[k][i], e[j]))):
+            return f"Jacobi identity fails on basis triple (e{i+1}, e{j+1}, e{k+1})"
+    return None
+
+
 def o_rep_failure(c, act):
     """rho([e_i, e_j]) = rho(e_i)rho(e_j) - rho(e_j)rho(e_i) for square lists act[i]."""
     for i, j in combinations(range(len(c)), 2):

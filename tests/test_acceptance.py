@@ -49,7 +49,7 @@ from morphlie.linalg import Matrix, kernel_basis
 from morphlie.sampling import Sampler
 from morphlie.shlie import skeletal_to_triple, triple_to_skeletal, twist_equivalence
 
-from .oracles import o_derivation_dims, o_derivation_failure
+from .oracles import o_derivation_dims, o_derivation_failure, o_det, o_hom_failure
 from .test_cohomology import _raw
 
 RANDOM_ROUNDS = 50
@@ -241,6 +241,24 @@ def test_criterion_06_extension_round_trip():
     assert ok, line
 
 
+def _isomorphism_failures(ext1, ext2, alpha, beta):
+    """What keeps (alpha, beta) from being an isomorphism of extensions ext1 -> ext2."""
+    t1, t2 = ext1.total, ext2.total
+    checks = [
+        ("alpha is singular", o_det(alpha.to_lists()) != 0),
+        ("beta is singular", o_det(beta.to_lists()) != 0),
+        ("alpha is no homomorphism",
+         o_hom_failure(t1.g.c, t2.g.c, alpha.to_lists()) is None),
+        ("beta is no homomorphism",
+         o_hom_failure(t1.h.c, t2.h.c, beta.to_lists()) is None),
+        ("phi_hat square", t2.phi * alpha == beta * t1.phi),
+        ("i, p squares", alpha * ext1.i == ext2.i and ext2.p * alpha == ext1.p),
+        ("i_bar, p_bar squares",
+         beta * ext1.i_bar == ext2.i_bar and ext2.p_bar * beta == ext1.p_bar),
+    ]
+    return [name for name, ok in checks if not ok]
+
+
 def test_criterion_07_coboundary_isomorphism():
     failures = []
     s = Sampler(707)
@@ -253,12 +271,16 @@ def test_criterion_07_coboundary_isomorphism():
         c2 = MCochain.from_vector(
             rep, 2, [a - b for a, b in zip(c1.to_vector(), moved)])
         try:
-            coboundary_isomorphism(rep, c1, c2, d0, del0)
+            alpha, beta = coboundary_isomorphism(rep, c1, c2, d0, del0)
         except Exception as exc:
             failures.append(f"shift #{k}: {exc}")
+            continue
+        failures += [f"shift #{k}: {why}" for why in _isomorphism_failures(
+            build_extension(rep, c1), build_extension(rep, c2), alpha, beta)]
     ok = not failures
     line = report(7, ok, f"{COCYCLE_ROUNDS} random simple coboundary shifts "
-                  "produce verified extension isomorphisms"
+                  "produce extension isomorphisms: invertible, homomorphisms by the "
+                  "dense oracle, all five squares commute"
                   + ("" if ok else f"; failures: {failures[:3]}"))
     assert ok, line
 

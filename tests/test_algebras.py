@@ -44,6 +44,7 @@ from morphlie.sampling import Sampler
 from .oracles import (
     o_antisymmetry_failure,
     o_hom_failure,
+    o_jacobi_failure,
     o_rep_failure,
     o_rota_baxter_failure,
 )
@@ -83,7 +84,7 @@ def test_short_bracket_vector_is_a_shape_error():
 
 
 def _verdicts(raw):
-    """(package, oracle) reports for antisymmetry of g and h, V, W and phi."""
+    """(package, oracle) reports for antisymmetry and Jacobi of g and h, V, W and phi."""
     ours, theirs = [], []
     algebras = []
     for c in (raw["c_g"], raw["c_h"]):
@@ -94,6 +95,9 @@ def _verdicts(raw):
             algebras.append(None)
             ours.append(str(exc))
         theirs.append(o_antisymmetry_failure(c))
+        if algebras[-1] is not None:
+            ours.append(check_jacobi(algebras[-1]).detail)
+            theirs.append(o_jacobi_failure(c))
     g, h = algebras
     for alg, c, act, n in ((g, raw["c_g"], raw["act_v"], raw["dim_v"]),
                            (h, raw["c_h"], raw["act_w"], raw["dim_w"])):
@@ -144,9 +148,10 @@ def _bumped(raw, rng):
 
 
 def test_validators_agree_with_dense_oracles():
-    """Antisymmetry, the representation axiom and the homomorphism law name the
-    same first failing pair as the dense oracles, or pass with them, on the
-    catalog, Sampler(404) draws, dense conjugated bases and one-entry bumps."""
+    """Antisymmetry, Jacobi, the representation axiom and the homomorphism law
+    name the same first failing tuple as the dense oracles, or pass with them,
+    on the catalog, Sampler(404) draws, dense conjugated bases and one-entry
+    bumps."""
     s, rng = Sampler(404), random.Random(404)
     catalog = [rep for _, rep in standard_morphism_reps()]
     inputs = [_raw(rep) for rep in catalog + [s.morphism_rep() for _ in range(VALIDATOR_DRAWS)]]

@@ -307,18 +307,32 @@ class TestValidationCalls:
         assert run(capsys, "extend", sl2_doc, "c2", "-o", ext_path)[0] == 0
         assert run(capsys, "sh", "from-cocycle", sl2_doc, "c3", "-o", skel_path)[0] == 0
         evaluated = _record_axiom_evaluations(monkeypatch)
-        # The document's V and W, the induced V and W of the extraction, and
-        # W pulled back along phi for the induced triple's closedness check.
+        # The document's V and W: the extraction reads its cocycle off the
+        # blocks of the total, and the induced triple is the document's.
         code, _, _ = run(capsys, "extract", ext_path, "phi_hat", "rep",
                          "-o", str(tmp_path / "back.json"))
-        assert code == 0 and len(evaluated) == 5
+        assert code == 0 and len(evaluated) == 2
         evaluated.clear()
-        # The document's V and W, and W pulled back for the degree-2 and
-        # degree-3 differentials; the triple the skeletal object keeps is
-        # its sh axioms, so its V and W are not checked again.
+        # The document's V and W; W pulled back along phi is built unchecked,
+        # and the triple the skeletal object keeps is its sh axioms, so its
+        # V and W are not checked again.
         code, _, _ = run(capsys, "sh", "twist", skel_path, "morphism",
                          "--seed", "11", "-o", str(tmp_path / "twisted.json"))
-        assert code == 0 and len(evaluated) == 4
+        assert code == 0 and len(evaluated) == 2
+
+    def test_extend_and_extract_solve_and_rank_nothing(self, capsys, monkeypatch, sl2_doc,
+                                                       tmp_path):
+        # The totals are assembled from the cocycle's blocks and read back off
+        # them: the only linear algebra is d_2 of the closedness check.
+        import morphlie.linalg
+
+        solves = _record_calls(monkeypatch, morphlie.linalg, "solve_columns")
+        ranks = _record_calls(monkeypatch, morphlie.linalg, "rank")
+        ext_path = str(tmp_path / "ext.json")
+        assert run(capsys, "extend", sl2_doc, "c2", "-o", ext_path)[0] == 0
+        assert run(capsys, "extract", ext_path, "phi_hat", "rep",
+                   "-o", str(tmp_path / "back.json"))[0] == 0
+        assert (len(solves), len(ranks)) == (0, 0)
 
     def test_sh_requests_evaluate_each_identity_once(self, capsys, monkeypatch, sl2_doc,
                                                      tmp_path):
@@ -332,12 +346,12 @@ class TestValidationCalls:
         jacobi = _record_calls(monkeypatch, morphlie.algebras, "check_jacobi")
         evaluated = _record_axiom_evaluations(monkeypatch)
         expected = {
-            # d_3 of the cocycle check; the document's V and W and W pulled back.
-            ("sh", "from-cocycle", sl2_doc, "c3", "-o", skel_path): (1, 3),
-            # condition (iv) of the loaded object, then d_2 and d_3; V, W and
-            # W pulled back twice.
+            # d_3 of the cocycle check; the document's V and W (W pulled back
+            # along phi is built unchecked, here and below).
+            ("sh", "from-cocycle", sl2_doc, "c3", "-o", skel_path): (1, 2),
+            # condition (iv) of the loaded object, then d_2 and d_3; V and W.
             ("sh", "twist", skel_path, "morphism", "--seed", "11",
-             "-o", str(tmp_path / "twisted.json")): (3, 4),
+             "-o", str(tmp_path / "twisted.json")): (3, 2),
             # condition (iv) of the loaded object; the document's V and W.
             ("sh", "to-triple", skel_path, "morphism",
              "-o", str(tmp_path / "triple.json")): (1, 2),
