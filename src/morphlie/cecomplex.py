@@ -14,7 +14,7 @@ from math import comb
 
 from .algebras import Representation, MorphismLieAlgebra
 from .errors import ShapeError
-from .linalg import Complex, Matrix, ZERO, determinant
+from .linalg import Complex, Matrix, ONE, ZERO
 
 
 class ExteriorBasis:
@@ -128,14 +128,26 @@ def pullback_rep(m: MorphismLieAlgebra, w: Representation) -> Representation:
 def wedge_minor_matrix(phi: Matrix, n: int) -> Matrix:
     """Matrix of wedge^n phi on lex-ordered tuple bases.
 
-    Entry [T, S] is the determinant of phi's submatrix on rows T, columns S,
-    so (wedge^n phi)(e_S) = sum_T det(phi[T, S]) f_T.
+    Column S is phi e_{s1} ^ ... ^ phi e_{sn}, expanded one factor at a time
+    over the nonzero entries of phi's columns, each product of basis vectors
+    re-sorted under its permutation sign.  Entry [T, S] is therefore the
+    determinant of phi's submatrix on rows T, columns S.
     """
     src = ExteriorBasis(phi.cols, n)
     dst = ExteriorBasis(phi.rows, n)
-    rows = [{col: determinant(phi.submatrix(t, s)) for col, s in enumerate(src.tuples)}
-            for t in dst.tuples]
-    return Matrix.from_dicts(rows, len(src))
+    columns, wedges = phi.transpose(), []
+    for s in src.tuples:
+        wedge = {(): ONE}
+        for j in s:
+            step: dict[tuple[int, ...], Fraction] = {}
+            for t, x in wedge.items():
+                for r, y in columns.row_items(j):
+                    if (sorted_sign := sort_with_sign(t + (r,))) is not None:
+                        u, sign = sorted_sign
+                        step[u] = step.get(u, ZERO) + sign * x * y
+            wedge = step
+        wedges.append({dst.index[t]: x for t, x in wedge.items()})
+    return Matrix.from_dicts(wedges, len(dst)).transpose()
 
 
 def postcompose_matrix(psi: Matrix, num_tuples: int) -> Matrix:

@@ -8,15 +8,17 @@ citizens because top-degree cochain spaces are routinely empty.
 
 ``Matrix`` stores each row as a dict {column: Fraction} of its nonzero
 entries, the only matrix format in the package: the differentials it carries
-are a few percent nonzero.  ``product_is_zero`` multiplies stored rows.  One
-sparse elimination on a copy of the rows, ``_eliminate``, is behind ranks,
-determinants, kernels and solutions.  For ``rank`` and ``determinant`` it
-pivots on the shortest row and, inside it, on the column the fewest rows
-touch, which keeps fill-in low.  For ``kernel_basis``, ``solve_columns``,
-``inverse`` and ``complete_basis`` it pivots on a row's lowest column and
-clears it from every other row, which ends in the unique reduced row echelon
-form: callers depend on what that form returns, the kernel basis with one
-free column per vector and solutions whose free coordinates are 0.
+are a few percent nonzero.  Values stored and returned are Fractions, but
+``product_is_zero`` and the one sparse elimination, ``_eliminate``, behind
+ranks, determinants, kernels and solutions, work on integer copies of rows
+(each times the lcm of its denominators): no gcd or new object per + and *.
+For ``rank`` and ``determinant`` the elimination pivots on the shortest row
+and, inside it, on the column the fewest rows touch, which keeps fill-in
+low.  For ``kernel_basis``, ``solve_columns``, ``inverse`` and
+``complete_basis`` it pivots on a row's lowest column and clears it from
+every other row; each row divided by its pivot is then the unique reduced
+row echelon form, which callers depend on: the kernel basis with one free
+column per vector and solutions whose free coordinates are 0.
 
 ``Complex`` is the one cochain complex behind every cohomology dimension in
 the package: a degree -> differential function with cached ranks, one
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Callable, ItemsView, Iterable, Mapping, Sequence
 
 from .errors import ShapeError, SizeCeilingExceeded
@@ -35,6 +38,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 Scalar = int | str | Fraction
+Number = int | Fraction
 
 
 def rat(value: Scalar) -> Fraction:
@@ -280,26 +284,45 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _row_times(row: dict[int, Fraction], rows: list[dict[int, Fraction]]) -> dict[int, Fraction]:
-    """The nonzero entries of row . M, for M stored as ``rows``."""
-    acc: dict[int, Fraction] = {}
+def _row_times(row: Mapping[int, Number], rows: Sequence[Mapping[int, Number]]) -> dict[int, Number]:
+    """The nonzero entries of row . M, for M stored as ``rows``; ints stay ints."""
+    acc: dict[int, Number] = {}
     for k, x in row.items():
         for j, y in rows[k].items():
-            acc[j] = acc.get(j, ZERO) + x * y
+            acc[j] = acc[j] + x * y if j in acc else x * y
     return {j: x for j, x in acc.items() if x}
 
 
-def _eliminate(rows: Iterable[Mapping[int, Fraction]],
-               reduce: bool) -> dict[int, tuple[int, dict[int, Fraction]]]:
-    """Sparse exact elimination on a copy of ``rows``: {pivot column: (row index, row)}.
+def _denominator(row: Mapping[int, Fraction]) -> int:
+    """The lcm of the denominators of a row's entries."""
+    return lcm(*(x.denominator for x in row.values()))
 
+
+def _integer_row(row: Mapping[int, Fraction], d: int) -> dict[int, int]:
+    """``row`` times d as exact integers; d is a multiple of its denominators."""
+    if d == 1:
+        return {j: x.numerator for j, x in row.items()}
+    return {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+
+
+def _eliminate(rows: Iterable[Mapping[int, Fraction]], reduce: bool
+               ) -> tuple[dict[int, tuple[int, dict[int, int]]], list[tuple[int, int]]]:
+    """Sparse exact elimination on integer copies of ``rows``.
+
+    Returns {pivot column: (row index, integer row)} and the scalings (m, q)
+    made, each a row multiplied by m and divided by q.  A row enters times the
+    lcm of its denominators and is divided by its content on becoming a pivot
+    row.  Clearing pivot p from a row with entry f makes it (p/g) row - (f/g)
+    pivot row, g = gcd(p, f) with p's sign: each row stays a positive multiple
+    of the row a Fraction elimination would hold, with the same fill-in.
     A lazy heap yields the shortest live row; a column index records the rows
     touching each column.  Rank mode pivots at the row's column the fewest
     other live rows touch (ties to the lowest) and clears it from live rows.
-    With ``reduce`` the row pivots at its lowest column, scaled to 1, and
-    pivot rows are cleared too: they end as the unique reduced row echelon form.
+    With ``reduce`` the row pivots at its lowest column and pivot rows are
+    cleared too: divided by their pivots they end as the unique reduced row
+    echelon form.
     """
-    work = {i: dict(row) for i, row in enumerate(rows) if row}
+    work = {i: _integer_row(row, _denominator(row)) for i, row in enumerate(rows) if row}
     live = set(work)
     touching: dict[int, set[int]] = {}
     for i, row in work.items():
@@ -307,18 +330,20 @@ def _eliminate(rows: Iterable[Mapping[int, Fraction]],
             touching.setdefault(j, set()).add(i)
     queue = [(len(row), i) for i, row in work.items()]
     heapq.heapify(queue)
-    pivots: dict[int, tuple[int, dict[int, Fraction]]] = {}
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    scalings: list[tuple[int, int]] = []
     while live:
         length, i = heapq.heappop(queue)
         row = work[i]
         if i not in live or len(row) != length:
             continue
         live.discard(i)
+        if (q := gcd(*row.values())) != 1:
+            scalings.append((1, q))
+            for j in row:
+                row[j] //= q
         if reduce:
             c = min(row)
-            if (inv := ONE / row[c]) != ONE:
-                for j in row:
-                    row[j] *= inv
         else:
             for j in row:
                 touching[j].discard(i)
@@ -329,43 +354,49 @@ def _eliminate(rows: Iterable[Mapping[int, Fraction]],
         if not targets:
             continue
         pivot = row.pop(c)
-        scale = -ONE / pivot
         for k in targets:
             other = work[k]
-            f = other.pop(c) * scale
+            f = other.pop(c)
+            g = gcd(pivot, f) if pivot > 0 else -gcd(pivot, f)
+            m, f = pivot // g, -f // g
+            if m != 1:
+                scalings.append((m, 1))
+                for j in other:
+                    other[j] *= m
             for j, x in row.items():
                 y = other.get(j)
                 if y is None:
                     other[j] = f * x
                     touching[j].add(k)
+                elif y := y + f * x:
+                    other[j] = y
                 else:
-                    y += f * x
-                    if y:
-                        other[j] = y
-                    else:
-                        del other[j]
-                        touching[j].discard(k)
+                    del other[j]
+                    touching[j].discard(k)
             if not other:
                 live.discard(k)
             elif k in live:
                 heapq.heappush(queue, (len(other), k))
         row[c] = pivot
-    return pivots
+    return pivots, scalings
 
 
 def rank(m: Matrix) -> int:
     """Exact rank: the number of pivots of the sparse elimination."""
-    return len(_eliminate(m._rows, reduce=False))
+    return len(_eliminate(m._rows, reduce=False)[0])
 
 
 def product_is_zero(a: Matrix, b: Matrix) -> bool:
     """Whether a * b is the zero matrix.
 
-    Stops at the first nonzero row of the product, which is never formed.
+    Multiplies integer rows, a's each times its denominators' lcm and b's by
+    one common one; stops at the first nonzero row of the product, unformed.
     """
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return not any(_row_times(row, b._rows) for row in a._rows)
+    d = lcm(*map(_denominator, b._rows))
+    right = [_integer_row(row, d) for row in b._rows]
+    return not any(_row_times(_integer_row(row, _denominator(row)), right) for row in a._rows)
 
 
 class Complex:
@@ -461,13 +492,13 @@ def kernel_basis(m: Matrix) -> Matrix:
     Free column f of the reduced row echelon form gives 1 at f, 0 at the
     other free columns, and minus the reduced rows' entries at f on pivots.
     """
-    pivots = _eliminate(m._rows, reduce=True)
+    pivots, _ = _eliminate(m._rows, reduce=True)
     free = {f: k for k, f in enumerate(c for c in range(m.cols) if c not in pivots)}
     out = Matrix(m.cols, len(free))
     for f, k in free.items():
         out._rows[f][k] = ONE
     for p, (_, row) in pivots.items():
-        out._rows[p] = {free[j]: -x for j, x in row.items() if j != p}
+        out._rows[p] = {free[j]: Fraction(-x, row[p]) for j, x in row.items() if j != p}
     return out
 
 
@@ -488,12 +519,12 @@ def solve_columns(m: Matrix, b: Matrix) -> Matrix | None:
         raise ShapeError(f"solve: {m.rows}x{m.cols} matrix against {b.rows}x{b.cols} right-hand side")
     n = m.cols
     aug = [{**row, **{n + j: x for j, x in rhs.items()}} for row, rhs in zip(m._rows, b._rows)]
-    pivots = _eliminate(aug, reduce=True)
+    pivots, _ = _eliminate(aug, reduce=True)
     if any(p >= n for p in pivots):
         return None
     out = Matrix(n, b.cols)
     for p, (_, row) in pivots.items():
-        out._rows[p] = {j - n: x for j, x in row.items() if j >= n}
+        out._rows[p] = {j - n: Fraction(x, row[p]) for j, x in row.items() if j >= n}
     return out
 
 
@@ -501,23 +532,27 @@ def determinant(m: Matrix) -> Fraction:
     """Product of the rank-mode pivots, times the sign of row -> pivot column.
 
     Elimination adds only multiples of pivot rows, and a pivot row is zero on
-    earlier pivot columns, so the pivot rows form a permuted triangular matrix.
+    earlier pivot columns, so the pivot rows form a permuted triangular matrix;
+    the integer pivots are divided by the scalings that made them integers.
     """
     if m.rows != m.cols:
         raise ShapeError("determinant of a non-square matrix")
-    pivots = _eliminate(m._rows, reduce=False)
+    pivots, scalings = _eliminate(m._rows, reduce=False)
     if len(pivots) < m.rows:
         return ZERO
-    det = ONE
+    num, den = 1, prod(map(_denominator, m._rows))
     column = [0] * m.rows
     for c, (i, row) in pivots.items():
-        det *= row[c]
+        num *= row[c]
         column[i] = c
+    for grown, shrunk in scalings:
+        num *= shrunk
+        den *= grown
     for i in range(m.rows):
         while (c := column[i]) != i:
             column[i], column[c] = column[c], c
-            det = -det
-    return det
+            num = -num
+    return Fraction(num, den)
 
 
 def is_invertible(m: Matrix) -> bool:
@@ -543,7 +578,7 @@ def complete_basis(partial: Matrix) -> tuple[Matrix, list[int]]:
     """
     n, k = partial.rows, partial.cols
     pivots = sorted(_eliminate([{**row, k + r: ONE} for r, row in enumerate(partial._rows)],
-                               reduce=True))
+                               reduce=True)[0])
     if pivots[:k] != list(range(k)):
         raise ShapeError("complete_basis expects independent columns")
     chosen = [c - k for c in pivots[k:]]

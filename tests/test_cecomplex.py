@@ -23,7 +23,7 @@ from morphlie.errors import ShapeError
 from morphlie.fixtures import a1, a2, heis, sl2, v0, v1
 from morphlie.linalg import Matrix, inverse, is_invertible, rank
 
-from .oracles import _mk_act, _mk_brk, o_ce_dims, o_ce_matrix
+from .oracles import _mk_act, _mk_brk, o_ce_dims, o_ce_matrix, o_det
 
 
 def _fixture_reps():
@@ -194,6 +194,24 @@ def test_wedge_minor_multiplicative(flat_a, flat_b, n):
     a = Matrix.from_rows([flat_a[0:3], flat_a[3:6], flat_a[6:9]])
     b = Matrix.from_rows([flat_b[0:3], flat_b[3:6], flat_b[6:9]])
     assert wedge_minor_matrix(a * b, n) == wedge_minor_matrix(a, n) * wedge_minor_matrix(b, n)
+
+
+_sparse_entries = st.one_of(st.just(0), st.builds(Fraction, st.integers(-3, 3),
+                                                   st.sampled_from([1, 2, 3])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(lambda rc: st.tuples(
+    st.lists(_sparse_entries, min_size=rc[0] * rc[1], max_size=rc[0] * rc[1]).map(
+        lambda xs: Matrix(rc[0], rc[1], xs)),
+    st.integers(0, min(rc) + 1))))
+def test_wedge_minor_entries_are_oracle_minors(phi_and_n):
+    phi, n = phi_and_n
+    targets, sources = ExteriorBasis(phi.rows, n).tuples, ExteriorBasis(phi.cols, n).tuples
+    minors = wedge_minor_matrix(phi, n)
+    assert (minors.rows, minors.cols) == (len(targets), len(sources))
+    assert minors.to_lists() == [[o_det(phi.submatrix(t, s).to_lists()) for s in sources]
+                                 for t in targets]
 
 
 def test_postcompose_matrix_acts_blockwise():

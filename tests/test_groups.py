@@ -25,6 +25,7 @@ from morphlie.groups import (
     group_cochain_dim,
     group_cochain_tuples,
     group_cohomology_dim,
+    group_complex,
     group_differential,
     mlg_block_dims,
     mlg_cochain_dim,
@@ -221,6 +222,13 @@ class TestGroupCohomology:
             assert group_cohomology_dim(module, 0, normalized=True) == 1
             assert group_cohomology_dim(module, 1, normalized=True) == 0
             assert group_cohomology_dim(module, 2, normalized=True) == 0
+
+    def test_z6_normalized_table_follows_maschke(self):
+        """H^n(Z6, Q) = 0 for n > 0, so rank d_n = 5^n - rank d_{n-1}."""
+        cx = group_complex(GroupModule.trivial(FiniteGroup.cyclic(6), 1), normalized=True)
+        rows = cx.table(4)
+        assert [r["rank"] for r in rows] == [0, 5, 20, 105, 520]
+        assert [r["cohomology"] for r in rows] == [1, 0, 0, 0, 0]
 
     def test_sign_module_has_no_invariants(self):
         module = sign_module(FiniteGroup.cyclic(2))

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, adjoint_morphism_rep
+from morphlie.cohomology import mla_differential
 from morphlie.errors import ShapeError, SizeCeilingExceeded
 from morphlie.linalg import (
     Complex,
@@ -168,15 +170,23 @@ def test_solve_columns_multi():
 # Cheaper to draw than st.fractions, over the same small range.
 entries = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4]))
 
+# The elimination and product_is_zero scale rows to integers: these entries
+# give long numerators, large pairwise coprime denominators (primes past
+# 10^6) and rows that mix integers, large fractions and small ones.
+BIG_PRIMES = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099]
+big_numerators = st.integers(-10 ** 30, 10 ** 30)
+big_fractions = st.builds(Fraction, big_numerators, st.sampled_from(BIG_PRIMES))
+big_entries = st.one_of(big_numerators.map(Fraction), big_fractions, entries)
+
 
 @st.composite
-def sparse_matrices(draw, rows=st.integers(0, 8), cols=st.integers(0, 8)):
+def sparse_matrices(draw, rows=st.integers(0, 8), cols=st.integers(0, 8), values=entries):
     """Random rational matrices whose density ranges from empty to full."""
     r, c = draw(rows), draw(cols)
     density = draw(st.integers(0, 4))
     mask = draw(st.lists(st.integers(1, 4), min_size=r * c, max_size=r * c))
-    values = draw(st.lists(entries, min_size=r * c, max_size=r * c))
-    return Matrix(r, c, [x if k <= density else 0 for k, x in zip(mask, values)])
+    drawn = draw(st.lists(values, min_size=r * c, max_size=r * c))
+    return Matrix(r, c, [x if k <= density else 0 for k, x in zip(mask, drawn)])
 
 
 def invertible(n: int):
@@ -202,8 +212,8 @@ def invertible(n: int):
     ).map(build)
 
 
-@settings(max_examples=120, deadline=None)
-@given(sparse_matrices())
+@settings(max_examples=160, deadline=None)
+@given(st.one_of(sparse_matrices(), sparse_matrices(values=big_entries)))
 def test_sparse_rank_matches_oracle(m):
     assert rank(m) == o_rank(m.to_lists())
 
@@ -245,6 +255,45 @@ def test_product_is_zero_matches_dense_product(a, data):
     # A kernel basis makes a product that really is zero.
     k = kernel_basis(a)
     assert product_is_zero(a, k) and (a * k).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(values=big_numerators.map(Fraction)), st.data())
+def test_product_is_zero_with_denominators_on_the_right_only(a, data):
+    # b is scaled by one common denominator, a's integer rows not at all.
+    b = data.draw(sparse_matrices(rows=st.just(a.cols), cols=st.integers(0, 6),
+                                  values=big_fractions))
+    assert product_is_zero(a, b) == (a * b).is_zero()
+    k = kernel_basis(a)
+    scales = data.draw(st.lists(big_fractions.filter(bool), min_size=k.cols, max_size=k.cols))
+    killed = k * Matrix.from_dicts([{j: x} for j, x in enumerate(scales)], k.cols)
+    assert product_is_zero(a, killed)
+    # One entry off by 1/p^2 on a column a does not kill: the product is not zero.
+    if k.cols and (j := a.first_nonzero_col()) is not None:
+        nudge = Matrix.from_dicts([{0: Fraction(1, BIG_PRIMES[0] ** 2)} if i == j else {}
+                                   for i in range(a.cols)], k.cols)
+        assert not product_is_zero(a, killed + nudge)
+
+
+def test_rank_and_product_is_zero_do_no_fraction_arithmetic(monkeypatch):
+    # The 5-dimensional Heisenberg algebra: [e0, e2] = [e1, e3] = e4.
+    heis5 = LieAlgebra.from_brackets(5, {(0, 2): [0, 0, 0, 0, 1], (1, 3): [0, 0, 0, 0, 1]})
+    rep = adjoint_morphism_rep(MorphismLieAlgebra.identity(heis5))
+    d1, d2 = mla_differential(rep, 1), mla_differential(rep, 2)
+    assert all(x.denominator == 1 for d in (d1, d2) for i in range(d.rows)
+               for _, x in d.row_items(i))
+    expected = o_rank(d1.to_lists()), o_rank(d2.to_lists())
+    calls = []
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        def counted(a, b, original=getattr(Fraction, name), name=name):
+            calls.append(name)
+            return original(a, b)
+        monkeypatch.setattr(Fraction, name, counted)
+    assert product_is_zero(d2, d1)
+    assert (rank(d1), rank(d2)) == expected
+    assert calls == []
+    # The wrappers do count: the Fraction product of the same matrices calls them.
+    assert (d2 * d1).is_zero() and calls
 
 
 def test_product_is_zero_rejects_mismatched_shapes():
@@ -344,15 +393,16 @@ def test_inverse_of_singular_matrix():
 # -- the reduced-row-echelon routines against the dense oracle ---------------
 
 @st.composite
-def low_rank_matrices(draw, rows=st.integers(0, 7), cols=st.integers(0, 7)):
+def low_rank_matrices(draw, rows=st.integers(0, 7), cols=st.integers(0, 7), values=entries):
     """A . B through an inner dimension of at most 3: rank-deficient, dense."""
     r, c, inner = draw(rows), draw(cols), draw(st.integers(0, 3))
-    a = draw(sparse_matrices(st.just(r), st.just(inner)))
-    b = draw(sparse_matrices(st.just(inner), st.just(c)))
+    a = draw(sparse_matrices(st.just(r), st.just(inner), values))
+    b = draw(sparse_matrices(st.just(inner), st.just(c), values))
     return a * b
 
 
-rref_inputs = st.one_of(sparse_matrices(), low_rank_matrices())
+rref_inputs = st.one_of(sparse_matrices(), low_rank_matrices(),
+                        sparse_matrices(values=big_entries), low_rank_matrices(values=big_entries))
 
 
 def _oracle_solution(m, b):
@@ -367,7 +417,7 @@ def _oracle_solution(m, b):
     return x
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(rref_inputs)
 def test_kernel_basis_matches_oracle_rref(m):
     rows, pivots = o_rref(m.to_lists(), m.cols)
@@ -381,14 +431,15 @@ def test_kernel_basis_matches_oracle_rref(m):
     assert [k.col(j) for j in range(k.cols)] == expected
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(rref_inputs, st.data())
 def test_solve_columns_matches_oracle_rref(m, data):
     # A random right-hand side is often inconsistent; m . X never is.
     k = data.draw(st.integers(0, 3))
+    values = data.draw(st.sampled_from([entries, big_entries]))
     rhs = data.draw(st.one_of(
-        sparse_matrices(st.just(m.rows), st.just(k)),
-        sparse_matrices(st.just(m.cols), st.just(k)).map(lambda x: m * x)))
+        sparse_matrices(st.just(m.rows), st.just(k), values),
+        sparse_matrices(st.just(m.cols), st.just(k), values).map(lambda x: m * x)))
     x = solve_columns(m, rhs)
     expected = _oracle_solution(m, rhs)
     assert (x is None) == (expected is None)
@@ -398,10 +449,10 @@ def test_solve_columns_matches_oracle_rref(m, data):
         assert m * x == rhs
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 6).flatmap(
-    lambda n: st.one_of(sparse_matrices(st.just(n), st.just(n)),
-                        low_rank_matrices(st.just(n), st.just(n)))))
+@settings(max_examples=160, deadline=None)
+@given(st.tuples(st.integers(0, 6), st.sampled_from([entries, big_entries])).flatmap(
+    lambda nv: st.one_of(sparse_matrices(st.just(nv[0]), st.just(nv[0]), nv[1]),
+                         low_rank_matrices(st.just(nv[0]), st.just(nv[0]), nv[1]))))
 def test_inverse_and_determinant_match_oracles(m):
     n = m.rows
     assert determinant(m) == o_det(m.to_lists())
