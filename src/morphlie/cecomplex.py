@@ -9,12 +9,11 @@ That layout fixes the matrix form of every differential in the package.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .algebras import Representation, MorphismLieAlgebra
 from .errors import ShapeError
-from .linalg import Complex, Matrix, ONE, ZERO
+from .linalg import Complex, Matrix
 
 
 class ExteriorBasis:
@@ -62,7 +61,7 @@ def ce_differential(rep: Representation, n: int) -> Matrix:
         = sum_i (-1)^{i+1} rho(x_i) f(..., x_i omitted, ...)
         + sum_{i<j} (-1)^{i+j} f([x_i, x_j], ..., x_i, x_j omitted, ...),
     evaluated on increasing basis tuples, with bracket insertions re-sorted
-    into increasing order under the permutation sign.
+    into increasing order under the permutation sign; summed in integers.
     """
     if n < 0:
         raise ShapeError("degree must be nonnegative")
@@ -70,7 +69,10 @@ def ce_differential(rep: Representation, n: int) -> Matrix:
     dim_v = rep.dim_v
     src = ExteriorBasis(g.dim, n)
     dst = ExteriorBasis(g.dim, n + 1)
-    rows: list[dict[int, Fraction]] = [{} for _ in range(len(dst) * dim_v)]
+    den = lcm(*(m.integer_rows()[1] for m in rep.action),
+              *(x.denominator for row in g.nonzero for pairs in row for _, x in pairs))
+    acts = [m.integer_rows(den)[0] for m in rep.action]
+    rows: list[dict[int, int]] = [{} for _ in range(len(dst) * dim_v)]
 
     for t_idx, tup in enumerate(dst.tuples):
         for i in range(n + 1):
@@ -78,12 +80,12 @@ def ce_differential(rep: Representation, n: int) -> Matrix:
             omitted = tup[:i] + tup[i + 1:]
             s_idx = src.index[omitted]
             sign = 1 if i % 2 == 0 else -1
-            rho = rep.action[tup[i]]
+            rho = acts[tup[i]]
             for r in range(dim_v):
                 row = rows[t_idx * dim_v + r]
-                for c, x in rho.row_items(r):
+                for c, x in rho[r].items():
                     col = s_idx * dim_v + c
-                    row[col] = row.get(col, ZERO) + sign * x
+                    row[col] = row.get(col, 0) + sign * x
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
                 # Bracket-insertion term with sign (-1)^{i+j} for 1-based i < j.
@@ -95,11 +97,11 @@ def ce_differential(rep: Representation, n: int) -> Matrix:
                         continue
                     stup, ssign = sorted_sign
                     s_idx = src.index[stup]
-                    total = coeff * pair_sign * ssign
+                    total = pair_sign * ssign * coeff.numerator * (den // coeff.denominator)
                     for r in range(dim_v):
                         row, col = rows[t_idx * dim_v + r], s_idx * dim_v + r
-                        row[col] = row.get(col, ZERO) + total
-    return Matrix.from_dicts(rows, len(src) * dim_v)
+                        row[col] = row.get(col, 0) + total
+    return Matrix.from_integer_rows(rows, len(src) * dim_v, den)
 
 
 def ce_complex(rep: Representation) -> Complex:
@@ -131,30 +133,34 @@ def wedge_minor_matrix(phi: Matrix, n: int) -> Matrix:
     Column S is phi e_{s1} ^ ... ^ phi e_{sn}, expanded one factor at a time
     over the nonzero entries of phi's columns, each product of basis vectors
     re-sorted under its permutation sign.  Entry [T, S] is therefore the
-    determinant of phi's submatrix on rows T, columns S.
+    determinant of phi's submatrix on rows T, columns S.  It expands the
+    integer P of phi = P / d and divides by d^n.
     """
     src = ExteriorBasis(phi.cols, n)
     dst = ExteriorBasis(phi.rows, n)
-    columns, wedges = phi.transpose(), []
-    for s in src.tuples:
-        wedge = {(): ONE}
+    columns, d = phi.transpose().integer_rows()
+    rows: list[dict[int, int]] = [{} for _ in range(len(dst))]
+    for s_idx, s in enumerate(src.tuples):
+        wedge = {(): 1}
         for j in s:
-            step: dict[tuple[int, ...], Fraction] = {}
+            step: dict[tuple[int, ...], int] = {}
             for t, x in wedge.items():
-                for r, y in columns.row_items(j):
+                for r, y in columns[j].items():
                     if (sorted_sign := sort_with_sign(t + (r,))) is not None:
                         u, sign = sorted_sign
-                        step[u] = step.get(u, ZERO) + sign * x * y
+                        step[u] = step.get(u, 0) + sign * x * y
             wedge = step
-        wedges.append({dst.index[t]: x for t, x in wedge.items()})
-    return Matrix.from_dicts(wedges, len(dst)).transpose()
+        for t, x in wedge.items():
+            rows[dst.index[t]][s_idx] = x
+    return Matrix.from_integer_rows(rows, len(src), d ** n)
 
 
 def postcompose_matrix(psi: Matrix, num_tuples: int) -> Matrix:
     """Matrix of f -> psi . f on flattened cochains over a fixed tuple basis."""
-    rows = [{s * psi.cols + c: x for c, x in psi.row_items(r)}
-            for s in range(num_tuples) for r in range(psi.rows)]
-    return Matrix.from_dicts(rows, num_tuples * psi.cols)
+    psi_rows, d = psi.integer_rows()
+    rows = [{s * psi.cols + c: x for c, x in row.items()}
+            for s in range(num_tuples) for row in psi_rows]
+    return Matrix.from_integer_rows(rows, num_tuples * psi.cols, d)
 
 
 def precompose_matrix(minors: Matrix, dim_w: int) -> Matrix:
@@ -166,12 +172,13 @@ def precompose_matrix(minors: Matrix, dim_w: int) -> Matrix:
     """
     n_src = minors.cols  # tuples over g
     n_dst = minors.rows  # tuples over h
-    rows: list[dict[int, Fraction]] = [{} for _ in range(n_src * dim_w)]
-    for t in range(n_dst):
-        for s, coeff in minors.row_items(t):
+    minor_rows, d = minors.integer_rows()
+    rows: list[dict[int, int]] = [{} for _ in range(n_src * dim_w)]
+    for t, minor_row in enumerate(minor_rows):
+        for s, coeff in minor_row.items():
             for r in range(dim_w):
                 rows[s * dim_w + r][t * dim_w + r] = coeff
-    return Matrix.from_dicts(rows, n_dst * dim_w)
+    return Matrix.from_integer_rows(rows, n_dst * dim_w, d)
 
 
 def morphism_matrix(d_v: Matrix, d_w: Matrix, psi: Matrix, tuples: int,

@@ -18,13 +18,13 @@ delta''' taken in the pullback module W_Phi; degree 0 is V alone.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .algebras import CheckResult
 from .cecomplex import morphism_matrix
 from .errors import NotAHomomorphism, ShapeError, ValidationError
-from .linalg import Complex, Matrix, ZERO
+from .linalg import Complex, Matrix
 
 
 class FiniteGroup:
@@ -159,33 +159,36 @@ def group_differential(module: GroupModule, n: int,
         + (-1)^{n+1} f(g_1, ..., g_n).
 
     Normalized cochains evaluate to zero on tuples containing the identity,
-    so merged tuples that hit the identity simply drop out.
+    so merged tuples that hit the identity simply drop out.  Summed in
+    integers over one common denominator of the action matrices.
     """
     group, dim = module.group, module.dim
     src = group_cochain_tuples(group, n, normalized)
     dst = group_cochain_tuples(group, n + 1, normalized)
     src_index = {t: i for i, t in enumerate(src)}
-    out: list[dict[int, Fraction]] = [{} for _ in range(len(dst) * dim)]
+    den = lcm(*(m.integer_rows()[1] for m in module.action))
+    acts = [m.integer_rows(den)[0] for m in module.action]
+    out: list[dict[int, int]] = [{} for _ in range(len(dst) * dim)]
 
     def add_identity(row_tuple: int, col_tuple: int | None, sign: int) -> None:
         if col_tuple is None:
             return
         for a in range(dim):
             row, col = out[row_tuple * dim + a], col_tuple * dim + a
-            row[col] = row.get(col, ZERO) + sign
+            row[col] = row.get(col, 0) + sign * den
 
     for r, tup in enumerate(dst):
-        action = module.action[tup[0]]
+        action = acts[tup[0]]
         s = src_index.get(tup[1:])
         if s is not None:
             # The action term comes first, into rows that are still empty.
             for a in range(dim):
-                out[r * dim + a] = {s * dim + b: x for b, x in action.row_items(a)}
+                out[r * dim + a] = {s * dim + b: x for b, x in action[a].items()}
         for i in range(1, n + 1):
             merged = tup[:i - 1] + (group.mul[tup[i - 1]][tup[i]],) + tup[i + 1:]
             add_identity(r, src_index.get(merged), -1 if i % 2 else 1)
         add_identity(r, src_index.get(tup[:n]), -1 if (n + 1) % 2 else 1)
-    return Matrix.from_dicts(out, len(src) * dim)
+    return Matrix.from_integer_rows(out, len(src) * dim, den)
 
 
 def group_complex(module: GroupModule, normalized: bool = False,
@@ -295,7 +298,7 @@ def mlg_differential(t: GroupModuleTriple, n: int,
         m_idx = h_index.get(tuple(t.phi[x] for x in tup))
         for r in range(t.dim_w):
             pre.append({} if m_idx is None else {m_idx * t.dim_w + r: 1})
-    pre_phi = Matrix.from_dicts(pre, len(h_index) * t.dim_w)
+    pre_phi = Matrix.from_integer_rows(pre, len(h_index) * t.dim_w)
     d_pull = (group_differential(pullback_module(t), n - 1, normalized) if n
               else Matrix.zeros(t.dim_w, 0))
     return morphism_matrix(group_differential(t.v, n, normalized),

@@ -1,17 +1,16 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, deliberately dependency-free.
 
-Everything in this package reduces to ranks and kernels of matrices with
-Fraction entries, so this module is deliberately dependency-free: stdlib
-fractions supply the canonical reduced p/q scalar type, and every answer is
-exact.  Zero-dimensional matrices (0 rows or 0 columns) are first-class
-citizens because top-degree cochain spaces are routinely empty.
+Zero-dimensional matrices (0 rows or 0 columns) are first-class citizens
+because top-degree cochain spaces are routinely empty.
 
-``Matrix`` stores each row as a dict {column: Fraction} of its nonzero
-entries, the only matrix format in the package: the differentials it carries
-are a few percent nonzero.  Values stored and returned are Fractions, but
-``product_is_zero`` and the one sparse elimination, ``_eliminate``, behind
-ranks, determinants, kernels and solutions, work on integer copies of rows
-(each times the lcm of its denominators): no gcd or new object per + and *.
+``Matrix``, the only matrix format in the package, stores each row as a dict
+{column: int} of its nonzero numerators over one row denominator: the
+differentials it carries are a few percent nonzero.  Every operation computes
+on those integers, so no + or * pays a gcd and a new object; every entry
+read or reported is a Fraction.  Assembly code builds rows in integers
+through ``integer_rows`` and ``from_integer_rows``.  The one sparse
+elimination, ``_eliminate``, is behind ranks, determinants, kernels and
+solutions.
 For ``rank`` and ``determinant`` the elimination pivots on the shortest row
 and, inside it, on the column the fewest rows touch, which keeps fill-in
 low.  For ``kernel_basis``, ``solve_columns``, ``inverse`` and
@@ -29,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm, prod
 from typing import Callable, ItemsView, Iterable, Mapping, Sequence
 
@@ -60,29 +60,29 @@ def rat_str(value: Fraction) -> str:
 
 
 class Matrix:
-    """Immutable matrix of Fractions; each row stores only its nonzero entries.
+    """Immutable rational matrix; each row stores its nonzero entries as integers.
 
-    Row i is a dict {column: entry} holding no zero entry.  Every operation
-    that can cancel drops the zeros it makes, so ``==`` and ``is_zero`` can
-    compare stored rows directly.
+    Row i is a dict {column: numerator} holding no zero over a positive row
+    denominator, the lcm of its entries' denominators (lowest terms), so
+    ``==`` and ``is_zero`` compare stored rows.  Entries are read as
+    Fractions.  A stored row is never changed, so matrices share rows.
     """
 
-    __slots__ = ("rows", "cols", "_rows")
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Scalar] = ()):
         if rows < 0 or cols < 0:
             raise ShapeError(f"matrix dimensions must be nonnegative, got {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        data = [rat(x) for x in entries]
+        data = list(entries)
         if not data:
-            self._rows: list[dict[int, Fraction]] = [{} for _ in range(rows)]
-            return
-        if len(data) != rows * cols:
+            self._num, self._den = [{} for _ in range(rows)], [1] * rows
+        elif len(data) != rows * cols:
             raise ShapeError(f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}")
-        self._rows = [
-            {j: x for j, x in enumerate(data[i * cols:(i + 1) * cols]) if x}
-            for i in range(rows)]
+        else:
+            self._num, self._den = _scalar_rows(
+                enumerate(data[i * cols:(i + 1) * cols]) for i in range(rows))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> Matrix:
@@ -94,12 +94,9 @@ class Matrix:
         width = len(rows[0])
         if cols is not None and cols != width:
             raise ShapeError(f"declared {cols} columns but rows have {width}")
-        flat: list[Scalar] = []
-        for r in rows:
-            if len(r) != width:
-                raise ShapeError("ragged rows")
-            flat.extend(r)
-        return cls(n, width, flat)
+        if any(len(r) != width for r in rows):
+            raise ShapeError("ragged rows")
+        return _matrix(width, *_scalar_rows(enumerate(r) for r in rows))
 
     @classmethod
     def from_dicts(cls, rows: Sequence[Mapping[int, Scalar]], cols: int) -> Matrix:
@@ -107,36 +104,57 @@ class Matrix:
 
         Zero values are dropped; a column outside range(cols) is a ShapeError.
         """
-        out = cls(len(rows), cols)
-        for stored, row in zip(out._rows, rows):
-            for j, x in row.items():
+        for row in rows:
+            for j in (min(row), max(row)) if row else ():
                 if not 0 <= j < cols:
                     raise ShapeError(f"column {j} outside a matrix with {cols} columns")
-                if x := rat(x):
-                    stored[j] = x
-        return out
+        return _matrix(cols, *_scalar_rows(row.items() for row in rows))
+
+    @classmethod
+    def from_integer_rows(cls, rows: Sequence[dict[int, int]], cols: int, den: int = 1) -> Matrix:
+        """Row i is rows[i] / den, den > 0; zeros are dropped and the dicts become the rows."""
+        num = [row if 0 not in row.values() else {j: x for j, x in row.items() if x}
+               for row in rows]
+        return _matrix(cols, num, [den] * len(num))
+
+    def integer_rows(self, d: int = 0) -> tuple[list[dict[int, int]], int]:
+        """(rows, d): this matrix times d as {column: int} rows of the nonzero entries.
+
+        d defaults to the lcm of the row denominators; a given d must be a
+        multiple of it.  A row may be the stored one: read it, never change it.
+        """
+        if d <= 1 and self._den.count(1) == self.rows:
+            return self._num, 1
+        d = d or lcm(*self._den)
+        return [row if e == d else {j: x * (d // e) for j, x in row.items()}
+                for row, e in zip(self._num, self._den)], d
 
     @classmethod
     def lincomb(cls, terms: Iterable[tuple[Scalar, Matrix]], rows: int, cols: int) -> Matrix:
         """The rows x cols matrix sum c * m over (c, m) in terms; cancelled entries are dropped."""
-        out = cls(rows, cols)
+        parts, unit = [], True
         for c, m in terms:
             if m.rows != rows or m.cols != cols:
                 raise ShapeError(f"shape mismatch: {rows}x{cols} vs {m.rows}x{m.cols}")
-            if not (c := rat(c)):
-                continue
-            unit = c == ONE
-            for row, part in zip(out._rows, m._rows):
+            p, q = (c if isinstance(c, (int, Fraction)) else rat(c)).as_integer_ratio()
+            if p:
+                parts.append((p, q, m))
+                unit = unit and q == 1 and m._den.count(1) == rows
+        den = [1] * rows if unit else [lcm(*(q * m._den[i] for _, q, m in parts))
+                                       for i in range(rows)]
+        num: list[dict[int, int]] = [{} for _ in range(rows)]
+        for p, q, m in parts:
+            factors = repeat(p) if unit else [p * (d // (q * e)) for d, e in zip(den, m._den)]
+            for row, part, f in zip(num, m._num, factors):
                 for j, x in part.items():
-                    if not unit:
-                        x = c * x
+                    x *= f
                     if (y := row.get(j)) is None:
                         row[j] = x
                     elif y := y + x:
                         row[j] = y
                     else:
                         del row[j]
-        return out
+        return _matrix(cols, num, den)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Matrix:
@@ -144,7 +162,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
-        return cls.from_dicts([{i: ONE} for i in range(n)], n)
+        return _matrix(n, [{i: 1} for i in range(n)], [1] * n)
 
     @classmethod
     def column(cls, entries: Sequence[Scalar]) -> Matrix:
@@ -157,14 +175,17 @@ class Matrix:
         rows = blocks[0].rows
         if any(b.rows != rows for b in blocks):
             raise ShapeError("hstack blocks disagree on row count")
-        out = cls(rows, sum(b.cols for b in blocks))
+        den = ([1] * rows if all(b._den.count(1) == rows for b in blocks)
+               else [lcm(*(b._den[i] for b in blocks)) for i in range(rows)])
+        num: list[dict[int, int]] = [{} for _ in range(rows)]
         offset = 0
         for b in blocks:
-            for row, part in zip(out._rows, b._rows):
+            for row, part, d, e in zip(num, b._num, den, b._den):
+                f = d // e
                 for j, x in part.items():
-                    row[offset + j] = x
+                    row[offset + j] = x * f
             offset += b.cols
-        return out
+        return _matrix(offset, num, den)
 
     @classmethod
     def vstack(cls, blocks: Sequence[Matrix]) -> Matrix:
@@ -173,9 +194,8 @@ class Matrix:
         cols = blocks[0].cols
         if any(b.cols != cols for b in blocks):
             raise ShapeError("vstack blocks disagree on column count")
-        out = cls(sum(b.rows for b in blocks), cols)
-        out._rows = [dict(row) for b in blocks for row in b._rows]
-        return out
+        return _matrix(cols, [row for b in blocks for row in b._num],
+                       [d for b in blocks for d in b._den])
 
     @classmethod
     def block(cls, grid: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -185,35 +205,41 @@ class Matrix:
         i, j = key
         if not -self.cols <= j < self.cols:
             raise IndexError("matrix column index out of range")
-        return self._rows[i].get(j % self.cols, ZERO)
+        x = self._num[i].get(j % self.cols)
+        return ZERO if x is None else _entry(x, self._den[i])
 
     def row(self, i: int) -> list[Fraction]:
-        out = [ZERO] * self.cols
-        for j, x in self._rows[i].items():
-            out[j] = x
+        out, d = [ZERO] * self.cols, self._den[i]
+        for j, x in self._num[i].items():
+            out[j] = _entry(x, d)
         return out
 
     def row_items(self, i: int) -> ItemsView[int, Fraction]:
         """The (column, entry) pairs of row i's nonzero entries, read-only."""
-        return self._rows[i].items()
+        d = self._den[i]
+        return {j: _entry(x, d) for j, x in self._num[i].items()}.items()
 
     def col(self, j: int) -> list[Fraction]:
-        return [self[i, j] for i in range(self.rows)]
+        if self.rows:
+            j = range(self.cols)[j]
+        return [_entry(row[j], d) if j in row else ZERO for row, d in zip(self._num, self._den)]
 
     def to_lists(self) -> list[list[Fraction]]:
         return [self.row(i) for i in range(self.rows)]
 
     def transpose(self) -> Matrix:
-        out = Matrix(self.cols, self.rows)
-        for i, row in enumerate(self._rows):
+        rows, d = self.integer_rows()
+        num: list[dict[int, int]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(rows):
             for j, x in row.items():
-                out._rows[j][i] = x
-        return out
+                num[j][i] = x
+        return _matrix(self.rows, num, [d] * self.cols)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self._rows == other._rows
+        return (self.rows == other.rows and self.cols == other.cols
+                and self._num == other._num and self._den == other._den)
 
     def __add__(self, other: Matrix) -> Matrix:
         return Matrix.lincomb(((ONE, self), (ONE, other)), self.rows, self.cols)
@@ -225,57 +251,60 @@ class Matrix:
         return self.scale(-ONE)
 
     def scale(self, c: Scalar) -> Matrix:
-        c = rat(c)
-        out = Matrix(self.rows, self.cols)
-        if c:
-            out._rows = [{j: c * x for j, x in row.items()} for row in self._rows]
-        return out
+        p, q = rat(c).as_integer_ratio()
+        if not p:
+            return Matrix(self.rows, self.cols)
+        return _matrix(self.cols, [{j: p * x for j, x in row.items()} for row in self._num],
+                       [q * d for d in self._den])
 
     def __mul__(self, other: Matrix) -> Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = Matrix(self.rows, other.cols)
-        out._rows = [_row_times(row, other._rows) for row in self._rows]
-        return out
+        right, e = other.integer_rows()
+        num = [_row_times(row, right) for row in self._num]
+        den = [d * e for d in self._den] if e != 1 else list(self._den)
+        return _matrix(other.cols, num, den)
 
     def apply(self, vector: Sequence[Scalar]) -> list[Fraction]:
         """Multiply by a coordinate vector, returning a plain list.
 
-        Only the vector's nonzero entries are read: each row is matched
-        against them from whichever of the two is shorter.
+        Only the vector's nonzero entries are read, as integers over their
+        lcm: each row is matched against them from whichever is shorter.
         """
         if len(vector) != self.cols:
             raise ShapeError(f"vector of length {len(vector)} against {self.rows}x{self.cols} matrix")
-        vec = {j: rat(x) for j, x in enumerate(vector) if x}
+        (vec,), (v,) = _scalar_rows([enumerate(vector)])
         out = []
-        for row in self._rows:
+        for row, d in zip(self._num, self._den):
             short, long = (row, vec) if len(row) < len(vec) else (vec, row)
-            acc = ZERO
+            acc = 0
             for j, x in short.items():
                 if (y := long.get(j)) is not None:
                     acc += x * y
-            out.append(acc)
+            out.append(_entry(acc, d * v) if acc else ZERO)
         return out
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> Matrix:
         targets: dict[int, list[int]] = {}
         for a, j in enumerate(col_idx):
             targets.setdefault(j, []).append(a)
-        out = Matrix(len(row_idx), len(col_idx))
-        for row, i in zip(out._rows, row_idx):
-            for j, x in self._rows[i].items():
+        num: list[dict[int, int]] = []
+        for i in row_idx:
+            row = {}
+            for j, x in self._num[i].items():
                 for a in targets.get(j, ()):
                     row[a] = x
-        return out
+            num.append(row)
+        return _matrix(len(col_idx), num, [self._den[i] for i in row_idx])
 
     def is_zero(self) -> bool:
-        return not any(self._rows)
+        return not any(self._num)
 
     def first_nonzero_col(self) -> int | None:
         """The lowest column holding a nonzero entry; None for a zero matrix."""
-        return min((min(row) for row in self._rows if row), default=None)
+        return min((min(row) for row in self._num if row), default=None)
 
     def __repr__(self) -> str:
         if self.rows * self.cols <= 12:
@@ -284,37 +313,66 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _row_times(row: Mapping[int, Number], rows: Sequence[Mapping[int, Number]]) -> dict[int, Number]:
-    """The nonzero entries of row . M, for M stored as ``rows``; ints stay ints."""
-    acc: dict[int, Number] = {}
+_SMALL = {k: Fraction(k) for k in range(-64, 65) if k}
+
+
+def _entry(x: int, d: int) -> Fraction:
+    """The entry x / d of a stored row; small integers come from one table."""
+    return _SMALL.get(x) or Fraction(x) if d == 1 else Fraction(x, d)
+
+
+def _scalar_rows(rows: Iterable[Iterable[tuple[int, Scalar]]]
+                 ) -> tuple[list[dict[int, int]], list[int]]:
+    """Rows of (column, scalar) pairs as integer rows over their lcm of denominators."""
+    num, den = [], []
+    for items in rows:
+        row, d = {}, 1
+        for j, x in items:
+            p, q = (x if isinstance(x, (int, Fraction)) else rat(x)).as_integer_ratio()
+            if not p:
+                continue
+            if d % q:
+                f = q // gcd(d, q)
+                for k in row:
+                    row[k] *= f
+                d *= f
+            row[j] = p * (d // q)
+        num.append(row)
+        den.append(d)
+    return num, den
+
+
+def _matrix(cols: int, num: list[dict[int, int]], den: list[int]) -> Matrix:
+    """The matrix with rows num[i] / den[i] in lowest terms; it takes both lists over."""
+    if den.count(1) != len(den):
+        for i, d in enumerate(den):
+            if d != 1 and (g := gcd(d, *num[i].values())) != 1:
+                num[i] = {j: x // g for j, x in num[i].items()}
+                den[i] = d // g
+    out = Matrix.__new__(Matrix)
+    out.rows, out.cols, out._num, out._den = len(num), cols, num, den
+    return out
+
+
+def _row_times(row: Mapping[int, int], rows: Sequence[Mapping[int, int]]) -> dict[int, int]:
+    """The nonzero entries of row . M, for M stored as integer ``rows``."""
+    acc: dict[int, int] = {}
     for k, x in row.items():
         for j, y in rows[k].items():
             acc[j] = acc[j] + x * y if j in acc else x * y
     return {j: x for j, x in acc.items() if x}
 
 
-def _denominator(row: Mapping[int, Fraction]) -> int:
-    """The lcm of the denominators of a row's entries."""
-    return lcm(*(x.denominator for x in row.values()))
-
-
-def _integer_row(row: Mapping[int, Fraction], d: int) -> dict[int, int]:
-    """``row`` times d as exact integers; d is a multiple of its denominators."""
-    if d == 1:
-        return {j: x.numerator for j, x in row.items()}
-    return {j: x.numerator * (d // x.denominator) for j, x in row.items()}
-
-
-def _eliminate(rows: Iterable[Mapping[int, Fraction]], reduce: bool
+def _eliminate(rows: Iterable[Mapping[int, int]], reduce: bool
                ) -> tuple[dict[int, tuple[int, dict[int, int]]], list[tuple[int, int]]]:
-    """Sparse exact elimination on integer copies of ``rows``.
+    """Sparse exact elimination on copies of the integer ``rows``.
 
     Returns {pivot column: (row index, integer row)} and the scalings (m, q)
-    made, each a row multiplied by m and divided by q.  A row enters times the
-    lcm of its denominators and is divided by its content on becoming a pivot
-    row.  Clearing pivot p from a row with entry f makes it (p/g) row - (f/g)
-    pivot row, g = gcd(p, f) with p's sign: each row stays a positive multiple
-    of the row a Fraction elimination would hold, with the same fill-in.
+    made, each a row multiplied by m and divided by q.  A row is divided by
+    its content on becoming a pivot row.  Clearing pivot p from a row with
+    entry f makes it (p/g) row - (f/g) pivot row, g = gcd(p, f) with p's
+    sign: each row stays a positive multiple of the row a Fraction
+    elimination would hold, with the same fill-in.
     A lazy heap yields the shortest live row; a column index records the rows
     touching each column.  Rank mode pivots at the row's column the fewest
     other live rows touch (ties to the lowest) and clears it from live rows.
@@ -322,7 +380,7 @@ def _eliminate(rows: Iterable[Mapping[int, Fraction]], reduce: bool
     cleared too: divided by their pivots they end as the unique reduced row
     echelon form.
     """
-    work = {i: _integer_row(row, _denominator(row)) for i, row in enumerate(rows) if row}
+    work = {i: dict(row) for i, row in enumerate(rows) if row}
     live = set(work)
     touching: dict[int, set[int]] = {}
     for i, row in work.items():
@@ -383,20 +441,20 @@ def _eliminate(rows: Iterable[Mapping[int, Fraction]], reduce: bool
 
 def rank(m: Matrix) -> int:
     """Exact rank: the number of pivots of the sparse elimination."""
-    return len(_eliminate(m._rows, reduce=False)[0])
+    return len(_eliminate(m._num, reduce=False)[0])
 
 
 def product_is_zero(a: Matrix, b: Matrix) -> bool:
     """Whether a * b is the zero matrix.
 
-    Multiplies integer rows, a's each times its denominators' lcm and b's by
-    one common one; stops at the first nonzero row of the product, unformed.
+    Multiplies a's stored integer rows by b's integer view (a row
+    denominator does not change whether a row is zero); stops at the first
+    nonzero row of the product, unformed.
     """
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    d = lcm(*map(_denominator, b._rows))
-    right = [_integer_row(row, d) for row in b._rows]
-    return not any(_row_times(_integer_row(row, _denominator(row)), right) for row in a._rows)
+    right, _ = b.integer_rows()
+    return not any(_row_times(row, right) for row in a._num)
 
 
 class Complex:
@@ -492,14 +550,14 @@ def kernel_basis(m: Matrix) -> Matrix:
     Free column f of the reduced row echelon form gives 1 at f, 0 at the
     other free columns, and minus the reduced rows' entries at f on pivots.
     """
-    pivots, _ = _eliminate(m._rows, reduce=True)
+    pivots, _ = _eliminate(m._num, reduce=True)
     free = {f: k for k, f in enumerate(c for c in range(m.cols) if c not in pivots)}
-    out = Matrix(m.cols, len(free))
-    for f, k in free.items():
-        out._rows[f][k] = ONE
+    num, den = [{free[f]: 1} if f in free else {} for f in range(m.cols)], [1] * m.cols
     for p, (_, row) in pivots.items():
-        out._rows[p] = {free[j]: Fraction(-x, row[p]) for j, x in row.items() if j != p}
-    return out
+        d = row.pop(p)
+        num[p] = {free[j]: x if d < 0 else -x for j, x in row.items()}
+        den[p] = abs(d)
+    return _matrix(len(free), num, den)
 
 
 def solve(m: Matrix, b: Matrix) -> Matrix | None:
@@ -518,14 +576,15 @@ def solve_columns(m: Matrix, b: Matrix) -> Matrix | None:
     if b.rows != m.rows:
         raise ShapeError(f"solve: {m.rows}x{m.cols} matrix against {b.rows}x{b.cols} right-hand side")
     n = m.cols
-    aug = [{**row, **{n + j: x for j, x in rhs.items()}} for row, rhs in zip(m._rows, b._rows)]
-    pivots, _ = _eliminate(aug, reduce=True)
+    pivots, _ = _eliminate(Matrix.hstack([m, b])._num, reduce=True)
     if any(p >= n for p in pivots):
         return None
-    out = Matrix(n, b.cols)
+    num, den = [{} for _ in range(n)], [1] * n
     for p, (_, row) in pivots.items():
-        out._rows[p] = {j - n: Fraction(x, row[p]) for j, x in row.items() if j >= n}
-    return out
+        d = row[p]
+        num[p] = {j - n: x if d > 0 else -x for j, x in row.items() if j >= n}
+        den[p] = abs(d)
+    return _matrix(b.cols, num, den)
 
 
 def determinant(m: Matrix) -> Fraction:
@@ -533,14 +592,14 @@ def determinant(m: Matrix) -> Fraction:
 
     Elimination adds only multiples of pivot rows, and a pivot row is zero on
     earlier pivot columns, so the pivot rows form a permuted triangular matrix;
-    the integer pivots are divided by the scalings that made them integers.
+    the integer pivots are divided by the row denominators and the scalings.
     """
     if m.rows != m.cols:
         raise ShapeError("determinant of a non-square matrix")
-    pivots, scalings = _eliminate(m._rows, reduce=False)
+    pivots, scalings = _eliminate(m._num, reduce=False)
     if len(pivots) < m.rows:
         return ZERO
-    num, den = 1, prod(map(_denominator, m._rows))
+    num, den = 1, prod(m._den)
     column = [0] * m.rows
     for c, (i, row) in pivots.items():
         num *= row[c]
@@ -577,8 +636,8 @@ def complete_basis(partial: Matrix) -> tuple[Matrix, list[int]]:
     form of [partial | I].
     """
     n, k = partial.rows, partial.cols
-    pivots = sorted(_eliminate([{**row, k + r: ONE} for r, row in enumerate(partial._rows)],
-                               reduce=True)[0])
+    pivots = sorted(_eliminate([{**row, k + r: d} for r, (row, d)
+                                in enumerate(zip(partial._num, partial._den))], reduce=True)[0])
     if pivots[:k] != list(range(k)):
         raise ShapeError("complete_basis expects independent columns")
     chosen = [c - k for c in pivots[k:]]

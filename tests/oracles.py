@@ -9,6 +9,7 @@ produced by these routines (and, for the tiny fixtures, checked by hand).
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb
 
 Z = Fraction(0)
 
@@ -674,3 +675,49 @@ def o_rota_baxter_failure(c, r, weight, act=None, r_v=None):
         if _mm(rho_r, r_v) != _mm(r_v, inner):
             return "module", (i,)
     return None
+
+
+# Closed forms: Betti numbers (dim H^k with trivial coefficients) of Lie
+# algebras whose cohomology is known, as referees at sizes the brute-force
+# oracles above cannot reach.
+
+def o_poly_product(*factors):
+    """Coefficients of the product of polynomials given by coefficient lists."""
+    out = [1]
+    for f in factors:
+        acc = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                acc[i + j] += a * b
+        out = acc
+    return out
+
+
+def o_betti_sl2_power(k):
+    """sl2^k, by Kuenneth: the coefficients of (1 + t^3)^k."""
+    return o_poly_product(*[[1, 0, 0, 1]] * k)
+
+
+def o_betti_sl3():
+    """sl3, the rational cohomology of SU(3): (1 + t^3)(1 + t^5)."""
+    return o_poly_product([1, 0, 0, 1], [1, 0, 0, 0, 0, 1])
+
+
+def o_betti_heis(n):
+    """heis_{2n+1} (Santharoubane, Proc. AMS 87, 1983).
+
+    b_k = C(2n, k) - C(2n, k - 2) for k <= n, and b_{2n+1-k} = b_k
+    (Poincare duality: the algebra is nilpotent, hence unimodular).
+    """
+    low = [comb(2 * n, k) - (comb(2 * n, k - 2) if k >= 2 else 0) for k in range(n + 1)]
+    return low + low[::-1]
+
+
+def o_identity_triple_dims(ce_dims, dim_v):
+    """The default complex of (g, g, id) on (V, V, id), from dim H^n(g, V).
+
+    f is onto with the diagonal as kernel, so the full cone has
+    H^n(K) = H^n(g, V) in every degree, and the default complex differs
+    from it only by dim W = dim V more in H^1.
+    """
+    return [h + (dim_v if n == 1 else 0) for n, h in enumerate(ce_dims)]

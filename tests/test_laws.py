@@ -1,0 +1,130 @@
+"""Closed-form laws as referees for the assembled differentials.
+
+The dense oracles referee the catalog and small samples; at sl3 or heis7
+scale the only other check is d . d = 0, which a wrong but square-zero
+block passes.  The expected values here come from closed forms in
+``tests/oracles.py``: Betti numbers, Whitehead's vanishing, the
+identity-triple law and Maschke's theorem over Q.
+"""
+
+from itertools import combinations
+
+import pytest
+
+from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, Representation, adjoint_morphism_rep
+from morphlie.cecomplex import ce_complex
+from morphlie.cohomology import mla_complex
+from morphlie.fixtures import (
+    klein_to_z2_triple,
+    sign_module,
+    sl2,
+    z2_identity_triple,
+    z3_rotation_module,
+    z4_rotation_module,
+    z4_to_z2_sign_triple,
+)
+from morphlie.groups import FiniteGroup, GroupModule, GroupModuleTriple, group_complex, mlg_complex
+
+from .oracles import (
+    o_betti_heis,
+    o_betti_sl2_power,
+    o_betti_sl3,
+    o_identity_triple_dims,
+)
+
+
+def _sl3() -> LieAlgebra:
+    """sl3 in the basis E12, E13, E21, E23, E31, E32, H1 = E11 - E22, H2 = E22 - E33."""
+    off = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+    basis = []
+    for r, c in off:
+        m = [[0] * 3 for _ in range(3)]
+        m[r][c] = 1
+        basis.append(m)
+    basis += [[[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, -1]]]
+
+    def bracket(a, b):
+        return [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(3))
+                 for j in range(3)] for i in range(3)]
+
+    def coords(m):  # x H1 + y H2 = diag(x, y - x, -y)
+        return [m[r][c] for r, c in off] + [m[0][0], -m[2][2]]
+
+    return LieAlgebra.from_brackets(8, {(i, j): coords(bracket(basis[i], basis[j]))
+                                        for i, j in combinations(range(8), 2)})
+
+
+def _direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
+    n = a.dim + b.dim
+    brackets = {(i, j): list(a.c[i][j]) + [0] * b.dim for i, j in combinations(range(a.dim), 2)}
+    brackets.update({(a.dim + i, a.dim + j): [0] * a.dim + list(b.c[i][j])
+                     for i, j in combinations(range(b.dim), 2)})
+    return LieAlgebra.from_brackets(n, brackets)
+
+
+def _heis(n: int) -> LieAlgebra:
+    """heis_{2n+1}: [e_i, e_{n+i}] = e_{2n} for i < n."""
+    top = [0] * (2 * n) + [1]
+    return LieAlgebra.from_brackets(2 * n + 1, {(i, n + i): top for i in range(n)})
+
+
+ALGEBRAS = {"sl2": sl2, "sl3": _sl3, "sl2xsl2": lambda: _direct_sum(sl2(), sl2()),
+            "heis5": lambda: _heis(2), "heis7": lambda: _heis(3)}
+BETTI = {"sl2": o_betti_sl2_power(1), "sl3": o_betti_sl3(), "sl2xsl2": o_betti_sl2_power(2),
+         "heis5": o_betti_heis(2), "heis7": o_betti_heis(3)}
+
+
+@pytest.mark.parametrize("name", BETTI)
+def test_betti_numbers(name):
+    g = ALGEBRAS[name]()
+    complex_ = ce_complex(Representation.trivial(g, 1))
+    assert [complex_.dim_H(n) for n in range(g.dim + 1)] == BETTI[name]
+
+
+def test_whitehead_sl3_adjoint_vanishes_in_every_degree():
+    g = _sl3()
+    complex_ = ce_complex(g.adjoint_rep())
+    assert [complex_.dim_H(n) for n in range(g.dim + 1)] == [0] * (g.dim + 1)
+
+
+@pytest.mark.parametrize("name", ["heis5", "sl2xsl2"])
+def test_identity_triple_law_on_adjoint_triples(name):
+    g = ALGEBRAS[name]()
+    ce = ce_complex(g.adjoint_rep())
+    expected = o_identity_triple_dims([ce.dim_H(n) for n in range(g.dim + 2)], g.dim)
+    triple = mla_complex(adjoint_morphism_rep(MorphismLieAlgebra.identity(g)))
+    assert [triple.dim_H(n) for n in range(g.dim + 2)] == expected
+
+
+MODULES = {
+    "z2-trivial": lambda: GroupModule.trivial(FiniteGroup.cyclic(2), 1),
+    "z2-sign": lambda: sign_module(FiniteGroup.cyclic(2)),
+    "z4-sign": lambda: sign_module(FiniteGroup.cyclic(4)),
+    "z3-rotation": z3_rotation_module,
+    "z4-rotation": z4_rotation_module,
+    "klein-trivial": lambda: GroupModule.trivial(FiniteGroup.klein_four(), 1),
+}
+TRIPLES = {
+    "z2-identity": z2_identity_triple,
+    "z2-sign-identity": lambda: GroupModuleTriple.identity(sign_module(FiniteGroup.cyclic(2))),
+    "z3-rotation-identity": lambda: GroupModuleTriple.identity(z3_rotation_module()),
+    "klein-to-z2": klein_to_z2_triple,
+    "z4-to-z2-sign": z4_to_z2_sign_triple,
+}
+
+
+# Maschke over Q: |G| is invertible, so averaging is a contracting homotopy
+# of the bar complex in degrees >= 1, and of the morphism-group cone in
+# degrees >= 2 (the default complex differs from the cone only in H^1).
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("name", MODULES)
+def test_maschke_group_cohomology_vanishes(name, normalized):
+    complex_ = group_complex(MODULES[name](), normalized)
+    assert [complex_.dim_H(n) for n in (1, 2, 3)] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("name", TRIPLES)
+def test_maschke_morphism_group_cohomology_vanishes(name, normalized):
+    complex_ = mlg_complex(TRIPLES[name](), normalized)
+    assert [complex_.dim_H(n) for n in (2, 3)] == [0, 0]

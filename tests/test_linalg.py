@@ -1,13 +1,16 @@
 """Exact linear algebra kernel: ranks, kernels, solving, determinants."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, adjoint_morphism_rep
-from morphlie.cohomology import mla_differential
+from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, MorphismRep, adjoint_morphism_rep
+from morphlie.cohomology import mla_complex, mla_differential
+from morphlie.fixtures import klein_to_z2_triple
+from morphlie.groups import mlg_complex
 from morphlie.errors import ShapeError, SizeCeilingExceeded
 from morphlie.linalg import (
     Complex,
@@ -275,10 +278,35 @@ def test_product_is_zero_with_denominators_on_the_right_only(a, data):
         assert not product_is_zero(a, killed + nudge)
 
 
+def _rebased(g, p):
+    """g in the basis given by the columns of the invertible matrix p."""
+    p_inv, cols = inverse(p), [p.col(i) for i in range(g.dim)]
+    return LieAlgebra.from_brackets(g.dim, {(i, j): p_inv.apply(g.bracket(cols[i], cols[j]))
+                                            for i, j in combinations(range(g.dim), 2)})
+
+
+def _bidiagonal(steps):
+    """Upper bidiagonal: basis vector j + 1 is e_{j+1} + steps[j] e_j."""
+    n = len(steps) + 1
+    return Matrix.from_dicts([{i: 1, **({i + 1: steps[i]} if i < n - 1 else {})}
+                              for i in range(n)], n)
+
+
 def test_rank_and_product_is_zero_do_no_fraction_arithmetic(monkeypatch):
+    # Nor does any other step of a cohomology table: assembly, ranks and the
+    # d . d check all run on the integer rows.
     # The 5-dimensional Heisenberg algebra: [e0, e2] = [e1, e3] = e4.
     heis5 = LieAlgebra.from_brackets(5, {(0, 2): [0, 0, 0, 0, 1], (1, 3): [0, 0, 0, 0, 1]})
     rep = adjoint_morphism_rep(MorphismLieAlgebra.identity(heis5))
+    # The same triple in rational bases of g and h, as in bench/gen.py's random_basis.
+    g = _rebased(heis5, _bidiagonal([Fraction(1, 2), -2, Fraction(-1, 2), 1]))
+    h = _rebased(heis5, _bidiagonal([2, Fraction(1, 2), -1, Fraction(1, 2)]))
+    phi = inverse(_bidiagonal([2, Fraction(1, 2), -1, Fraction(1, 2)])) * _bidiagonal(
+        [Fraction(1, 2), -2, Fraction(-1, 2), 1])
+    rational = MorphismRep(MorphismLieAlgebra(g, h, phi), g.adjoint_rep(), h.adjoint_rep(), phi)
+    assert any(x.denominator > 1 for i in range(5) for x in phi.row(i))
+    complexes = [mla_complex(rep), mla_complex(rational),
+                 mlg_complex(klein_to_z2_triple(), normalized=True)]
     d1, d2 = mla_differential(rep, 1), mla_differential(rep, 2)
     assert all(x.denominator == 1 for d in (d1, d2) for i in range(d.rows)
                for _, x in d.row_items(i))
@@ -291,9 +319,15 @@ def test_rank_and_product_is_zero_do_no_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(Fraction, name, counted)
     assert product_is_zero(d2, d1)
     assert (rank(d1), rank(d2)) == expected
+    tables = [complexes[0].table(4, simple=True), complexes[1].table(4, simple=True),
+              complexes[2].table(3)]
     assert calls == []
-    # The wrappers do count: the Fraction product of the same matrices calls them.
-    assert (d2 * d1).is_zero() and calls
+    # Every column of the table is basis-invariant, and Maschke leaves no H^2 or H^3.
+    assert tables[0] == tables[1]
+    assert [row["cohomology"] for row in tables[2]][2:] == [0, 0]
+    # The wrappers do count: a Fraction sum of two entries read out of d1 calls them.
+    x, y = [x for i in range(d1.rows) for _, x in d1.row_items(i)][:2]
+    assert x + y is not None and calls == ["__add__"]
 
 
 def test_product_is_zero_rejects_mismatched_shapes():

@@ -8,6 +8,7 @@ a stored zero behind (``==`` and ``is_zero`` compare stored rows).
 
 import re
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphlie.errors import ShapeError
-from morphlie.linalg import Matrix, rat_str
+from morphlie.linalg import Matrix, kernel_basis, rat_str
 
 Z = Fraction(0)
 
@@ -148,10 +149,59 @@ def test_index_outside_shape():
 
 
 def test_storage_stays_inside_linalg():
-    # Only linalg.py may read or write Matrix's stored rows; everything else
-    # goes through from_dicts and row_items.
+    # Only linalg.py may read or write Matrix's stored integer rows and row
+    # denominators; everything else goes through from_dicts, row_items and
+    # the integer pair integer_rows / from_integer_rows.
     package = Path(__file__).resolve().parent.parent / "src" / "morphlie"
     touching = sorted(p.name for p in package.glob("*.py")
                       if p.name != "linalg.py"
-                      and re.search(r"\._rows\b", p.read_text(encoding="utf-8")))
+                      and re.search(r"\._(rows|num|den)\b", p.read_text(encoding="utf-8")))
     assert touching == []
+
+
+def _lowest_fractions(values):
+    return all(type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+               for x in values)
+
+
+nonzero = st.builds(Fraction, st.integers(1, 4) | st.integers(-4, -1), st.sampled_from([1, 2, 3, 5]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped(), st.data())
+def test_equal_matrices_store_equal_rows_however_built(rc, data):
+    # Each row is stored in lowest terms, so == compares stored rows whatever
+    # the matrix was built from.
+    r, c, ref = rc
+    m = of(ref, c)
+    other = of(data.draw(lists(r, c)), c)
+    s = data.draw(nonzero)
+    diag = data.draw(st.lists(nonzero, min_size=c, max_size=c))
+    unreduced = [[Fraction(2 * x.numerator, 2 * x.denominator) for x in row] for row in ref]
+    written = [[int(x) if x.denominator == 1 else f"{3 * x.numerator}/{3 * x.denominator}"
+                for x in row] for row in ref]
+    rows, d = m.integer_rows()
+    built = [
+        of(unreduced, c), of(written, c),
+        Matrix.from_dicts([{j: x for j, x in enumerate(row) if x} for row in unreduced], c),
+        m.scale(s).scale(1 / s),
+        Matrix.lincomb([(1, m), (s, other), (-s, other)], r, c),
+        m * Matrix.from_dicts([{j: x} for j, x in enumerate(diag)], c)
+        * Matrix.from_dicts([{j: 1 / x} for j, x in enumerate(diag)], c),
+        m.transpose().transpose(),
+        Matrix.from_integer_rows([{j: 5 * x for j, x in row.items()} for row in rows], c, 5 * d),
+    ]
+    for b in built:
+        assert b == m and b.to_lists() == ref
+    # The integer view times its denominator gives back the entries, and
+    # stores no zero.
+    assert [[Fraction(row.get(j, 0), d) for j in range(c)] for row in rows] == ref
+    assert all(x for row in rows for x in row.values())
+    # Every entry read back is a Fraction in lowest terms.
+    vec = data.draw(st.lists(entries, min_size=c, max_size=c))
+    assert _lowest_fractions([m[i, j] for i in range(r) for j in range(c)])
+    assert _lowest_fractions([x for row in m.to_lists() for x in row])
+    assert _lowest_fractions([x for j in range(c) for x in m.col(j)])
+    assert _lowest_fractions([x for i in range(r) for _, x in m.row_items(i)])
+    assert _lowest_fractions(m.apply(vec))
+    assert _lowest_fractions([x for row in kernel_basis(m).to_lists() for x in row])
