@@ -1,23 +1,24 @@
 """Lie algebras, representations, morphism pairs, and Rota-Baxter data.
 
 All objects are specified on an ordered basis over Q: a Lie algebra is its
-structure-constant table c[i][j][k] with [e_i, e_j] = sum_k c[i][j][k] e_k,
-a representation is a list of action matrices, and a morphism Lie algebra
-(g, h, phi) is a pair of algebras with a homomorphism given as a matrix.
-Antisymmetry is enforced at construction; the Jacobi identity is a separate
-queryable check so that broken data can still be represented and diagnosed.
-Every bracket and every check sums over the nonzero structure constants only.
+nonzero structure constants c_ij^k, [e_i, e_j] = sum_k c_ij^k e_k, stored
+pair by pair (no dense dim^3 table), a representation is a list of action
+matrices, and a morphism Lie algebra (g, h, phi) is a pair of algebras with
+a homomorphism given as a matrix.  Antisymmetry is enforced at construction;
+the Jacobi identity is a separate queryable check so that broken data can
+still be represented and diagnosed.  Every bracket and every check sums over
+the nonzero structure constants only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .errors import NotAHomomorphism, RotaBaxterViolation, ShapeError, ValidationError
-from .linalg import Matrix, ONE, Scalar, ZERO, rat
+from .linalg import Matrix, Scalar, ZERO, rat
 
 Vector = list[Fraction]
 
@@ -39,45 +40,58 @@ class CheckResult:
 
 
 class LieAlgebra:
-    """A finite-dimensional algebra given by structure constants.
+    """A finite-dimensional algebra given by its nonzero structure constants.
 
-    Antisymmetry c[i][j][k] = -c[j][i][k] is required at construction;
+    ``nonzero[i][j]`` lists the pairs (k, c_ij^k) with c_ij^k != 0, k
+    increasing, and is all that is stored: an algebra costs O(dim^2) plus its
+    brackets.  Antisymmetry c_ij^k = -c_ji^k is required at construction;
     whether the data satisfies Jacobi is a separate question answered by
-    check_jacobi, so near-Lie data can be built and examined.  ``nonzero[i][j]``
-    lists the pairs (k, c[i][j][k]) with c[i][j][k] != 0.
+    check_jacobi, so near-Lie data can be built and examined.
     """
 
     def __init__(self, dim: int, structure: Sequence[Sequence[Sequence[Scalar]]]):
+        """Read the dense table structure[i][j][k] = c_ij^k; it is not kept."""
         if dim < 0:
             raise ShapeError("negative dimension")
         if len(structure) != dim or any(len(row) != dim for row in structure):
             raise ShapeError(f"structure table must be {dim}x{dim} vectors")
         self.dim = dim
-        self.c: list[list[Vector]] = [[[rat(x) for x in cij] for cij in ci] for ci in structure]
-        if any(len(cij) != dim for ci in self.c for cij in ci):
-            raise ShapeError("bracket vectors must have length dim")
         self.nonzero: list[list[list[tuple[int, Fraction]]]] = [
-            [[(k, x) for k, x in enumerate(cij) if x] for cij in ci] for ci in self.c]
+            [[(k, x) for k, x in enumerate(map(rat, cij)) if x] for cij in ci] for ci in structure]
+        if any(len(cij) != dim for ci in structure for cij in ci):
+            raise ShapeError("bracket vectors must have length dim")
         for i, j in combinations_with_replacement(range(dim), 2):
             if self.nonzero[i][j] != [(k, -x) for k, x in self.nonzero[j][i]]:
                 raise ShapeError(f"structure constants not antisymmetric at (e{i+1}, e{j+1})")
 
     @classmethod
     def abelian(cls, dim: int) -> LieAlgebra:
-        zero = [[([ZERO] * dim) for _ in range(dim)] for _ in range(dim)]
-        return cls(dim, zero)
+        return cls.from_brackets(dim, {})
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: dict[tuple[int, int], Sequence[Scalar]]) -> LieAlgebra:
-        """Build from the nonzero brackets [e_i, e_j] with i < j."""
-        table = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+        """Build from the nonzero brackets [e_i, e_j], each with [e_j, e_i] its negative."""
+        if dim < 0:
+            raise ShapeError("negative dimension")
+        nonzero: list[list[list[tuple[int, Fraction]]]] = [
+            [[] for _ in range(dim)] for _ in range(dim)]
         for (i, j), vec in brackets.items():
             if i == j:
                 raise ShapeError("bracket of a basis vector with itself must be omitted")
-            vals = [rat(x) for x in vec]
-            table[i][j] = vals
-            table[j][i] = [-x for x in vals]
-        return cls(dim, table)
+            if len(vec) != dim:
+                raise ShapeError("bracket vectors must have length dim")
+            nonzero[i][j] = [(k, y) for k, x in enumerate(vec) if (y := rat(x))]
+            nonzero[j][i] = [(k, -x) for k, x in nonzero[i][j]]
+        out = cls.__new__(cls)
+        out.dim, out.nonzero = dim, nonzero
+        return out
+
+    def structure_vector(self, i: int, j: int) -> Vector:
+        """The coordinates of [e_i, e_j]."""
+        out: Vector = [ZERO] * self.dim
+        for k, x in self.nonzero[i][j]:
+            out[k] = x
+        return out
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """Bilinear extension of the basis brackets to coordinate vectors."""
@@ -91,9 +105,7 @@ class LieAlgebra:
     def ad_matrix(self, x: Sequence[Scalar]) -> Matrix:
         """Matrix of ad(x) = [x, -] in the given basis."""
         cols = [self.bracket(x, _unit(self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_rows(
-            [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)], cols=self.dim
-        )
+        return Matrix.from_rows(cols, cols=self.dim).transpose()
 
     def adjoint_rep(self) -> Representation:
         mats = [self.ad_matrix(_unit(self.dim, i)) for i in range(self.dim)]
@@ -129,16 +141,22 @@ def jacobiator(a: LieAlgebra) -> Matrix:
     """[[x,y],z] + [[y,z],x] + [[z,x],y] on the basis triples, one column each.
 
     Columns follow the increasing triples in lexicographic order, and
-    [[e_p, e_q], e_r] = sum_l c[p][q][l] c[l][r] is summed over the nonzero
-    structure constants only.
+    [[e_p, e_q], e_r] = sum_l c_pq^l [e_l, e_r] is summed over the nonzero
+    structure constants only.  A triple none of whose pairs has a nonzero
+    bracket has a zero column, so only the other triples are visited.
     """
-    rows: list[dict[int, Fraction]] = [{} for _ in range(a.dim)]
-    for t, (i, j, k) in enumerate(combinations(range(a.dim), 3)):
+    n = a.dim
+    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    triples = {tuple(sorted((p, q, r))) for p in range(n) for q in range(p + 1, n)
+               if a.nonzero[p][q] for r in range(n) if r != p and r != q}
+    for i, j, k in sorted(triples):
+        # The rank of (i, j, k) among the increasing triples of range(n).
+        t = comb(n, 3) - comb(n - i, 3) + comb(n - i - 1, 2) - comb(n - j, 2) + k - j - 1
         for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
             for l, x in a.nonzero[p][q]:
                 for m, y in a.nonzero[l][r]:
                     rows[m][t] = rows[m].get(t, ZERO) + x * y
-    return Matrix.from_dicts(rows, comb(a.dim, 3))
+    return Matrix.from_dicts(rows, comb(n, 3))
 
 
 def check_jacobi(a: LieAlgebra) -> CheckResult:
@@ -173,22 +191,14 @@ class Representation:
     def check(self) -> CheckResult:
         """rho([e_i,e_j]) = rho(e_i)rho(e_j) - rho(e_j)rho(e_i) on basis pairs.
 
-        Evaluated on the first call only, which stores the verdict.  Each
-        pair i < j forms rho(e_i)rho(e_j) and rho(e_j)rho(e_i) once.
+        Evaluated on the first call only, which stores the verdict, by
+        `commutator_defect` on the integer rows of the action matrices.
         """
         if self._verdict is None:
-            self._verdict = self._first_failure()
+            spot = commutator_defect(self)
+            self._verdict = CheckResult(True) if spot is None else CheckResult(
+                False, f"representation axiom fails on basis pair (e{spot[0]+1}, e{spot[1]+1})")
         return self._verdict
-
-    def _first_failure(self) -> CheckResult:
-        a, n = self.algebra, self.dim_v
-        for i, j in combinations(range(a.dim), 2):
-            ri, rj = self.action[i], self.action[j]
-            terms = [(ONE, rj * ri)] + [(x, self.action[k]) for k, x in a.nonzero[i][j]]
-            if Matrix.lincomb(terms, n, n) != ri * rj:
-                return CheckResult(
-                    False, f"representation axiom fails on basis pair (e{i+1}, e{j+1})")
-        return CheckResult(True)
 
     def act(self, x: Sequence[Scalar]) -> Matrix:
         """Matrix of rho(x) for a coordinate vector x."""
@@ -202,6 +212,49 @@ class Representation:
 
     def __repr__(self) -> str:
         return f"Representation(dim_g={self.algebra.dim}, dim_v={self.dim_v})"
+
+
+def commutator_defect(rep: Representation, l3: Matrix | None = None, d: Matrix | None = None,
+                      triples: Sequence[tuple[int, int, int]] = ()) -> tuple[int, int, int] | None:
+    """The first basis pair i < j at which D_ij is nonzero, and its lowest nonzero column.
+
+    D_ij = [rho(e_i), rho(e_j)] - rho([e_i, e_j]) - L_ij d, where L_ij is
+    x -> l3(e_i, e_j, x) for a skew l3 with one column per increasing triple
+    of ``triples`` (0 without l3).  A positive multiple of D_ij is formed row
+    by row from each action's integer rows, read once; None if all vanish.
+    """
+    acts = [m.integer_rows() for m in rep.action]
+    live = [{r for r, row in enumerate(rows) if row} for rows, _ in acts]
+    l3_rows, e = l3.integer_rows() if l3 is not None else ([], 1)
+    d_rows, f = d.integer_rows() if d is not None else ([], 1)
+    slices: dict[tuple[int, int], dict[int, list]] = {}  # (i, j) -> row -> [(d[k], l3 entry)]
+    for r, row in enumerate(l3_rows):
+        for t, x in row.items():
+            p, q, s = triples[t]
+            for pair, k, y in (((p, q), s, x), ((p, s), q, -x), ((q, s), p, x)):
+                slices.setdefault(pair, {}).setdefault(r, []).append((d_rows[k], y))
+    for i, j in combinations(range(rep.algebra.dim), 2):
+        (ri, di), (rj, dj), terms = acts[i], acts[j], rep.algebra.nonzero[i][j]
+        scale = lcm(di * dj, e * f, *(x.denominator * acts[k][1] for k, x in terms))
+        fp, fl = scale // (di * dj), scale // (e * f)
+        minus = [(acts[k][0], x.numerator * (scale // (x.denominator * acts[k][1])))
+                 for k, x in terms]
+        extra, bad = slices.get((i, j), {}), set()
+        # Only a row some term touches can be nonzero.
+        for r in live[i].union(live[j], extra, *(live[k] for k, _ in terms)):
+            acc: dict[int, int] = {}
+            for left, right, sign in ((ri, rj, fp), (rj, ri, -fp)):
+                for k, x in left[r].items():
+                    for c, y in right[k].items():
+                        acc[c] = acc.get(c, 0) + sign * x * y
+            for row, x in ([(rows[r], x) for rows, x in minus]
+                           + [(row, fl * y) for row, y in extra.get(r, ())]):
+                for c, y in row.items():
+                    acc[c] = acc.get(c, 0) - x * y
+            bad.update(c for c, x in acc.items() if x)
+        if bad:
+            return i, j, min(bad)
+    return None
 
 
 def is_lie_homomorphism(g: LieAlgebra, h: LieAlgebra, phi: Matrix) -> CheckResult:
@@ -256,9 +309,9 @@ class MorphismRep:
 
     def __init__(self, base: MorphismLieAlgebra, v: Representation, w: Representation,
                  psi: Matrix, validate: bool = True):
-        if v.algebra is not base.g and v.algebra.c != base.g.c:
+        if v.algebra is not base.g and v.algebra.nonzero != base.g.nonzero:
             raise ShapeError("V must be a representation of g")
-        if w.algebra is not base.h and w.algebra.c != base.h.c:
+        if w.algebra is not base.h and w.algebra.nonzero != base.h.nonzero:
             raise ShapeError("W must be a representation of h")
         if psi.rows != w.dim_v or psi.cols != v.dim_v:
             raise ShapeError(f"psi must be {w.dim_v}x{v.dim_v}, got {psi.rows}x{psi.cols}")

@@ -327,10 +327,9 @@ def check_infinitesimal_deformation(rep: MorphismRep, alpha1: Matrix,
     return check_derivation(rep, alpha1, beta1, [ZERO] * rep.dim_w).ok
 
 
-def _subalgebra_structure(g, basis: Matrix) -> list[list[list[Fraction]]]:
-    """Structure constants of span(basis) in the basis coordinates."""
+def _subalgebra(g, basis: Matrix) -> LieAlgebra:
+    """span(basis) as a Lie algebra in the basis coordinates."""
     dim_p = basis.cols
-    table = [[[ZERO] * dim_p for _ in range(dim_p)] for _ in range(dim_p)]
     pairs = [(i, j) for i in range(dim_p) for j in range(i + 1, dim_p)]
     brackets = [g.bracket(basis.col(i), basis.col(j)) for i, j in pairs]
     coords = solve_columns(basis, Matrix.from_rows(brackets, basis.rows).transpose())
@@ -338,10 +337,7 @@ def _subalgebra_structure(g, basis: Matrix) -> list[list[list[Fraction]]]:
         for (i, j), value in zip(pairs, brackets):
             if solve(basis, Matrix.column(value)) is None:
                 raise NotASubalgebra(f"bracket of basis columns {i+1} and {j+1} leaves the span")
-    for k, (i, j) in enumerate(pairs):
-        table[i][j] = coords.col(k)
-        table[j][i] = [-x for x in table[i][j]]
-    return table
+    return LieAlgebra.from_brackets(dim_p, {pair: coords.col(k) for k, pair in enumerate(pairs)})
 
 
 def _quotient_data(g, basis: Matrix) -> tuple[Matrix, Matrix, list[Matrix]]:
@@ -370,10 +366,8 @@ def quotient_morphism_rep(m: MorphismLieAlgebra, p_basis: Matrix,
         raise ShapeError("q_basis columns must live in h")
     if rank(p_basis) != p_basis.cols or rank(q_basis) != q_basis.cols:
         raise ShapeError("subalgebra basis columns must be independent")
-    p_struct = _subalgebra_structure(g, p_basis)
-    q_struct = _subalgebra_structure(h, q_basis)
-    p_alg = LieAlgebra(p_basis.cols, p_struct)
-    q_alg = LieAlgebra(q_basis.cols, q_struct)
+    p_alg = _subalgebra(g, p_basis)
+    q_alg = _subalgebra(h, q_basis)
 
     phi_p_cols = solve_columns(q_basis, m.phi * p_basis)
     if phi_p_cols is None:

@@ -76,22 +76,30 @@ def parse_matrix(value: Any, where: str, rows: int | None = None,
             raise ParseError(f"{where}: an empty matrix needs known dimensions")
         return Matrix.zeros(0, cols)
     try:
-        data = [parse_vector(r, where) for r in value]
+        if not all(isinstance(r, list) for r in value):
+            raise ParseError(where)  # parse_vector below says which row
+        # from_dicts drops the zeros that are not written "0".
+        data = [{j: _matrix_scalar(x, where) for j, x in enumerate(r) if x != "0"} for r in value]
     except ParseError:
         for k, r in enumerate(value):  # only a failure pays for the row's location
             parse_vector(r, f"{where}[{k}]")
         raise
-    widths = {len(r) for r in data}
+    widths = {len(r) for r in value}
     if len(widths) != 1:
         raise ParseError(f"{where}: ragged rows")
-    # The exact zeros are ZERO itself; from_dicts drops any other zero entry.
-    m = Matrix.from_dicts([{j: x for j, x in enumerate(r) if x is not ZERO} for r in data],
-                          widths.pop())
+    m = Matrix.from_dicts(data, widths.pop())
     if rows is not None and m.rows != rows:
         raise ParseError(f"{where}: expected {rows} rows, got {m.rows}")
     if cols is not None and m.cols != cols:
         raise ParseError(f"{where}: expected {cols} columns, got {m.cols}")
     return m
+
+
+def _matrix_scalar(x: Any, where: str) -> int | Fraction:
+    """parse_scalar's value, as an int for an int or a short string of digits with optional "-"."""
+    if type(x) is str and len(x) < 100 and (x.isdecimal() or x[:1] == "-" and x[1:].isdecimal()):
+        return int(x)
+    return x if type(x) is int else parse_scalar(x, where)
 
 
 def _require_mapping(value: Any, where: str) -> dict:
@@ -137,7 +145,7 @@ def _brackets_data(nonzero: list) -> list:
 
 
 def _matrix_data(m: Matrix) -> list[list[str]]:
-    return [[rat_str(x) for x in row] for row in m.to_lists()]
+    return m.strings()
 
 
 class ShMorphismEntry(NamedTuple):

@@ -79,7 +79,7 @@ class AbelianExtension:
                 if any(k < n for row in alg.nonzero[a] for k, _ in row):
                     raise ShapeError(f"included subspace on the {side} side is not an ideal")
         for alg, sub, name in ((total.g, base.g, "p"), (total.h, base.h, "p_bar")):
-            if any(alg.c[i][j][:sub.dim] != sub.c[i][j]
+            if any([(k, x) for k, x in alg.nonzero[i][j] if k < sub.dim] != sub.nonzero[i][j]
                    for i, j in combinations(range(sub.dim), 2)):
                 raise ShapeError(f"{name} is not a Lie algebra homomorphism")
         if (total.phi.submatrix(range(total.h.dim), range(n_g, total.g.dim))
@@ -88,14 +88,14 @@ class AbelianExtension:
         if total.phi.submatrix(range(n_h), range(n_g)) != base.phi:
             raise ShapeError("p_bar . phi_hat differs from phi . p")
         for alg, n, module in ((total.g, n_g, rep.v), (total.h, n_h, rep.w)):
-            if any(alg.c[i][n + a][n:] != act.col(a)
+            if any(alg.structure_vector(i, n + a)[n:] != act.col(a)
                    for i, act in enumerate(module.action) for a in range(module.dim_v)):
                 raise ValidationError("total algebra does not induce the stated representation")
 
-        theta = _fiber_block([total.g.c[i][j] for i, j in ExteriorBasis(n_g, 2).tuples],
-                             n_g, rep.dim_v)
-        gamma = _fiber_block([total.h.c[i][j] for i, j in ExteriorBasis(n_h, 2).tuples],
-                             n_h, rep.dim_w)
+        theta = _fiber_block([total.g.structure_vector(i, j)
+                              for i, j in ExteriorBasis(n_g, 2).tuples], n_g, rep.dim_v)
+        gamma = _fiber_block([total.h.structure_vector(i, j)
+                              for i, j in ExteriorBasis(n_h, 2).tuples], n_h, rep.dim_w)
         eta = total.phi.submatrix(range(n_h, total.h.dim), range(n_g))
         return cls(rep, MCochain(rep, 2, theta=theta, gamma=gamma, eta=eta), total)
 
@@ -151,20 +151,12 @@ def _require_closed(rep: MorphismRep, cocycle: MCochain) -> None:
 def _extended_algebra(g: LieAlgebra, rep_action, dim_v: int,
                       value_block: Matrix) -> LieAlgebra:
     """g (+) V with bracket twisted by a Hom(wedge^2 g, V) value block."""
-    pairs = ExteriorBasis(g.dim, 2)
-    dim = g.dim + dim_v
-    table = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j), t_idx in pairs.index.items():
-        vec = list(g.c[i][j]) + value_block.col(t_idx)
-        table[i][j] = vec
-        table[j][i] = [-x for x in vec]
-    for i in range(g.dim):
-        act = rep_action[i]
+    brackets = {(i, j): g.structure_vector(i, j) + value_block.col(t)
+                for (i, j), t in ExteriorBasis(g.dim, 2).index.items()}
+    for i, act in enumerate(rep_action):
         for a in range(dim_v):
-            vec = [ZERO] * g.dim + act.col(a)
-            table[i][g.dim + a] = vec
-            table[g.dim + a][i] = [-x for x in vec]
-    return LieAlgebra(dim, table)
+            brackets[i, g.dim + a] = [ZERO] * g.dim + act.col(a)
+    return LieAlgebra.from_brackets(g.dim + dim_v, brackets)
 
 
 def build_extension(rep: MorphismRep, cocycle: MCochain) -> AbelianExtension:
@@ -226,7 +218,8 @@ def _sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 def _bracket_defect(total_alg: LieAlgebra, base_alg: LieAlgebra, s: Matrix,
                     dim_fiber: int) -> Matrix:
     """Fiber coordinates of [s x, s y] - s [x, y] on increasing basis pairs."""
-    return _fiber_block([_sub(total_alg.bracket(s.col(i), s.col(j)), s.apply(base_alg.c[i][j]))
+    return _fiber_block([_sub(total_alg.bracket(s.col(i), s.col(j)),
+                              s.apply(base_alg.structure_vector(i, j)))
                          for i, j in ExteriorBasis(base_alg.dim, 2).tuples],
                         base_alg.dim, dim_fiber)
 

@@ -227,6 +227,14 @@ class Matrix:
     def to_lists(self) -> list[list[Fraction]]:
         return [self.row(i) for i in range(self.rows)]
 
+    def strings(self) -> list[list[str]]:
+        """Each row's entries as the canonical strings rat_str writes."""
+        out = [["0"] * self.cols for _ in range(self.rows)]
+        for line, row, d in zip(out, self._num, self._den):
+            for j, x in row.items():
+                line[j] = str(x) if d == 1 else rat_str(Fraction(x, d))
+        return out
+
     def transpose(self) -> Matrix:
         rows, d = self.integer_rows()
         num: list[dict[int, int]] = [{} for _ in range(self.cols)]
@@ -308,7 +316,7 @@ class Matrix:
 
     def __repr__(self) -> str:
         if self.rows * self.cols <= 12:
-            body = "; ".join(" ".join(rat_str(x) for x in r) for r in self.to_lists())
+            body = "; ".join(" ".join(r) for r in self.strings())
             return f"Matrix({self.rows}x{self.cols}: {body})"
         return f"Matrix({self.rows}x{self.cols})"
 
@@ -328,7 +336,11 @@ def _scalar_rows(rows: Iterable[Iterable[tuple[int, Scalar]]]
     for items in rows:
         row, d = {}, 1
         for j, x in items:
-            p, q = (x if isinstance(x, (int, Fraction)) else rat(x)).as_integer_ratio()
+            if type(x) is int:  # most entries: no ratio and no rescaling
+                if x:
+                    row[j] = x * d
+                continue
+            p, q = (x if isinstance(x, Fraction) else rat(x)).as_integer_ratio()
             if not p:
                 continue
             if d % q:

@@ -6,7 +6,8 @@ trilinear l3: g0^3 -> g1 obeying five identities; the bracket need not
 satisfy Jacobi on the nose.  Each identity is stated through maps the
 package already builds: the action is a Representation (checked for
 nothing), so l2(x, .) is rep.act(x); axiom (iii) compares d . l3 with the
-Jacobiator, axiom (v) is the Chevalley-Eilenberg differential of l3, and
+Jacobiator, axiom (iv) is the representation axiom less l3(e_i, e_j, d .),
+axiom (v) is the Chevalley-Eilenberg differential of l3, and
 morphism condition (iv) is the eta row of the degree-3 morphism
 differential.  Skeletal objects (d = 0 on both layers of a morphism pair)
 correspond to closed degree-3 cochains of a morphism Lie algebra: each
@@ -27,6 +28,7 @@ from .algebras import (
     MorphismRep,
     Representation,
     _unit,
+    commutator_defect,
     jacobiator,
 )
 from .cecomplex import (
@@ -120,7 +122,8 @@ def check_two_term_sh(t: TwoTermSh) -> CheckResult:
     (iii) d l3(x, y, z) = l2(x, l2(y, z)) + cyclic, i.e. d . l3 + J = 0
           for the Jacobiator J
     (iv)  l3(x, y, d p) = l2(x, l2(y, p)) + l2(y, l2(p, x)) + l2(p, l2(x, y)),
-          i.e. [A_i, A_j] - l2(c_ij, .) is the matrix of p -> l3(e_i, e_j, d p)
+          i.e. [A_i, A_j] - l2(c_ij, .) is the matrix of p -> l3(e_i, e_j, d p),
+          checked by the representation axiom's kernel `commutator_defect`
     (v)   the ten-term compatibility between l2 and l3 on quadruples, i.e.
           the Chevalley-Eilenberg differential of l3 vanishes
     A failure names the first basis tuple at which the identity fails.
@@ -139,14 +142,10 @@ def check_two_term_sh(t: TwoTermSh) -> CheckResult:
     if col is not None:
         i, j, k = t.triples.tuples[col]
         return CheckResult(False, f"axiom (iii) fails at (e{i+1}, e{j+1}, e{k+1})")
-    l3_t = t.l3.transpose()
-    for i in range(dim0):
-        for j in range(i + 1, dim0):
-            a = (t.action1[i] * t.action1[j] - t.action1[j] * t.action1[i]
-                 - t.rep.act(g0.c[i][j])
-                 - _slice(l3_t, t.triples.index, (i, j), dim0) * d).first_nonzero_col()
-            if a is not None:
-                return CheckResult(False, f"axiom (iv) fails at (e{i+1}, e{j+1}, p{a+1})")
+    spot = commutator_defect(t.rep, t.l3, d, t.triples.tuples)
+    if spot is not None:
+        i, j, a = spot
+        return CheckResult(False, f"axiom (iv) fails at (e{i+1}, e{j+1}, p{a+1})")
     q = _first_nonzero(ce_differential(t.rep, 3).apply(_flat(t.l3)))
     if q is not None:
         i, j, k, l = ExteriorBasis(dim0, 4).tuples[q // dim1]
@@ -197,7 +196,7 @@ def check_sh_morphism(src: TwoTermSh, dst: TwoTermSh, m: ShMorphism) -> CheckRes
     pairs = ExteriorBasis(src.dim0, 2)
     for (i, j) in pairs.tuples:
         lhs = dst.d.apply(m.phi2.col(pairs.index[(i, j)]))
-        rhs_first = m.phi0.apply(src.bracket0.c[i][j])
+        rhs_first = m.phi0.apply(src.bracket0.structure_vector(i, j))
         rhs_second = dst.bracket0.bracket(m.phi0.col(i), m.phi0.col(j))
         if lhs != [a - b for a, b in zip(rhs_first, rhs_second)]:
             return CheckResult(False, f"condition (ii) fails at (e{i+1}, e{j+1})")

@@ -7,7 +7,8 @@ holds ``morphlie.documents``, which reads and writes every section from one
 table, to this copy: equal ``to_dict()`` output, or the same exception class
 and message, and equal ``check_document`` rows, on every perturbed document
 of its corpus.  Only the package's constructors and the unchanged parsers and
-report records are imported.
+report records are imported; matrices are read here through ``parse_vector``
+(every scalar a Fraction), as the package read them before its integer path.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from morphlie.algebras import (
     check_jacobi,
 )
 from morphlie.cohomology import MCochain, mla_block_shapes
-from morphlie.documents import CheckRow, ShMorphismEntry, located, parse_matrix, parse_vector
+from morphlie.documents import CheckRow, ShMorphismEntry, located, parse_vector
 from morphlie.errors import (
     MorphismAlgebraError,
     ParseError,
@@ -34,6 +35,8 @@ from morphlie.errors import (
 from morphlie.groups import FiniteGroup, GroupModule, GroupModuleTriple
 from morphlie.linalg import Matrix, rat_str
 from morphlie.shlie import ShMorphism, TwoTermSh
+
+from .oracles import dense_table
 
 SECTIONS = (
     "lie_algebras",
@@ -55,6 +58,31 @@ def vector_data(v: list[Fraction]) -> list[str]:
 
 def matrix_data(m: Matrix) -> list[list[str]]:
     return [[rat_str(x) for x in row] for row in m.to_lists()]
+
+
+def parse_matrix(value: Any, where: str, rows: int | None = None,
+                 cols: int | None = None) -> Matrix:
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list of rows")
+    if not value:
+        if rows not in (0, None) or cols is None:
+            raise ParseError(f"{where}: an empty matrix needs known dimensions")
+        return Matrix.zeros(0, cols)
+    try:
+        data = [parse_vector(r, where) for r in value]
+    except ParseError:
+        for k, r in enumerate(value):
+            parse_vector(r, f"{where}[{k}]")
+        raise
+    widths = {len(r) for r in data}
+    if len(widths) != 1:
+        raise ParseError(f"{where}: ragged rows")
+    m = Matrix.from_rows(data, widths.pop())
+    if rows is not None and m.rows != rows:
+        raise ParseError(f"{where}: expected {rows} rows, got {m.rows}")
+    if cols is not None and m.cols != cols:
+        raise ParseError(f"{where}: expected {cols} columns, got {m.cols}")
+    return m
 
 
 def _require_mapping(value: Any, where: str) -> dict:
@@ -402,18 +430,18 @@ class ProblemDocument:
 
 
 def _lie_algebra_data(a: LieAlgebra) -> dict:
-    brackets = []
+    brackets, table = [], dense_table(a)
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
-            if a.nonzero[i][j]:
-                brackets.append([i, j, vector_data(a.c[i][j])])
+            if any(table[i][j]):
+                brackets.append([i, j, vector_data(table[i][j])])
     return {"dim": a.dim, "brackets": brackets}
 
 
 def _same_object(a: Any, b: Any) -> bool:
     """Structural equality for cross-reference resolution at dump time."""
     if isinstance(a, LieAlgebra) and isinstance(b, LieAlgebra):
-        return a.dim == b.dim and a.c == b.c
+        return a.dim == b.dim and dense_table(a) == dense_table(b)
     if isinstance(a, Representation) and isinstance(b, Representation):
         return (a.dim_v == b.dim_v and a.action == b.action
                 and _same_object(a.algebra, b.algebra))

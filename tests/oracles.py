@@ -152,6 +152,20 @@ def o_ce_dims(dim_g, brk, act, dim_v, max_degree):
     return dims
 
 
+def dense_table(a):
+    """The dense table c[i][j][k] of an algebra object, read off its ``nonzero`` pairs.
+
+    The package stores only the nonzero structure constants; the oracles take
+    dense tables, and every test that needs one builds it here.
+    """
+    table = [[[Z] * a.dim for _ in range(a.dim)] for _ in range(a.dim)]
+    for i, row in enumerate(a.nonzero):
+        for j, pairs in enumerate(row):
+            for k, x in pairs:
+                table[i][j][k] = x
+    return table
+
+
 def _mk_brk(c):
     return lambda i, j: c[i][j]
 

@@ -2,7 +2,10 @@
 
 import copy
 import random
+import re
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +45,7 @@ from morphlie.linalg import Matrix, inverse
 from morphlie.sampling import Sampler
 
 from .oracles import (
+    dense_table,
     o_antisymmetry_failure,
     o_hom_failure,
     o_jacobi_failure,
@@ -75,6 +79,19 @@ def test_broken_bracket_reports_first_triple():
 def test_antisymmetry_enforced_at_construction():
     with pytest.raises(ShapeError):
         LieAlgebra(2, [[[0, 0], [1, 0]], [[1, 0], [0, 0]]])
+
+
+def test_an_algebra_stores_only_its_nonzero_structure_constants():
+    for a in (LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 1]}), LieAlgebra.abelian(2),
+              LieAlgebra(2, [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]])):
+        assert set(vars(a)) == {"dim", "nonzero"}
+    assert LieAlgebra(2, [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]]).nonzero == [
+        [[], [(0, Fraction(1))]], [[(0, Fraction(-1))], []]]
+    # No module reads a dense table c[i][j][k]; structure_vector gives one bracket.
+    package = Path(__file__).resolve().parent.parent / "src" / "morphlie"
+    assert [p.name for p in package.glob("*.py")
+            if re.search(r"\.c\b", p.read_text(encoding="utf-8"))] == []
+    assert sl2().structure_vector(0, 1) == dense_table(sl2())[0][1]
 
 
 def test_short_bracket_vector_is_a_shape_error():
@@ -263,10 +280,8 @@ def test_zero_rota_baxter_scales_bracket():
     d = RotaBaxterDatum(g, Matrix.zeros(3, 3), lam)
     morphism, module = rota_baxter_morphism(d)
     assert module is None
-    for i in range(3):
-        for j in range(3):
-            expected = [lam * c for c in g.c[i][j]]
-            assert morphism.g.c[i][j] == expected
+    table = dense_table(g)
+    assert dense_table(morphism.g) == [[[lam * c for c in cij] for cij in ci] for ci in table]
     assert morphism.phi.is_zero()
 
 
@@ -275,7 +290,7 @@ def test_identity_rota_baxter_weight_minus_one():
     g = sl2()
     d = RotaBaxterDatum(g, Matrix.identity(3), -1)
     morphism, _ = rota_baxter_morphism(d)
-    assert morphism.g.c == g.c
+    assert dense_table(morphism.g) == dense_table(g)
     assert morphism.phi == Matrix.identity(3)
 
 
@@ -284,7 +299,7 @@ def test_any_operator_on_abelian_is_rota_baxter():
     r = Matrix.from_rows([[1, 2], [3, 4]])
     d = RotaBaxterDatum(g, r, Fraction(5))
     morphism, _ = rota_baxter_morphism(d)
-    assert morphism.g.c == g.c  # still abelian
+    assert dense_table(morphism.g) == dense_table(g)  # still abelian
 
 
 def test_invalid_rota_baxter_rejected():
@@ -315,12 +330,13 @@ def test_rota_baxter_module_violation():
 def _direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     n = a.dim + b.dim
     table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    c_a, c_b = dense_table(a), dense_table(b)
     for i in range(a.dim):
         for j in range(a.dim):
-            table[i][j][:a.dim] = a.c[i][j]
+            table[i][j][:a.dim] = c_a[i][j]
     for i in range(b.dim):
         for j in range(b.dim):
-            table[a.dim + i][a.dim + j][a.dim:] = b.c[i][j]
+            table[a.dim + i][a.dim + j][a.dim:] = c_b[i][j]
     return LieAlgebra(n, table)
 
 
@@ -383,15 +399,16 @@ def test_rota_baxter_matches_oracle():
     seen = set()
     for g, r, lam, rep, r_v in cases:
         found = o_rota_baxter_failure(
-            g.c, r.to_lists(), lam, None if rep is None else [a.to_lists() for a in rep.action],
+            dense_table(g), r.to_lists(), lam,
+            None if rep is None else [a.to_lists() for a in rep.action],
             None if r_v is None else r_v.to_lists())
         seen.add(None if found is None else found[0])
         if found is None:
             morphism, module = rota_baxter_morphism(RotaBaxterDatum(g, r, lam, rep, r_v))
-            assert o_hom_failure(morphism.g.c, g.c, r.to_lists()) is None
+            assert o_hom_failure(dense_table(morphism.g), dense_table(g), r.to_lists()) is None
             assert (module is None) == (rep is None)
             if module is not None:
-                assert o_rep_failure(morphism.g.c,
+                assert o_rep_failure(dense_table(morphism.g),
                                      [a.to_lists() for a in module.v.action]) is None
                 assert module.w is rep and module.psi == r_v
             continue
@@ -455,6 +472,28 @@ def _jacobi_reference(c, dim):
                 if any(sum(t) for t in zip(*terms)):
                     return f"Jacobi identity fails on basis triple (e{i+1}, e{j+1}, e{k+1})"
     return None
+
+
+def test_jacobiator_matches_brute_force_on_sparse_tables():
+    # One to three nonzero brackets in dim 3..8: most columns are zero, and
+    # the Jacobiator visits only the triples holding a nonzero bracket.
+    rng = random.Random(19)
+    for _ in range(40):
+        dim = rng.randint(3, 8)
+        pairs = rng.sample(list(combinations(range(dim), 2)), rng.randint(1, 3))
+        a = LieAlgebra.from_brackets(dim, {pair: [rng.choice([0, 0, 0, 1, -2, Fraction(1, 2)])
+                                                  for _ in range(dim)] for pair in pairs})
+        c = dense_table(a)
+        triples = list(combinations(range(dim), 3))
+        expected = [[sum((c[p][q][l] * c[l][r][m] for p, q, r in ((i, j, k), (j, k, i), (k, i, j))
+                          for l in range(dim)), Fraction(0)) for m in range(dim)]
+                    for i, j, k in triples]
+        jac = jacobiator(a)
+        assert [jac.col(t) for t in range(len(triples))] == expected
+        first = next((t for t, col in enumerate(expected) if any(col)), None)
+        assert check_jacobi(a).detail == (None if first is None else
+                                          "Jacobi identity fails on basis triple "
+                                          "(e{}, e{}, e{})".format(*(x + 1 for x in triples[first])))
 
 
 @st.composite

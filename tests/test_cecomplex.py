@@ -23,7 +23,7 @@ from morphlie.errors import ShapeError
 from morphlie.fixtures import a1, a2, heis, sl2, v0, v1
 from morphlie.linalg import Matrix, inverse, is_invertible, rank
 
-from .oracles import _mk_act, _mk_brk, o_ce_dims, o_ce_matrix, o_det
+from .oracles import _mk_act, _mk_brk, dense_table, o_ce_dims, o_ce_matrix, o_det
 
 
 def _fixture_reps():
@@ -37,7 +37,7 @@ def _fixture_reps():
 
 
 def _raw(rep):
-    brk = _mk_brk(rep.algebra.c)
+    brk = _mk_brk(dense_table(rep.algebra))
     act = _mk_act([m.to_lists() for m in rep.action])
     return rep.algebra.dim, brk, act, rep.dim_v
 

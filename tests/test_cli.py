@@ -423,6 +423,34 @@ class TestStartUp:
                             "argparse", "gettext", "locale"}
 
 
+class TestLoadCost:
+    """A load costs O(dim^2) plus the brackets: no dense dim^3 structure table."""
+
+    def test_check_of_a_dim_400_abelian_algebra(self, tmp_path):
+        # With a dense table this took 10 s and 1 GB.
+        path = tmp_path / "a400.json"
+        path.write_text(json.dumps({"lie_algebras": {"a": {"dim": 400, "brackets": []}}}),
+                        encoding="utf-8")
+        script = ("import sys, time\n"
+                  "sys.path.insert(0, sys.argv[1])\n"
+                  "from morphlie.cli import main\n"
+                  "start = time.perf_counter()\n"
+                  "code = main(['check', sys.argv[2]])\n"
+                  "seconds = time.perf_counter() - start\n"
+                  "with open('/proc/self/status', encoding='ascii') as fh:\n"
+                  "    peak_kb = next(int(line.split()[1]) for line in fh\n"
+                  "                   if line.startswith('VmHWM:'))\n"
+                  "print(seconds, peak_kb / 1024)\n"
+                  "sys.exit(code)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-I", "-c", script, str(src), str(path)],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "1 object checked, 0 failures" in done.stdout
+        seconds, peak_mb = map(float, done.stdout.split()[-2:])
+        assert seconds < 0.5 and peak_mb < 60, (seconds, peak_mb)
+
+
 class TestGroupCohomology:
     def test_normalized_trivial(self, capsys, z2_doc):
         code, out, _ = run(capsys, "group", "cohomology", z2_doc, "v",

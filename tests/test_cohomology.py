@@ -49,16 +49,22 @@ from morphlie.fixtures import (
 )
 from morphlie.linalg import Matrix
 
-from .oracles import o_derivation_dims, o_derivation_failure, o_mla_dims, o_mla_matrix
+from .oracles import (
+    dense_table,
+    o_derivation_dims,
+    o_derivation_failure,
+    o_mla_dims,
+    o_mla_matrix,
+)
 
 
 def _raw(rep: MorphismRep) -> dict:
     base = rep.base
     return {
         "dim_g": base.g.dim,
-        "c_g": base.g.c,
+        "c_g": dense_table(base.g),
         "dim_h": base.h.dim,
-        "c_h": base.h.c,
+        "c_h": dense_table(base.h),
         "dim_v": rep.dim_v,
         "act_v": [m.to_lists() for m in rep.v.action],
         "dim_w": rep.dim_w,
@@ -501,7 +507,8 @@ def test_subalgebra_structure_in_a_rational_basis(algebra):
     g = algebra()
     basis = Matrix.from_rows([[1 if i == j else Fraction(i + j + 1, j + 1) if i < j else 0
                                for j in range(g.dim)] for i in range(g.dim)])
-    table = quotient_morphism_rep(MorphismLieAlgebra.identity(g), basis, basis).base.g.c
+    table = dense_table(
+        quotient_morphism_rep(MorphismLieAlgebra.identity(g), basis, basis).base.g)
     for i in range(g.dim):
         assert not any(table[i][i])
         for j in range(g.dim):
@@ -511,10 +518,10 @@ def test_subalgebra_structure_in_a_rational_basis(algebra):
 def test_subalgebra_structure_pinned_on_sl2():
     m = MorphismLieAlgebra.identity(sl2())
     full = quotient_morphism_rep(m, Matrix.identity(3), Matrix.identity(3))
-    assert full.base.g.c == sl2().c
+    assert dense_table(full.base.g) == dense_table(sl2())
     # The Borel subalgebra span(e, h): [e, h] = -2e.
     borel = Matrix.from_rows([[1, 0], [0, 0], [0, 1]])
-    sub = quotient_morphism_rep(m, borel, borel).base.g.c
+    sub = dense_table(quotient_morphism_rep(m, borel, borel).base.g)
     assert sub == [[[0, 0], [-2, 0]], [[2, 0], [0, 0]]]
 
 

@@ -6,6 +6,8 @@ writer it replaced.  On a corpus of documents and their one-field
 perturbations, both must give the same ``to_dict()`` output or the same
 exception, byte for byte, and the same ``check_document`` rows; and
 ``morphlie check`` must end every one of them with exit code 0, 1 or 2.
+The referee reads matrices through ``parse_vector``, a Fraction per scalar,
+so the package's integer reading of matrices is held to it as well.
 """
 
 import functools
@@ -29,6 +31,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # Values put in place of a field or a whole entry: the wrong type, the wrong
 # shape, an unknown name and a bad scalar.  No size is ever enlarged.
 BAD = ("x", 0.5, True, None, {}, [], [[1]], "1/0")
+
+# Strings put in place of the first scalar of a field: at the edges of what
+# parse_scalar accepts (signs, padding, Unicode digits, underscores,
+# unreduced and integral fractions, and an integer past Python's digit limit).
+EDGE_SCALARS = ("1/0", "-0", "007", " 5", "5\n", "\u0663", "+5", "1_0", "2/4", "-3/1", "9" * 5000)
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,8 +95,9 @@ def perturbations(seed: int = 1):
                         for bad in BAD + ("nope",):
                             yield f"{at}.{key} = {bad!r}", _replaced(doc, path, bad)
                     leaf = _first_leaf(value)
-                    if leaf:
-                        yield f"{at}.{key} first scalar '1/0'", _replaced(doc, path + leaf, "1/0")
+                    for scalar in EDGE_SCALARS if leaf else ():
+                        yield (f"{at}.{key} first scalar {scalar[:8]!r}",
+                               _replaced(doc, path + leaf, scalar))
 
 
 def _outcome(cls, data):
@@ -152,3 +160,20 @@ def test_readme_table_is_the_schema():
     for name, cell in rows:
         keys = [f.key for f in KINDS[name].fields if f.key is not None]
         assert re.findall(r"`(\w+)`", cell) == keys, name
+
+
+def test_matrix_scalars_read_as_the_referee_reads_them():
+    # Every scalar at every spot of a row: the value, or the exception and its message.
+    def outcome(parse, value):
+        try:
+            return parse(value, "m", 2, 2).to_lists()
+        except MorphismAlgebraError as exc:
+            return type(exc), str(exc)
+
+    for scalar in EDGE_SCALARS + (0, -7, "-12/8", "0/5", 5.0, True, None, [], "-", ""):
+        for spot in range(4):
+            value = [["1", "0"], ["-2", "1/3"]]
+            value[spot // 2][spot % 2] = scalar
+            assert outcome(documents.parse_matrix, value) == outcome(
+                document_referee.parse_matrix, value), (scalar[:8] if isinstance(scalar, str)
+                                                        else scalar, spot)

@@ -4,15 +4,20 @@ The dense oracles referee the catalog and small samples; at sl3 or heis7
 scale the only other check is d . d = 0, which a wrong but square-zero
 block passes.  The expected values here come from closed forms in
 ``tests/oracles.py``: Betti numbers, Whitehead's vanishing, the
-identity-triple law and Maschke's theorem over Q.
+identity-triple law and Maschke's theorem over Q.  A sign error that keeps
+d . d = 0 and these laws (a negated bracket term on trivial or 2-step
+nilpotent modules, a flipped last face on Z2) is caught by applying the
+differentials at that scale to a few sparse cochains, against the oracles.
 """
 
-from itertools import combinations
+import random
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, Representation, adjoint_morphism_rep
-from morphlie.cecomplex import ce_complex
+from morphlie.cecomplex import ce_complex, ce_differential
 from morphlie.cohomology import mla_complex
 from morphlie.fixtures import (
     klein_to_z2_triple,
@@ -23,12 +28,24 @@ from morphlie.fixtures import (
     z4_rotation_module,
     z4_to_z2_sign_triple,
 )
-from morphlie.groups import FiniteGroup, GroupModule, GroupModuleTriple, group_complex, mlg_complex
+from morphlie.groups import (
+    FiniteGroup,
+    GroupModule,
+    GroupModuleTriple,
+    group_complex,
+    group_differential,
+    mlg_complex,
+)
 
 from .oracles import (
+    _mk_act,
+    _mk_brk,
+    dense_table,
+    o_bar_apply,
     o_betti_heis,
     o_betti_sl2_power,
     o_betti_sl3,
+    o_ce_apply,
     o_identity_triple_dims,
 )
 
@@ -56,8 +73,9 @@ def _sl3() -> LieAlgebra:
 
 def _direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     n = a.dim + b.dim
-    brackets = {(i, j): list(a.c[i][j]) + [0] * b.dim for i, j in combinations(range(a.dim), 2)}
-    brackets.update({(a.dim + i, a.dim + j): [0] * a.dim + list(b.c[i][j])
+    c_a, c_b = dense_table(a), dense_table(b)
+    brackets = {(i, j): c_a[i][j] + [0] * b.dim for i, j in combinations(range(a.dim), 2)}
+    brackets.update({(a.dim + i, a.dim + j): [0] * a.dim + c_b[i][j]
                      for i, j in combinations(range(b.dim), 2)})
     return LieAlgebra.from_brackets(n, brackets)
 
@@ -128,3 +146,44 @@ def test_maschke_group_cohomology_vanishes(name, normalized):
 def test_maschke_morphism_group_cohomology_vanishes(name, normalized):
     complex_ = mlg_complex(TRIPLES[name](), normalized)
     assert [complex_.dim_H(n) for n in (2, 3)] == [0, 0]
+
+
+def _sparse_cochains(seed, tuples, dim, count=3):
+    """count cochains, each with three rational values: (oracle dict, flat vector) pairs.
+
+    The flat vector lists the values tuple by tuple in the order of ``tuples``.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        f = {tup: [Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2])) for _ in range(dim)]
+             for tup in rng.sample(tuples, 3)}
+        yield f, [x for tup in tuples for x in f.get(tup, [Fraction(0)] * dim)]
+
+
+@pytest.mark.parametrize("module", ["trivial", "adjoint"])
+@pytest.mark.parametrize("name", ["sl3", "heis7"])
+def test_ce_differential_applies_like_the_oracle(name, module):
+    g = ALGEBRAS[name]()
+    rep = Representation.trivial(g, 1) if module == "trivial" else g.adjoint_rep()
+    brk, act = _mk_brk(dense_table(g)), _mk_act([m.to_lists() for m in rep.action])
+    for n in (2, 3):
+        source = list(combinations(range(g.dim), n))
+        target = list(combinations(range(g.dim), n + 1))
+        d = ce_differential(rep, n)
+        for f, flat in _sparse_cochains(n, source, rep.dim_v):
+            df = o_ce_apply(g.dim, brk, act, rep.dim_v, f, n)
+            assert d.apply(flat) == [x for tup in target for x in df[tup]], n
+
+
+@pytest.mark.parametrize("module", ["trivial", "sign"])
+def test_normalized_z6_bar_differential_applies_like_the_oracle(module):
+    z6 = FiniteGroup.cyclic(6)
+    m = GroupModule.trivial(z6, 1) if module == "trivial" else sign_module(z6)
+    rho = [a.to_lists() for a in m.action]
+    others = [x for x in range(z6.order) if x != z6.identity]
+    for n in (3, 4):
+        source, target = list(product(others, repeat=n)), list(product(others, repeat=n + 1))
+        d = group_differential(m, n, normalized=True)
+        for f, flat in _sparse_cochains(n, source, m.dim):
+            df = o_bar_apply(z6.order, z6.mul, z6.identity, rho, m.dim, f, n, True)
+            assert d.apply(flat) == [x for tup in target for x in df[tup]], n

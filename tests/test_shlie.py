@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -17,8 +18,8 @@ from morphlie.algebras import (
 from morphlie.cecomplex import ce_differential
 from morphlie.cohomology import MCochain, mla_differential
 from morphlie.errors import NotACocycle, ShapeError, ValidationError
-from morphlie.fixtures import a2, heis, sl2, sl2_v1_triple, standard_morphism_reps, v1
-from morphlie.linalg import Matrix, kernel_basis
+from morphlie.fixtures import a1, a2, heis, sl2, sl2_v1_triple, standard_morphism_reps, v1
+from morphlie.linalg import Matrix, inverse, kernel_basis
 from morphlie.sampling import Sampler
 from morphlie.shlie import (
     ShMorphism,
@@ -32,6 +33,7 @@ from morphlie.shlie import (
 )
 
 from .oracles import (
+    dense_table,
     o_hom_failure,
     o_mla_matrix,
     o_rep_failure,
@@ -227,8 +229,8 @@ class TestSkeletal:
             s = _skeletal_from(rep, flat)
             _, rep2, c2 = skeletal_to_triple(s)
             assert c2.to_vector() == flat
-            assert rep2.base.g.c == rep.base.g.c
-            assert rep2.base.h.c == rep.base.h.c
+            assert dense_table(rep2.base.g) == dense_table(rep.base.g)
+            assert dense_table(rep2.base.h) == dense_table(rep.base.h)
 
     def test_construction_accepts_exactly_the_closed_cochains(self):
         # Source axiom (v), target axiom (v) and morphism condition (iv) are
@@ -273,9 +275,11 @@ class TestSkeletal:
                 ShMorphism(m.phi, rep.psi, c.eta))
             base, back, cochain = skeletal_to_triple(s)
             assert check_jacobi(base.g) and check_jacobi(base.h), name
-            assert o_hom_failure(base.g.c, base.h.c, base.phi.to_lists()) is None, name
+            assert o_hom_failure(dense_table(base.g), dense_table(base.h),
+                                 base.phi.to_lists()) is None, name
             for module, alg in ((back.v, base.g), (back.w, base.h)):
-                assert o_rep_failure(alg.c, [a.to_lists() for a in module.action]) is None
+                assert o_rep_failure(dense_table(alg),
+                                     [a.to_lists() for a in module.action]) is None
             assert check_morphism_rep(back), name
             assert cochain.to_vector() == c.to_vector()
             assert not any(mla_differential(back, 3).apply(cochain.to_vector())), name
@@ -458,7 +462,7 @@ def _oracle_detail(details, found):
 
 
 def _sh_raw(t: TwoTermSh) -> dict:
-    return {"dim0": t.dim0, "dim1": t.dim1, "c": t.bracket0.c,
+    return {"dim0": t.dim0, "dim1": t.dim1, "c": dense_table(t.bracket0),
             "act": [m.to_lists() for m in t.action1], "d": t.d.to_lists(),
             "l3": {tup: t.l3.col(k) for k, tup in enumerate(t.triples.tuples)}}
 
@@ -507,7 +511,7 @@ def _perturbed_sh(rng: random.Random, t: TwoTermSh) -> TwoTermSh:
     if kind == "bracket":
         i, j = rng.sample(range(g.dim), 2)
         k, x = rng.randrange(g.dim), Fraction(rng.choice([-1, 1, 2]))
-        table = [[list(v) for v in row] for row in g.c]
+        table = [[list(v) for v in row] for row in dense_table(g)]
         table[i][j][k] += x
         table[j][i][k] -= x
         g = LieAlgebra(g.dim, table)
@@ -519,6 +523,57 @@ def _perturbed_sh(rng: random.Random, t: TwoTermSh) -> TwoTermSh:
     elif kind == "l3" and l3.cols:
         l3 = _bump(rng, l3)
     return TwoTermSh(g, action, d, l3=l3)
+
+
+def _identity_complexes(s: Sampler) -> list[TwoTermSh]:
+    """g -> g (d = id), and g + Q -> g (d = [id | 0]) with l3 valued in the line Q.
+
+    g runs over the catalog algebras, sl2 + a line and heis5, in a rational
+    basis of g0 drawn from s.  In the second complex e_i moves p in g to
+    [e_i, p] + beta(e_i, p) q for a random skew form beta and kills the line
+    q, which stays the last coordinate of g1, and l3(x, y, z) =
+    (beta(x, [y, z]) - beta(y, [x, z]) - beta([x, y], z)) q, so that axiom
+    (iv) holds only through l3(e_i, e_j, d p).  g1 = g gets a rational basis
+    from s.
+    """
+    out = []
+    heis5 = LieAlgebra.from_brackets(5, {(0, 2): [0, 0, 0, 0, 1], (1, 3): [0, 0, 0, 0, 1]})
+    for g in (a1(), a2(), heis(), sl2(), _sl2_plus_line(), heis5):
+        n = g.dim
+        q, p = s.invertible_matrix(n), s.invertible_matrix(n)
+        q_inv, p_inv = inverse(q), inverse(p)
+        h = LieAlgebra.from_brackets(n, {(i, j): q_inv.apply(g.bracket(q.col(i), q.col(j)))
+                                         for i, j in itertools.combinations(range(n), 2)})
+        ad = [h.ad_matrix([int(k == i) for k in range(n)]) for i in range(n)]
+        out.append(TwoTermSh(h, [p_inv * a * p for a in ad], p))
+        beta = s.matrix(n, n)
+        beta = beta - beta.transpose()
+        full = Matrix.block([[p, Matrix.zeros(n, 1)], [Matrix.zeros(1, n), Matrix.identity(1)]])
+        full_inv = inverse(full)
+        action = [full_inv * Matrix.block([[a, Matrix.zeros(n, 1)],
+                                           [Matrix.from_rows([beta.row(i)], cols=n),
+                                            Matrix.zeros(1, 1)]]) * full
+                  for i, a in enumerate(ad)]
+
+        def form(x, y):
+            return sum((a * b for a, b in zip(x, beta.apply(y))), Fraction(0))
+
+        e = [[int(k == i) for k in range(n)] for i in range(n)]
+        l3 = [[Fraction(0)] * comb(n, 3) for _ in range(n)] + [[
+            form(e[i], h.bracket(e[j], e[k])) - form(e[j], h.bracket(e[i], e[k]))
+            - form(h.bracket(e[i], e[j]), e[k])
+            for i, j, k in itertools.combinations(range(n), 3)]]
+        out.append(TwoTermSh(h, action, Matrix.hstack([p, Matrix.zeros(n, 1)]),
+                             l3=Matrix.from_rows(l3, cols=comb(n, 3))))
+    return out
+
+
+def _bump_rational(rng: random.Random, m: Matrix, row: int | None = None) -> Matrix:
+    """m with one entry of ``row`` (default: a random row) moved by a non-integer rational."""
+    rows = m.to_lists()
+    rows[rng.randrange(m.rows) if row is None else row][rng.randrange(m.cols)] += Fraction(
+        rng.choice([-3, -1, 1, 5]), rng.choice([2, 3]))
+    return Matrix.from_rows(rows, cols=m.cols)
 
 
 def _valid_morphisms() -> list[tuple[TwoTermSh, TwoTermSh, ShMorphism]]:
@@ -569,6 +624,37 @@ class TestOracleReferee:
                 failed.add((found[0], base.d.is_zero()))
         assert {label for label, _ in failed} == set(_SH_DETAILS)
         assert any(zero for _, zero in failed) and not all(zero for _, zero in failed)
+
+    def test_sh_axioms_match_oracle_where_d_is_nonzero(self):
+        # One entry of action1, d or l3 moves; an l3 entry on the kernel line
+        # of d passes (iii), so axiom (iv) meets l3(e_i, e_j, d p).
+        rng = random.Random(20261020)
+        bases = _identity_complexes(Sampler(404))
+        failed = set()
+        for base in bases:
+            assert check_two_term_sh(base) and o_sh_failure(_sh_raw(base)) is None, base
+        assert sum(not t.l3.is_zero() for t in bases) == 2
+        for _ in range(200):
+            t = rng.choice(bases)
+            kinds = ["action", "d"] + (["l3", "l3 on the kernel line"] if t.l3.cols else [])
+            kind = rng.choice(kinds)
+            action, d, l3 = list(t.action1), t.d, t.l3
+            if kind == "action":
+                i = rng.randrange(t.dim0)
+                action[i] = _bump_rational(rng, action[i])
+            elif kind == "d":
+                d = _bump_rational(rng, d)
+            else:
+                kernel_line = t.dim1 - 1 if t.dim1 > t.dim0 else None
+                l3 = _bump_rational(rng, l3, kernel_line if kind != "l3" else None)
+            t = TwoTermSh(t.bracket0, action, d, l3=l3)
+            found = o_sh_failure(_sh_raw(t))
+            res = check_two_term_sh(t)
+            assert (res.ok, res.detail) == (found is None,
+                                            _oracle_detail(_SH_DETAILS, found)), kind
+            if found:
+                failed.add(found[0])
+        assert {"i", "ii", "iii", "iv"} <= failed
 
     def test_morphism_conditions_match_oracle(self):
         rng = random.Random(20261019)
