@@ -103,9 +103,16 @@ class LieAlgebra:
         return out
 
     def ad_matrix(self, x: Sequence[Scalar]) -> Matrix:
-        """Matrix of ad(x) = [x, -] in the given basis."""
-        cols = [self.bracket(x, _unit(self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_rows(cols, cols=self.dim).transpose()
+        """Matrix of ad(x) = [x, -]: column j is sum_i x_i [e_i, e_j], over the nonzero constants."""
+        if len(x) != self.dim:
+            raise ShapeError("vectors must have length dim")
+        xs = _items(x)
+        rows: list[dict[int, Fraction]] = [{} for _ in range(self.dim)]
+        for j in range(self.dim):
+            for i, xi in xs:
+                for k, z in self.nonzero[i][j]:
+                    rows[k][j] = rows[k].get(j, ZERO) + xi * z
+        return Matrix.from_dicts(rows, self.dim)
 
     def adjoint_rep(self) -> Representation:
         mats = [self.ad_matrix(_unit(self.dim, i)) for i in range(self.dim)]

@@ -62,7 +62,6 @@ from .linalg import (
     complete_basis,
     inverse,
     rank,
-    solve,
     solve_columns,
 )
 
@@ -335,7 +334,7 @@ def _subalgebra(g, basis: Matrix) -> LieAlgebra:
     coords = solve_columns(basis, Matrix.from_rows(brackets, basis.rows).transpose())
     if coords is None:  # one solve per pair i < j names the first one outside the span
         for (i, j), value in zip(pairs, brackets):
-            if solve(basis, Matrix.column(value)) is None:
+            if solve_columns(basis, Matrix.column(value)) is None:
                 raise NotASubalgebra(f"bracket of basis columns {i+1} and {j+1} leaves the span")
     return LieAlgebra.from_brackets(dim_p, {pair: coords.col(k) for k, pair in enumerate(pairs)})
 

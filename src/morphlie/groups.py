@@ -199,12 +199,11 @@ def group_complex(module: GroupModule, normalized: bool = False,
                    size_ceiling)
 
 
-def group_cohomology_dim(module: GroupModule, n: int, normalized: bool = False,
-                         size_ceiling: int | None = None) -> int:
+def group_cohomology_dim(module: GroupModule, n: int, normalized: bool = False) -> int:
     """dim H^n of the bar complex (normalized subcomplex if requested)."""
     if n < 0:
         raise ShapeError("degree must be nonnegative")
-    return group_complex(module, normalized, size_ceiling).dim_H(n)
+    return group_complex(module, normalized).dim_H(n)
 
 
 class GroupModuleTriple:
@@ -314,9 +313,8 @@ def mlg_complex(t: GroupModuleTriple, normalized: bool = False,
                    size_ceiling)
 
 
-def mlg_cohomology_dim(t: GroupModuleTriple, n: int, normalized: bool = False,
-                       size_ceiling: int | None = None) -> int:
+def mlg_cohomology_dim(t: GroupModuleTriple, n: int, normalized: bool = False) -> int:
     """dim H^n_mLG, verifying that consecutive differentials compose to zero."""
     if n < 0:
         raise ShapeError("degree must be nonnegative")
-    return mlg_complex(t, normalized, size_ceiling).dim_H(n)
+    return mlg_complex(t, normalized).dim_H(n)

@@ -9,15 +9,15 @@ differentials it carries are a few percent nonzero.  Every operation computes
 on those integers, so no + or * pays a gcd and a new object; every entry
 read or reported is a Fraction.  Assembly code builds rows in integers
 through ``integer_rows`` and ``from_integer_rows``.  The one sparse
-elimination, ``_eliminate``, is behind ranks, determinants, kernels and
-solutions.
-For ``rank`` and ``determinant`` the elimination pivots on the shortest row
-and, inside it, on the column the fewest rows touch, which keeps fill-in
-low.  For ``kernel_basis``, ``solve_columns``, ``inverse`` and
-``complete_basis`` it pivots on a row's lowest column and clears it from
-every other row; each row divided by its pivot is then the unique reduced
-row echelon form, which callers depend on: the kernel basis with one free
-column per vector and solutions whose free coordinates are 0.
+elimination, ``_eliminate``, returns its pivot rows and is behind ranks,
+kernels, solutions, inverses and completed bases.
+For ``rank`` the elimination pivots on the shortest row and, inside it, on
+the column the fewest rows touch, which keeps fill-in low.  For
+``kernel_basis``, ``solve_columns``, ``inverse`` and ``complete_basis`` it
+pivots on a row's lowest column and clears it from every other row; each
+row divided by its pivot is then the unique reduced row echelon form, which
+callers depend on: the kernel basis with one free column per vector and
+solutions whose free coordinates are 0.
 
 ``Complex`` is the one cochain complex behind every cohomology dimension in
 the package: a degree -> differential function with cached ranks, one
@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Callable, ItemsView, Iterable, Mapping, Sequence
 
 from .errors import ShapeError, SizeCeilingExceeded
@@ -375,16 +375,14 @@ def _row_times(row: Mapping[int, int], rows: Sequence[Mapping[int, int]]) -> dic
     return {j: x for j, x in acc.items() if x}
 
 
-def _eliminate(rows: Iterable[Mapping[int, int]], reduce: bool
-               ) -> tuple[dict[int, tuple[int, dict[int, int]]], list[tuple[int, int]]]:
+def _eliminate(rows: Iterable[Mapping[int, int]], reduce: bool) -> dict[int, dict[int, int]]:
     """Sparse exact elimination on copies of the integer ``rows``.
 
-    Returns {pivot column: (row index, integer row)} and the scalings (m, q)
-    made, each a row multiplied by m and divided by q.  A row is divided by
-    its content on becoming a pivot row.  Clearing pivot p from a row with
-    entry f makes it (p/g) row - (f/g) pivot row, g = gcd(p, f) with p's
-    sign: each row stays a positive multiple of the row a Fraction
-    elimination would hold, with the same fill-in.
+    Returns {pivot column: integer row}.  A row is divided by its content on
+    becoming a pivot row.  Clearing pivot p from a row with entry f makes it
+    (p/g) row - (f/g) pivot row, g = gcd(p, f) with p's sign: each row stays
+    a positive multiple of the row a Fraction elimination would hold, with
+    the same fill-in.
     A lazy heap yields the shortest live row; a column index records the rows
     touching each column.  Rank mode pivots at the row's column the fewest
     other live rows touch (ties to the lowest) and clears it from live rows.
@@ -400,8 +398,7 @@ def _eliminate(rows: Iterable[Mapping[int, int]], reduce: bool
             touching.setdefault(j, set()).add(i)
     queue = [(len(row), i) for i, row in work.items()]
     heapq.heapify(queue)
-    pivots: dict[int, tuple[int, dict[int, int]]] = {}
-    scalings: list[tuple[int, int]] = []
+    pivots: dict[int, dict[int, int]] = {}
     while live:
         length, i = heapq.heappop(queue)
         row = work[i]
@@ -409,7 +406,6 @@ def _eliminate(rows: Iterable[Mapping[int, int]], reduce: bool
             continue
         live.discard(i)
         if (q := gcd(*row.values())) != 1:
-            scalings.append((1, q))
             for j in row:
                 row[j] //= q
         if reduce:
@@ -420,7 +416,7 @@ def _eliminate(rows: Iterable[Mapping[int, int]], reduce: bool
             c = min(row, key=lambda j: (len(touching[j]), j))
         targets = touching.pop(c)
         targets.discard(i)
-        pivots[c] = (i, row)
+        pivots[c] = row
         if not targets:
             continue
         pivot = row.pop(c)
@@ -430,7 +426,6 @@ def _eliminate(rows: Iterable[Mapping[int, int]], reduce: bool
             g = gcd(pivot, f) if pivot > 0 else -gcd(pivot, f)
             m, f = pivot // g, -f // g
             if m != 1:
-                scalings.append((m, 1))
                 for j in other:
                     other[j] *= m
             for j, x in row.items():
@@ -448,12 +443,12 @@ def _eliminate(rows: Iterable[Mapping[int, int]], reduce: bool
             elif k in live:
                 heapq.heappush(queue, (len(other), k))
         row[c] = pivot
-    return pivots, scalings
+    return pivots
 
 
 def rank(m: Matrix) -> int:
     """Exact rank: the number of pivots of the sparse elimination."""
-    return len(_eliminate(m._num, reduce=False)[0])
+    return len(_eliminate(m._num, reduce=False))
 
 
 def product_is_zero(a: Matrix, b: Matrix) -> bool:
@@ -562,21 +557,14 @@ def kernel_basis(m: Matrix) -> Matrix:
     Free column f of the reduced row echelon form gives 1 at f, 0 at the
     other free columns, and minus the reduced rows' entries at f on pivots.
     """
-    pivots, _ = _eliminate(m._num, reduce=True)
+    pivots = _eliminate(m._num, reduce=True)
     free = {f: k for k, f in enumerate(c for c in range(m.cols) if c not in pivots)}
     num, den = [{free[f]: 1} if f in free else {} for f in range(m.cols)], [1] * m.cols
-    for p, (_, row) in pivots.items():
+    for p, row in pivots.items():
         d = row.pop(p)
         num[p] = {free[j]: x if d < 0 else -x for j, x in row.items()}
         den[p] = abs(d)
     return _matrix(len(free), num, den)
-
-
-def solve(m: Matrix, b: Matrix) -> Matrix | None:
-    """One exact solution x of m x = b (free coordinates 0), or None."""
-    if b.cols != 1:
-        raise ShapeError("solve expects a single right-hand column; see solve_columns")
-    return solve_columns(m, b)
 
 
 def solve_columns(m: Matrix, b: Matrix) -> Matrix | None:
@@ -588,46 +576,15 @@ def solve_columns(m: Matrix, b: Matrix) -> Matrix | None:
     if b.rows != m.rows:
         raise ShapeError(f"solve: {m.rows}x{m.cols} matrix against {b.rows}x{b.cols} right-hand side")
     n = m.cols
-    pivots, _ = _eliminate(Matrix.hstack([m, b])._num, reduce=True)
+    pivots = _eliminate(Matrix.hstack([m, b])._num, reduce=True)
     if any(p >= n for p in pivots):
         return None
     num, den = [{} for _ in range(n)], [1] * n
-    for p, (_, row) in pivots.items():
+    for p, row in pivots.items():
         d = row[p]
         num[p] = {j - n: x if d > 0 else -x for j, x in row.items() if j >= n}
         den[p] = abs(d)
     return _matrix(b.cols, num, den)
-
-
-def determinant(m: Matrix) -> Fraction:
-    """Product of the rank-mode pivots, times the sign of row -> pivot column.
-
-    Elimination adds only multiples of pivot rows, and a pivot row is zero on
-    earlier pivot columns, so the pivot rows form a permuted triangular matrix;
-    the integer pivots are divided by the row denominators and the scalings.
-    """
-    if m.rows != m.cols:
-        raise ShapeError("determinant of a non-square matrix")
-    pivots, scalings = _eliminate(m._num, reduce=False)
-    if len(pivots) < m.rows:
-        return ZERO
-    num, den = 1, prod(m._den)
-    column = [0] * m.rows
-    for c, (i, row) in pivots.items():
-        num *= row[c]
-        column[i] = c
-    for grown, shrunk in scalings:
-        num *= shrunk
-        den *= grown
-    for i in range(m.rows):
-        while (c := column[i]) != i:
-            column[i], column[c] = column[c], c
-            num = -num
-    return Fraction(num, den)
-
-
-def is_invertible(m: Matrix) -> bool:
-    return m.rows == m.cols and rank(m) == m.rows
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -649,7 +606,7 @@ def complete_basis(partial: Matrix) -> tuple[Matrix, list[int]]:
     """
     n, k = partial.rows, partial.cols
     pivots = sorted(_eliminate([{**row, k + r: d} for r, (row, d)
-                                in enumerate(zip(partial._num, partial._den))], reduce=True)[0])
+                                in enumerate(zip(partial._num, partial._den))], reduce=True))
     if pivots[:k] != list(range(k)):
         raise ShapeError("complete_basis expects independent columns")
     chosen = [c - k for c in pivots[k:]]

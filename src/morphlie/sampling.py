@@ -15,8 +15,8 @@ import random
 from fractions import Fraction
 from math import comb
 
-from .algebras import MorphismRep, Representation, _unit
-from .cohomology import MCochain, mla_block_dims, mla_differential
+from .algebras import MorphismRep, Representation
+from .cohomology import MCochain, mla_differential
 from .fixtures import (
     sign_module,
     standard_morphism_reps,
@@ -24,7 +24,7 @@ from .fixtures import (
     z4_rotation_module,
 )
 from .groups import FiniteGroup, GroupModule, GroupModuleTriple
-from .linalg import Matrix, ZERO, is_invertible, inverse, kernel_basis
+from .linalg import Matrix, ZERO, inverse, kernel_basis, rank
 
 
 class Sampler:
@@ -48,7 +48,7 @@ class Sampler:
     def invertible_matrix(self, n: int) -> Matrix:
         while True:
             m = self.matrix(n, n)
-            if is_invertible(m):
+            if rank(m) == n:
                 return m
 
     def conjugated_representation(self, rep: Representation) -> Representation:
@@ -73,9 +73,7 @@ class Sampler:
         rep = base if base is not None else self.rng.choice(standard_morphism_reps())[1]
         v = self.conjugated_representation(rep.v)
         w = self.conjugated_representation(rep.w)
-        pairs = [(v.act(_unit(rep.base.g.dim, i)),
-                  w.act(rep.base.phi.col(i)))
-                 for i in range(rep.base.g.dim)]
+        pairs = [(v.action[i], w.act(rep.base.phi.col(i))) for i in range(rep.base.g.dim)]
         psi = self._random_intertwiner(pairs, v.dim_v, w.dim_v)
         return MorphismRep(rep.base, v, w, psi)
 
@@ -83,16 +81,7 @@ class Sampler:
                             dim_v: int, dim_w: int) -> Matrix:
         """A random solution X of X A = B X for every (A, B) pair."""
         basis = kernel_basis(_intertwiner_constraints(pairs, dim_v, dim_w))
-        flat = [ZERO] * (dim_w * dim_v)
-        for j in range(basis.cols):
-            c = self.fraction()
-            for i in range(len(flat)):
-                if basis[i, j]:
-                    flat[i] += c * basis[i, j]
-        return Matrix.from_rows(
-            [[flat[r * dim_v + c] for c in range(dim_v)] for r in range(dim_w)],
-            cols=dim_v,
-        )
+        return Matrix(dim_w, dim_v, basis.apply([self.fraction() for _ in range(basis.cols)]))
 
     def group(self, max_order: int = 4) -> FiniteGroup:
         choices = [FiniteGroup.trivial(), FiniteGroup.cyclic(2),
@@ -144,13 +133,7 @@ class Sampler:
     def closed_cochain(self, rep: MorphismRep, degree: int) -> MCochain:
         """A random element of ker delta_mLA in the given degree."""
         basis = kernel_basis(mla_differential(rep, degree))
-        total = sum(mla_block_dims(rep, degree))
-        flat = [ZERO] * total
-        for j in range(basis.cols):
-            c = self.fraction()
-            for i in range(total):
-                if basis[i, j]:
-                    flat[i] += c * basis[i, j]
+        flat = basis.apply([self.fraction() for _ in range(basis.cols)])
         return MCochain.from_vector(rep, degree, flat)
 
     def simple_shift(self, rep: MorphismRep) -> tuple[Matrix, Matrix]:

@@ -21,7 +21,7 @@ from morphlie.cecomplex import (
 )
 from morphlie.errors import ShapeError
 from morphlie.fixtures import a1, a2, heis, sl2, v0, v1
-from morphlie.linalg import Matrix, inverse, is_invertible, rank
+from morphlie.linalg import Matrix, inverse, rank
 
 from .oracles import _mk_act, _mk_brk, dense_table, o_ce_dims, o_ce_matrix, o_det
 

@@ -175,6 +175,21 @@ def test_ce_differential_applies_like_the_oracle(name, module):
             assert d.apply(flat) == [x for tup in target for x in df[tup]], n
 
 
+@pytest.mark.parametrize("name", ["sl3", "heis7"])
+def test_ad_matrix_matches_the_dense_table(name):
+    """ad(x) has entry sum_i x_i c_ij^k at (k, j), for seeded sparse rational x."""
+    g = ALGEBRAS[name]()
+    c = dense_table(g)
+    rng = random.Random(name)
+    for _ in range(6):
+        x = [Fraction(0)] * g.dim
+        for i in rng.sample(range(g.dim), rng.randint(1, 3)):
+            x[i] = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+        assert g.ad_matrix(x).to_lists() == [
+            [sum((x[i] * c[i][j][k] for i in range(g.dim)), Fraction(0)) for j in range(g.dim)]
+            for k in range(g.dim)]
+
+
 @pytest.mark.parametrize("module", ["trivial", "sign"])
 def test_normalized_z6_bar_differential_applies_like_the_oracle(module):
     z6 = FiniteGroup.cyclic(6)
