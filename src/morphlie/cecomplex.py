@@ -13,7 +13,7 @@ from math import comb, lcm
 
 from .algebras import Representation, MorphismLieAlgebra
 from .errors import ShapeError
-from .linalg import Complex, Matrix
+from .linalg import Complex, Matrix, _row_times
 
 
 class ExteriorBasis:
@@ -181,19 +181,47 @@ def precompose_matrix(minors: Matrix, dim_w: int) -> Matrix:
     return Matrix.from_integer_rows(rows, n_dst * dim_w, d)
 
 
+def _shifted(rows: list[dict[int, int]], off: int, f: int) -> list[dict[int, int]]:
+    """Integer rows times f with columns moved by off; the rows themselves if neither changes them."""
+    return rows if f == 1 and not off else [{off + j: f * x for j, x in row.items()} for row in rows]
+
+
 def morphism_matrix(d_v: Matrix, d_w: Matrix, psi: Matrix, tuples: int,
                     pre_phi: Matrix, d_pull: Matrix, graph: bool = False) -> Matrix:
     """The mapping-cone differential, shared by the Lie and the group side.
 
     [[d_v, 0, 0], [0, d_w, 0], [psi . , -pre_phi, -d_pull]] on (theta, gamma,
-    eta), with psi postcomposed over ``tuples`` source tuples.  With C^{-1} = 0
-    degree 0 is the same matrix: d_pull has no columns, pre_phi is the
-    identity on W and tuples is 1.  With ``graph`` the map is restricted to
-    the graph {(v, psi v)} of psi, the default complex's C^0 = V.
+    eta), with psi postcomposed over ``tuples`` source tuples, written in one
+    pass of integer rows over one denominator: d_v's rows as they are, d_w's
+    shifted past theta, and each eta row the rows of postcompose_matrix,
+    -pre_phi and -d_pull at their offsets.  With C^{-1} = 0 degree 0 is the
+    same matrix: d_pull has no columns, pre_phi is the identity on W and
+    tuples is 1.  With ``graph`` the map is restricted to the graph
+    {(v, psi v)} of psi, the default complex's C^0 = V: the rows are
+    [d_v; d_w psi; psi - pre_phi psi], the last block computed, not assumed 0.
+    With zero-row d_v and d_w the result is the eta rows alone.
     """
-    d = Matrix.block([
-        [d_v, Matrix.zeros(d_v.rows, d_w.cols), Matrix.zeros(d_v.rows, d_pull.cols)],
-        [Matrix.zeros(d_w.rows, d_v.cols), d_w, Matrix.zeros(d_w.rows, d_pull.cols)],
-        [postcompose_matrix(psi, tuples), -pre_phi, -d_pull],
-    ])
-    return d * Matrix.vstack([Matrix.identity(psi.cols), psi]) if graph else d
+    w_part, pre_part = d_w.integer_rows(), pre_phi.integer_rows()
+    if graph:  # gamma = psi v: gamma's columns fold onto v's through psi
+        psi_rows, e = psi.integer_rows()
+        w_part, pre_part = (([_row_times(row, psi_rows) for row in rows], d * e)
+                            for rows, d in (w_part, pre_part))
+        w_off, cols = 0, d_v.cols
+    else:
+        w_off, cols = d_v.cols, d_v.cols + d_w.cols + d_pull.cols
+    parts = [(d_v.integer_rows(), 0, 1), (w_part, w_off, 1),
+             (postcompose_matrix(psi, tuples).integer_rows(), 0, 1), (pre_part, w_off, -1),
+             (d_pull.integer_rows(), w_off + d_w.cols, -1)]
+    den = lcm(*(d for (_, d), _, _ in parts))
+    v, w, post, pre, pull = [_shifted(rows, off, sign * (den // d))
+                             for (rows, d), off, sign in parts]
+    if not graph:  # the eta parts hold disjoint columns
+        return Matrix.from_integer_rows(
+            v + w + [{**a, **b, **c} for a, b, c in zip(post, pre, pull)], cols, den)
+    eta = []
+    for row, other in zip(post, pre):
+        row = dict(row)
+        for j, x in other.items():
+            row[j] = row.get(j, 0) + x
+        eta.append(row)
+    return Matrix.from_integer_rows(v + w + eta, cols, den)

@@ -30,7 +30,9 @@ exactly dim W, and every other degree agrees.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
+from typing import Callable
 
 from .algebras import (
     CheckResult,
@@ -165,18 +167,21 @@ class MCochain:
         return f"MCochain(degree={self.degree}, dim={len(self.to_vector())})"
 
 
-def mla_differential(rep: MorphismRep, n: int, cone: bool = False) -> Matrix:
+def mla_differential(rep: MorphismRep, n: int, cone: bool = False,
+                     _pulled: Callable[[], Representation] | None = None) -> Matrix:
     """Block matrix of the morphism differential from degree n to n+1.
 
     Every degree is the mapping cone's matrix; degree 0 has no eta block,
     and the default complex restricts it to the graph of psi, while
-    ``cone=True`` keeps the full cone's map on (v, w).
+    ``cone=True`` keeps the full cone's map on (v, w).  W pulled back along
+    phi is built for n >= 1 only, by ``_pulled`` when ``mla_complex`` shares
+    one per complex.
     """
     if n < 0:
         raise ShapeError("degree must be nonnegative")
     base = rep.base
-    d_pull = (ce_differential(pullback_rep(base, rep.w), n - 1) if n
-              else Matrix.zeros(rep.dim_w, 0))
+    d_pull = (ce_differential(_pulled() if _pulled else pullback_rep(base, rep.w), n - 1)
+              if n else Matrix.zeros(rep.dim_w, 0))
     return morphism_matrix(
         ce_differential(rep.v, n), ce_differential(rep.w, n), rep.psi, comb(base.g.dim, n),
         precompose_matrix(wedge_minor_matrix(base.phi, n), rep.dim_w), d_pull,
@@ -198,10 +203,12 @@ def mla_complex(rep: MorphismRep, cone: bool = False,
                 size_ceiling: int | None = None) -> Complex:
     """The morphism complex of rep, or its full mapping cone with ``cone=True``.
 
-    The simple variant keeps the eta-free columns of each differential.
+    The simple variant keeps the eta-free columns of each differential,
+    and W pulled back along phi is built once, on the first degree >= 1.
     """
+    pulled = cache(lambda: pullback_rep(rep.base, rep.w))
     return Complex(lambda n: mla_cochain_dim(rep, n, cone),
-                   lambda n: mla_differential(rep, n, cone), "morphism",
+                   lambda n: mla_differential(rep, n, cone, pulled), "morphism",
                    size_ceiling, lambda n: _eta_free(rep, n))
 
 

@@ -18,8 +18,9 @@ delta''' taken in the pullback module W_Phi; degree 0 is V alone.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebras import CheckResult
 from .cecomplex import morphism_matrix
@@ -283,12 +284,14 @@ def mlg_cochain_dim(t: GroupModuleTriple, n: int, normalized: bool = False) -> i
     return sum(mlg_block_dims(t, n, normalized))
 
 
-def mlg_differential(t: GroupModuleTriple, n: int,
-                     normalized: bool = False) -> Matrix:
+def mlg_differential(t: GroupModuleTriple, n: int, normalized: bool = False,
+                     _pulled: Callable[[], GroupModule] | None = None) -> Matrix:
     """Matrix of the morphism-group differential C^n_mLG -> C^{n+1}_mLG.
 
     The mapping cone's matrix in every degree; degree 0 has no Lambda block
-    and is restricted to the graph of psi, so that C^0 = V.
+    and is restricted to the graph of psi, so that C^0 = V.  W pulled back
+    along Phi is built for n >= 1 only, by ``_pulled`` when ``mlg_complex``
+    shares one per complex.
     """
     g_tuples = group_cochain_tuples(t.g, n, normalized)
     h_index = {tup: i for i, tup in enumerate(group_cochain_tuples(t.h, n, normalized))}
@@ -298,8 +301,8 @@ def mlg_differential(t: GroupModuleTriple, n: int,
         for r in range(t.dim_w):
             pre.append({} if m_idx is None else {m_idx * t.dim_w + r: 1})
     pre_phi = Matrix.from_integer_rows(pre, len(h_index) * t.dim_w)
-    d_pull = (group_differential(pullback_module(t), n - 1, normalized) if n
-              else Matrix.zeros(t.dim_w, 0))
+    d_pull = (group_differential(_pulled() if _pulled else pullback_module(t), n - 1, normalized)
+              if n else Matrix.zeros(t.dim_w, 0))
     return morphism_matrix(group_differential(t.v, n, normalized),
                            group_differential(t.w, n, normalized), t.psi, len(g_tuples),
                            pre_phi, d_pull, graph=n == 0)
@@ -307,9 +310,10 @@ def mlg_differential(t: GroupModuleTriple, n: int,
 
 def mlg_complex(t: GroupModuleTriple, normalized: bool = False,
                 size_ceiling: int | None = None) -> Complex:
-    """The morphism-group complex of a triple."""
+    """The morphism-group complex of a triple; W pulled back along Phi is built once."""
+    pulled = cache(lambda: pullback_module(t))
     return Complex(lambda n: mlg_cochain_dim(t, n, normalized),
-                   lambda n: mlg_differential(t, n, normalized), "morphism-group",
+                   lambda n: mlg_differential(t, n, normalized, pulled), "morphism-group",
                    size_ceiling)
 
 

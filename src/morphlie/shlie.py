@@ -19,7 +19,7 @@ skeletal object is checked only for closedness.  Twisting by
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .algebras import (
     CheckResult,
@@ -34,14 +34,13 @@ from .algebras import (
 from .cecomplex import (
     ExteriorBasis,
     ce_differential,
-    postcompose_matrix,
+    morphism_matrix,
     precompose_matrix,
-    sort_with_sign,
     wedge_minor_matrix,
 )
 from .cohomology import MCochain, mla_differential
 from .errors import NotACocycle, ShapeError, ValidationError
-from .linalg import Matrix
+from .linalg import Matrix, _row_times
 
 
 class TwoTermSh:
@@ -95,23 +94,6 @@ def _flat(m: Matrix) -> list[Fraction]:
 
 def _first_nonzero(vector: list[Fraction]) -> int | None:
     return next((q for q, x in enumerate(vector) if x), None)
-
-
-def _slice(f_t: Matrix, index: dict[tuple[int, ...], int], fixed: tuple[int, ...],
-           dim0: int) -> Matrix:
-    """Matrix of x -> f(e_fixed, x) on g0 for a skew map f.
-
-    f_t is f transposed, one row per increasing tuple of its arguments, and
-    index numbers those tuples.
-    """
-    rows: list[dict[int, Fraction]] = [{} for _ in range(f_t.cols)]
-    for k in range(dim0):
-        sorted_sign = sort_with_sign(fixed + (k,))
-        if sorted_sign is not None:
-            tup, sign = sorted_sign
-            for r, x in f_t.row_items(index[tup]):
-                rows[r][k] = sign * x
-    return Matrix.from_dicts(rows, dim0)
 
 
 def check_two_term_sh(t: TwoTermSh) -> CheckResult:
@@ -200,18 +182,35 @@ def check_sh_morphism(src: TwoTermSh, dst: TwoTermSh, m: ShMorphism) -> CheckRes
         rhs_second = dst.bracket0.bracket(m.phi0.col(i), m.phi0.col(j))
         if lhs != [a - b for a, b in zip(rhs_first, rhs_second)]:
             return CheckResult(False, f"condition (ii) fails at (e{i+1}, e{j+1})")
-    phi2_t = m.phi2.transpose()
+    # Condition (iii) at e_i, row by row in integers: phi2(e_i, d .) - phi1 l2(e_i, .)
+    # + l2'(phi0 e_i, phi1 .), with x -> phi2(e_i, x) read off phi2's rows.
+    phi1, e1 = m.phi1.integer_rows()
+    d_rows, ed = src.d.integer_rows()
+    phi2_rows, e2 = m.phi2.integer_rows()
+    slices: list[list[dict[int, int]]] = [[{} for _ in range(dst.dim1)] for _ in range(src.dim0)]
+    for r, row in enumerate(phi2_rows):
+        for t, x in row.items():
+            i, j = pairs.tuples[t]
+            slices[i][r][j], slices[j][r][i] = x, -x
     pulled = [dst.rep.act(m.phi0.col(i)) for i in range(src.dim0)]
     for i in range(src.dim0):
-        a = (_slice(phi2_t, pairs.index, (i,), src.dim0) * src.d
-             - m.phi1 * src.action1[i] + pulled[i] * m.phi1).first_nonzero_col()
-        if a is not None:
-            return CheckResult(False, f"condition (iii) fails at (e{i+1}, p{a+1})")
-    eta_row = Matrix.hstack([
-        postcompose_matrix(m.phi1, len(src.triples)),
-        -precompose_matrix(wedge_minor_matrix(m.phi0, 3), dst.dim1),
-        -ce_differential(Representation(src.bracket0, dst.dim1, pulled, validate=False), 2),
-    ])
+        (act, ea), (pull, ep) = src.action1[i].integer_rows(), pulled[i].integer_rows()
+        scale = lcm(e2 * ed, e1 * ea, ep * e1)
+        bad: set[int] = set()
+        for r in range(dst.dim1):
+            acc: dict[int, int] = {}
+            for left, right, f in ((slices[i][r], d_rows, scale // (e2 * ed)),
+                                   (phi1[r], act, -(scale // (e1 * ea))),
+                                   (pull[r], phi1, scale // (ep * e1))):
+                for c, y in _row_times(left, right).items():
+                    acc[c] = acc.get(c, 0) + f * y
+            bad.update(c for c, x in acc.items() if x)
+        if bad:
+            return CheckResult(False, f"condition (iii) fails at (e{i+1}, p{min(bad)+1})")
+    eta_row = morphism_matrix(  # zero-row d_v and d_w: the eta row alone
+        Matrix.zeros(0, src.dim1 * len(src.triples)), Matrix.zeros(0, dst.dim1 * len(dst.triples)),
+        m.phi1, len(src.triples), precompose_matrix(wedge_minor_matrix(m.phi0, 3), dst.dim1),
+        ce_differential(Representation(src.bracket0, dst.dim1, pulled, validate=False), 2))
     q = _first_nonzero(eta_row.apply(_flat(src.l3) + _flat(dst.l3) + _flat(m.phi2)))
     if q is not None:
         i, j, k = src.triples.tuples[q // dst.dim1]

@@ -1,6 +1,7 @@
 """Chevalley-Eilenberg differential and cohomology against the brute oracle."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -13,15 +14,39 @@ from morphlie.cecomplex import (
     ce_complex,
     ce_differential,
     cochain_dim,
+    morphism_matrix,
     postcompose_matrix,
     precompose_matrix,
     pullback_rep,
     sort_with_sign,
     wedge_minor_matrix,
 )
+from morphlie.cohomology import mla_differential
 from morphlie.errors import ShapeError
-from morphlie.fixtures import a1, a2, heis, sl2, v0, v1
+from morphlie.fixtures import (
+    a1,
+    a2,
+    heis,
+    klein_to_z2_triple,
+    sign_module,
+    sl2,
+    standard_morphism_reps,
+    v0,
+    v1,
+    z2_identity_triple,
+    z3_rotation_module,
+    z4_to_z2_sign_triple,
+)
+from morphlie.groups import (
+    FiniteGroup,
+    GroupModuleTriple,
+    group_cochain_tuples,
+    group_differential,
+    mlg_differential,
+    pullback_module,
+)
 from morphlie.linalg import Matrix, inverse, rank
+from morphlie.sampling import Sampler
 
 from .oracles import _mk_act, _mk_brk, dense_table, o_ce_dims, o_ce_matrix, o_det
 
@@ -240,3 +265,74 @@ def test_rank_of_sl2_trivial_differentials():
     rep = v0(sl2())
     assert rank(ce_differential(rep, 0)) == 0
     assert rank(ce_differential(rep, 1)) == 3
+
+
+def _block_referee(d_v, d_w, psi, tuples, pre_phi, d_pull, graph):
+    """The cone differential as the old block assembly wrote it, times the graph [I; psi]."""
+    d = Matrix.block([
+        [d_v, Matrix.zeros(d_v.rows, d_w.cols), Matrix.zeros(d_v.rows, d_pull.cols)],
+        [Matrix.zeros(d_w.rows, d_v.cols), d_w, Matrix.zeros(d_w.rows, d_pull.cols)],
+        [postcompose_matrix(psi, tuples), -pre_phi, -d_pull],
+    ])
+    return d * Matrix.vstack([Matrix.identity(psi.cols), psi]) if graph else d
+
+
+def _lie_pieces(rep, n):
+    base = rep.base
+    d_pull = (ce_differential(pullback_rep(base, rep.w), n - 1) if n
+              else Matrix.zeros(rep.dim_w, 0))
+    return (ce_differential(rep.v, n), ce_differential(rep.w, n), rep.psi,
+            comb(base.g.dim, n), precompose_matrix(wedge_minor_matrix(base.phi, n), rep.dim_w),
+            d_pull)
+
+
+def _group_pieces(t, n, normalized):
+    g_tuples = group_cochain_tuples(t.g, n, normalized)
+    h_index = {tup: i for i, tup in enumerate(group_cochain_tuples(t.h, n, normalized))}
+    pre = Matrix.from_dicts([{h_index[tup] * t.dim_w + r: 1} if tup in h_index else {}
+                             for tup in (tuple(t.phi[x] for x in u) for u in g_tuples)
+                             for r in range(t.dim_w)], len(h_index) * t.dim_w)
+    d_pull = (group_differential(pullback_module(t), n - 1, normalized) if n
+              else Matrix.zeros(t.dim_w, 0))
+    return (group_differential(t.v, n, normalized), group_differential(t.w, n, normalized),
+            t.psi, len(g_tuples), pre, d_pull)
+
+
+def test_morphism_matrix_equals_the_block_assembly():
+    # Catalog triples and ten Sampler(404) draws on each side, degrees 0-3,
+    # the default complex (degree 0 on the graph of psi) and the full cone,
+    # full and normalized bar cochains.
+    s = Sampler(404)
+    reps = [rep for _, rep in standard_morphism_reps()] + [s.morphism_rep() for _ in range(10)]
+    for k, rep in enumerate(reps):
+        for n in range(4):
+            pieces = _lie_pieces(rep, n)
+            for cone in (False, True):
+                graph = n == 0 and not cone
+                ours = morphism_matrix(*pieces, graph=graph)
+                assert ours == _block_referee(*pieces, graph), (k, n, cone)
+                assert mla_differential(rep, n, cone) == ours, (k, n, cone)
+    triples = [z2_identity_triple(), klein_to_z2_triple(), z4_to_z2_sign_triple(),
+               GroupModuleTriple.identity(sign_module(FiniteGroup.cyclic(2))),
+               GroupModuleTriple.identity(z3_rotation_module())]
+    triples += [s.group_module_triple() for _ in range(10)]
+    for k, t in enumerate(triples):
+        for n in range(4):
+            for normalized in (False, True):
+                pieces = _group_pieces(t, n, normalized)
+                ours = morphism_matrix(*pieces, graph=n == 0)
+                assert ours == _block_referee(*pieces, n == 0), (k, n, normalized)
+                assert mlg_differential(t, n, normalized) == ours, (k, n, normalized)
+
+
+def test_morphism_matrix_computes_the_graph_eta_block():
+    # At degree 0 the eta rows are psi - pre_phi psi, formed, not assumed 0:
+    # a pre_phi other than the identity shows in them.
+    psi = Matrix.from_rows([[1, Fraction(1, 2)], [0, 3]])
+    d_v, d_w = Matrix.from_rows([[1, 0]]), Matrix.from_rows([[0, Fraction(2, 3)]])
+    pre = Matrix.from_rows([[2, 0], [0, 1]])
+    for pre_phi in (Matrix.identity(2), pre):
+        pieces = (d_v, d_w, psi, 1, pre_phi, Matrix.zeros(2, 0))
+        assert morphism_matrix(*pieces, graph=True) == _block_referee(*pieces, True)
+    assert morphism_matrix(d_v, d_w, psi, 1, pre, Matrix.zeros(2, 0), graph=True).row(2) \
+        == [-1, Fraction(-1, 2)]

@@ -212,6 +212,28 @@ def test_degree0_differential_builds_no_pullback(monkeypatch):
     assert len(calls) == 1
 
 
+def test_complex_pulls_w_back_once(monkeypatch):
+    # A table to degree 4 pulls W back along phi once, on degree 1, for
+    # every differential it builds; the simple columns reuse them.
+    import morphlie.cohomology as cohomology
+
+    calls = []
+
+    def counting_pullback(*args):
+        calls.append(args)
+        return pullback_rep(*args)
+
+    monkeypatch.setattr(cohomology, "pullback_rep", counting_pullback)
+    rep = heis_adjoint_triple()
+    cx = mla_complex(rep)
+    cx.matrix(0)
+    assert calls == []
+    cx.table(4, simple=True)
+    assert len(calls) == 1
+    mla_complex(rep, cone=True).table(4)
+    assert len(calls) == 2
+
+
 def test_complex_verifies_square_zero():
     for name, rep in standard_morphism_reps():
         cx = mla_complex(rep)

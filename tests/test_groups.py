@@ -329,6 +329,23 @@ class TestMlgDifferential:
         mlg_differential(t, 1)
         assert len(calls) == 1
 
+    def test_complex_pulls_w_back_once(self, monkeypatch):
+        import morphlie.groups as groups
+
+        calls = []
+
+        def counting_pullback(*args):
+            calls.append(args)
+            return pullback_module(*args)
+
+        monkeypatch.setattr(groups, "pullback_module", counting_pullback)
+        t = klein_to_z2_triple()
+        cx = mlg_complex(t, normalized=True)
+        cx.matrix(0)
+        assert calls == []
+        cx.table(4)
+        assert len(calls) == 1
+
     def test_block_dims(self):
         t = klein_to_z2_triple()
         assert mlg_block_dims(t, 0) == (1, 0, 0)

@@ -105,7 +105,7 @@ def test_whitehead_sl3_adjoint_vanishes_in_every_degree():
     assert [complex_.dim_H(n) for n in range(g.dim + 1)] == [0] * (g.dim + 1)
 
 
-@pytest.mark.parametrize("name", ["heis5", "sl2xsl2"])
+@pytest.mark.parametrize("name", ["heis5", "sl2xsl2", "sl3", "heis7"])
 def test_identity_triple_law_on_adjoint_triples(name):
     g = ALGEBRAS[name]()
     ce = ce_complex(g.adjoint_rep())

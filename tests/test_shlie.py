@@ -183,6 +183,36 @@ class TestCheckShMorphism:
         assert not res
         assert "condition (iv)" in res.detail
 
+    def test_conditions_iii_and_iv_on_small_abelian_complexes(self):
+        # Abelian g0 = span(e1, e2, e3) with zero actions.  d sends p1 to e1
+        # and kills p2; phi2(e1, e2) = p2 passes (ii) but phi2(e2, d p1) =
+        # -p2 breaks (iii).  With d = 0 and l3 = 1 on both sides, phi1 = 2
+        # passes (i)-(iii) and phi1 l3 - l3' = 1 breaks (iv).
+        t = TwoTermSh(LieAlgebra.abelian(3), [Matrix.zeros(2, 2)] * 3,
+                      Matrix.from_rows([[1, 0], [0, 0], [0, 0]]))
+        cases = [(t, t, ShMorphism(Matrix.identity(3), Matrix.identity(2),
+                                   Matrix.from_rows([[0, 0, 0], [1, 0, 0]])),
+                  "condition (iii) fails at (e2, p1)")]
+        u = TwoTermSh(LieAlgebra.abelian(3), [Matrix.zeros(1, 1)] * 3, Matrix.zeros(3, 1),
+                      l3=Matrix.identity(1))
+        cases.append((u, u, ShMorphism(Matrix.identity(3), Matrix.identity(1).scale(2),
+                                       Matrix.zeros(1, 3)),
+                      "condition (iv) fails at (e1, e2, e3)"))
+        # The same phi2 passes (iii) when l2'(e2, .) sends p1 to p2, because
+        # phi2(e2, d p1) = -p2 is then phi1 l2(e2, p1) - l2'(e2, phi1 p1).
+        target = TwoTermSh(LieAlgebra.abelian(3), [Matrix.zeros(2, 2),
+                                                   Matrix.from_rows([[0, 0], [1, 0]]),
+                                                   Matrix.zeros(2, 2)], t.d)
+        cases.append((t, target, cases[0][2], None))
+        for src, dst, m, detail in cases:
+            raw_phi2 = {tup: m.phi2.col(k) for k, tup
+                        in enumerate(itertools.combinations(range(src.dim0), 2))}
+            found = o_sh_morphism_failure(_sh_raw(src), _sh_raw(dst), m.phi0.to_lists(),
+                                          m.phi1.to_lists(), raw_phi2)
+            assert _oracle_detail(_MORPHISM_DETAILS, found) == detail
+            res = check_sh_morphism(src, dst, m)
+            assert (res.ok, res.detail) == (detail is None, detail)
+
     def test_shape_errors(self):
         t = TwoTermSh.from_lie_algebra(sl2())
         with pytest.raises(ShapeError):
