@@ -13,7 +13,7 @@ from math import comb, lcm
 
 from .algebras import Representation, MorphismLieAlgebra
 from .errors import ShapeError
-from .linalg import Complex, Matrix, _row_times
+from .linalg import Complex, Matrix
 
 
 class ExteriorBasis:
@@ -197,31 +197,19 @@ def morphism_matrix(d_v: Matrix, d_w: Matrix, psi: Matrix, tuples: int,
     -pre_phi and -d_pull at their offsets.  With C^{-1} = 0 degree 0 is the
     same matrix: d_pull has no columns, pre_phi is the identity on W and
     tuples is 1.  With ``graph`` the map is restricted to the graph
-    {(v, psi v)} of psi, the default complex's C^0 = V: the rows are
+    {(v, psi v)} of psi, the default complex's C^0 = V: the Matrix products
     [d_v; d_w psi; psi - pre_phi psi], the last block computed, not assumed 0.
     With zero-row d_v and d_w the result is the eta rows alone.
     """
-    w_part, pre_part = d_w.integer_rows(), pre_phi.integer_rows()
-    if graph:  # gamma = psi v: gamma's columns fold onto v's through psi
-        psi_rows, e = psi.integer_rows()
-        w_part, pre_part = (([_row_times(row, psi_rows) for row in rows], d * e)
-                            for rows, d in (w_part, pre_part))
-        w_off, cols = 0, d_v.cols
-    else:
-        w_off, cols = d_v.cols, d_v.cols + d_w.cols + d_pull.cols
-    parts = [(d_v.integer_rows(), 0, 1), (w_part, w_off, 1),
-             (postcompose_matrix(psi, tuples).integer_rows(), 0, 1), (pre_part, w_off, -1),
-             (d_pull.integer_rows(), w_off + d_w.cols, -1)]
+    if graph:
+        return Matrix.vstack([d_v, d_w * psi, postcompose_matrix(psi, tuples) - pre_phi * psi])
+    parts = [(d_v.integer_rows(), 0, 1), (d_w.integer_rows(), d_v.cols, 1),
+             (postcompose_matrix(psi, tuples).integer_rows(), 0, 1),
+             (pre_phi.integer_rows(), d_v.cols, -1),
+             (d_pull.integer_rows(), d_v.cols + d_w.cols, -1)]
     den = lcm(*(d for (_, d), _, _ in parts))
     v, w, post, pre, pull = [_shifted(rows, off, sign * (den // d))
                              for (rows, d), off, sign in parts]
-    if not graph:  # the eta parts hold disjoint columns
-        return Matrix.from_integer_rows(
-            v + w + [{**a, **b, **c} for a, b, c in zip(post, pre, pull)], cols, den)
-    eta = []
-    for row, other in zip(post, pre):
-        row = dict(row)
-        for j, x in other.items():
-            row[j] = row.get(j, 0) + x
-        eta.append(row)
-    return Matrix.from_integer_rows(v + w + eta, cols, den)
+    # The eta parts hold disjoint columns.
+    return Matrix.from_integer_rows(v + w + [{**a, **b, **c} for a, b, c in zip(post, pre, pull)],
+                                    d_v.cols + d_w.cols + d_pull.cols, den)

@@ -144,10 +144,6 @@ def _brackets_data(nonzero: list) -> list:
             for i in range(dim) for j in range(i + 1, dim) if (c := dict(nonzero[i][j]))]
 
 
-def _matrix_data(m: Matrix) -> list[list[str]]:
-    return m.strings()
-
-
 class ShMorphismEntry(NamedTuple):
     """A named sh morphism together with its source and target names."""
 
@@ -214,13 +210,13 @@ def _matrix_list(per: str) -> FieldKind:
             raise ParseError(f"{where}: need one matrix per {per}")
         return [parse_matrix(a, f"{where}[{k}]", rows, cols) for k, a in enumerate(value)]
 
-    return _plain(read, lambda ms: [_matrix_data(m) for m in ms])
+    return _plain(read, lambda ms: [m.strings() for m in ms])
 
 
 INT = _plain(_require_int)
 NONNEGATIVE_INT = _plain(lambda value, where: _require_int(value, where, nonnegative=True))
 VECTOR = _plain(parse_vector, lambda v: [rat_str(x) for x in v])
-MATRIX = _plain(parse_matrix, _matrix_data)
+MATRIX = _plain(parse_matrix, Matrix.strings)
 INT_LIST = _plain(lambda value, where: _ints(value, where, "a list of element indices"), list)
 TABLE = _plain(lambda value, where: [_ints(row, f"{where}[{k}]") for k, row
                                      in _items(value, where, "a multiplication table")],

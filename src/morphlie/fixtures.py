@@ -62,18 +62,19 @@ def v1(algebra: LieAlgebra | None = None) -> Representation:
     return Representation(base, 2, action)
 
 
+def _trivial_identity_triple(g: LieAlgebra) -> MorphismRep:
+    """(g, g, id) with trivial 1-dim modules, psi = 1."""
+    return MorphismRep(MorphismLieAlgebra.identity(g), v0(g), v0(g), Matrix.identity(1))
+
+
 def a1_triple() -> MorphismRep:
     """A1 with identity morphism and trivial 1-dim modules, psi = 1."""
-    g = a1()
-    m = MorphismLieAlgebra.identity(g)
-    return MorphismRep(m, v0(g), v0(g), Matrix.identity(1))
+    return _trivial_identity_triple(a1())
 
 
 def a2_triple() -> MorphismRep:
     """A2 with identity morphism and trivial 1-dim modules, psi = 1."""
-    g = a2()
-    m = MorphismLieAlgebra.identity(g)
-    return MorphismRep(m, v0(g), v0(g), Matrix.identity(1))
+    return _trivial_identity_triple(a2())
 
 
 def sl2_v1_triple() -> MorphismRep:
@@ -96,16 +97,12 @@ def heis_adjoint_triple() -> MorphismRep:
 
 def heis_trivial_triple() -> MorphismRep:
     """(HEIS, HEIS, id) with trivial 1-dim modules."""
-    g = heis()
-    m = MorphismLieAlgebra.identity(g)
-    return MorphismRep(m, v0(g), v0(g), Matrix.identity(1))
+    return _trivial_identity_triple(heis())
 
 
 def sl2_trivial_triple() -> MorphismRep:
     """(sl2, sl2, id) with trivial 1-dim modules."""
-    g = sl2()
-    m = MorphismLieAlgebra.identity(g)
-    return MorphismRep(m, v0(g), v0(g), Matrix.identity(1))
+    return _trivial_identity_triple(sl2())
 
 
 def heis_to_a2_triple() -> MorphismRep:

@@ -23,7 +23,7 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .algebras import CheckResult
-from .cecomplex import morphism_matrix
+from .cecomplex import morphism_matrix, precompose_matrix
 from .errors import NotAHomomorphism, ShapeError, ValidationError
 from .linalg import Complex, Matrix
 
@@ -31,7 +31,7 @@ from .linalg import Complex, Matrix
 class FiniteGroup:
     """A finite group given by its multiplication table of element indices."""
 
-    def __init__(self, mul: Sequence[Sequence[int]], identity: int | None = None):
+    def __init__(self, mul: Sequence[Sequence[int]]):
         order = len(mul)
         if order == 0:
             raise ValidationError("a group has at least the identity element")
@@ -42,18 +42,13 @@ class FiniteGroup:
             for x in row:
                 if not isinstance(x, int) or not 0 <= x < order:
                     raise ValidationError(f"table entry {x!r} is not an element index")
+        identity = next(
+            (e for e in range(order)
+             if all(table[e][x] == x and table[x][e] == x for x in range(order))),
+            None,
+        )
         if identity is None:
-            identity = next(
-                (e for e in range(order)
-                 if all(table[e][x] == x and table[x][e] == x for x in range(order))),
-                None,
-            )
-            if identity is None:
-                raise ValidationError("no identity element in the table")
-        else:
-            if not all(table[identity][x] == x and table[x][identity] == x
-                       for x in range(order)):
-                raise ValidationError(f"element {identity} is not an identity")
+            raise ValidationError("no identity element in the table")
         for a in range(order):
             for b in range(order):
                 for c in range(order):
@@ -214,8 +209,7 @@ class GroupModuleTriple:
     """
 
     def __init__(self, g: FiniteGroup, h: FiniteGroup, phi: Sequence[int],
-                 v: GroupModule, w: GroupModule, psi: Matrix,
-                 validate: bool = True):
+                 v: GroupModule, w: GroupModule, psi: Matrix):
         if v.group is not g and v.group.mul != g.mul:
             raise ShapeError("V must be a module over the source group")
         if w.group is not h and w.group.mul != h.mul:
@@ -232,18 +226,13 @@ class GroupModuleTriple:
         self.v = v
         self.w = w
         self.psi = psi
-        if validate:
-            for a in range(g.order):
-                for b in range(g.order):
-                    if phi[g.mul[a][b]] != h.mul[phi[a]][phi[b]]:
-                        raise NotAHomomorphism(
-                            f"phi is not a homomorphism at elements ({a}, {b})"
-                        )
-            for a in range(g.order):
-                if psi * v.action[a] != w.action[phi[a]] * psi:
-                    raise ValidationError(
-                        f"psi does not intertwine the actions at element {a}"
-                    )
+        for a in range(g.order):
+            for b in range(g.order):
+                if phi[g.mul[a][b]] != h.mul[phi[a]][phi[b]]:
+                    raise NotAHomomorphism(f"phi is not a homomorphism at elements ({a}, {b})")
+        for a in range(g.order):
+            if psi * v.action[a] != w.action[phi[a]] * psi:
+                raise ValidationError(f"psi does not intertwine the actions at element {a}")
 
     @property
     def dim_v(self) -> int:
@@ -295,12 +284,11 @@ def mlg_differential(t: GroupModuleTriple, n: int, normalized: bool = False,
     """
     g_tuples = group_cochain_tuples(t.g, n, normalized)
     h_index = {tup: i for i, tup in enumerate(group_cochain_tuples(t.h, n, normalized))}
-    pre = []
-    for tup in g_tuples:
-        m_idx = h_index.get(tuple(t.phi[x] for x in tup))
-        for r in range(t.dim_w):
-            pre.append({} if m_idx is None else {m_idx * t.dim_w + r: 1})
-    pre_phi = Matrix.from_integer_rows(pre, len(h_index) * t.dim_w)
+    phi_n: list[dict[int, int]] = [{} for _ in h_index]  # Phi^n: rows over H^n, columns over G^n
+    for s, tup in enumerate(g_tuples):
+        if (m := h_index.get(tuple(t.phi[x] for x in tup))) is not None:
+            phi_n[m][s] = 1
+    pre_phi = precompose_matrix(Matrix.from_integer_rows(phi_n, len(g_tuples)), t.dim_w)
     d_pull = (group_differential(_pulled() if _pulled else pullback_module(t), n - 1, normalized)
               if n else Matrix.zeros(t.dim_w, 0))
     return morphism_matrix(group_differential(t.v, n, normalized),

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import comb
 
 from .algebras import MorphismRep, Representation
+from .cecomplex import postcompose_matrix, precompose_matrix
 from .cohomology import MCochain, mla_differential
 from .fixtures import (
     sign_module,
@@ -24,7 +25,7 @@ from .fixtures import (
     z4_rotation_module,
 )
 from .groups import FiniteGroup, GroupModule, GroupModuleTriple
-from .linalg import Matrix, ZERO, inverse, kernel_basis, rank
+from .linalg import Matrix, inverse, kernel_basis, rank
 
 
 class Sampler:
@@ -33,17 +34,13 @@ class Sampler:
     def __init__(self, seed: int = 0):
         self.rng = random.Random(seed)
 
-    def fraction(self, max_num: int = 5, max_den: int = 3) -> Fraction:
-        return Fraction(self.rng.randint(-max_num, max_num),
-                        self.rng.randint(1, max_den))
+    def fraction(self) -> Fraction:
+        """Numerator in -5..5 over a denominator in 1..3."""
+        return Fraction(self.rng.randint(-5, 5), self.rng.randint(1, 3))
 
-    def matrix(self, rows: int, cols: int, max_num: int = 5,
-               max_den: int = 3) -> Matrix:
-        return Matrix.from_rows(
-            [[self.fraction(max_num, max_den) for _ in range(cols)]
-             for _ in range(rows)],
-            cols=cols,
-        )
+    def matrix(self, rows: int, cols: int) -> Matrix:
+        return Matrix.from_rows([[self.fraction() for _ in range(cols)] for _ in range(rows)],
+                                cols=cols)
 
     def invertible_matrix(self, n: int) -> Matrix:
         while True:
@@ -83,20 +80,20 @@ class Sampler:
         basis = kernel_basis(_intertwiner_constraints(pairs, dim_v, dim_w))
         return Matrix(dim_w, dim_v, basis.apply([self.fraction() for _ in range(basis.cols)]))
 
-    def group(self, max_order: int = 4) -> FiniteGroup:
-        choices = [FiniteGroup.trivial(), FiniteGroup.cyclic(2),
-                   FiniteGroup.cyclic(3), FiniteGroup.cyclic(4),
-                   FiniteGroup.klein_four()]
-        return self.rng.choice([g for g in choices if g.order <= max_order])
+    def group(self) -> FiniteGroup:
+        """A random group of order at most 4."""
+        return self.rng.choice([FiniteGroup.trivial(), FiniteGroup.cyclic(2),
+                                FiniteGroup.cyclic(3), FiniteGroup.cyclic(4),
+                                FiniteGroup.klein_four()])
 
-    def group_module(self, group: FiniteGroup, max_dim: int = 2) -> GroupModule:
-        """A random module over the group in a random basis."""
-        catalog = [GroupModule.trivial(group, d) for d in range(1, max_dim + 1)]
+    def group_module(self, group: FiniteGroup) -> GroupModule:
+        """A random module of dimension at most 2 over the group in a random basis."""
+        catalog = [GroupModule.trivial(group, 1), GroupModule.trivial(group, 2)]
         if group.order in (2, 4) and group.mul == FiniteGroup.cyclic(group.order).mul:
             catalog.append(sign_module(group))
-        if group.mul == FiniteGroup.cyclic(3).mul and max_dim >= 2:
+        if group.mul == FiniteGroup.cyclic(3).mul:
             catalog.append(z3_rotation_module())
-        if group.mul == FiniteGroup.cyclic(4).mul and max_dim >= 2:
+        if group.mul == FiniteGroup.cyclic(4).mul:
             catalog.append(z4_rotation_module())
         if group.mul == FiniteGroup.klein_four().mul:
             mask = self.rng.randint(0, 3)
@@ -119,10 +116,10 @@ class Sampler:
                 homs.append(assignment)
         return list(self.rng.choice(homs))
 
-    def group_module_triple(self, max_order: int = 4) -> GroupModuleTriple:
+    def group_module_triple(self) -> GroupModuleTriple:
         """A random valid module triple over a random homomorphism."""
-        g = self.group(max_order)
-        h = self.group(max_order)
+        g = self.group()
+        h = self.group()
         phi = self.group_homomorphism(g, h)
         v = self.group_module(g)
         w = self.group_module(h)
@@ -153,23 +150,13 @@ def _intertwiner_constraints(pairs: list[tuple[Matrix, Matrix]],
                              dim_v: int, dim_w: int) -> Matrix:
     """Rows of the linear system X A = B X in the flattened unknown X.
 
-    X is dim_w x dim_v, flattened row-major: X[r][c] -> r * dim_v + c.
+    X is dim_w x dim_v, flattened row-major: X[r][c] -> r * dim_v + c, which
+    is Y = X^T in the cochain layout over dim_w tuples.  X A = B X reads
+    A^T Y - Y B^T = 0, one postcomposition and one precomposition per pair.
     """
-    rows = []
-    for a, b in pairs:
-        for r in range(dim_w):
-            for c in range(dim_v):
-                row = [ZERO] * (dim_w * dim_v)
-                for k in range(dim_v):
-                    if a[k, c]:
-                        row[r * dim_v + k] += a[k, c]
-                for k in range(dim_w):
-                    if b[r, k]:
-                        row[k * dim_v + c] -= b[r, k]
-                rows.append(row)
-    if not rows:
-        return Matrix.zeros(0, dim_w * dim_v)
-    return Matrix.from_rows(rows, cols=dim_w * dim_v)
+    return Matrix.vstack([Matrix.zeros(0, dim_w * dim_v)] + [
+        postcompose_matrix(a.transpose(), dim_w) - precompose_matrix(b.transpose(), dim_v)
+        for a, b in pairs])
 
 
 def _all_maps(domain: int, codomain: int):

@@ -116,10 +116,6 @@ class TestFiniteGroup:
         g = FiniteGroup([[1, 0], [0, 1]])
         assert g.identity == 1
 
-    def test_wrong_identity_rejected(self):
-        with pytest.raises(ValidationError, match="identity"):
-            FiniteGroup([[0, 1], [1, 0]], identity=1)
-
     def test_missing_inverse_rejected(self):
         with pytest.raises(ValidationError, match="inverse"):
             FiniteGroup([[0, 1], [1, 1]])

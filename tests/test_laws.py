@@ -3,8 +3,8 @@
 The dense oracles referee the catalog and small samples; at sl3 or heis7
 scale the only other check is d . d = 0, which a wrong but square-zero
 block passes.  The expected values here come from closed forms in
-``tests/oracles.py``: Betti numbers, Whitehead's vanishing, the
-identity-triple law and Maschke's theorem over Q.  A sign error that keeps
+``tests/oracles.py``: Betti numbers, Whitehead's vanishing, Poincare
+duality, the identity-triple law and Maschke's theorem over Q.  A sign error that keeps
 d . d = 0 and these laws (a negated bracket term on trivial or 2-step
 nilpotent modules, a flipped last face on Z2) is caught by applying the
 differentials at that scale to a few sparse cochains, against the oracles.
@@ -20,9 +20,11 @@ from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, Representation, ad
 from morphlie.cecomplex import ce_complex, ce_differential
 from morphlie.cohomology import mla_complex
 from morphlie.fixtures import (
+    heis,
     klein_to_z2_triple,
     sign_module,
     sl2,
+    v1,
     z2_identity_triple,
     z3_rotation_module,
     z4_rotation_module,
@@ -47,28 +49,37 @@ from .oracles import (
     o_betti_sl3,
     o_ce_apply,
     o_identity_triple_dims,
+    o_poly_product,
 )
 
 
-def _sl3() -> LieAlgebra:
-    """sl3 in the basis E12, E13, E21, E23, E31, E32, H1 = E11 - E22, H2 = E22 - E33."""
-    off = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+def _sl(n: int) -> LieAlgebra:
+    """sl_n in the basis E_rc (r != c, lex order), then H_i = E_ii - E_{i+1,i+1}.
+
+    For n = 3: E12, E13, E21, E23, E31, E32, H1, H2.
+    """
+    off = [(r, c) for r in range(n) for c in range(n) if r != c]
     basis = []
     for r, c in off:
-        m = [[0] * 3 for _ in range(3)]
+        m = [[0] * n for _ in range(n)]
         m[r][c] = 1
         basis.append(m)
-    basis += [[[1, 0, 0], [0, -1, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, -1]]]
+    for i in range(n - 1):
+        m = [[0] * n for _ in range(n)]
+        m[i][i], m[i + 1][i + 1] = 1, -1
+        basis.append(m)
 
     def bracket(a, b):
-        return [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(3))
-                 for j in range(3)] for i in range(3)]
+        return [[sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n))
+                 for j in range(n)] for i in range(n)]
 
-    def coords(m):  # x H1 + y H2 = diag(x, y - x, -y)
-        return [m[r][c] for r, c in off] + [m[0][0], -m[2][2]]
+    def coords(m):  # sum x_i H_i = diag(x_1, x_2 - x_1, ..., -x_{n-1})
+        return [m[r][c] for r, c in off] + [sum(m[k][k] for k in range(i + 1))
+                                            for i in range(n - 1)]
 
-    return LieAlgebra.from_brackets(8, {(i, j): coords(bracket(basis[i], basis[j]))
-                                        for i, j in combinations(range(8), 2)})
+    dim = n * n - 1
+    return LieAlgebra.from_brackets(dim, {(i, j): coords(bracket(basis[i], basis[j]))
+                                          for i, j in combinations(range(dim), 2)})
 
 
 def _direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
@@ -86,7 +97,7 @@ def _heis(n: int) -> LieAlgebra:
     return LieAlgebra.from_brackets(2 * n + 1, {(i, n + i): top for i in range(n)})
 
 
-ALGEBRAS = {"sl2": sl2, "sl3": _sl3, "sl2xsl2": lambda: _direct_sum(sl2(), sl2()),
+ALGEBRAS = {"sl2": sl2, "sl3": lambda: _sl(3), "sl2xsl2": lambda: _direct_sum(sl2(), sl2()),
             "heis5": lambda: _heis(2), "heis7": lambda: _heis(3)}
 BETTI = {"sl2": o_betti_sl2_power(1), "sl3": o_betti_sl3(), "sl2xsl2": o_betti_sl2_power(2),
          "heis5": o_betti_heis(2), "heis7": o_betti_heis(3)}
@@ -99,8 +110,35 @@ def test_betti_numbers(name):
     assert [complex_.dim_H(n) for n in range(g.dim + 1)] == BETTI[name]
 
 
+def test_sl4_betti_numbers_to_degree_7():
+    # SU(4): (1 + t^3)(1 + t^5)(1 + t^7); degrees above 7 would take minutes.
+    complex_ = ce_complex(Representation.trivial(_sl(4), 1))
+    expected = o_poly_product([1, 0, 0, 1], [1, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0, 0, 1])
+    assert [complex_.dim_H(n) for n in range(8)] == expected[:8] == [1, 0, 0, 1, 0, 1, 0, 1]
+
+
+DUALITY = {"sl2-v1": lambda: v1(sl2()), "sl2-adjoint": lambda: sl2().adjoint_rep(),
+           "heis-adjoint": lambda: heis().adjoint_rep(),
+           "heis5-adjoint": lambda: ALGEBRAS["heis5"]().adjoint_rep(),
+           "sl3-adjoint": lambda: _sl(3).adjoint_rep()}
+
+
+@pytest.mark.parametrize("name", DUALITY)
+def test_poincare_duality(name):
+    # g unimodular: dim H^n(g, V) = dim H^{d-n}(g, V*), with V* acting by -rho(x)^T
+    # (Hazewinkel, Math. USSR Sb. 12, 1970).
+    rep = DUALITY[name]()
+    dual = Representation(rep.algebra, rep.dim_v, [-a.transpose() for a in rep.action])
+    d = rep.algebra.dim
+    ce, ce_dual = ce_complex(rep), ce_complex(dual)
+    dims = [ce.dim_H(n) for n in range(d + 1)]
+    assert dims == [ce_dual.dim_H(d - n) for n in range(d + 1)]
+    if name == "heis-adjoint":
+        assert dims == [1, 4, 5, 2]
+
+
 def test_whitehead_sl3_adjoint_vanishes_in_every_degree():
-    g = _sl3()
+    g = _sl(3)
     complex_ = ce_complex(g.adjoint_rep())
     assert [complex_.dim_H(n) for n in range(g.dim + 1)] == [0] * (g.dim + 1)
 

@@ -6,9 +6,9 @@ import pytest
 
 from morphlie.cecomplex import ce_differential
 from morphlie.cohomology import apply_mla_differential, mla_differential
-from morphlie.fixtures import sl2_v1_triple
+from morphlie.fixtures import sl2_v1_triple, standard_morphism_reps
 from morphlie.groups import mlg_differential
-from morphlie.linalg import Matrix, rank
+from morphlie.linalg import ZERO, Matrix, rank
 from morphlie.sampling import Sampler, _intertwiner_constraints
 
 
@@ -16,7 +16,7 @@ class TestPrimitives:
     def test_fraction_bounds(self):
         s = Sampler(1)
         for _ in range(50):
-            f = s.fraction(max_num=5, max_den=3)
+            f = s.fraction()
             assert isinstance(f, Fraction)
             assert -5 <= f.numerator <= 5 or abs(f) <= 5
 
@@ -139,3 +139,34 @@ class TestIntertwinerSolver:
     def test_empty_constraint_list(self):
         m = _intertwiner_constraints([], 2, 3)
         assert (m.rows, m.cols) == (0, 6)
+
+
+def _dense_intertwiner_constraints(pairs, dim_v, dim_w):
+    """The system X A = B X written out entry by entry, X flattened row-major."""
+    rows = []
+    for a, b in pairs:
+        for r in range(dim_w):
+            for c in range(dim_v):
+                row = [ZERO] * (dim_w * dim_v)
+                for k in range(dim_v):
+                    row[r * dim_v + k] += a[k, c]
+                for k in range(dim_w):
+                    row[k * dim_v + c] -= b[r, k]
+                rows.append(row)
+    return Matrix.from_rows(rows, cols=dim_w * dim_v) if rows else Matrix.zeros(0, dim_w * dim_v)
+
+
+def test_intertwiner_constraints_match_the_dense_system():
+    # The catalog, 20 Sampler(3) morphism reps, 20 group triples and the empty list.
+    s = Sampler(3)
+    reps = [rep for _, rep in standard_morphism_reps()] + [s.morphism_rep() for _ in range(20)]
+    cases = [([(rep.v.action[i], rep.w.act(rep.base.phi.col(i))) for i in range(rep.base.g.dim)],
+              rep.dim_v, rep.dim_w) for rep in reps]
+    for t in (s.group_module_triple() for _ in range(20)):
+        cases.append(([(t.v.action[a], t.w.action[t.phi[a]]) for a in range(t.g.order)],
+                      t.dim_v, t.dim_w))
+    cases.append(([], 2, 3))
+    assert len(cases) == 50
+    for pairs, dim_v, dim_w in cases:
+        assert (_intertwiner_constraints(pairs, dim_v, dim_w)
+                == _dense_intertwiner_constraints(pairs, dim_v, dim_w))
