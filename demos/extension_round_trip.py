@@ -24,10 +24,10 @@ print("extension of the abelian plane by the area cocycle:")
 for i in range(total.dim):
     for j in range(i + 1, total.dim):
         terms = [f"e{k + 1}" if ck == 1 else f"{rat_str(ck)}*e{k + 1}"
-                 for k, ck in total.nonzero[i][j]]
+                 for k, ck in enumerate(total.structure_vector(i, j)) if ck]
         if terms:
             print(f"  [e{i + 1}, e{j + 1}] = {' + '.join(terms)}")
-print(f"  equals the Heisenberg algebra: {total.nonzero == heis().nonzero}")
+print(f"  equals the Heisenberg algebra: {(total.nonzero, total.den) == (heis().nonzero, heis().den)}")
 print()
 
 # Reading the cocycle back.  The canonical section x -> (x, 0) measures

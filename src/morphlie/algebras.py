@@ -6,8 +6,8 @@ pair by pair (no dense dim^3 table), a representation is a list of action
 matrices, and a morphism Lie algebra (g, h, phi) is a pair of algebras with
 a homomorphism given as a matrix.  Antisymmetry is enforced at construction;
 the Jacobi identity is a separate queryable check so that broken data can
-still be represented and diagnosed.  Every bracket and every check sums over
-the nonzero structure constants only.
+still be represented and diagnosed.  Every bracket and every check sums
+integers over the nonzero structure constants only.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
 from math import comb, lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import NotAHomomorphism, RotaBaxterViolation, ShapeError, ValidationError
-from .linalg import Matrix, Scalar, ZERO, rat
+from .linalg import ONE, Matrix, Scalar, ZERO, _entry, _scalar_rows, rat
 
 Vector = list[Fraction]
 
@@ -42,11 +42,12 @@ class CheckResult:
 class LieAlgebra:
     """A finite-dimensional algebra given by its nonzero structure constants.
 
-    ``nonzero[i][j]`` lists the pairs (k, c_ij^k) with c_ij^k != 0, k
-    increasing, and is all that is stored: an algebra costs O(dim^2) plus its
-    brackets.  Antisymmetry c_ij^k = -c_ji^k is required at construction;
-    whether the data satisfies Jacobi is a separate question answered by
-    check_jacobi, so near-Lie data can be built and examined.
+    ``nonzero[i][j]`` lists the pairs (k, n) with c_ij^k = n / den != 0, k
+    increasing, over one denominator ``den`` > 0 in lowest terms, so equal
+    (nonzero, den) means equal constants; that is all that is stored.
+    Antisymmetry c_ij^k = -c_ji^k is required at construction; whether the
+    data satisfies Jacobi is a separate question answered by check_jacobi,
+    so near-Lie data can be built and examined.
     """
 
     def __init__(self, dim: int, structure: Sequence[Sequence[Sequence[Scalar]]]):
@@ -55,11 +56,11 @@ class LieAlgebra:
             raise ShapeError("negative dimension")
         if len(structure) != dim or any(len(row) != dim for row in structure):
             raise ShapeError(f"structure table must be {dim}x{dim} vectors")
-        self.dim = dim
-        self.nonzero: list[list[list[tuple[int, Fraction]]]] = [
-            [[(k, x) for k, x in enumerate(map(rat, cij)) if x] for cij in ci] for ci in structure]
         if any(len(cij) != dim for ci in structure for cij in ci):
             raise ShapeError("bracket vectors must have length dim")
+        rows, self.den = Matrix.from_rows([c for ci in structure for c in ci], dim).integer_rows()
+        self.dim = dim
+        self.nonzero = [[sorted(r.items()) for r in rows[i * dim:(i + 1) * dim]] for i in range(dim)]
         for i, j in combinations_with_replacement(range(dim), 2):
             if self.nonzero[i][j] != [(k, -x) for k, x in self.nonzero[j][i]]:
                 raise ShapeError(f"structure constants not antisymmetric at (e{i+1}, e{j+1})")
@@ -73,46 +74,62 @@ class LieAlgebra:
         """Build from the nonzero brackets [e_i, e_j], each with [e_j, e_i] its negative."""
         if dim < 0:
             raise ShapeError("negative dimension")
-        nonzero: list[list[list[tuple[int, Fraction]]]] = [
-            [[] for _ in range(dim)] for _ in range(dim)]
-        for (i, j), vec in brackets.items():
+        if any(len(vec) != dim for vec in brackets.values()):
+            raise ShapeError("bracket vectors must have length dim")
+        return cls.from_bracket_rows(dim, list(brackets), Matrix.from_rows(list(brackets.values()), dim))
+
+    @classmethod
+    def from_bracket_rows(cls, dim: int, pairs: Sequence[tuple[int, int]], rows: Matrix) -> LieAlgebra:
+        """Build from [e_i, e_j] = row t of ``rows`` (dim columns) for the t-th pair (i, j).
+
+        [e_j, e_i] is its negative; each pair may be given once, in one order.
+        """
+        if dim < 0:
+            raise ShapeError("negative dimension")
+        num, den = rows.integer_rows()
+        nonzero: list[list[list[tuple[int, int]]]] = [[[] for _ in range(dim)] for _ in range(dim)]
+        seen = set()
+        for (i, j), row in zip(pairs, num):
             if i == j:
                 raise ShapeError("bracket of a basis vector with itself must be omitted")
-            if len(vec) != dim:
-                raise ShapeError("bracket vectors must have length dim")
-            nonzero[i][j] = [(k, y) for k, x in enumerate(vec) if (y := rat(x))]
+            if (i, j) in seen:
+                raise ShapeError(f"bracket of (e{i+1}, e{j+1}) given twice")
+            seen.update(((i, j), (j, i)))
+            nonzero[i][j] = sorted(row.items())
             nonzero[j][i] = [(k, -x) for k, x in nonzero[i][j]]
         out = cls.__new__(cls)
-        out.dim, out.nonzero = dim, nonzero
+        out.dim, out.nonzero, out.den = dim, nonzero, den
         return out
 
     def structure_vector(self, i: int, j: int) -> Vector:
         """The coordinates of [e_i, e_j]."""
         out: Vector = [ZERO] * self.dim
         for k, x in self.nonzero[i][j]:
-            out[k] = x
+            out[k] = _entry(x, self.den)
         return out
 
     def bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """Bilinear extension of the basis brackets to coordinate vectors."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeError("vectors must have length dim")
+        (xs, ys), (dx, dy) = _scalar_rows([enumerate(x), enumerate(y)])
         out: Vector = [ZERO] * self.dim
-        for k, z in _bracket_items(self, _items(x), _items(y)).items():
-            out[k] = z
+        for k, z in _bracket_items(self, xs, ys).items():
+            if z:
+                out[k] = _entry(z, dx * dy * self.den)
         return out
 
     def ad_matrix(self, x: Sequence[Scalar]) -> Matrix:
         """Matrix of ad(x) = [x, -]: column j is sum_i x_i [e_i, e_j], over the nonzero constants."""
         if len(x) != self.dim:
             raise ShapeError("vectors must have length dim")
-        xs = _items(x)
-        rows: list[dict[int, Fraction]] = [{} for _ in range(self.dim)]
+        (xs,), (dx,) = _scalar_rows([enumerate(x)])
+        rows: list[dict[int, int]] = [{} for _ in range(self.dim)]
         for j in range(self.dim):
-            for i, xi in xs:
+            for i, xi in xs.items():
                 for k, z in self.nonzero[i][j]:
-                    rows[k][j] = rows[k].get(j, ZERO) + xi * z
-        return Matrix.from_dicts(rows, self.dim)
+                    rows[k][j] = rows[k].get(j, 0) + xi * z
+        return Matrix.from_integer_rows(rows, self.dim, dx * self.den)
 
     def adjoint_rep(self) -> Representation:
         mats = [self.ad_matrix(_unit(self.dim, i)) for i in range(self.dim)]
@@ -123,24 +140,17 @@ class LieAlgebra:
 
 
 def _unit(dim: int, i: int) -> Vector:
-    v = [ZERO] * dim
-    v[i] = Fraction(1)
-    return v
+    return [ONE if k == i else ZERO for k in range(dim)]
 
 
-def _items(x: Sequence[Scalar]) -> list[tuple[int, Fraction]]:
-    return [(i, rat(xi)) for i, xi in enumerate(x) if xi]
-
-
-def _bracket_items(a: LieAlgebra, xs: list[tuple[int, Fraction]],
-                   ys: list[tuple[int, Fraction]]) -> dict[int, Fraction]:
-    """[x, y] for x, y given by their (index, coefficient) nonzeros; sums may cancel to 0."""
-    out: dict[int, Fraction] = {}
-    for i, x in xs:
+def _bracket_items(a: LieAlgebra, xs: Mapping[int, int], ys: Mapping[int, int]) -> dict[int, int]:
+    """[x, y] times a.den for integer x, y given by their nonzero coordinates; sums may cancel to 0."""
+    out: dict[int, int] = {}
+    for i, x in xs.items():
         ci = a.nonzero[i]
-        for j, y in ys:
+        for j, y in ys.items():
             for k, z in ci[j]:
-                out[k] = out.get(k, ZERO) + x * y * z
+                out[k] = out.get(k, 0) + x * y * z
     return out
 
 
@@ -148,12 +158,12 @@ def jacobiator(a: LieAlgebra) -> Matrix:
     """[[x,y],z] + [[y,z],x] + [[z,x],y] on the basis triples, one column each.
 
     Columns follow the increasing triples in lexicographic order, and
-    [[e_p, e_q], e_r] = sum_l c_pq^l [e_l, e_r] is summed over the nonzero
-    structure constants only.  A triple none of whose pairs has a nonzero
-    bracket has a zero column, so only the other triples are visited.
+    [[e_p, e_q], e_r] = sum_l c_pq^l [e_l, e_r] is summed in integers over
+    a.den^2 on the nonzero constants.  A triple none of whose pairs has a
+    nonzero bracket has a zero column, so only the other triples are visited.
     """
     n = a.dim
-    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
     triples = {tuple(sorted((p, q, r))) for p in range(n) for q in range(p + 1, n)
                if a.nonzero[p][q] for r in range(n) if r != p and r != q}
     for i, j, k in sorted(triples):
@@ -162,8 +172,8 @@ def jacobiator(a: LieAlgebra) -> Matrix:
         for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
             for l, x in a.nonzero[p][q]:
                 for m, y in a.nonzero[l][r]:
-                    rows[m][t] = rows[m].get(t, ZERO) + x * y
-    return Matrix.from_dicts(rows, comb(n, 3))
+                    rows[m][t] = rows[m].get(t, 0) + x * y
+    return Matrix.from_integer_rows(rows, comb(n, 3), a.den ** 2)
 
 
 def check_jacobi(a: LieAlgebra) -> CheckResult:
@@ -241,11 +251,10 @@ def commutator_defect(rep: Representation, l3: Matrix | None = None, d: Matrix |
             for pair, k, y in (((p, q), s, x), ((p, s), q, -x), ((q, s), p, x)):
                 slices.setdefault(pair, {}).setdefault(r, []).append((d_rows[k], y))
     for i, j in combinations(range(rep.algebra.dim), 2):
-        (ri, di), (rj, dj), terms = acts[i], acts[j], rep.algebra.nonzero[i][j]
-        scale = lcm(di * dj, e * f, *(x.denominator * acts[k][1] for k, x in terms))
+        (ri, di), (rj, dj), terms, den_g = acts[i], acts[j], rep.algebra.nonzero[i][j], rep.algebra.den
+        scale = lcm(di * dj, e * f, *(den_g * acts[k][1] for k, _ in terms))
         fp, fl = scale // (di * dj), scale // (e * f)
-        minus = [(acts[k][0], x.numerator * (scale // (x.denominator * acts[k][1])))
-                 for k, x in terms]
+        minus = [(acts[k][0], x * (scale // (den_g * acts[k][1]))) for k, x in terms]
         extra, bad = slices.get((i, j), {}), set()
         # Only a row some term touches can be nonzero.
         for r in live[i].union(live[j], extra, *(live[k] for k, _ in terms)):
@@ -265,20 +274,20 @@ def commutator_defect(rep: Representation, l3: Matrix | None = None, d: Matrix |
 
 
 def is_lie_homomorphism(g: LieAlgebra, h: LieAlgebra, phi: Matrix) -> CheckResult:
-    """phi([x,y]_g) = [phi x, phi y]_h on all basis pairs.
+    """phi([x,y]_g) = [phi x, phi y]_h on all basis pairs, cross-multiplied in integers.
 
-    Both sides are summed over the nonzero entries of phi's columns and the
-    nonzero structure constants of g and h.
+    Sums run over the nonzero entries of phi's columns, over their lcm e, and
+    the nonzero constants: [phi x, phi y]_h g.den against phi([x,y]_g) h.den e.
     """
     if phi.rows != h.dim or phi.cols != g.dim:
         raise ShapeError(f"phi must be {h.dim}x{g.dim}, got {phi.rows}x{phi.cols}")
-    transposed = phi.transpose()
-    cols = [list(transposed.row_items(i)) for i in range(g.dim)]
+    cols, e = phi.transpose().integer_rows()
+    fg, fh = g.den, h.den * e
     for i, j in combinations(range(g.dim), 2):
-        diff = _bracket_items(h, cols[i], cols[j])
+        diff = {a: fg * x for a, x in _bracket_items(h, cols[i], cols[j]).items()}
         for k, x in g.nonzero[i][j]:
-            for a, y in cols[k]:
-                diff[a] = diff.get(a, ZERO) - x * y
+            for a, y in cols[k].items():
+                diff[a] = diff.get(a, 0) - fh * x * y
         if any(diff.values()):
             return CheckResult(
                 False, f"homomorphism equation fails on basis pair (e{i+1}, e{j+1})")
@@ -316,9 +325,9 @@ class MorphismRep:
 
     def __init__(self, base: MorphismLieAlgebra, v: Representation, w: Representation,
                  psi: Matrix, validate: bool = True):
-        if v.algebra is not base.g and v.algebra.nonzero != base.g.nonzero:
+        if (v.algebra.nonzero, v.algebra.den) != (base.g.nonzero, base.g.den):
             raise ShapeError("V must be a representation of g")
-        if w.algebra is not base.h and w.algebra.nonzero != base.h.nonzero:
+        if (w.algebra.nonzero, w.algebra.den) != (base.h.nonzero, base.h.den):
             raise ShapeError("W must be a representation of h")
         if psi.rows != w.dim_v or psi.cols != v.dim_v:
             raise ShapeError(f"psi must be {w.dim_v}x{v.dim_v}, got {psi.rows}x{psi.cols}")

@@ -69,8 +69,7 @@ def ce_differential(rep: Representation, n: int) -> Matrix:
     dim_v = rep.dim_v
     src = ExteriorBasis(g.dim, n)
     dst = ExteriorBasis(g.dim, n + 1)
-    den = lcm(*(m.integer_rows()[1] for m in rep.action),
-              *(x.denominator for row in g.nonzero for pairs in row for _, x in pairs))
+    den = lcm(g.den, *(m.integer_rows()[1] for m in rep.action))
     acts = [m.integer_rows(den)[0] for m in rep.action]
     rows: list[dict[int, int]] = [{} for _ in range(len(dst) * dim_v)]
 
@@ -97,7 +96,7 @@ def ce_differential(rep: Representation, n: int) -> Matrix:
                         continue
                     stup, ssign = sorted_sign
                     s_idx = src.index[stup]
-                    total = pair_sign * ssign * coeff.numerator * (den // coeff.denominator)
+                    total = pair_sign * ssign * coeff * (den // g.den)
                     for r in range(dim_v):
                         row, col = rows[t_idx * dim_v + r], s_idx * dim_v + r
                         row[col] = row.get(col, 0) + total
@@ -181,20 +180,16 @@ def precompose_matrix(minors: Matrix, dim_w: int) -> Matrix:
     return Matrix.from_integer_rows(rows, n_dst * dim_w, d)
 
 
-def _shifted(rows: list[dict[int, int]], off: int, f: int) -> list[dict[int, int]]:
-    """Integer rows times f with columns moved by off; the rows themselves if neither changes them."""
-    return rows if f == 1 and not off else [{off + j: f * x for j, x in row.items()} for row in rows]
-
-
 def morphism_matrix(d_v: Matrix, d_w: Matrix, psi: Matrix, tuples: int,
                     pre_phi: Matrix, d_pull: Matrix, graph: bool = False) -> Matrix:
     """The mapping-cone differential, shared by the Lie and the group side.
 
     [[d_v, 0, 0], [0, d_w, 0], [psi . , -pre_phi, -d_pull]] on (theta, gamma,
     eta), with psi postcomposed over ``tuples`` source tuples, written in one
-    pass of integer rows over one denominator: d_v's rows as they are, d_w's
-    shifted past theta, and each eta row the rows of postcompose_matrix,
-    -pre_phi and -d_pull at their offsets.  With C^{-1} = 0 degree 0 is the
+    pass of integer rows, each over its own denominator: d_v's rows as
+    stored, d_w's shifted past theta, and each eta row the rows of
+    postcompose_matrix, -pre_phi and -d_pull at their offsets over the lcm of
+    their three denominators.  With C^{-1} = 0 degree 0 is the
     same matrix: d_pull has no columns, pre_phi is the identity on W and
     tuples is 1.  With ``graph`` the map is restricted to the graph
     {(v, psi v)} of psi, the default complex's C^0 = V: the Matrix products
@@ -203,13 +198,14 @@ def morphism_matrix(d_v: Matrix, d_w: Matrix, psi: Matrix, tuples: int,
     """
     if graph:
         return Matrix.vstack([d_v, d_w * psi, postcompose_matrix(psi, tuples) - pre_phi * psi])
-    parts = [(d_v.integer_rows(), 0, 1), (d_w.integer_rows(), d_v.cols, 1),
-             (postcompose_matrix(psi, tuples).integer_rows(), 0, 1),
-             (pre_phi.integer_rows(), d_v.cols, -1),
-             (d_pull.integer_rows(), d_v.cols + d_w.cols, -1)]
-    den = lcm(*(d for (_, d), _, _ in parts))
-    v, w, post, pre, pull = [_shifted(rows, off, sign * (den // d))
-                             for (rows, d), off, sign in parts]
+    (v, v_den), (w, w_den) = d_v.stored_rows(), d_w.stored_rows()
+    (post, p), (pre, q), (pull, r) = (m.stored_rows() for m in
+                                      (postcompose_matrix(psi, tuples), pre_phi, d_pull))
+    off, off_pull, eta_den = d_v.cols, d_v.cols + d_w.cols, list(map(lcm, p, q, r))
     # The eta parts hold disjoint columns.
-    return Matrix.from_integer_rows(v + w + [{**a, **b, **c} for a, b, c in zip(post, pre, pull)],
-                                    d_v.cols + d_w.cols + d_pull.cols, den)
+    eta = [{**(a if e == dp else {j: e // dp * x for j, x in a.items()}),
+            **{off + j: -(e // dq) * x for j, x in b.items()},
+            **{off_pull + j: -(e // dr) * x for j, x in c.items()}}
+           for a, b, c, e, dp, dq, dr in zip(post, pre, pull, eta_den, p, q, r)]
+    return Matrix.from_integer_rows(v + [{off + j: x for j, x in row.items()} for row in w] + eta,
+                                    off_pull + d_pull.cols, v_den + w_den + eta_den)

@@ -14,17 +14,19 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import comb
+from json.encoder import encode_basestring_ascii
+from math import comb, gcd
 from typing import Any, Callable, NamedTuple
 
 from .algebras import LieAlgebra, MorphismLieAlgebra, MorphismRep, Representation, check_jacobi
 from .cohomology import MCochain, mla_block_shapes
 from .errors import MorphismAlgebraError, ParseError, UnknownObject, ValidationError
 from .groups import FiniteGroup, GroupModule, GroupModuleTriple
-from .linalg import Matrix, ZERO, rat_str
+from .linalg import Matrix, ZERO, _matrix, rat_str
 from .shlie import ShMorphism, TwoTermSh
 
 _RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?$")
+_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def parse_scalar(value: Any, where: str) -> Fraction:
@@ -78,8 +80,7 @@ def parse_matrix(value: Any, where: str, rows: int | None = None,
     try:
         if not all(isinstance(r, list) for r in value):
             raise ParseError(where)  # parse_vector below says which row
-        # from_dicts drops the zeros that are not written "0".
-        data = [{j: _matrix_scalar(x, where) for j, x in enumerate(r) if x != "0"} for r in value]
+        num, den = _integer_rows(value, where)
     except ParseError:
         for k, r in enumerate(value):  # only a failure pays for the row's location
             parse_vector(r, f"{where}[{k}]")
@@ -87,7 +88,7 @@ def parse_matrix(value: Any, where: str, rows: int | None = None,
     widths = {len(r) for r in value}
     if len(widths) != 1:
         raise ParseError(f"{where}: ragged rows")
-    m = Matrix.from_dicts(data, widths.pop())
+    m = _matrix(widths.pop(), num, den)
     if rows is not None and m.rows != rows:
         raise ParseError(f"{where}: expected {rows} rows, got {m.rows}")
     if cols is not None and m.cols != cols:
@@ -95,11 +96,35 @@ def parse_matrix(value: Any, where: str, rows: int | None = None,
     return m
 
 
-def _matrix_scalar(x: Any, where: str) -> int | Fraction:
-    """parse_scalar's value, as an int for an int or a short string of digits with optional "-"."""
-    if type(x) is str and len(x) < 100 and (x.isdecimal() or x[:1] == "-" and x[1:].isdecimal()):
-        return int(x)
-    return x if type(x) is int else parse_scalar(x, where)
+def _integer_rows(value: list[list], where: str) -> tuple[list[dict[int, int]], list[int]]:
+    """Each list of scalars as {index: numerator} of its nonzero entries over one denominator.
+
+    Canonical scalars (ints; ASCII "p" or "p/q", q not led by 0, under 100
+    characters) are read as integers, any other through parse_scalar.
+    """
+    num, den = [], []
+    for values in value:
+        row, d = {}, 1
+        for j, x in enumerate(values) if values.count("0") != len(values) else ():
+            if x == "0":
+                continue
+            if type(x) is int:
+                p, q = x, 1
+            elif type(x) is str and len(x) < 100 and (m := _CANONICAL.fullmatch(x)):
+                p, q = int(m[1]), int(m[2] or 1)
+            else:
+                p, q = parse_scalar(x, where).as_integer_ratio()
+            if not p:
+                continue
+            if d % q:
+                f = q // gcd(d, q)
+                for k in row:
+                    row[k] *= f
+                d *= f
+            row[j] = p * (d // q)
+        num.append(row)
+        den.append(d)
+    return num, den
 
 
 def _require_mapping(value: Any, where: str) -> dict:
@@ -127,21 +152,37 @@ def _ints(value: Any, where: str, what: str = "a list") -> list[int]:
     return [_require_int(x, f"{where}[{k}]") for k, x in _items(value, where, what)]
 
 
-def _bracket(item: Any, where: str, dim: int) -> tuple[tuple[int, int], list[Fraction]]:
-    if not isinstance(item, list) or len(item) != 3:
-        raise ParseError(f"{where}: expected [i, j, coefficient-list]")
-    i = _require_int(item[0], f"{where}[0]")
-    j = _require_int(item[1], f"{where}[1]")
-    if not (0 <= i < dim and 0 <= j < dim):
-        raise ParseError(f"{where}: generator index out of range")
-    return (i, j), parse_vector(item[2], f"{where}[2]", dim)
+def _brackets(value: Any, where: str, dim: int) -> tuple[list[tuple[int, int]], Matrix]:
+    """The pairs (i, j) of a list of [i, j, coefficients], and their brackets as matrix rows."""
+    pairs, rows, seen = [], [], set()
+    for k, item in _items(value, where, "a list of [i, j, coeffs]"):
+        spot = f"{where}[{k}]"
+        if not isinstance(item, list) or len(item) != 3:
+            raise ParseError(f"{spot}: expected [i, j, coefficient-list]")
+        i = _require_int(item[0], f"{spot}[0]")
+        j = _require_int(item[1], f"{spot}[1]")
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise ParseError(f"{spot}: generator index out of range")
+        try:
+            if not isinstance(item[2], list) or len(item[2]) != dim:
+                raise ParseError(spot)  # parse_vector below says what is wrong
+            num, den = _integer_rows([item[2]], spot)
+        except ParseError:
+            parse_vector(item[2], f"{spot}[2]", dim)
+            raise
+        if (i, j) in seen:
+            raise ParseError(f"{spot}: the bracket of (e{i+1}, e{j+1}) is given twice")
+        seen.update(((i, j), (j, i)))
+        pairs.append((i, j))
+        rows.append((num[0], den[0]))
+    return pairs, _matrix(dim, [row for row, _ in rows], [d for _, d in rows])
 
 
-def _brackets_data(nonzero: list) -> list:
+def _brackets_data(a: LieAlgebra) -> list:
     """[i, j, coefficients] for each nonzero bracket [e_i, e_j] with i < j."""
-    dim = len(nonzero)
-    return [[i, j, [rat_str(c.get(k, ZERO)) for k in range(dim)]]
-            for i in range(dim) for j in range(i + 1, dim) if (c := dict(nonzero[i][j]))]
+    pairs = [(i, j) for i in range(a.dim) for j in range(i + 1, a.dim) if a.nonzero[i][j]]
+    rows = Matrix.from_integer_rows([dict(a.nonzero[i][j]) for i, j in pairs], a.dim, a.den)
+    return [[i, j, line] for (i, j), line in zip(pairs, rows.strings())]
 
 
 class ShMorphismEntry(NamedTuple):
@@ -221,9 +262,7 @@ INT_LIST = _plain(lambda value, where: _ints(value, where, "a list of element in
 TABLE = _plain(lambda value, where: [_ints(row, f"{where}[{k}]") for k, row
                                      in _items(value, where, "a multiplication table")],
                lambda mul: [list(row) for row in mul])
-BRACKETS = _plain(lambda value, where, dim: dict(
-    _bracket(item, f"{where}[{k}]", dim)
-    for k, item in _items(value, where, "a list of [i, j, coeffs]")), _brackets_data)
+BRACKETS = _plain(_brackets, _brackets_data)
 
 
 class Field(NamedTuple):
@@ -249,8 +288,8 @@ class Section(NamedTuple):
     fields: tuple[Field, ...]
 
 
-def _lie_algebra(dim: int, brackets: dict) -> LieAlgebra:
-    algebra = LieAlgebra.from_brackets(dim, brackets)
+def _lie_algebra(dim: int, brackets: tuple[list[tuple[int, int]], Matrix]) -> LieAlgebra:
+    algebra = LieAlgebra.from_bracket_rows(dim, *brackets)
     if not (res := check_jacobi(algebra)):
         raise ValidationError(res.detail)
     return algebra
@@ -259,7 +298,7 @@ def _lie_algebra(dim: int, brackets: dict) -> LieAlgebra:
 KINDS: dict[str, Section] = {
     "lie_algebras": Section("Lie algebra", _lie_algebra, (
         Field("dim", INT, lambda a: a.dim),
-        Field("brackets", BRACKETS, lambda a: a.nonzero, lambda f: (f["dim"],)),
+        Field("brackets", BRACKETS, lambda a: a, lambda f: (f["dim"],)),
     )),
     "representations": Section("representation", Representation, (
         Field("algebra", _ref("lie_algebras"), lambda r: r.algebra),
@@ -421,7 +460,7 @@ class ProblemDocument:
                 for section in KINDS if (store := getattr(self, section))}
 
     def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return _json(self.to_dict())
 
     def dump(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -431,6 +470,20 @@ class ProblemDocument:
 def check_document(text: str) -> list[CheckRow]:
     """Validation rows for every object in a document, lenient mode."""
     return ProblemDocument()._build(_decode(text))
+
+
+def _json(value: Any, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2) of dicts, lists, strings and ints, without its Python encoder."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if isinstance(value, int) or not value:
+        return json.dumps(value)
+    inner = newline + "  "
+    if type(value) is dict:
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    items = [encode_basestring_ascii(v) if type(v) is str else _json(v, inner) for v in value]
+    return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
 def _decode(text: str) -> Any:

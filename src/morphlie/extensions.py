@@ -79,7 +79,8 @@ class AbelianExtension:
                 if any(k < n for row in alg.nonzero[a] for k, _ in row):
                     raise ShapeError(f"included subspace on the {side} side is not an ideal")
         for alg, sub, name in ((total.g, base.g, "p"), (total.h, base.h, "p_bar")):
-            if any([(k, x) for k, x in alg.nonzero[i][j] if k < sub.dim] != sub.nonzero[i][j]
+            if any([(k, x * sub.den) for k, x in alg.nonzero[i][j] if k < sub.dim]
+                   != [(k, x * alg.den) for k, x in sub.nonzero[i][j]]
                    for i, j in combinations(range(sub.dim), 2)):
                 raise ShapeError(f"{name} is not a Lie algebra homomorphism")
         if (total.phi.submatrix(range(total.h.dim), range(n_g, total.g.dim))

@@ -111,11 +111,12 @@ class Matrix:
         return _matrix(cols, *_scalar_rows(row.items() for row in rows))
 
     @classmethod
-    def from_integer_rows(cls, rows: Sequence[dict[int, int]], cols: int, den: int = 1) -> Matrix:
-        """Row i is rows[i] / den, den > 0; zeros are dropped and the dicts become the rows."""
+    def from_integer_rows(cls, rows: Sequence[dict[int, int]], cols: int,
+                          den: int | list[int] = 1) -> Matrix:
+        """Row i is rows[i] / den (or / den[i]), den > 0; zeros are dropped, the dicts and list kept."""
         num = [row if 0 not in row.values() else {j: x for j, x in row.items() if x}
                for row in rows]
-        return _matrix(cols, num, [den] * len(num))
+        return _matrix(cols, num, den if isinstance(den, list) else [den] * len(num))
 
     def integer_rows(self, d: int = 0) -> tuple[list[dict[int, int]], int]:
         """(rows, d): this matrix times d as {column: int} rows of the nonzero entries.
@@ -128,6 +129,10 @@ class Matrix:
         d = d or lcm(*self._den)
         return [row if e == d else {j: x * (d // e) for j, x in row.items()}
                 for row, e in zip(self._num, self._den)], d
+
+    def stored_rows(self) -> tuple[list[dict[int, int]], list[int]]:
+        """The stored integer rows and their denominators: read them, never change them."""
+        return self._num, self._den
 
     @classmethod
     def lincomb(cls, terms: Iterable[tuple[Scalar, Matrix]], rows: int, cols: int) -> Matrix:

@@ -187,7 +187,10 @@ class ProblemDocument:
             j = _require_int(item[1], f"{spot}[1]")
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ParseError(f"{spot}: generator index out of range")
-            table[(i, j)] = parse_vector(item[2], f"{spot}[2]", dim)
+            vector = parse_vector(item[2], f"{spot}[2]", dim)
+            if (i, j) in table or (j, i) in table:
+                raise ParseError(f"{spot}: the bracket of (e{i+1}, e{j+1}) is given twice")
+            table[(i, j)] = vector
         algebra = LieAlgebra.from_brackets(dim, table)
         res = check_jacobi(algebra)
         if not res:

@@ -155,14 +155,15 @@ def o_ce_dims(dim_g, brk, act, dim_v, max_degree):
 def dense_table(a):
     """The dense table c[i][j][k] of an algebra object, read off its ``nonzero`` pairs.
 
-    The package stores only the nonzero structure constants; the oracles take
-    dense tables, and every test that needs one builds it here.
+    The package stores only the nonzero structure constants, as integer
+    numerators over one denominator ``den``; the oracles take dense tables
+    of Fractions, and every test that needs one builds it here.
     """
     table = [[[Z] * a.dim for _ in range(a.dim)] for _ in range(a.dim)]
     for i, row in enumerate(a.nonzero):
         for j, pairs in enumerate(row):
             for k, x in pairs:
-                table[i][j][k] = x
+                table[i][j][k] = Fraction(x, a.den)
     return table
 
 

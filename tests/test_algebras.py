@@ -52,6 +52,7 @@ from .oracles import (
     o_rep_failure,
     o_rota_baxter_failure,
 )
+from .oracles import _bracket as _o_bracket
 from .test_cohomology import _raw
 
 VALIDATOR_DRAWS = 10
@@ -84,14 +85,26 @@ def test_antisymmetry_enforced_at_construction():
 def test_an_algebra_stores_only_its_nonzero_structure_constants():
     for a in (LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 1]}), LieAlgebra.abelian(2),
               LieAlgebra(2, [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]])):
-        assert set(vars(a)) == {"dim", "nonzero"}
-    assert LieAlgebra(2, [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]]).nonzero == [
-        [[], [(0, Fraction(1))]], [[(0, Fraction(-1))], []]]
+        assert set(vars(a)) == {"dim", "nonzero", "den"}
+    a = LieAlgebra(2, [[[0, 0], [1, 0]], [[-1, 0], [0, 0]]])
+    assert (a.nonzero, a.den) == ([[[], [(0, 1)]], [[(0, -1)], []]], 1)
+    # Integer numerators over one denominator in lowest terms: 2/4 and -1/3 are 3/6 and -2/6.
+    b = LieAlgebra.from_brackets(3, {(0, 1): ["2/4", 0, 0], (1, 2): [0, Fraction(-1, 3), 0]})
+    assert (b.nonzero[0][1], b.nonzero[2][1], b.den) == ([(0, 3)], [(1, 2)], 6)
+    assert all(type(x) is int for row in b.nonzero for pairs in row for _, x in pairs)
     # No module reads a dense table c[i][j][k]; structure_vector gives one bracket.
     package = Path(__file__).resolve().parent.parent / "src" / "morphlie"
     assert [p.name for p in package.glob("*.py")
             if re.search(r"\.c\b", p.read_text(encoding="utf-8"))] == []
     assert sl2().structure_vector(0, 1) == dense_table(sl2())[0][1]
+
+
+def test_a_bracket_pair_given_twice_is_a_shape_error():
+    with pytest.raises(ShapeError, match=r"^bracket of \(e2, e1\) given twice$"):
+        LieAlgebra.from_brackets(3, {(0, 1): [0, 0, 1], (1, 0): [0, 0, 1]})
+    with pytest.raises(ShapeError, match=r"^bracket of \(e2, e3\) given twice$"):
+        LieAlgebra.from_bracket_rows(3, [(1, 2), (0, 1), (1, 2)],
+                                     Matrix.from_rows([[1, 0, 0], [0, 0, 1], [2, 0, 0]]))
 
 
 def test_short_bracket_vector_is_a_shape_error():
@@ -180,6 +193,60 @@ def test_validators_agree_with_dense_oracles():
             assert ours == theirs, f"input #{k}"
             failing += sum(r is not None for r in theirs)
     assert failing >= len(inputs) * BUMPS_PER_INPUT // 2
+
+
+def _rational_cases(s, rng):
+    """(c_g, c_h, phi) dense data whose tables have non-integer constants.
+
+    Each catalog algebra (and sl2 + a line) in a Sampler(404) rational basis
+    P, with phi = P^-1 from the algebra to its rebased copy, a homomorphism;
+    and one-entry rational bumps of the rebased table, of its skew pair (so
+    antisymmetry holds), or of phi.
+    """
+    out = []
+    for g in (a1(), a2(), heis(), sl2(), LieAlgebra.from_brackets(
+            4, {(0, 1): [0, 0, 2, 0], (0, 2): [0, -2, 0, 0], (1, 2): [1, 0, 0, 0]})):
+        n, p = g.dim, s.invertible_matrix(g.dim)
+        p_inv = inverse(p)
+        c_h = [[p_inv.apply(g.bracket(p.col(i), p.col(j))) for j in range(n)] for i in range(n)]
+        base = (dense_table(g), c_h, p_inv.to_lists())
+        out.append(base)
+        for _ in range(8):
+            case = copy.deepcopy(base)
+            step = Fraction(rng.choice([-3, -1, 1, 5]), rng.choice([2, 3]))
+            i, j, k = (rng.randrange(n) for _ in range(3))
+            kind = rng.choice(["skew_g", "skew_h", "phi"])
+            if kind == "phi":
+                case[2][i][j] += step
+            elif i != j:
+                c = case[0] if kind == "skew_g" else case[1]
+                c[i][j][k] += step
+                c[j][i][k] -= step
+            out.append(case)
+    return out
+
+
+def test_integer_kernels_agree_with_dense_oracles_on_rational_constants():
+    """check_jacobi, is_lie_homomorphism, ad_matrix and bracket on algebras
+    whose denominator is not 1, against the dense oracles."""
+    s, rng = Sampler(404), random.Random(2023)
+    failing, rational = 0, 0
+    for c_g, c_h, phi in _rational_cases(s, rng):
+        g, h = LieAlgebra(len(c_g), c_g), LieAlgebra(len(c_h), c_h)
+        assert dense_table(g) == c_g and dense_table(h) == c_h
+        rational += h.den > 1
+        verdicts = (check_jacobi(g).detail, check_jacobi(h).detail,
+                    is_lie_homomorphism(g, h, Matrix.from_rows(phi, cols=g.dim)).detail)
+        assert verdicts == (o_jacobi_failure(c_g), o_jacobi_failure(c_h), o_hom_failure(c_g, c_h, phi))
+        failing += sum(v is not None for v in verdicts)
+        n = h.dim
+        for _ in range(3):
+            x, y = ([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(2))
+            assert h.bracket(x, y) == _o_bracket(c_h, x, y)
+            assert h.ad_matrix(x).to_lists() == [
+                [_o_bracket(c_h, x, [int(i == j) for i in range(n)])[k] for j in range(n)]
+                for k in range(n)]
+    assert rational >= 25 and failing >= 25
 
 
 def test_bracket_is_bilinear():

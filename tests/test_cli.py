@@ -98,6 +98,20 @@ class TestCheck:
         assert code == 1
         assert "zero denominator" in out
 
+    @pytest.mark.parametrize("later, pair", [([1, 0, ["0", "0", "1"]], "(e2, e1)"),
+                                             ([0, 1, [0, 0, 2]], "(e1, e2)")],
+                             ids=["reversed", "same-order"])
+    def test_repeated_bracket_pair_is_refused(self, capsys, tmp_path, later, pair):
+        # Read in turn, the later entry would overwrite the earlier one.
+        data = {"lie_algebras": {"g": {"dim": 3, "brackets": [[0, 1, ["0", "0", "1"]], later]}}}
+        path = write(tmp_path, "repeated.json", json.dumps(data))
+        message = f"lie_algebras/g.brackets[1]: the bracket of {pair} is given twice"
+        code, out, err = run(capsys, "check", path)
+        assert code == 1 and err == ""
+        assert f"FAIL  {message}\n" in out
+        code, out, err = run(capsys, "cohomology", path, "rep")
+        assert (code, out, err) == (2, "", f"error (parse-error): {message}\n")
+
     def test_json_syntax_error(self, capsys, tmp_path):
         path = write(tmp_path, "syntax.json", "{nope")
         code, _, err = run(capsys, "check", path)

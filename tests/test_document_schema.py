@@ -18,6 +18,8 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from morphlie import documents
 from morphlie.cli import main
@@ -177,3 +179,29 @@ def test_matrix_scalars_read_as_the_referee_reads_them():
             assert outcome(documents.parse_matrix, value) == outcome(
                 document_referee.parse_matrix, value), (scalar[:8] if isinstance(scalar, str)
                                                         else scalar, spot)
+
+
+def test_dumps_writes_what_json_dumps_writes():
+    # Every document of the corpus that loads.
+    count = 0
+    for label, data in perturbations():
+        try:
+            doc = ProblemDocument.from_dict(data)
+        except MorphismAlgebraError:
+            continue
+        assert doc.dumps() == json.dumps(doc.to_dict(), indent=2), label
+        count += 1
+    assert count > 300
+
+
+TREES = st.recursive(st.text() | st.integers(),
+                     lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+                     max_leaves=40)
+
+
+@given(TREES)
+@example({"\u00e9\"\\": ["\u2603", "", [], {}, -3], "": {"a": [[]], "b": {"\n": "\x00"}}})
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_json_dumps_on_random_trees(tree):
+    # Strings with quotes, escapes and non-ASCII text, ints, and nested, empty lists and dicts.
+    assert documents._json(tree) == json.dumps(tree, indent=2)

@@ -1,9 +1,12 @@
 """Tests for problem document parsing, validation, and serialization."""
 
+import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, MorphismRep
 from morphlie.documents import (
     ProblemDocument,
     check_document,
@@ -17,10 +20,11 @@ from morphlie.fixtures import (
     z2_identity_triple,
     z4_to_z2_sign_triple,
 )
-from morphlie.linalg import Matrix
+from morphlie.linalg import Matrix, inverse
 from morphlie.sampling import Sampler
 
 from .oracles import dense_table
+from .test_linalg import _bidiagonal, _rebased
 
 
 def rich_document_text() -> str:
@@ -51,6 +55,21 @@ def rich_document_text() -> str:
     doc.group_modules["tv"] = t.v
     doc.group_modules["tw"] = t.w
     doc.group_module_triples["t"] = t
+    return doc.dumps()
+
+
+def _rational_triple_text() -> str:
+    """The adjoint triple of the identity of heis5 with g and h in rational bases."""
+    heis5 = LieAlgebra.from_brackets(5, {(0, 2): [0, 0, 0, 0, 1], (1, 3): [0, 0, 0, 0, 1]})
+    p = _bidiagonal([Fraction(1, 2), -2, Fraction(-1, 2), 1])
+    q = _bidiagonal([2, Fraction(1, 2), -1, Fraction(1, 3)])
+    g, h, phi = _rebased(heis5, p), _rebased(heis5, q), inverse(q) * p
+    rep = MorphismRep(MorphismLieAlgebra(g, h, phi), g.adjoint_rep(), h.adjoint_rep(), phi)
+    doc = ProblemDocument()
+    doc.lie_algebras.update(g=g, h=h)
+    doc.representations.update(v=rep.v, w=rep.w)
+    doc.morphisms["phi"] = rep.base
+    doc.morphism_reps["rep"] = rep
     return doc.dumps()
 
 
@@ -183,6 +202,36 @@ class TestRoundTrip:
         assert doc.cochains["c2"].degree == 2
         assert doc.group_module_triples["t"].phi == (0, 1)
         assert doc.two_term_sh["source"].dim0 == 3
+
+    def test_rational_structure_constants_survive_in_lowest_terms(self):
+        # 2/4, -4/6 and 6/4 are stored as 3/6, -4/6 and 9/6 and written reduced.
+        text = json.dumps({"lie_algebras": {"g": {"dim": 3, "brackets": [
+            [0, 1, ["0", "0", "2/4"]], [0, 2, ["0", "-4/6", 0]], [1, 2, ["6/4", "0", "0"]]]}}})
+        g = ProblemDocument.loads(text).lie_algebras["g"]
+        assert (g.nonzero[0][1], g.nonzero[0][2], g.nonzero[1][2], g.den) == (
+            [(2, 3)], [(1, -4)], [(0, 9)], 6)
+        assert json.loads(ProblemDocument.loads(text).dumps())["lie_algebras"]["g"]["brackets"] == [
+            [0, 1, ["0", "0", "1/2"]], [0, 2, ["0", "-2/3", "0"]], [1, 2, ["3/2", "0", "0"]]]
+        doc = ProblemDocument.loads(_rational_triple_text())
+        again = ProblemDocument.loads(doc.dumps())
+        for name, a in doc.lie_algebras.items():
+            b = again.lie_algebras[name]
+            assert a.den > 1 and (a.nonzero, a.den) == (b.nonzero, b.den)
+            assert gcd(a.den, *(x for row in a.nonzero for pairs in row for _, x in pairs)) == 1
+        assert again.dumps() == doc.dumps()
+
+    def test_loading_rational_constants_does_no_fraction_arithmetic(self, monkeypatch):
+        text = _rational_triple_text()
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__"):
+            def counted(a, b, original=getattr(Fraction, name), name=name):
+                calls.append(name)
+                return original(a, b)
+            monkeypatch.setattr(Fraction, name, counted)
+        doc = ProblemDocument.loads(text)
+        assert calls == []
+        assert doc.lie_algebras["g"].den > 1 and doc.lie_algebras["h"].den > 1
 
     def test_degree_zero_cochain(self):
         doc = ProblemDocument.loads(rich_document_text())

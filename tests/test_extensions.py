@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from morphlie.algebras import MorphismLieAlgebra, MorphismRep
 from morphlie.cohomology import MCochain, mla_differential
 from morphlie.errors import NotACocycle, NotASection, NotSimplyCohomologous, ShapeError
 from morphlie.extensions import (
@@ -12,11 +13,12 @@ from morphlie.extensions import (
     coboundary_isomorphism,
     extract_cocycle,
 )
-from morphlie.fixtures import a2_triple, heis, sl2_v1_triple, standard_morphism_reps
-from morphlie.linalg import Matrix, kernel_basis
+from morphlie.fixtures import a2_triple, heis, sl2, sl2_v1_triple, standard_morphism_reps
+from morphlie.linalg import Matrix, inverse, kernel_basis
 from morphlie.sampling import Sampler
 
 from .oracles import dense_table, o_hom_failure, o_jacobi_failure
+from .test_linalg import _rebased
 
 SAMPLER_DRAWS = 8
 
@@ -94,8 +96,15 @@ def test_extensions_pass_invariant_suite_for_kernel_cocycles():
     for k in range(SAMPLER_DRAWS):
         rep = s.morphism_rep()
         cases.append((f"draw #{k}", rep, s.closed_cochain(rep, 2)))
+    # sl2's adjoint identity triple with g and h in rational bases: the base
+    # and total structure constants have different denominators.
+    p, q = s.invertible_matrix(3), s.invertible_matrix(3)
+    g, h, phi = _rebased(sl2(), p), _rebased(sl2(), q), inverse(q) * p
+    rep = MorphismRep(MorphismLieAlgebra(g, h, phi), g.adjoint_rep(), h.adjoint_rep(), phi)
+    cases.append(("rational bases", rep, s.closed_cochain(rep, 2)))
     for label, rep, c in cases:
         total = build_extension(rep, c).total
+        assert label != "rational bases" or 1 < rep.base.g.den != total.g.den
         assert o_jacobi_failure(dense_table(total.g)) is None, label
         assert o_jacobi_failure(dense_table(total.h)) is None, label
         assert o_hom_failure(dense_table(total.g), dense_table(total.h),
