@@ -9,10 +9,12 @@ differentials it carries are a few percent nonzero.  Every operation computes
 on those integers, so no + or * pays a gcd and a new object; every entry
 read or reported is a Fraction.  Assembly code builds rows in integers
 through ``integer_rows`` and ``from_integer_rows``.  The one sparse
-elimination, ``_eliminate``, returns its pivot rows and is behind ranks,
-kernels, solutions, inverses and completed bases.
-For ``rank`` the elimination pivots on the shortest row and, inside it, on
-the column the fewest rows touch, which keeps fill-in low.  For
+elimination, ``_pivot``, returns its pivot rows and is behind ranks, row
+bases, kernels, solutions, inverses and completed bases; ``_eliminate``
+feeds it copies of a matrix's rows, ``row_basis`` the columns of a matrix
+outside a skipped set, as rows.
+For ``rank`` and ``row_basis`` it pivots on the shortest row and, inside it,
+on the column the fewest rows touch, which keeps fill-in low.  For
 ``kernel_basis``, ``solve_columns``, ``inverse`` and ``complete_basis`` it
 pivots on a row's lowest column and clears it from every other row; each
 row divided by its pivot is then the unique reduced row echelon form, which
@@ -22,6 +24,8 @@ solutions whose free coordinates are 0.
 ``Complex`` is the one cochain complex behind every cohomology dimension in
 the package: a degree -> differential function with cached ranks, one
 d . d = 0 check through ``product_is_zero``, and the rows of a CLI table.
+It ranks d_n by ``row_basis`` on the columns outside a row basis of
+d_{n-1}, which d_n . d_{n-1} = 0 makes exact (the proof is in ``Complex``).
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import heapq
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from typing import Callable, ItemsView, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import ShapeError, SizeCeilingExceeded
 
@@ -97,18 +101,6 @@ class Matrix:
         if any(len(r) != width for r in rows):
             raise ShapeError("ragged rows")
         return _matrix(width, *_scalar_rows(enumerate(r) for r in rows))
-
-    @classmethod
-    def from_dicts(cls, rows: Sequence[Mapping[int, Scalar]], cols: int) -> Matrix:
-        """The matrix whose row i has the entries {column: value} of rows[i].
-
-        Zero values are dropped; a column outside range(cols) is a ShapeError.
-        """
-        for row in rows:
-            for j in (min(row), max(row)) if row else ():
-                if not 0 <= j < cols:
-                    raise ShapeError(f"column {j} outside a matrix with {cols} columns")
-        return _matrix(cols, *_scalar_rows(row.items() for row in rows))
 
     @classmethod
     def from_integer_rows(cls, rows: Sequence[dict[int, int]], cols: int,
@@ -218,11 +210,6 @@ class Matrix:
         for j, x in self._num[i].items():
             out[j] = _entry(x, d)
         return out
-
-    def row_items(self, i: int) -> ItemsView[int, Fraction]:
-        """The (column, entry) pairs of row i's nonzero entries, read-only."""
-        d = self._den[i]
-        return {j: _entry(x, d) for j, x in self._num[i].items()}.items()
 
     def col(self, j: int) -> list[Fraction]:
         if self.rows:
@@ -381,26 +368,34 @@ def _row_times(row: Mapping[int, int], rows: Sequence[Mapping[int, int]]) -> dic
 
 
 def _eliminate(rows: Iterable[Mapping[int, int]], reduce: bool) -> dict[int, dict[int, int]]:
-    """Sparse exact elimination on copies of the integer ``rows``.
-
-    Returns {pivot column: integer row}.  A row is divided by its content on
-    becoming a pivot row.  Clearing pivot p from a row with entry f makes it
-    (p/g) row - (f/g) pivot row, g = gcd(p, f) with p's sign: each row stays
-    a positive multiple of the row a Fraction elimination would hold, with
-    the same fill-in.
-    A lazy heap yields the shortest live row; a column index records the rows
-    touching each column.  Rank mode pivots at the row's column the fewest
-    other live rows touch (ties to the lowest) and clears it from live rows.
-    With ``reduce`` the row pivots at its lowest column and pivot rows are
-    cleared too: divided by their pivots they end as the unique reduced row
-    echelon form.
-    """
+    """Sparse exact elimination on copies of the integer ``rows``; see ``_pivot``."""
     work = {i: dict(row) for i, row in enumerate(rows) if row}
-    live = set(work)
     touching: dict[int, set[int]] = {}
     for i, row in work.items():
         for j in row:
             touching.setdefault(j, set()).add(i)
+    return _pivot(work, touching, reduce)
+
+
+def _pivot(work: dict[int, dict[int, int]], touching: dict[int, set[int]],
+           reduce: bool) -> dict[int, dict[int, int]]:
+    """Eliminate the nonzero integer rows ``work``, indexed by ``touching``, in place.
+
+    ``touching[j]`` is the set of rows holding column j.  Returns {pivot
+    column: integer row}.  A row is divided by its content on
+    becoming a pivot row.  Clearing pivot p from a row with entry f makes it
+    (p/g) row - (f/g) pivot row, g = gcd(p, f) with p's sign: each row stays
+    a positive multiple of the row a Fraction elimination would hold, with
+    the same fill-in.
+    A lazy heap yields the shortest live row.  Rank mode pivots at the row's
+    column the fewest other live rows touch (ties to the lowest) and clears
+    it from live rows, so each later pivot row is zero at every earlier
+    pivot column: the pivot columns are independent columns of the input.
+    With ``reduce`` the row pivots at its lowest column and pivot rows are
+    cleared too: divided by their pivots they end as the unique reduced row
+    echelon form.
+    """
+    live = set(work)
     queue = [(len(row), i) for i, row in work.items()]
     heapq.heapify(queue)
     pivots: dict[int, dict[int, int]] = {}
@@ -456,6 +451,26 @@ def rank(m: Matrix) -> int:
     return len(_eliminate(m._num, reduce=False))
 
 
+def row_basis(m: Matrix, skip: Collection[int] = ()) -> set[int]:
+    """Indices of independent rows of m that span its rows without the columns ``skip``.
+
+    They are the pivot columns of a rank-mode ``_pivot`` of the transpose of
+    m without those columns, built in one pass over m's stored rows: each
+    a positive multiple of its row of m, which keeps column dependencies.
+    """
+    work: dict[int, dict[int, int]] = {}
+    touching: dict[int, set[int]] = {}
+    for i, row in enumerate(m._num):
+        if row and (cols := row.keys() - skip):
+            touching[i] = cols
+            for j in cols:
+                if (column := work.get(j)) is None:
+                    work[j] = {i: row[j]}
+                else:
+                    column[i] = row[j]
+    return set(_pivot(work, touching, reduce=False))
+
+
 def product_is_zero(a: Matrix, b: Matrix) -> bool:
     """Whether a * b is the zero matrix.
 
@@ -479,6 +494,20 @@ class Complex:
     drops every held matrix but d_{n-1} and d_{n+1}.  ``keep(n)`` lists the
     columns of d_n that the simple variant keeps (n >= 1; s_0 = d_0).  Every
     dimension is reported only after d_n . d_{n-1} = 0 has been checked.
+
+    Ranks.  ``rank(n)`` keeps S_n = ``row_basis(d_n, S_{n-1})``: with S_{n-1}
+    known and d_n . d_{n-1} = 0 checked, d_n is ranked only on the columns
+    outside S_{n-1} (in full for n = 0 or out of order).  It is exact:
+    - The rows S of d_{n-1} are independent, so the projection onto the
+      coordinates S is injective on im d_{n-1} (of dimension |S|) and onto
+      Q^S: C^n = im d_{n-1} (+) span{e_j : j not in S}.  d_n kills the first
+      summand, so rank d_n is its rank on the columns outside S.
+    - The pivots of a rank-mode ``_pivot`` are independent columns of its
+      input: each later pivot row is zero at every earlier pivot column, so
+      the pivot block is triangular, and row operations keep column
+      dependencies.  On the transpose of d_n without the columns S they are
+      independent rows of d_n, rank d_n many: a row basis S_n.
+    s_n is ranked as ``row_basis`` of d_n without the columns outside keep(n).
     """
 
     def __init__(self, dim: Callable[[int], int],
@@ -492,6 +521,7 @@ class Complex:
         self.keep = keep
         self._held: dict[int, Matrix] = {}
         self._ranks: dict[tuple[int, bool], int] = {}
+        self._bases: dict[int, set[int]] = {}
         self._verified: set[int] = set()
 
     def _refuse(self, lo: int, hi: int) -> None:
@@ -518,8 +548,13 @@ class Complex:
             return 0
         if (n, simple) not in self._ranks:
             d = self.matrix(n)
-            self._ranks[n, simple] = rank(
-                d.submatrix(range(d.rows), self.keep(n)) if simple else d)
+            if simple:
+                basis = row_basis(d, set(range(d.cols)).difference(self.keep(n)))
+            else:
+                if skip := self._bases.get(n - 1, ()):
+                    self.verify(n)
+                basis = self._bases[n] = row_basis(d, skip)
+            self._ranks[n, simple] = len(basis)
         return self._ranks[n, simple]
 
     def verify(self, n: int) -> None:
@@ -532,14 +567,14 @@ class Complex:
         self._verified.add(n)
 
     def dim_H(self, n: int, simple: bool = False) -> int:
-        """dim C^n - rank d_n - rank d_{n-1}, or rank s_{n-1} with ``simple``."""
+        """dim C^n - rank d_{n-1} - rank d_n, ranked in that order; s_{n-1} with ``simple``."""
         if n < 0:
             return 0
         self._refuse(n - 1, n + 1)
         if self.dim(n) == 0:
             return 0
         self.verify(n)
-        return self.dim(n) - self.rank(n) - self.rank(n - 1, simple)
+        return self.dim(n) - self.rank(n - 1, simple) - self.rank(n)
 
     def table(self, top: int, simple: bool = False) -> list[dict]:
         """The rows of a cohomology table in degrees 0..top."""

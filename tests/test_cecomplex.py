@@ -289,9 +289,9 @@ def _lie_pieces(rep, n):
 def _group_pieces(t, n, normalized):
     g_tuples = group_cochain_tuples(t.g, n, normalized)
     h_index = {tup: i for i, tup in enumerate(group_cochain_tuples(t.h, n, normalized))}
-    pre = Matrix.from_dicts([{h_index[tup] * t.dim_w + r: 1} if tup in h_index else {}
-                             for tup in (tuple(t.phi[x] for x in u) for u in g_tuples)
-                             for r in range(t.dim_w)], len(h_index) * t.dim_w)
+    pre = Matrix.from_integer_rows([{h_index[tup] * t.dim_w + r: 1} if tup in h_index else {}
+                                    for tup in (tuple(t.phi[x] for x in u) for u in g_tuples)
+                                    for r in range(t.dim_w)], len(h_index) * t.dim_w)
     d_pull = (group_differential(pullback_module(t), n - 1, normalized) if n
               else Matrix.zeros(t.dim_w, 0))
     return (group_differential(t.v, n, normalized), group_differential(t.w, n, normalized),

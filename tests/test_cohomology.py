@@ -44,10 +44,18 @@ from morphlie.fixtures import (
     sl2_adjoint_triple,
     sl2_v1_triple,
     standard_morphism_reps,
+    klein_to_z2_triple,
+    sign_module,
     v0,
     v1,
+    z2_identity_triple,
+    z3_rotation_module,
+    z4_rotation_module,
+    z4_to_z2_sign_triple,
 )
+from morphlie.groups import FiniteGroup, GroupModule, GroupModuleTriple, group_complex, mlg_complex
 from morphlie.linalg import Matrix
+from morphlie.sampling import Sampler
 
 from .oracles import (
     dense_table,
@@ -55,6 +63,7 @@ from .oracles import (
     o_derivation_failure,
     o_mla_dims,
     o_mla_matrix,
+    o_rank,
 )
 
 
@@ -239,6 +248,56 @@ def test_complex_verifies_square_zero():
         cx = mla_complex(rep)
         for n in range(max(rep.base.g.dim + 1, rep.base.h.dim)):
             assert (cx.matrix(n + 1) * cx.matrix(n)).is_zero(), name
+
+
+def _tables_to_referee():
+    """(label, complex factory, simple, top) for every table the reduced ranks are held to.
+
+    The catalog Lie reps and ten Sampler(404) draws, default complex and full
+    cone, with and without the simple columns; the catalog group modules and
+    triples and ten Sampler(404) triples, full and normalized.  Every table
+    goes to degree 3 but the full bar complexes, which stop at 2: the
+    oracle's dense elimination of their d_3 (up to 1152x288) takes 20 s.
+    """
+    s = Sampler(404)
+    reps = [rep for _, rep in standard_morphism_reps()] + [s.morphism_rep() for _ in range(10)]
+    triples = [z2_identity_triple(), klein_to_z2_triple(), z4_to_z2_sign_triple(),
+               GroupModuleTriple.identity(sign_module(FiniteGroup.cyclic(2))),
+               GroupModuleTriple.identity(z3_rotation_module())]
+    triples += [s.group_module_triple() for _ in range(10)]
+    modules = [GroupModule.trivial(FiniteGroup.trivial(), 1),
+               GroupModule.trivial(FiniteGroup.cyclic(2), 1), sign_module(FiniteGroup.cyclic(2)),
+               GroupModule.trivial(FiniteGroup.cyclic(3), 1), z3_rotation_module(),
+               z4_rotation_module(), GroupModule.trivial(FiniteGroup.klein_four(), 1)]
+    tables = [(f"rep {k} cone={cone}", lambda rep=rep, cone=cone: mla_complex(rep, cone),
+               simple, 3)
+              for k, rep in enumerate(reps) for cone in (False, True) for simple in (False, True)]
+    tables += [(f"triple {k} normalized={nz}", lambda t=t, nz=nz: mlg_complex(t, nz), False,
+                3 if nz else 2)
+               for k, t in enumerate(triples) for nz in (False, True)]
+    tables += [(f"module {k} normalized={nz}", lambda m=m, nz=nz: group_complex(m, nz), False,
+                3 if nz else 2)
+               for k, m in enumerate(modules) for nz in (False, True)]
+    return tables
+
+
+def test_reduced_ranks_match_the_oracle_rank_of_each_differential():
+    # A table ranks d_n on the columns outside a row basis of d_{n-1}; each
+    # rank it reads must be o_rank of the whole d_n, or of s_n = d_n on the
+    # kept columns.  A standalone dim_H and ranks asked from the top degree
+    # down (each eliminated in full) give the same numbers.
+    for label, make, simple, top in _tables_to_referee():
+        cx = make()
+        rows = cx.table(top, simple)
+        for n in range(top + 1):
+            d = cx.differential(n).to_lists()
+            assert cx.rank(n) == o_rank(d), (label, n)
+            if simple and n > 0:
+                kept = [[row[j] for j in cx.keep(n)] for row in d]
+                assert cx.rank(n, simple=True) == o_rank(kept), (label, n)
+        assert [make().dim_H(n) for n in range(top + 1)] == [r["cohomology"] for r in rows], label
+        backwards = make()
+        assert [backwards.rank(n) for n in range(top, -1, -1)] == [r["rank"] for r in rows][::-1]
 
 
 def test_sl2_adjoint_degree0_is_center():

@@ -185,7 +185,7 @@ class TestLargeActionMatrices:
         # == compares the stored nonzero entries, so a stored zero would differ.
         expected = ProblemDocument.from_dict(_heis21_adjoint_data()).representations["v"]
         assert loaded == expected.action
-        assert 7 not in dict(loaded[20].row_items(3))
+        assert 7 not in loaded[20].stored_rows()[0][3]
 
 
 class TestRoundTrip:

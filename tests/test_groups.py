@@ -227,6 +227,25 @@ class TestGroupCohomology:
         assert [r["rank"] for r in rows] == [0, 5, 20, 105, 520]
         assert [r["cohomology"] for r in rows] == [1, 0, 0, 0, 0]
 
+    def test_z6_sign_table_eliminates_a_complement_of_the_image(self, monkeypatch):
+        """Each d_n is ranked on dim C^n - rank d_{n-1} columns, not on its dim C^{n+1} rows."""
+        import morphlie.linalg
+
+        entering = []
+        original = morphlie.linalg._pivot
+
+        def recording(work, touching, reduce):
+            entering.append(len(work))
+            return original(work, touching, reduce)
+
+        monkeypatch.setattr(morphlie.linalg, "_pivot", recording)
+        cx = group_complex(sign_module(FiniteGroup.cyclic(6)), normalized=True)
+        rows = cx.table(5)
+        assert [r["cohomology"] for r in rows] == [0] * 6
+        assert all(entering[n] <= cx.dim(n) - cx.rank(n - 1) for n in range(6))
+        # H = 0, so every row entering an elimination becomes a pivot row.
+        assert entering == [r["rank"] for r in rows] == [1, 4, 21, 104, 521, 2604]
+
     def test_sign_module_has_no_invariants(self):
         module = sign_module(FiniteGroup.cyclic(2))
         assert group_cohomology_dim(module, 0, normalized=True) == 0

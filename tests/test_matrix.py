@@ -8,14 +8,13 @@ a stored zero behind (``==`` and ``is_zero`` compare stored rows).
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphlie.errors import ShapeError
 from morphlie.linalg import Matrix, kernel_basis, rat_str
 
 Z = Fraction(0)
@@ -82,8 +81,10 @@ def test_operations_match_plain_lists(rc, data):
     col_idx = data.draw(st.lists(st.integers(0, c - 1), max_size=6)) if c else []
     assert m.submatrix(row_idx, col_idx).to_lists() == [[ref[i][j] for j in col_idx]
                                                         for i in row_idx]
+    num, den = m.stored_rows()
     for i in range(r):
-        assert dict(m.row_items(i)) == {j: x for j, x in enumerate(ref[i]) if x}
+        assert {j: Fraction(x, den[i]) for j, x in num[i].items()} == {
+            j: x for j, x in enumerate(ref[i]) if x}
 
 
 @settings(max_examples=80, deadline=None)
@@ -116,11 +117,15 @@ def test_cancellation_leaves_no_stored_zero(rc, data):
 
 @settings(max_examples=100, deadline=None)
 @given(shaped())
-def test_from_rows_with_zeros_equals_from_dicts(rc):
+def test_from_rows_with_zeros_equals_from_integer_rows(rc):
     r, c, ref = rc
-    dicts = [{j: x for j, x in enumerate(row) if x} for row in ref]
-    padded = [{j: x for j, x in enumerate(row)} for row in ref]
-    assert of(ref, c) == Matrix.from_dicts(dicts, c) == Matrix.from_dicts(padded, c)
+    # Each row over twice the lcm of its denominators, so from_integer_rows reduces it.
+    den = [2 * lcm(*(x.denominator for x in row)) for row in ref]
+    sparse = [{j: int(x * d) for j, x in enumerate(row) if x} for row, d in zip(ref, den)]
+    padded = [{j: int(x * d) for j, x in enumerate(row)} for row, d in zip(ref, den)]
+    # from_integer_rows takes the list of denominators over, so each call gets a copy.
+    assert (of(ref, c) == Matrix.from_integer_rows(sparse, c, list(den))
+            == Matrix.from_integer_rows(padded, c, list(den)))
     assert Matrix(r, c, [x for row in ref for x in row]) == of(ref, c)
 
 
@@ -130,13 +135,6 @@ def test_first_nonzero_col_matches_plain_lists(rc):
     r, c, ref = rc
     expected = next((j for j in range(c) if any(row[j] for row in ref)), None)
     assert of(ref, c).first_nonzero_col() == expected
-
-
-def test_from_dicts_rejects_column_outside_shape():
-    with pytest.raises(ShapeError):
-        Matrix.from_dicts([{2: 1}], 2)
-    with pytest.raises(ShapeError):
-        Matrix.from_dicts([{-1: 1}], 2)
 
 
 def test_index_outside_shape():
@@ -150,8 +148,8 @@ def test_index_outside_shape():
 
 def test_storage_stays_inside_linalg():
     # Only linalg.py may read or write Matrix's stored integer rows and row
-    # denominators; everything else goes through from_dicts, row_items and
-    # the integer pair integer_rows / from_integer_rows.
+    # denominators; everything else goes through the constructors, the
+    # readers (row, col, stored_rows) and the pair integer_rows / from_integer_rows.
     package = Path(__file__).resolve().parent.parent / "src" / "morphlie"
     touching = sorted(p.name for p in package.glob("*.py")
                       if p.name != "linalg.py"
@@ -183,11 +181,14 @@ def test_equal_matrices_store_equal_rows_however_built(rc, data):
     rows, d = m.integer_rows()
     built = [
         of(unreduced, c), of(written, c),
-        Matrix.from_dicts([{j: x for j, x in enumerate(row) if x} for row in unreduced], c),
+        Matrix.from_integer_rows([{j: 2 * x for j, x in row.items()} for row in rows], c,
+                                 [2 * d] * r),
         m.scale(s).scale(1 / s),
         Matrix.lincomb([(1, m), (s, other), (-s, other)], r, c),
-        m * Matrix.from_dicts([{j: x} for j, x in enumerate(diag)], c)
-        * Matrix.from_dicts([{j: 1 / x} for j, x in enumerate(diag)], c),
+        m * Matrix.from_rows([[x if i == j else 0 for j in range(c)]
+                              for i, x in enumerate(diag)], c)
+        * Matrix.from_rows([[1 / x if i == j else 0 for j in range(c)]
+                            for i, x in enumerate(diag)], c),
         m.transpose().transpose(),
         Matrix.from_integer_rows([{j: 5 * x for j, x in row.items()} for row in rows], c, 5 * d),
     ]
@@ -202,6 +203,7 @@ def test_equal_matrices_store_equal_rows_however_built(rc, data):
     assert _lowest_fractions([m[i, j] for i in range(r) for j in range(c)])
     assert _lowest_fractions([x for row in m.to_lists() for x in row])
     assert _lowest_fractions([x for j in range(c) for x in m.col(j)])
-    assert _lowest_fractions([x for i in range(r) for _, x in m.row_items(i)])
+    num, den = m.stored_rows()
+    assert all(e > 0 and gcd(e, *row.values()) == 1 for row, e in zip(num, den))
     assert _lowest_fractions(m.apply(vec))
     assert _lowest_fractions([x for row in kernel_basis(m).to_lists() for x in row])
