@@ -13,7 +13,7 @@ from math import comb, lcm
 
 from .algebras import Representation, MorphismLieAlgebra
 from .errors import ShapeError
-from .linalg import Complex, Matrix
+from .linalg import Complex, Matrix, _matrix
 
 
 class ExteriorBasis:
@@ -202,10 +202,11 @@ def morphism_matrix(d_v: Matrix, d_w: Matrix, psi: Matrix, tuples: int,
     (post, p), (pre, q), (pull, r) = (m.stored_rows() for m in
                                       (postcompose_matrix(psi, tuples), pre_phi, d_pull))
     off, off_pull, eta_den = d_v.cols, d_v.cols + d_w.cols, list(map(lcm, p, q, r))
-    # The eta parts hold disjoint columns.
+    # Every row written is zero-free: stored rows hold no zero, and the eta
+    # parts hold disjoint columns.
     eta = [{**(a if e == dp else {j: e // dp * x for j, x in a.items()}),
             **{off + j: -(e // dq) * x for j, x in b.items()},
             **{off_pull + j: -(e // dr) * x for j, x in c.items()}}
            for a, b, c, e, dp, dq, dr in zip(post, pre, pull, eta_den, p, q, r)]
-    return Matrix.from_integer_rows(v + [{off + j: x for j, x in row.items()} for row in w] + eta,
-                                    off_pull + d_pull.cols, v_den + w_den + eta_den)
+    return _matrix(off_pull + d_pull.cols, v + [{off + j: x for j, x in row.items()} for row in w]
+                   + eta, v_den + w_den + eta_den)

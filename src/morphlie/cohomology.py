@@ -12,7 +12,7 @@ The differential is
 where delta' and delta'' are the Chevalley-Eilenberg differentials of V and
 W and delta''' is the one of W pulled back along phi.  Flattened coordinate
 vectors order the blocks (theta, gamma, eta), each block column-major by
-basis tuple.
+basis tuple: ``_flat`` and ``_value_array`` are that layout.
 
 This complex is the mapping cone of f(theta, gamma) = psi . theta -
 gamma . wedge phi, from C(g, V) + C(h, W) to C(g, W_phi), cut down in
@@ -95,6 +95,16 @@ def mla_cochain_dim(rep: MorphismRep, n: int, cone: bool = False) -> int:
     return sum(mla_block_dims(rep, n, cone))
 
 
+def _flat(m: Matrix) -> list[Fraction]:
+    """The cochain layout of a value array: its columns, one after another."""
+    return [x for col in m.transpose().to_lists() for x in col]
+
+
+def _value_array(flat: list[Fraction], rows: int, cols: int) -> Matrix:
+    """The rows x cols value array laid out as ``flat``: row r is flat[r::rows]."""
+    return Matrix.from_rows([flat[r::rows] for r in range(rows)], cols)
+
+
 class MCochain:
     """A degree-n cochain: value arrays for theta, gamma, eta (or v at n=0).
 
@@ -133,11 +143,7 @@ class MCochain:
         """Flatten to (theta-block, gamma-block, eta-block) coordinates."""
         if self.degree == 0:
             return list(self.v)
-        out: list[Fraction] = []
-        for block in (self.theta, self.gamma, self.eta):
-            for t in range(block.cols):
-                out.extend(block.col(t))
-        return out
+        return _flat(self.theta) + _flat(self.gamma) + _flat(self.eta)
 
     @classmethod
     def from_vector(cls, rep: MorphismRep, degree: int, flat: list[Fraction]) -> MCochain:
@@ -146,16 +152,11 @@ class MCochain:
             raise ShapeError(f"flat vector must have length {sum(dims)}")
         if degree <= 0:
             return cls(rep, degree, v=list(flat))
-        blocks = []
-        pos = 0
-        for rows, ncols in mla_block_shapes(rep, degree):
-            data = flat[pos:pos + rows * ncols]
-            pos += rows * ncols
-            cols = [data[t * rows:(t + 1) * rows] for t in range(ncols)]
-            blocks.append(Matrix.from_rows(
-                [[cols[t][r] for t in range(ncols)] for r in range(rows)], cols=ncols
-            ))
-        return cls(rep, degree, theta=blocks[0], gamma=blocks[1], eta=blocks[2])
+        blocks, pos = [], 0
+        for rows, cols in mla_block_shapes(rep, degree):
+            blocks.append(_value_array(flat[pos:pos + rows * cols], rows, cols))
+            pos += rows * cols
+        return cls(rep, degree, *blocks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MCochain):

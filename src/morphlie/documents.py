@@ -77,14 +77,11 @@ def parse_matrix(value: Any, where: str, rows: int | None = None,
         if rows not in (0, None) or cols is None:
             raise ParseError(f"{where}: an empty matrix needs known dimensions")
         return Matrix.zeros(0, cols)
-    try:
-        if not all(isinstance(r, list) for r in value):
-            raise ParseError(where)  # parse_vector below says which row
-        num, den = _integer_rows(value, where)
-    except ParseError:
-        for k, r in enumerate(value):  # only a failure pays for the row's location
-            parse_vector(r, f"{where}[{k}]")
-        raise
+    num, den = [], []
+    for i, values in enumerate(value):
+        row, d = _integer_row(values, where, i)
+        num.append(row)
+        den.append(d)
     widths = {len(r) for r in value}
     if len(widths) != 1:
         raise ParseError(f"{where}: ragged rows")
@@ -96,35 +93,35 @@ def parse_matrix(value: Any, where: str, rows: int | None = None,
     return m
 
 
-def _integer_rows(value: list[list], where: str) -> tuple[list[dict[int, int]], list[int]]:
-    """Each list of scalars as {index: numerator} of its nonzero entries over one denominator.
+def _integer_row(values: Any, where: str, i: int) -> tuple[dict[int, int], int]:
+    """Row ``where[i]``, a list of scalars, as {index: numerator} of its nonzero entries.
 
-    Canonical scalars (ints; ASCII "p" or "p/q", q not led by 0, under 100
-    characters) are read as integers, any other through parse_scalar.
+    The numerators are over one returned denominator.  Canonical scalars
+    (ints; ASCII "p" or "p/q", q not led by 0, under 100 characters) are
+    read as integers, any other through parse_scalar.  A failure names
+    ``where[i][j]``, or ``where[i]`` if values is not a list.
     """
-    num, den = [], []
-    for values in value:
-        row, d = {}, 1
-        for j, x in enumerate(values) if values.count("0") != len(values) else ():
-            if x == "0":
-                continue
-            if type(x) is int:
-                p, q = x, 1
-            elif type(x) is str and len(x) < 100 and (m := _CANONICAL.fullmatch(x)):
-                p, q = int(m[1]), int(m[2] or 1)
-            else:
-                p, q = parse_scalar(x, where).as_integer_ratio()
-            if not p:
-                continue
-            if d % q:
-                f = q // gcd(d, q)
-                for k in row:
-                    row[k] *= f
-                d *= f
-            row[j] = p * (d // q)
-        num.append(row)
-        den.append(d)
-    return num, den
+    if not isinstance(values, list):
+        raise ParseError(f"{where}[{i}]: expected a list of scalars")
+    row, d = {}, 1
+    for j, x in enumerate(values) if values.count("0") != len(values) else ():
+        if x == "0":
+            continue
+        if type(x) is int:
+            p, q = x, 1
+        elif type(x) is str and len(x) < 100 and (m := _CANONICAL.fullmatch(x)):
+            p, q = int(m[1]), int(m[2] or 1)
+        else:
+            p, q = parse_scalar(x, f"{where}[{i}][{j}]").as_integer_ratio()
+        if not p:
+            continue
+        if d % q:
+            f = q // gcd(d, q)
+            for k in row:
+                row[k] *= f
+            d *= f
+        row[j] = p * (d // q)
+    return row, d
 
 
 def _require_mapping(value: Any, where: str) -> dict:
@@ -154,7 +151,7 @@ def _ints(value: Any, where: str, what: str = "a list") -> list[int]:
 
 def _brackets(value: Any, where: str, dim: int) -> tuple[list[tuple[int, int]], Matrix]:
     """The pairs (i, j) of a list of [i, j, coefficients], and their brackets as matrix rows."""
-    pairs, rows, seen = [], [], set()
+    pairs, rows, dens, seen = [], [], [], set()
     for k, item in _items(value, where, "a list of [i, j, coeffs]"):
         spot = f"{where}[{k}]"
         if not isinstance(item, list) or len(item) != 3:
@@ -163,19 +160,16 @@ def _brackets(value: Any, where: str, dim: int) -> tuple[list[tuple[int, int]], 
         j = _require_int(item[1], f"{spot}[1]")
         if not (0 <= i < dim and 0 <= j < dim):
             raise ParseError(f"{spot}: generator index out of range")
-        try:
-            if not isinstance(item[2], list) or len(item[2]) != dim:
-                raise ParseError(spot)  # parse_vector below says what is wrong
-            num, den = _integer_rows([item[2]], spot)
-        except ParseError:
-            parse_vector(item[2], f"{spot}[2]", dim)
-            raise
+        row, d = _integer_row(item[2], spot, 2)
+        if len(item[2]) != dim:
+            raise ParseError(f"{spot}[2]: expected {dim} entries, got {len(item[2])}")
         if (i, j) in seen:
             raise ParseError(f"{spot}: the bracket of (e{i+1}, e{j+1}) is given twice")
         seen.update(((i, j), (j, i)))
         pairs.append((i, j))
-        rows.append((num[0], den[0]))
-    return pairs, _matrix(dim, [row for row, _ in rows], [d for _, d in rows])
+        rows.append(row)
+        dens.append(d)
+    return pairs, _matrix(dim, rows, dens)
 
 
 def _brackets_data(a: LieAlgebra) -> list:

@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .algebras import LieAlgebra, MorphismLieAlgebra, MorphismRep
 from .cecomplex import ExteriorBasis
-from .cohomology import MCochain, _first_nonzero, mla_differential
+from .cohomology import MCochain, _first_nonzero, _value_array, mla_differential
 from .errors import (
     NotACocycle,
     NotASection,
@@ -139,8 +139,7 @@ def _sections(rep: MorphismRep, d0: Matrix, del0: Matrix) -> tuple[Matrix, Matri
 
 def _fiber_block(vectors: list[list[Fraction]], n: int, dim: int) -> Matrix:
     """The dim x len(vectors) matrix whose column t is the fiber part vectors[t][n:]."""
-    return Matrix.from_rows([[vec[n + r] for vec in vectors] for r in range(dim)],
-                            cols=len(vectors))
+    return _value_array([x for vec in vectors for x in vec[n:]], dim, len(vectors))
 
 
 def _require_closed(rep: MorphismRep, cocycle: MCochain) -> None:

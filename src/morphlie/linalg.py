@@ -10,22 +10,24 @@ on those integers, so no + or * pays a gcd and a new object; every entry
 read or reported is a Fraction.  Assembly code builds rows in integers
 through ``integer_rows`` and ``from_integer_rows``.  The one sparse
 elimination, ``_pivot``, returns its pivot rows and is behind ranks, row
-bases, kernels, solutions, inverses and completed bases; ``_eliminate``
-feeds it copies of a matrix's rows, ``row_basis`` the columns of a matrix
-outside a skipped set, as rows.
-For ``rank`` and ``row_basis`` it pivots on the shortest row and, inside it,
-on the column the fewest rows touch, which keeps fill-in low.  For
-``kernel_basis``, ``solve_columns``, ``inverse`` and ``complete_basis`` it
-pivots on a row's lowest column and clears it from every other row; each
-row divided by its pivot is then the unique reduced row echelon form, which
-callers depend on: the kernel basis with one free column per vector and
-solutions whose free coordinates are 0.
+bases, kernels, solutions, inverses and completed bases.  It has two modes.
+``row_basis`` (and ``rank``, its size) feeds it the columns of a matrix
+outside a skipped set, as rows; it pivots on the shortest row and, inside
+it, on the column the fewest rows touch, which keeps fill-in low.
+``_eliminate`` feeds ``kernel_basis``, ``solve_columns``, ``inverse`` and
+``complete_basis`` copies of a matrix's rows; it pivots on a row's lowest
+column and clears it from every other row; each row divided by its pivot
+is then the unique reduced row echelon form, which callers depend on: the
+kernel basis with one free column per vector and solutions whose free
+coordinates are 0.
 
 ``Complex`` is the one cochain complex behind every cohomology dimension in
 the package: a degree -> differential function with cached ranks, one
 d . d = 0 check through ``product_is_zero``, and the rows of a CLI table.
-It ranks d_n by ``row_basis`` on the columns outside a row basis of
-d_{n-1}, which d_n . d_{n-1} = 0 makes exact (the proof is in ``Complex``).
+It has one rank path: the lower degrees are ranked first, lowest first, and
+every rank of degree n >= 1 comes after the check d_n . d_{n-1} = 0; d_n is
+then ranked by ``row_basis`` on the columns outside a row basis of
+d_{n-1}, which the check makes exact (the proof is in ``Complex``).
 """
 
 from __future__ import annotations
@@ -367,14 +369,14 @@ def _row_times(row: Mapping[int, int], rows: Sequence[Mapping[int, int]]) -> dic
     return {j: x for j, x in acc.items() if x}
 
 
-def _eliminate(rows: Iterable[Mapping[int, int]], reduce: bool) -> dict[int, dict[int, int]]:
-    """Sparse exact elimination on copies of the integer ``rows``; see ``_pivot``."""
+def _eliminate(rows: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]:
+    """The reduced row echelon ``_pivot`` of copies of the integer ``rows``."""
     work = {i: dict(row) for i, row in enumerate(rows) if row}
     touching: dict[int, set[int]] = {}
     for i, row in work.items():
         for j in row:
             touching.setdefault(j, set()).add(i)
-    return _pivot(work, touching, reduce)
+    return _pivot(work, touching, reduce=True)
 
 
 def _pivot(work: dict[int, dict[int, int]], touching: dict[int, set[int]],
@@ -447,8 +449,8 @@ def _pivot(work: dict[int, dict[int, int]], touching: dict[int, set[int]],
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank: the number of pivots of the sparse elimination."""
-    return len(_eliminate(m._num, reduce=False))
+    """Exact rank: the size of a row basis."""
+    return len(row_basis(m))
 
 
 def row_basis(m: Matrix, skip: Collection[int] = ()) -> set[int]:
@@ -495,9 +497,10 @@ class Complex:
     columns of d_n that the simple variant keeps (n >= 1; s_0 = d_0).  Every
     dimension is reported only after d_n . d_{n-1} = 0 has been checked.
 
-    Ranks.  ``rank(n)`` keeps S_n = ``row_basis(d_n, S_{n-1})``: with S_{n-1}
-    known and d_n . d_{n-1} = 0 checked, d_n is ranked only on the columns
-    outside S_{n-1} (in full for n = 0 or out of order).  It is exact:
+    Ranks.  ``rank(n)`` ranks d_0, ..., d_{n-1} first, lowest first, then
+    checks d_n . d_{n-1} = 0 and keeps S_n = ``row_basis(d_n, S_{n-1})``,
+    with S_{-1} empty: d_n is ranked only on the columns outside S_{n-1}.
+    It is exact:
     - The rows S of d_{n-1} are independent, so the projection onto the
       coordinates S is injective on im d_{n-1} (of dimension |S|) and onto
       Q^S: C^n = im d_{n-1} (+) span{e_j : j not in S}.  d_n kills the first
@@ -507,7 +510,8 @@ class Complex:
       the pivot block is triangular, and row operations keep column
       dependencies.  On the transpose of d_n without the columns S they are
       independent rows of d_n, rank d_n many: a row basis S_n.
-    s_n is ranked as ``row_basis`` of d_n without the columns outside keep(n).
+    s_n is ranked, after the same lower degrees and check, as ``row_basis``
+    of d_n without the columns outside keep(n).
     """
 
     def __init__(self, dim: Callable[[int], int],
@@ -520,8 +524,8 @@ class Complex:
         self.size_ceiling = size_ceiling
         self.keep = keep
         self._held: dict[int, Matrix] = {}
-        self._ranks: dict[tuple[int, bool], int] = {}
         self._bases: dict[int, set[int]] = {}
+        self._simple: dict[int, int] = {}
         self._verified: set[int] = set()
 
     def _refuse(self, lo: int, hi: int) -> None:
@@ -544,18 +548,18 @@ class Complex:
     def rank(self, n: int, simple: bool = False) -> int:
         """Rank of d_n, or with ``simple`` of s_n: d_n on the columns keep(n)."""
         simple = simple and n > 0 and self.keep is not None
-        if n < 0:
-            return 0
-        if (n, simple) not in self._ranks:
+        for k in range(n if simple else n + 1):
+            if k not in self._bases:
+                d = self.matrix(k)
+                self.verify(k)
+                self._bases[k] = row_basis(d, self._bases.get(k - 1, ()))
+        if not simple:
+            return len(self._bases.get(n, ()))
+        if n not in self._simple:
             d = self.matrix(n)
-            if simple:
-                basis = row_basis(d, set(range(d.cols)).difference(self.keep(n)))
-            else:
-                if skip := self._bases.get(n - 1, ()):
-                    self.verify(n)
-                basis = self._bases[n] = row_basis(d, skip)
-            self._ranks[n, simple] = len(basis)
-        return self._ranks[n, simple]
+            self.verify(n)
+            self._simple[n] = len(row_basis(d, set(range(d.cols)).difference(self.keep(n))))
+        return self._simple[n]
 
     def verify(self, n: int) -> None:
         """Raise AssertionError unless d_n . d_{n-1} = 0."""
@@ -567,14 +571,13 @@ class Complex:
         self._verified.add(n)
 
     def dim_H(self, n: int, simple: bool = False) -> int:
-        """dim C^n - rank d_{n-1} - rank d_n, ranked in that order; s_{n-1} with ``simple``."""
+        """dim C^n - rank d_n - rank d_{n-1}, ranked in that order; s_{n-1} with ``simple``."""
         if n < 0:
             return 0
         self._refuse(n - 1, n + 1)
         if self.dim(n) == 0:
             return 0
-        self.verify(n)
-        return self.dim(n) - self.rank(n - 1, simple) - self.rank(n)
+        return self.dim(n) - self.rank(n) - self.rank(n - 1, simple)
 
     def table(self, top: int, simple: bool = False) -> list[dict]:
         """The rows of a cohomology table in degrees 0..top."""
@@ -597,7 +600,7 @@ def kernel_basis(m: Matrix) -> Matrix:
     Free column f of the reduced row echelon form gives 1 at f, 0 at the
     other free columns, and minus the reduced rows' entries at f on pivots.
     """
-    pivots = _eliminate(m._num, reduce=True)
+    pivots = _eliminate(m._num)
     free = {f: k for k, f in enumerate(c for c in range(m.cols) if c not in pivots)}
     num, den = [{free[f]: 1} if f in free else {} for f in range(m.cols)], [1] * m.cols
     for p, row in pivots.items():
@@ -616,7 +619,7 @@ def solve_columns(m: Matrix, b: Matrix) -> Matrix | None:
     if b.rows != m.rows:
         raise ShapeError(f"solve: {m.rows}x{m.cols} matrix against {b.rows}x{b.cols} right-hand side")
     n = m.cols
-    pivots = _eliminate(Matrix.hstack([m, b])._num, reduce=True)
+    pivots = _eliminate(Matrix.hstack([m, b])._num)
     if any(p >= n for p in pivots):
         return None
     num, den = [{} for _ in range(n)], [1] * n
@@ -646,7 +649,7 @@ def complete_basis(partial: Matrix) -> tuple[Matrix, list[int]]:
     """
     n, k = partial.rows, partial.cols
     pivots = sorted(_eliminate([{**row, k + r: d} for r, (row, d)
-                                in enumerate(zip(partial._num, partial._den))], reduce=True))
+                                in enumerate(zip(partial._num, partial._den))]))
     if pivots[:k] != list(range(k)):
         raise ShapeError("complete_basis expects independent columns")
     chosen = [c - k for c in pivots[k:]]

@@ -38,7 +38,7 @@ from .cecomplex import (
     precompose_matrix,
     wedge_minor_matrix,
 )
-from .cohomology import MCochain, mla_differential
+from .cohomology import MCochain, _flat, mla_differential
 from .errors import NotACocycle, ShapeError, ValidationError
 from .linalg import Matrix, _row_times
 
@@ -85,11 +85,6 @@ class TwoTermSh:
 
     def __repr__(self) -> str:
         return f"TwoTermSh(dim0={self.dim0}, dim1={self.dim1})"
-
-
-def _flat(m: Matrix) -> list[Fraction]:
-    """The cochain layout of a value array: its columns, one after another."""
-    return [x for col in m.transpose().to_lists() for x in col]
 
 
 def _first_nonzero(vector: list[Fraction]) -> int | None:

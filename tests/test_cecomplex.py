@@ -336,3 +336,18 @@ def test_morphism_matrix_computes_the_graph_eta_block():
         assert morphism_matrix(*pieces, graph=True) == _block_referee(*pieces, True)
     assert morphism_matrix(d_v, d_w, psi, 1, pre, Matrix.zeros(2, 0), graph=True).row(2) \
         == [-1, Fraction(-1, 2)]
+
+
+def test_morphism_matrix_stores_no_zero():
+    # The cone writer hands its rows to the matrix unscanned: d_v's and d_w's
+    # stored rows hold no zero, and the eta parts hold disjoint columns.
+    for name, rep in standard_morphism_reps():
+        for n in range(4):
+            for cone in (False, True):
+                num, _ = mla_differential(rep, n, cone).stored_rows()
+                assert all(0 not in row.values() for row in num), (name, n, cone)
+    for t in (klein_to_z2_triple(), z4_to_z2_sign_triple()):
+        for n in range(4):
+            for normalized in (False, True):
+                num, _ = mlg_differential(t, n, normalized).stored_rows()
+                assert all(0 not in row.values() for row in num), (n, normalized)

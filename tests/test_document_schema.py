@@ -179,6 +179,23 @@ def test_matrix_scalars_read_as_the_referee_reads_them():
             assert outcome(documents.parse_matrix, value) == outcome(
                 document_referee.parse_matrix, value), (scalar[:8] if isinstance(scalar, str)
                                                         else scalar, spot)
+    # Whole rows after the first: not a list, short or long, with or without
+    # a bad scalar in a row before them, and a bad scalar past a short row.
+    for first in (["1", "0"], ["1", "x"], [0.5, "0"]):
+        for later in ("x", 5, None, {}, [], ["1"], ["1", "0", "2"], ["1", "1/0"]):
+            for value in ([first, later], [first, later, "x"], [first, ["7"], later]):
+                assert outcome(documents.parse_matrix, value) == outcome(
+                    document_referee.parse_matrix, value), value
+    # A bracket's coefficient list, read by the bracket reader and compared
+    # through whole documents: a bad scalar past index 0, not a list, short or
+    # long, alone or after a good bracket.
+    good = [0, 1, ["0", "0", "1"]]
+    for coeffs in (["0", "x", "0"], ["1", "0", "1/0"], ["1", "0", 0.5], "x", 5, None, {},
+                   [], ["1"], ["x"], ["1", "0", "0", "0"], ["1", "0", "0", "y"]):
+        for brackets in ([[0, 2, coeffs]], [good, [1, 2, coeffs]], [[1, 2, coeffs], good]):
+            data = {"lie_algebras": {"a": {"dim": 3, "brackets": brackets}}}
+            assert _outcome(ProblemDocument, data) == _outcome(
+                document_referee.ProblemDocument, data), brackets
 
 
 def test_dumps_writes_what_json_dumps_writes():

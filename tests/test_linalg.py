@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, MorphismRep, adjoint_morphism_rep
 from morphlie.cohomology import mla_complex, mla_differential
-from morphlie.fixtures import klein_to_z2_triple
+from morphlie import linalg
+from morphlie.fixtures import heis_adjoint_triple, klein_to_z2_triple
 from morphlie.groups import mlg_complex
 from morphlie.errors import ShapeError, SizeCeilingExceeded
 from morphlie.linalg import (
@@ -378,18 +379,42 @@ def test_complex_refuses_non_square_zero_and_oversized():
     assert cx.dim_H(0) == 0
     with pytest.raises(AssertionError, match="interval differential does not square to zero"):
         cx.dim_H(1)
-    # rank(1) would rank d_1 on the columns outside a row basis of d_0; it
-    # checks d_1 . d_0 = 0 first, and a failed check leaves no rank behind.
-    cx, _ = _interval_complex(d1_entries=(1, 1))
-    assert cx.rank(0) == 1
-    for _ in range(2):
-        with pytest.raises(AssertionError, match="interval differential does not square to zero"):
-            cx.rank(1)
+    # rank(1) ranks d_0 first, with no earlier rank(0), and checks
+    # d_1 . d_0 = 0 before it ranks d_1 or s_1; a failed check leaves no
+    # rank behind.
+    for simple in (False, True):
+        cx, log = _interval_complex(d1_entries=(1, 1))
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="interval differential does not square to zero"):
+                cx.rank(1, simple)
+        assert cx.rank(0) == 1 and log == [(0, []), (1, [0])]
     cx, log = _interval_complex(size_ceiling=1)
     with pytest.raises(SizeCeilingExceeded, match="needs 2 coordinates"):
         cx.rank(0)
     assert log == []
     assert cx.dim_H(-1) == 0 and cx.rank(-1) == 0
+
+
+@pytest.mark.parametrize("call", ["rank", "dim_H", "dim_H simple"])
+def test_one_rank_path_builds_and_checks_each_degree_once(monkeypatch, call):
+    # On a fresh complex, lowest degree first: each d_k (k <= n) built once,
+    # and one d . d check per degree 1..n.  C^0..C^4 of the heis adjoint
+    # triple are all nonzero.
+    checked = []
+    real = linalg.product_is_zero
+    monkeypatch.setattr(linalg, "product_is_zero",
+                        lambda a, b: checked.append((a.rows, b.rows)) or real(a, b))
+    mla = mla_complex(heis_adjoint_triple())
+    for n in range(4):
+        built, checked[:] = [], []
+        cx = Complex(mla.dim, lambda k: built.append(k) or mla.differential(k), "heis",
+                     keep=mla.keep)
+        if call == "rank":
+            cx.rank(n)
+        else:
+            cx.dim_H(n, simple=call == "dim_H simple")
+        assert built == list(range(n + 1))
+        assert checked == [(mla.dim(k + 1), mla.dim(k)) for k in range(1, n + 1)]
 
 
 def _greedy_completion(partial):
