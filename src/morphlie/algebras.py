@@ -200,6 +200,7 @@ class Representation:
         self.dim_v = dim_v
         self.action = list(action)
         self._verdict: CheckResult | None = None
+        self._integer_action: tuple[list[list[dict[int, int]]], int] | None = None
         if validate:
             res = self.check()
             if not res:
@@ -216,6 +217,16 @@ class Representation:
             self._verdict = CheckResult(True) if spot is None else CheckResult(
                 False, f"representation axiom fails on basis pair (e{spot[0]+1}, e{spot[1]+1})")
         return self._verdict
+
+    def integer_action(self) -> tuple[list[list[dict[int, int]]], int]:
+        """(rows, den): each rho(e_i) times den as integer rows, den a multiple of the algebra's.
+
+        Computed on the first call and kept; read the rows, never change them.
+        """
+        if self._integer_action is None:
+            den = lcm(self.algebra.den, *(lcm(*m.stored_rows()[1]) for m in self.action))
+            self._integer_action = [m.integer_rows(den)[0] for m in self.action], den
+        return self._integer_action
 
     def act(self, x: Sequence[Scalar]) -> Matrix:
         """Matrix of rho(x) for a coordinate vector x."""

@@ -9,6 +9,7 @@ That layout fixes the matrix form of every differential in the package.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from math import comb, lcm
 
 from .algebras import Representation, MorphismLieAlgebra
@@ -27,6 +28,10 @@ class ExteriorBasis:
 
     def __len__(self) -> int:
         return len(self.tuples)
+
+
+# One ExteriorBasis per (dim, n), shared by the builders, which only read it.
+exterior_basis = cache(ExteriorBasis)
 
 
 def sort_with_sign(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
@@ -62,45 +67,46 @@ def ce_differential(rep: Representation, n: int) -> Matrix:
         + sum_{i<j} (-1)^{i+j} f([x_i, x_j], ..., x_i, x_j omitted, ...),
     evaluated on increasing basis tuples, with bracket insertions re-sorted
     into increasing order under the permutation sign; summed in integers.
+    The action terms of one target tuple hold disjoint columns; the bracket
+    terms are summed per source tuple first, and an entry that cancels is
+    dropped, so the rows are zero-free.
     """
     if n < 0:
         raise ShapeError("degree must be nonnegative")
     g = rep.algebra
     dim_v = rep.dim_v
-    src = ExteriorBasis(g.dim, n)
-    dst = ExteriorBasis(g.dim, n + 1)
-    den = lcm(g.den, *(m.integer_rows()[1] for m in rep.action))
-    acts = [m.integer_rows(den)[0] for m in rep.action]
-    rows: list[dict[int, int]] = [{} for _ in range(len(dst) * dim_v)]
-
-    for t_idx, tup in enumerate(dst.tuples):
-        for i in range(n + 1):
-            # Action term: (-1)^{i+1} rho(e_{tup[i]}) applied to f at the omitted tuple.
-            omitted = tup[:i] + tup[i + 1:]
-            s_idx = src.index[omitted]
-            sign = 1 if i % 2 == 0 else -1
-            rho = acts[tup[i]]
-            for r in range(dim_v):
-                row = rows[t_idx * dim_v + r]
-                for c, x in rho[r].items():
-                    col = s_idx * dim_v + c
-                    row[col] = row.get(col, 0) + sign * x
+    src, dst = exterior_basis(g.dim, n), exterior_basis(g.dim, n + 1)
+    acts, den = rep.integer_action()
+    scale = den // g.den
+    rows: list[dict[int, int]] = []
+    for tup in dst.tuples:
+        # Action terms: (-1)^{i+1} rho(e_{tup[i]}) applied to f at the omitted tuple.
+        omit = [(src.index[tup[:i] + tup[i + 1:]] * dim_v, acts[tup[i]], 1 - 2 * (i % 2))
+                for i in range(n + 1)]
+        # Bracket-insertion terms with sign (-1)^{i+j} for 1-based i < j.
+        brackets: dict[int, int] = {}
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
-                # Bracket-insertion term with sign (-1)^{i+j} for 1-based i < j.
                 pair_sign = 1 if (i + j) % 2 == 0 else -1
-                rest = tuple(tup[t] for t in range(n + 1) if t != i and t != j)
+                rest = tup[:i] + tup[i + 1:j] + tup[j + 1:]
                 for k, coeff in g.nonzero[tup[i]][tup[j]]:
-                    sorted_sign = sort_with_sign((k,) + rest)
-                    if sorted_sign is None:
-                        continue
-                    stup, ssign = sorted_sign
-                    s_idx = src.index[stup]
-                    total = pair_sign * ssign * coeff * (den // g.den)
-                    for r in range(dim_v):
-                        row, col = rows[t_idx * dim_v + r], s_idx * dim_v + r
-                        row[col] = row.get(col, 0) + total
-    return Matrix.from_integer_rows(rows, len(src) * dim_v, den)
+                    if (sorted_sign := sort_with_sign((k,) + rest)) is not None:
+                        stup, ssign = sorted_sign
+                        s = src.index[stup] * dim_v
+                        brackets[s] = brackets.get(s, 0) + pair_sign * ssign * coeff
+        for r in range(dim_v):
+            row = {}
+            for off, rho, sign in omit:
+                for c, x in rho[r].items():
+                    row[off + c] = sign * x
+            for s, x in brackets.items():
+                if x:
+                    if y := row.get(s + r, 0) + scale * x:
+                        row[s + r] = y
+                    else:
+                        del row[s + r]
+            rows.append(row)
+    return _matrix(len(src) * dim_v, rows, [den] * len(rows))
 
 
 def ce_complex(rep: Representation) -> Complex:
@@ -135,8 +141,7 @@ def wedge_minor_matrix(phi: Matrix, n: int) -> Matrix:
     determinant of phi's submatrix on rows T, columns S.  It expands the
     integer P of phi = P / d and divides by d^n.
     """
-    src = ExteriorBasis(phi.cols, n)
-    dst = ExteriorBasis(phi.rows, n)
+    src, dst = exterior_basis(phi.cols, n), exterior_basis(phi.rows, n)
     columns, d = phi.transpose().integer_rows()
     rows: list[dict[int, int]] = [{} for _ in range(len(dst))]
     for s_idx, s in enumerate(src.tuples):
@@ -150,8 +155,9 @@ def wedge_minor_matrix(phi: Matrix, n: int) -> Matrix:
                         step[u] = step.get(u, 0) + sign * x * y
             wedge = step
         for t, x in wedge.items():
-            rows[dst.index[t]][s_idx] = x
-    return Matrix.from_integer_rows(rows, len(src), d ** n)
+            if x:
+                rows[dst.index[t]][s_idx] = x
+    return _matrix(len(src), rows, [d ** n] * len(rows))
 
 
 def postcompose_matrix(psi: Matrix, num_tuples: int) -> Matrix:
@@ -159,7 +165,7 @@ def postcompose_matrix(psi: Matrix, num_tuples: int) -> Matrix:
     psi_rows, d = psi.integer_rows()
     rows = [{s * psi.cols + c: x for c, x in row.items()}
             for s in range(num_tuples) for row in psi_rows]
-    return Matrix.from_integer_rows(rows, num_tuples * psi.cols, d)
+    return _matrix(num_tuples * psi.cols, rows, [d] * len(rows))
 
 
 def precompose_matrix(minors: Matrix, dim_w: int) -> Matrix:
@@ -177,7 +183,7 @@ def precompose_matrix(minors: Matrix, dim_w: int) -> Matrix:
         for s, coeff in minor_row.items():
             for r in range(dim_w):
                 rows[s * dim_w + r][t * dim_w + r] = coeff
-    return Matrix.from_integer_rows(rows, n_dst * dim_w, d)
+    return _matrix(n_dst * dim_w, rows, [d] * len(rows))
 
 
 def morphism_matrix(d_v: Matrix, d_w: Matrix, psi: Matrix, tuples: int,
@@ -189,9 +195,9 @@ def morphism_matrix(d_v: Matrix, d_w: Matrix, psi: Matrix, tuples: int,
     pass of integer rows, each over its own denominator: d_v's rows as
     stored, d_w's shifted past theta, and each eta row the rows of
     postcompose_matrix, -pre_phi and -d_pull at their offsets over the lcm of
-    their three denominators.  With C^{-1} = 0 degree 0 is the
-    same matrix: d_pull has no columns, pre_phi is the identity on W and
-    tuples is 1.  With ``graph`` the map is restricted to the graph
+    their three denominators (unscaled when every denominator is 1).  With
+    C^{-1} = 0 degree 0 is the same matrix: d_pull has no columns, pre_phi
+    is the identity on W and tuples is 1.  With ``graph`` the map is restricted to the graph
     {(v, psi v)} of psi, the default complex's C^0 = V: the Matrix products
     [d_v; d_w psi; psi - pre_phi psi], the last block computed, not assumed 0.
     With zero-row d_v and d_w the result is the eta rows alone.
@@ -201,12 +207,18 @@ def morphism_matrix(d_v: Matrix, d_w: Matrix, psi: Matrix, tuples: int,
     (v, v_den), (w, w_den) = d_v.stored_rows(), d_w.stored_rows()
     (post, p), (pre, q), (pull, r) = (m.stored_rows() for m in
                                       (postcompose_matrix(psi, tuples), pre_phi, d_pull))
-    off, off_pull, eta_den = d_v.cols, d_v.cols + d_w.cols, list(map(lcm, p, q, r))
+    off, off_pull = d_v.cols, d_v.cols + d_w.cols
     # Every row written is zero-free: stored rows hold no zero, and the eta
     # parts hold disjoint columns.
-    eta = [{**(a if e == dp else {j: e // dp * x for j, x in a.items()}),
-            **{off + j: -(e // dq) * x for j, x in b.items()},
-            **{off_pull + j: -(e // dr) * x for j, x in c.items()}}
-           for a, b, c, e, dp, dq, dr in zip(post, pre, pull, eta_den, p, q, r)]
+    if p.count(1) + q.count(1) + r.count(1) == 3 * len(p):  # no denominator: no rescale
+        eta, eta_den = [{**a, **{off + j: -x for j, x in b.items()},
+                         **{off_pull + j: -x for j, x in c.items()}}
+                        for a, b, c in zip(post, pre, pull)], p
+    else:
+        eta_den = list(map(lcm, p, q, r))
+        eta = [{**(a if e == dp else {j: e // dp * x for j, x in a.items()}),
+                **{off + j: -(e // dq) * x for j, x in b.items()},
+                **{off_pull + j: -(e // dr) * x for j, x in c.items()}}
+               for a, b, c, e, dp, dq, dr in zip(post, pre, pull, eta_den, p, q, r)]
     return _matrix(off_pull + d_pull.cols, v + [{off + j: x for j, x in row.items()} for row in w]
                    + eta, v_den + w_den + eta_den)

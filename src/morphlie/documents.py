@@ -457,8 +457,10 @@ class ProblemDocument:
         return _json(self.to_dict())
 
     def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.dumps() + "\n")
+        """Write dumps() and a newline; a failing dumps() leaves ``path`` as it was."""
+        data = (self.dumps() + "\n").encode("ascii")
+        with open(path, "wb") as fh:
+            fh.write(data)
 
 
 def check_document(text: str) -> list[CheckRow]:

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 from .algebras import CheckResult
 from .cecomplex import morphism_matrix, precompose_matrix
 from .errors import NotAHomomorphism, ShapeError, ValidationError
-from .linalg import Complex, Matrix
+from .linalg import Complex, Matrix, _matrix
 
 
 class FiniteGroup:
@@ -156,7 +156,9 @@ def group_differential(module: GroupModule, n: int,
 
     Normalized cochains evaluate to zero on tuples containing the identity,
     so merged tuples that hit the identity simply drop out.  Summed in
-    integers over one common denominator of the action matrices.
+    integers over one common denominator of the action matrices: each
+    target tuple's faces once, then row by row, dropping an entry that
+    cancels, so the rows are zero-free.
     """
     group, dim = module.group, module.dim
     src = group_cochain_tuples(group, n, normalized)
@@ -164,27 +166,27 @@ def group_differential(module: GroupModule, n: int,
     src_index = {t: i for i, t in enumerate(src)}
     den = lcm(*(m.integer_rows()[1] for m in module.action))
     acts = [m.integer_rows(den)[0] for m in module.action]
-    out: list[dict[int, int]] = [{} for _ in range(len(dst) * dim)]
-
-    def add_identity(row_tuple: int, col_tuple: int | None, sign: int) -> None:
-        if col_tuple is None:
-            return
-        for a in range(dim):
-            row, col = out[row_tuple * dim + a], col_tuple * dim + a
-            row[col] = row.get(col, 0) + sign * den
-
-    for r, tup in enumerate(dst):
-        action = acts[tup[0]]
+    out: list[dict[int, int]] = []
+    for tup in dst:
+        # The faces of tup, each once, with their signs summed (times den):
+        # face i <= n merges g_i g_{i+1}, face n + 1 drops g_{n+1}.
+        faces: dict[int, int] = {}
+        for i in range(1, n + 2):
+            face = (tup[:i - 1] + (group.mul[tup[i - 1]][tup[i]],) + tup[i + 1:]
+                    if i <= n else tup[:n])
+            if (s := src_index.get(face)) is not None:
+                faces[s * dim] = faces.get(s * dim, 0) + (den if i % 2 == 0 else -den)
         s = src_index.get(tup[1:])
-        if s is not None:
-            # The action term comes first, into rows that are still empty.
-            for a in range(dim):
-                out[r * dim + a] = {s * dim + b: x for b, x in action[a].items()}
-        for i in range(1, n + 1):
-            merged = tup[:i - 1] + (group.mul[tup[i - 1]][tup[i]],) + tup[i + 1:]
-            add_identity(r, src_index.get(merged), -1 if i % 2 else 1)
-        add_identity(r, src_index.get(tup[:n]), -1 if (n + 1) % 2 else 1)
-    return Matrix.from_integer_rows(out, len(src) * dim, den)
+        for a in range(dim):
+            row = {} if s is None else {s * dim + b: x for b, x in acts[tup[0]][a].items()}
+            for col, x in faces.items():
+                if x:
+                    if y := row.get(col + a, 0) + x:
+                        row[col + a] = y
+                    else:
+                        del row[col + a]
+            out.append(row)
+    return _matrix(len(src) * dim, out, [den] * len(out))
 
 
 def group_complex(module: GroupModule, normalized: bool = False,

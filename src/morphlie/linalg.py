@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from math import gcd, lcm
 from typing import Callable, Collection, Iterable, Mapping, Sequence
@@ -265,7 +266,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         right, e = other.integer_rows()
-        num = [_row_times(row, right) for row in self._num]
+        num = [{j: x for j, x in _row_times(row, right).items() if x} for row in self._num]
         den = [d * e for d in self._den] if e != 1 else list(self._den)
         return _matrix(other.cols, num, den)
 
@@ -361,12 +362,12 @@ def _matrix(cols: int, num: list[dict[int, int]], den: list[int]) -> Matrix:
 
 
 def _row_times(row: Mapping[int, int], rows: Sequence[Mapping[int, int]]) -> dict[int, int]:
-    """The nonzero entries of row . M, for M stored as integer ``rows``."""
+    """The entries of row . M, for M stored as integer ``rows``; sums may cancel to 0."""
     acc: dict[int, int] = {}
     for k, x in row.items():
         for j, y in rows[k].items():
             acc[j] = acc[j] + x * y if j in acc else x * y
-    return {j: x for j, x in acc.items() if x}
+    return acc
 
 
 def _eliminate(rows: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]:
@@ -478,24 +479,28 @@ def product_is_zero(a: Matrix, b: Matrix) -> bool:
 
     Multiplies a's stored integer rows by b's integer view (a row
     denominator does not change whether a row is zero); stops at the first
-    nonzero row of the product, unformed.
+    nonzero row of the product, tested on its accumulator.
     """
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     right, _ = b.integer_rows()
-    return not any(_row_times(row, right) for row in a._num)
+    for row in a._num:
+        if any(_row_times(row, right).values()):
+            return False
+    return True
 
 
 class Complex:
     """A cochain complex given degree by degree: H^n = ker d_n / im d_{n-1}.
 
-    ``dim(n)`` is dim C^n and ``differential(n)`` builds d_n: C^n -> C^{n+1}.
-    Ranks are cached.  A differential is refused before it is built if
-    max(dim C^n, dim C^{n+1}) exceeds ``size_ceiling``, is built once, and is
-    held only while a neighbouring degree may still need it: building d_n
-    drops every held matrix but d_{n-1} and d_{n+1}.  ``keep(n)`` lists the
-    columns of d_n that the simple variant keeps (n >= 1; s_0 = d_0).  Every
-    dimension is reported only after d_n . d_{n-1} = 0 has been checked.
+    ``dim(n)`` is dim C^n, evaluated once per degree, and ``differential(n)``
+    builds d_n: C^n -> C^{n+1}.  Ranks are cached.  A differential is
+    refused before it is built if max(dim C^n, dim C^{n+1}) exceeds
+    ``size_ceiling``, is built once, and is held only while a neighbouring
+    degree may still need it: building d_n drops every held matrix but
+    d_{n-1} and d_{n+1}.  ``keep(n)`` lists the columns of d_n that the
+    simple variant keeps (n >= 1; s_0 = d_0).  Every dimension is reported
+    only after d_n . d_{n-1} = 0 has been checked.
 
     Ranks.  ``rank(n)`` ranks d_0, ..., d_{n-1} first, lowest first, then
     checks d_n . d_{n-1} = 0 and keeps S_n = ``row_basis(d_n, S_{n-1})``,
@@ -518,7 +523,7 @@ class Complex:
                  differential: Callable[[int], Matrix], name: str,
                  size_ceiling: int | None = None,
                  keep: Callable[[int], Sequence[int]] | None = None):
-        self.dim = dim
+        self.dim = cache(dim)
         self.differential = differential
         self.name = name
         self.size_ceiling = size_ceiling

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, Representation
+from morphlie import cecomplex
 from morphlie.cecomplex import (
     ExteriorBasis,
     ce_cohomology_dim,
@@ -21,12 +22,13 @@ from morphlie.cecomplex import (
     sort_with_sign,
     wedge_minor_matrix,
 )
-from morphlie.cohomology import mla_differential
+from morphlie.cohomology import mla_complex, mla_differential
 from morphlie.errors import ShapeError
 from morphlie.fixtures import (
     a1,
     a2,
     heis,
+    heis_adjoint_triple,
     klein_to_z2_triple,
     sign_module,
     sl2,
@@ -39,6 +41,7 @@ from morphlie.fixtures import (
 )
 from morphlie.groups import (
     FiniteGroup,
+    GroupModule,
     GroupModuleTriple,
     group_cochain_tuples,
     group_differential,
@@ -340,7 +343,22 @@ def test_morphism_matrix_computes_the_graph_eta_block():
 
 def test_morphism_matrix_stores_no_zero():
     # The cone writer hands its rows to the matrix unscanned: d_v's and d_w's
-    # stored rows hold no zero, and the eta parts hold disjoint columns.
+    # stored rows hold no zero, and the eta parts hold disjoint columns.  So
+    # do both builders, which drop an entry that cancels: d_1 of the sl2
+    # adjoint module and every group module below have such entries.
+    sampler = Sampler(404)
+    reps = [rep for _, rep in _fixture_reps()] + [sampler.representation() for _ in range(3)]
+    modules = ([sign_module(FiniteGroup.cyclic(4)), z3_rotation_module(),
+                GroupModule.trivial(FiniteGroup.cyclic(2), 1)]
+               + [sampler.group_module(sampler.group()) for _ in range(3)])
+    for n in range(4):
+        for rep in reps:
+            num, _ = ce_differential(rep, n).stored_rows()
+            assert all(0 not in row.values() for row in num), (rep, n)
+        for module in modules:
+            for normalized in (False, True):
+                num, _ = group_differential(module, n, normalized).stored_rows()
+                assert all(0 not in row.values() for row in num), (module, n, normalized)
     for name, rep in standard_morphism_reps():
         for n in range(4):
             for cone in (False, True):
@@ -351,3 +369,26 @@ def test_morphism_matrix_stores_no_zero():
             for normalized in (False, True):
                 num, _ = mlg_differential(t, n, normalized).stored_rows()
                 assert all(0 not in row.values() for row in num), (n, normalized)
+
+
+def test_a_table_rescales_each_action_and_builds_each_exterior_basis_once(monkeypatch):
+    # The morphism table of heis to degree 3 builds d_0..d_3: V's, W's and the
+    # pulled-back module's differentials in every degree, and wedge minors of
+    # phi.  Each action matrix is rescaled to integers once, and each (dim, n)
+    # exterior basis built once.
+    rep = heis_adjoint_triple()
+    rescaled, built, made = [], [], []
+    real_rows, real_basis = Matrix.integer_rows, ExteriorBasis.__init__
+    real_rep = Representation.__init__
+    monkeypatch.setattr(Matrix, "integer_rows",
+                        lambda m, d=0: rescaled.append(m) or real_rows(m, d))
+    monkeypatch.setattr(ExteriorBasis, "__init__",
+                        lambda b, dim, n: built.append((dim, n)) or real_basis(b, dim, n))
+    monkeypatch.setattr(Representation, "__init__",
+                        lambda r, *a, **k: made.append(r) or real_rep(r, *a, **k))
+    cecomplex.exterior_basis.cache_clear()
+    mla_complex(rep).table(3)
+    assert len(made) == 1  # the pulled-back module
+    for module in (rep.v, rep.w, *made):
+        assert [sum(x is m for x in rescaled) for m in module.action] == [1] * len(module.action)
+    assert sorted(built) == sorted(set(built)) and (3, 4) in built

@@ -141,6 +141,22 @@ def test_cohomology_matches_oracle_recomputation():
         assert got == expected, name
 
 
+def test_equal_sizes_with_different_data_get_their_own_tables():
+    # Exterior bases are shared by size and each module keeps its own integer
+    # action, so in one process, degree by degree: heis and sl2 (both of
+    # dimension 3, with their adjoint modules), and over one copy of sl2 its
+    # module V1 and the trivial module of dimension 2.
+    g = sl2()
+    same_g = MorphismLieAlgebra.identity(g)
+    reps = [heis_adjoint_triple(), sl2_adjoint_triple(),
+            MorphismRep(same_g, v1(g), v1(g), Matrix.identity(2)),
+            MorphismRep(same_g, Representation.trivial(g, 2), Representation.trivial(g, 2),
+                        Matrix.identity(2))]
+    complexes = [mla_complex(rep) for rep in reps]
+    got = [[cx.dim_H(n) for cx in complexes] for n in range(4)]
+    assert [list(dims) for dims in zip(*got)] == [o_mla_dims(_raw(rep), 3) for rep in reps]
+
+
 def test_cone_block_dims_differ_only_in_degree_zero():
     for name, rep in standard_morphism_reps():
         assert mla_block_dims(rep, 0, cone=True) == (rep.dim_v, rep.dim_w, 0), name

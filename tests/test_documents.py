@@ -16,6 +16,7 @@ from morphlie.documents import (
 )
 from morphlie.errors import ParseError, ValidationError
 from morphlie.fixtures import (
+    sl2_adjoint_triple,
     sl2_v1_triple,
     z2_identity_triple,
     z4_to_z2_sign_triple,
@@ -232,6 +233,20 @@ class TestRoundTrip:
         doc = ProblemDocument.loads(text)
         assert calls == []
         assert doc.lie_algebras["g"].den > 1 and doc.lie_algebras["h"].den > 1
+
+    def test_dump_writes_the_text_writer_bytes_and_a_failing_dump_keeps_the_file(self, tmp_path):
+        doc = ProblemDocument.loads(rich_document_text())
+        path, ref = tmp_path / "doc.json", tmp_path / "ref.json"
+        doc.dump(str(path))
+        with open(ref, "w", encoding="utf-8") as fh:  # the text writer dump used before
+            fh.write(doc.dumps() + "\n")
+        before = path.read_bytes()
+        assert before == ref.read_bytes()
+        bad = ProblemDocument()
+        bad.morphism_reps["rep"] = sl2_adjoint_triple()
+        with pytest.raises(ValidationError, match="referenced morphism"):
+            bad.dump(str(path))
+        assert path.read_bytes() == before
 
     def test_degree_zero_cochain(self):
         doc = ProblemDocument.loads(rich_document_text())
