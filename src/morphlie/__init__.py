@@ -35,7 +35,6 @@ from .cohomology import (
     inner_derivation_dim,
     invariant_vectors_dim,
     mla_block_dims,
-    mla_cochain_dim,
     mla_cohomology_dim,
     mla_differential,
     outer_derivation_dim,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
-from math import comb, lcm
+from math import comb
 
 from .algebras import Representation, MorphismLieAlgebra
 from .errors import ShapeError
@@ -185,40 +185,3 @@ def precompose_matrix(minors: Matrix, dim_w: int) -> Matrix:
                 rows[s * dim_w + r][t * dim_w + r] = coeff
     return _matrix(n_dst * dim_w, rows, [d] * len(rows))
 
-
-def morphism_matrix(d_v: Matrix, d_w: Matrix, psi: Matrix, tuples: int,
-                    pre_phi: Matrix, d_pull: Matrix, graph: bool = False) -> Matrix:
-    """The mapping-cone differential, shared by the Lie and the group side.
-
-    [[d_v, 0, 0], [0, d_w, 0], [psi . , -pre_phi, -d_pull]] on (theta, gamma,
-    eta), with psi postcomposed over ``tuples`` source tuples, written in one
-    pass of integer rows, each over its own denominator: d_v's rows as
-    stored, d_w's shifted past theta, and each eta row the rows of
-    postcompose_matrix, -pre_phi and -d_pull at their offsets over the lcm of
-    their three denominators (unscaled when every denominator is 1).  With
-    C^{-1} = 0 degree 0 is the same matrix: d_pull has no columns, pre_phi
-    is the identity on W and tuples is 1.  With ``graph`` the map is restricted to the graph
-    {(v, psi v)} of psi, the default complex's C^0 = V: the Matrix products
-    [d_v; d_w psi; psi - pre_phi psi], the last block computed, not assumed 0.
-    With zero-row d_v and d_w the result is the eta rows alone.
-    """
-    if graph:
-        return Matrix.vstack([d_v, d_w * psi, postcompose_matrix(psi, tuples) - pre_phi * psi])
-    (v, v_den), (w, w_den) = d_v.stored_rows(), d_w.stored_rows()
-    (post, p), (pre, q), (pull, r) = (m.stored_rows() for m in
-                                      (postcompose_matrix(psi, tuples), pre_phi, d_pull))
-    off, off_pull = d_v.cols, d_v.cols + d_w.cols
-    # Every row written is zero-free: stored rows hold no zero, and the eta
-    # parts hold disjoint columns.
-    if p.count(1) + q.count(1) + r.count(1) == 3 * len(p):  # no denominator: no rescale
-        eta, eta_den = [{**a, **{off + j: -x for j, x in b.items()},
-                         **{off_pull + j: -x for j, x in c.items()}}
-                        for a, b, c in zip(post, pre, pull)], p
-    else:
-        eta_den = list(map(lcm, p, q, r))
-        eta = [{**(a if e == dp else {j: e // dp * x for j, x in a.items()}),
-                **{off + j: -(e // dq) * x for j, x in b.items()},
-                **{off_pull + j: -(e // dr) * x for j, x in c.items()}}
-               for a, b, c, e, dp, dq, dr in zip(post, pre, pull, eta_den, p, q, r)]
-    return _matrix(off_pull + d_pull.cols, v + [{off + j: x for j, x in row.items()} for row in w]
-                   + eta, v_den + w_den + eta_den)

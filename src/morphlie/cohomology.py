@@ -1,24 +1,19 @@
 """The cochain complex of a morphism Lie algebra and its cohomology.
 
-Degree n >= 1 cochains are triples (theta, gamma, eta) with
-theta in Hom(wedge^n g, V), gamma in Hom(wedge^n h, W), and
-eta in Hom(wedge^{n-1} g, W); degree 0 is a single vector in V.
+The complex is one ``linalg.cone``: the mapping cone of the chain map
+f(theta, gamma) = psi . theta - gamma . wedge^n phi from C(g, V) + C(h, W)
+to C(g, W_phi), W pulled back along phi, cut down in degree 0 to V, the
+graph {(v, psi v)}.  Degree n >= 1 cochains are triples (theta, gamma, eta)
+with eta in Hom(wedge^{n-1} g, W), and
+    delta(theta, gamma, eta) = (delta' theta, delta'' gamma, f(theta, gamma) - delta''' eta),
+    delta(v) = (delta' v, delta'' (psi v), psi v - psi v),
+with delta', delta'' and delta''' the Chevalley-Eilenberg differentials of
+V, W and W_phi.  Flattened coordinate vectors order the blocks (theta,
+gamma, eta), each block column-major by basis tuple: ``_flat`` and
+``_value_array`` are that layout.
 
-The differential is
-    delta(v) = (delta' v, delta'' (psi v), 0)
-    delta(theta, gamma, eta)
-        = (delta' theta, delta'' gamma,
-           psi . theta - gamma . wedge^n phi - delta''' eta),
-where delta' and delta'' are the Chevalley-Eilenberg differentials of V and
-W and delta''' is the one of W pulled back along phi.  Flattened coordinate
-vectors order the blocks (theta, gamma, eta), each block column-major by
-basis tuple: ``_flat`` and ``_value_array`` are that layout.
-
-This complex is the mapping cone of f(theta, gamma) = psi . theta -
-gamma . wedge phi, from C(g, V) + C(h, W) to C(g, W_phi), cut down in
-degree 0 to the graph {(v, psi v)}.  The functions that take ``cone=True``
-use the full cone instead, which differs only in degree 0: there the
-cochains are pairs (v, w) in V + W, flattened as (v, w), and
+The functions that take ``cone=True`` use the full cone, which differs
+only in degree 0: there the cochains are pairs (v, w) in V + W, and
     delta(v, w) = (delta' v, delta'' w, psi v - w).
 The full cone has the long exact sequence of a mapping cone, so
 H^n(g, V) = H^n(h, W) = H^{n-1}(g, W_phi) = 0 forces its H^n to vanish.
@@ -44,9 +39,10 @@ from .algebras import (
 )
 from .cecomplex import (
     ExteriorBasis,
+    ce_complex,
     ce_differential,
     cochain_dim,
-    morphism_matrix,
+    postcompose_matrix,
     precompose_matrix,
     pullback_rep,
     wedge_minor_matrix,
@@ -62,23 +58,19 @@ from .linalg import (
     Matrix,
     ZERO,
     complete_basis,
+    cone as mapping_cone,
     inverse,
     rank,
     solve_columns,
 )
 
 
-def mla_block_dims(rep: MorphismRep, n: int,
-                   cone: bool = False) -> tuple[int, int, int]:
-    """Flat sizes of the (theta, gamma, eta) blocks at degree n.
-
-    Degree 0 has the blocks (V, W, 0) on the full cone and (V, 0, 0) in the
-    default complex.
-    """
+def mla_block_dims(rep: MorphismRep, n: int) -> tuple[int, int, int]:
+    """Flat sizes of the (theta, gamma, eta) blocks at degree n; degree 0 is (V, 0, 0)."""
     base = rep.base
     return (
         cochain_dim(base.g.dim, rep.dim_v, n),
-        cochain_dim(base.h.dim, rep.dim_w, n) if n or cone else 0,
+        cochain_dim(base.h.dim, rep.dim_w, n) if n else 0,
         cochain_dim(base.g.dim, rep.dim_w, n - 1),
     )
 
@@ -88,11 +80,6 @@ def mla_block_shapes(rep: MorphismRep, n: int) -> tuple[tuple[int, int], ...]:
     base = rep.base
     return ((rep.dim_v, comb(base.g.dim, n)), (rep.dim_w, comb(base.h.dim, n)),
             (rep.dim_w, comb(base.g.dim, n - 1)))
-
-
-def mla_cochain_dim(rep: MorphismRep, n: int, cone: bool = False) -> int:
-    """Total dimension of the degree-n cochain space."""
-    return sum(mla_block_dims(rep, n, cone))
 
 
 def _flat(m: Matrix) -> list[Fraction]:
@@ -168,25 +155,9 @@ class MCochain:
         return f"MCochain(degree={self.degree}, dim={len(self.to_vector())})"
 
 
-def mla_differential(rep: MorphismRep, n: int, cone: bool = False,
-                     _pulled: Callable[[], Representation] | None = None) -> Matrix:
-    """Block matrix of the morphism differential from degree n to n+1.
-
-    Every degree is the mapping cone's matrix; degree 0 has no eta block,
-    and the default complex restricts it to the graph of psi, while
-    ``cone=True`` keeps the full cone's map on (v, w).  W pulled back along
-    phi is built for n >= 1 only, by ``_pulled`` when ``mla_complex`` shares
-    one per complex.
-    """
-    if n < 0:
-        raise ShapeError("degree must be nonnegative")
-    base = rep.base
-    d_pull = (ce_differential(_pulled() if _pulled else pullback_rep(base, rep.w), n - 1)
-              if n else Matrix.zeros(rep.dim_w, 0))
-    return morphism_matrix(
-        ce_differential(rep.v, n), ce_differential(rep.w, n), rep.psi, comb(base.g.dim, n),
-        precompose_matrix(wedge_minor_matrix(base.phi, n), rep.dim_w), d_pull,
-        graph=n == 0 and not cone)
+def mla_differential(rep: MorphismRep, n: int, cone: bool = False) -> Matrix:
+    """Block matrix of the morphism differential from degree n to n+1: d_n of ``mla_complex``."""
+    return mla_complex(rep, cone).differential(n)
 
 
 def apply_mla_differential(c: MCochain) -> MCochain:
@@ -195,22 +166,30 @@ def apply_mla_differential(c: MCochain) -> MCochain:
     return MCochain.from_vector(c.rep, c.degree + 1, mat.apply(c.to_vector()))
 
 
-def _eta_free(rep: MorphismRep, n: int) -> range:
-    """Columns of the (theta, gamma) blocks of a degree-n cochain."""
-    return range(sum(mla_block_dims(rep, n)[:2]))
+def _chain_map(rep: MorphismRep) -> tuple[tuple[Complex, Complex], Complex, Callable]:
+    """(source, target, f) of the morphism cone: f_n = [psi . | -(. wedge^n phi)]
+    from C(g, V) + C(h, W) to C(g, W_phi); W_phi, W pulled back along phi, is
+    built once, on the first degree >= 1."""
+    base = rep.base
+    pulled = cache(lambda: pullback_rep(base, rep.w))
+    w_phi = Complex(lambda n: cochain_dim(base.g.dim, rep.dim_w, n),
+                    lambda n: ce_differential(pulled(), n), "Chevalley-Eilenberg")
+    return ((ce_complex(rep.v), ce_complex(rep.w)), w_phi,
+            lambda n: (postcompose_matrix(rep.psi, comb(base.g.dim, n)),
+                       precompose_matrix(-wedge_minor_matrix(base.phi, n), rep.dim_w)))
 
 
 def mla_complex(rep: MorphismRep, cone: bool = False,
                 size_ceiling: int | None = None) -> Complex:
     """The morphism complex of rep, or its full mapping cone with ``cone=True``.
 
-    The simple variant keeps the eta-free columns of each differential,
-    and W pulled back along phi is built once, on the first degree >= 1.
+    The cone of ``_chain_map``, cut down in degree 0 to V, the graph
+    [I; psi] of psi, unless ``cone``.  The simple variant keeps the
+    eta-free columns.
     """
-    pulled = cache(lambda: pullback_rep(rep.base, rep.w))
-    return Complex(lambda n: mla_cochain_dim(rep, n, cone),
-                   lambda n: mla_differential(rep, n, cone, pulled), "morphism",
-                   size_ceiling, lambda n: _eta_free(rep, n))
+    return mapping_cone(*_chain_map(rep),
+                        None if cone else Matrix.vstack([Matrix.identity(rep.dim_v), rep.psi]),
+                        "morphism", size_ceiling)
 
 
 def mla_cohomology_dim(rep: MorphismRep, n: int, cone: bool = False) -> int:
@@ -224,8 +203,8 @@ def mla_cohomology_dim(rep: MorphismRep, n: int, cone: bool = False) -> int:
 
 def simple_differential(rep: MorphismRep, n: int) -> Matrix:
     """delta restricted to cochains with vanishing eta component."""
-    full = mla_differential(rep, n)
-    return full.submatrix(range(full.rows), _eta_free(rep, n))
+    cx = mla_complex(rep)
+    return cx.differential(n).submatrix(range(cx.dim(n + 1)), cx.keep(n))
 
 
 def simple_cohomology_dim(rep: MorphismRep, n: int) -> int:
@@ -250,7 +229,8 @@ def derivation_space_dim(rep: MorphismRep) -> int:
 
     The derivation identities of check_derivation are the blocks of d_1.
     """
-    return mla_cochain_dim(rep, 1) - mla_complex(rep).rank(1)
+    cx = mla_complex(rep)
+    return cx.dim(1) - cx.rank(1)
 
 
 def inner_derivation_dim(rep: MorphismRep) -> int:

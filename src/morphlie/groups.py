@@ -6,13 +6,11 @@ of element indices, flattened tuple-major exactly like the Lie-side
 cochains.  The normalized subcomplex keeps only cochains vanishing when
 some argument is the identity; its tuples simply omit the identity index.
 
-The morphism complex in degree n is C^n(G, V) + C^n(H, W) + C^{n-1}(G, W_Phi)
-with blocks (Theta, Gamma, Lambda) and differential
-
-    (delta' Theta, delta'' Gamma,
-     psi . Theta - Gamma . Phi^n - delta''' Lambda),
-
-delta''' taken in the pullback module W_Phi; degree 0 is V alone.
+The morphism complex is one ``linalg.cone``: the mapping cone of the chain
+map f(Theta, Gamma) = psi . Theta - Gamma . Phi^n from C(G, V) + C(H, W) to
+C(G, W_Phi), W pulled back along Phi, cut down in degree 0 to V, the graph
+{(v, psi v)}.  Degree n >= 1 holds blocks (Theta, Gamma, Lambda) and
+    delta(Theta, Gamma, Lambda) = (delta' Theta, delta'' Gamma, f(Theta, Gamma) - delta''' Lambda).
 """
 
 from __future__ import annotations
@@ -23,9 +21,9 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .algebras import CheckResult
-from .cecomplex import morphism_matrix, precompose_matrix
+from .cecomplex import postcompose_matrix, precompose_matrix
 from .errors import NotAHomomorphism, ShapeError, ValidationError
-from .linalg import Complex, Matrix, _matrix
+from .linalg import Complex, Matrix, _matrix, cone
 
 
 class FiniteGroup:
@@ -271,40 +269,39 @@ def mlg_block_dims(t: GroupModuleTriple, n: int,
     )
 
 
-def mlg_cochain_dim(t: GroupModuleTriple, n: int, normalized: bool = False) -> int:
-    return sum(mlg_block_dims(t, n, normalized))
+def mlg_differential(t: GroupModuleTriple, n: int, normalized: bool = False) -> Matrix:
+    """Matrix of the morphism-group differential C^n_mLG -> C^{n+1}_mLG: d_n of ``mlg_complex``."""
+    return mlg_complex(t, normalized).differential(n)
 
 
-def mlg_differential(t: GroupModuleTriple, n: int, normalized: bool = False,
-                     _pulled: Callable[[], GroupModule] | None = None) -> Matrix:
-    """Matrix of the morphism-group differential C^n_mLG -> C^{n+1}_mLG.
+def _chain_map(t: GroupModuleTriple,
+               normalized: bool) -> tuple[tuple[Complex, Complex], Complex, Callable]:
+    """(source, target, f) of the morphism-group cone: f_n = [psi . | -(. Phi^n)]
+    from C(G, V) + C(H, W) to C(G, W_Phi); W_Phi is built once, on the first
+    degree >= 1."""
+    pulled = cache(lambda: pullback_module(t))
+    w_phi = Complex(lambda n: group_cochain_dim(t.g, t.dim_w, n, normalized),
+                    lambda n: group_differential(pulled(), n, normalized), "bar")
 
-    The mapping cone's matrix in every degree; degree 0 has no Lambda block
-    and is restricted to the graph of psi, so that C^0 = V.  W pulled back
-    along Phi is built for n >= 1 only, by ``_pulled`` when ``mlg_complex``
-    shares one per complex.
-    """
-    g_tuples = group_cochain_tuples(t.g, n, normalized)
-    h_index = {tup: i for i, tup in enumerate(group_cochain_tuples(t.h, n, normalized))}
-    phi_n: list[dict[int, int]] = [{} for _ in h_index]  # Phi^n: rows over H^n, columns over G^n
-    for s, tup in enumerate(g_tuples):
-        if (m := h_index.get(tuple(t.phi[x] for x in tup))) is not None:
-            phi_n[m][s] = 1
-    pre_phi = precompose_matrix(Matrix.from_integer_rows(phi_n, len(g_tuples)), t.dim_w)
-    d_pull = (group_differential(_pulled() if _pulled else pullback_module(t), n - 1, normalized)
-              if n else Matrix.zeros(t.dim_w, 0))
-    return morphism_matrix(group_differential(t.v, n, normalized),
-                           group_differential(t.w, n, normalized), t.psi, len(g_tuples),
-                           pre_phi, d_pull, graph=n == 0)
+    def f(n: int) -> tuple[Matrix, Matrix]:
+        g_tuples = group_cochain_tuples(t.g, n, normalized)
+        h_index = {tup: i for i, tup in enumerate(group_cochain_tuples(t.h, n, normalized))}
+        phi_n: list[dict[int, int]] = [{} for _ in h_index]  # -Phi^n: rows over H^n, columns over G^n
+        for s, tup in enumerate(g_tuples):
+            if (m := h_index.get(tuple(t.phi[x] for x in tup))) is not None:
+                phi_n[m][s] = -1
+        return (postcompose_matrix(t.psi, len(g_tuples)),
+                precompose_matrix(Matrix.from_integer_rows(phi_n, len(g_tuples)), t.dim_w))
+
+    return (group_complex(t.v, normalized), group_complex(t.w, normalized)), w_phi, f
 
 
 def mlg_complex(t: GroupModuleTriple, normalized: bool = False,
                 size_ceiling: int | None = None) -> Complex:
-    """The morphism-group complex of a triple; W pulled back along Phi is built once."""
-    pulled = cache(lambda: pullback_module(t))
-    return Complex(lambda n: mlg_cochain_dim(t, n, normalized),
-                   lambda n: mlg_differential(t, n, normalized, pulled), "morphism-group",
-                   size_ceiling)
+    """The morphism-group complex of a triple: the cone of ``_chain_map``, with C^0 = V,
+    the graph [I; psi] of psi."""
+    return cone(*_chain_map(t, normalized), Matrix.vstack([Matrix.identity(t.dim_v), t.psi]),
+                "morphism-group", size_ceiling)
 
 
 def mlg_cohomology_dim(t: GroupModuleTriple, n: int, normalized: bool = False) -> int:

@@ -28,6 +28,8 @@ It has one rank path: the lower degrees are ranked first, lowest first, and
 every rank of degree n >= 1 comes after the check d_n . d_{n-1} = 0; d_n is
 then ranked by ``row_basis`` on the columns outside a row basis of
 d_{n-1}, which the check makes exact (the proof is in ``Complex``).
+``cone`` is the ``Complex`` of the mapping cone of a chain map from a
+direct sum of complexes; both morphism complexes are one.
 """
 
 from __future__ import annotations
@@ -251,7 +253,8 @@ class Matrix:
         return Matrix.lincomb(((ONE, self), (-ONE, other)), self.rows, self.cols)
 
     def __neg__(self) -> Matrix:
-        return self.scale(-ONE)
+        return _matrix(self.cols, [{j: -x for j, x in row.items()} for row in self._num],
+                       list(self._den))
 
     def scale(self, c: Scalar) -> Matrix:
         p, q = rat(c).as_integer_ratio()
@@ -553,11 +556,11 @@ class Complex:
     def rank(self, n: int, simple: bool = False) -> int:
         """Rank of d_n, or with ``simple`` of s_n: d_n on the columns keep(n)."""
         simple = simple and n > 0 and self.keep is not None
-        for k in range(n if simple else n + 1):
-            if k not in self._bases:
-                d = self.matrix(k)
-                self.verify(k)
-                self._bases[k] = row_basis(d, self._bases.get(k - 1, ()))
+        # The ranked degrees are always 0..len(_bases)-1: a failed check adds none.
+        for k in range(len(self._bases), n if simple else n + 1):
+            d = self.matrix(k)
+            self.verify(k)
+            self._bases[k] = row_basis(d, self._bases.get(k - 1, ()))
         if not simple:
             return len(self._bases.get(n, ()))
         if n not in self._simple:
@@ -597,6 +600,61 @@ class Complex:
                 row["simple_cohomology"] = self.dim_H(n, simple=True)
             rows.append(row)
         return rows
+
+
+def cone(source: Sequence[Complex], target: Complex, f: Callable[[int], Sequence[Matrix]],
+         graph: Matrix | None = None, name: str = "cone",
+         size_ceiling: int | None = None) -> Complex:
+    """The mapping cone of a chain map f: A_1 (+) ... (+) A_k -> B, as a Complex.
+
+    C^n = A_1^n (+) ... (+) A_k^n (+) B^{n-1} and d(a, b) = (d a, f a - d b),
+    with B^{-1} = 0 (``target.dim(-1)`` is 0).  ``f(n)`` is the row of blocks
+    [f_1 | ... | f_k] of f_n, block i from A_i^n to B^n.  With ``graph``, a
+    matrix with dim A^0 rows, C^0 is its column space and d_0 is the cone's
+    d_0 times ``graph``.  ``keep(n)`` is the source's columns.
+
+    d_n is written in one pass of integer rows, each zero-free: the rows of
+    each d_{A_i} as stored, shifted past the earlier summands, then each B
+    row as the rows of f's blocks and of -d_B at their offsets (disjoint
+    columns), over the lcm of their denominators, or unscaled when all are
+    1.  It calls the summands' ``differential``, not ``matrix``: the cone
+    holds d_n itself.
+    """
+    def dim(n: int) -> int:
+        if n == 0 and graph is not None:
+            return graph.cols
+        return sum(a.dim(n) for a in source) + target.dim(n - 1)
+
+    def differential(n: int) -> Matrix:
+        num, den, parts, off = [], [], [], 0
+        for d_a, block in zip([a.differential(n) for a in source], f(n)):
+            rows, dens = d_a.stored_rows()
+            num += [{off + j: x for j, x in row.items()} for row in rows] if off else rows
+            den += dens
+            parts.append((off, 1, *block.stored_rows()))
+            off += d_a.cols
+        if n:
+            parts.append((off, -1, *target.differential(n - 1).stored_rows()))
+        dens = [d for *_, d in parts]
+        if all(d.count(1) == len(d) for d in dens):
+            eta_den = dens[0]
+            blocks = [rows if i == 0 and (o, s) == (0, 1) else
+                      [{o + j: s * x for j, x in row.items()} for row in rows]
+                      for i, (o, s, rows, _) in enumerate(parts)]
+        else:
+            eta_den = list(map(lcm, *dens))
+            blocks = [[{o + j: s * (e // d) * x for j, x in row.items()}
+                       for row, d, e in zip(rows, part_den, eta_den)]
+                      for o, s, rows, part_den in parts]
+        eta = blocks.pop()  # new rows, unless they are the only block
+        for rows in blocks:
+            for row, part in zip(eta, rows):
+                row.update(part)
+        d = _matrix(off + target.dim(n - 1), num + eta, den + eta_den)
+        return d * graph if n == 0 and graph is not None else d
+
+    return Complex(dim, differential, name, size_ceiling,
+                   lambda n: range(dim(n) - target.dim(n - 1)))
 
 
 def kernel_basis(m: Matrix) -> Matrix:

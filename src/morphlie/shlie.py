@@ -34,7 +34,7 @@ from .algebras import (
 from .cecomplex import (
     ExteriorBasis,
     ce_differential,
-    morphism_matrix,
+    postcompose_matrix,
     precompose_matrix,
     wedge_minor_matrix,
 )
@@ -202,11 +202,12 @@ def check_sh_morphism(src: TwoTermSh, dst: TwoTermSh, m: ShMorphism) -> CheckRes
             bad.update(c for c, x in acc.items() if x)
         if bad:
             return CheckResult(False, f"condition (iii) fails at (e{i+1}, p{min(bad)+1})")
-    eta_row = morphism_matrix(  # zero-row d_v and d_w: the eta row alone
-        Matrix.zeros(0, src.dim1 * len(src.triples)), Matrix.zeros(0, dst.dim1 * len(dst.triples)),
-        m.phi1, len(src.triples), precompose_matrix(wedge_minor_matrix(m.phi0, 3), dst.dim1),
-        ce_differential(Representation(src.bracket0, dst.dim1, pulled, validate=False), 2))
-    q = _first_nonzero(eta_row.apply(_flat(src.l3) + _flat(dst.l3) + _flat(m.phi2)))
+    # The eta row of the degree-3 cone on (l3, l3', phi2): f's blocks minus d_2 of W pulled back.
+    q = _first_nonzero([a - b - c for a, b, c in zip(
+        postcompose_matrix(m.phi1, len(src.triples)).apply(_flat(src.l3)),
+        precompose_matrix(wedge_minor_matrix(m.phi0, 3), dst.dim1).apply(_flat(dst.l3)),
+        ce_differential(Representation(src.bracket0, dst.dim1, pulled, validate=False), 2)
+        .apply(_flat(m.phi2)))])
     if q is not None:
         i, j, k = src.triples.tuples[q // dst.dim1]
         return CheckResult(False, f"condition (iv) fails at (e{i+1}, e{j+1}, e{k+1})")

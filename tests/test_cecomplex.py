@@ -15,7 +15,6 @@ from morphlie.cecomplex import (
     ce_complex,
     ce_differential,
     cochain_dim,
-    morphism_matrix,
     postcompose_matrix,
     precompose_matrix,
     pullback_rep,
@@ -48,7 +47,7 @@ from morphlie.groups import (
     mlg_differential,
     pullback_module,
 )
-from morphlie.linalg import Matrix, inverse, rank
+from morphlie.linalg import Complex, Matrix, cone, inverse, rank
 from morphlie.sampling import Sampler
 
 from .oracles import _mk_act, _mk_brk, dense_table, o_ce_dims, o_ce_matrix, o_det
@@ -310,11 +309,9 @@ def test_morphism_matrix_equals_the_block_assembly():
     for k, rep in enumerate(reps):
         for n in range(4):
             pieces = _lie_pieces(rep, n)
-            for cone in (False, True):
-                graph = n == 0 and not cone
-                ours = morphism_matrix(*pieces, graph=graph)
-                assert ours == _block_referee(*pieces, graph), (k, n, cone)
-                assert mla_differential(rep, n, cone) == ours, (k, n, cone)
+            for full in (False, True):
+                ours = mla_differential(rep, n, full)
+                assert ours == _block_referee(*pieces, n == 0 and not full), (k, n, full)
     triples = [z2_identity_triple(), klein_to_z2_triple(), z4_to_z2_sign_triple(),
                GroupModuleTriple.identity(sign_module(FiniteGroup.cyclic(2))),
                GroupModuleTriple.identity(z3_rotation_module())]
@@ -322,23 +319,27 @@ def test_morphism_matrix_equals_the_block_assembly():
     for k, t in enumerate(triples):
         for n in range(4):
             for normalized in (False, True):
-                pieces = _group_pieces(t, n, normalized)
-                ours = morphism_matrix(*pieces, graph=n == 0)
-                assert ours == _block_referee(*pieces, n == 0), (k, n, normalized)
-                assert mlg_differential(t, n, normalized) == ours, (k, n, normalized)
+                ours = mlg_differential(t, n, normalized)
+                assert ours == _block_referee(*_group_pieces(t, n, normalized), n == 0), \
+                    (k, n, normalized)
 
 
 def test_morphism_matrix_computes_the_graph_eta_block():
-    # At degree 0 the eta rows are psi - pre_phi psi, formed, not assumed 0:
-    # a pre_phi other than the identity shows in them.
+    # At degree 0 the eta rows of the cone on the graph of psi are
+    # psi - pre_phi psi, formed, not assumed 0: a pre_phi other than the
+    # identity shows in them.
     psi = Matrix.from_rows([[1, Fraction(1, 2)], [0, 3]])
     d_v, d_w = Matrix.from_rows([[1, 0]]), Matrix.from_rows([[0, Fraction(2, 3)]])
     pre = Matrix.from_rows([[2, 0], [0, 1]])
+    source = [Complex(lambda n: [2, 1][n] if 0 <= n < 2 else 0, lambda n, d=d: d, name)
+              for d, name in ((d_v, "V"), (d_w, "W"))]
+    target = Complex(lambda n: 2 if n == 0 else 0, None, "W_phi")
+    graph = Matrix.vstack([Matrix.identity(2), psi])
     for pre_phi in (Matrix.identity(2), pre):
-        pieces = (d_v, d_w, psi, 1, pre_phi, Matrix.zeros(2, 0))
-        assert morphism_matrix(*pieces, graph=True) == _block_referee(*pieces, True)
-    assert morphism_matrix(d_v, d_w, psi, 1, pre, Matrix.zeros(2, 0), graph=True).row(2) \
-        == [-1, Fraction(-1, 2)]
+        cx = cone(source, target, lambda n: (postcompose_matrix(psi, 1), -pre_phi), graph)
+        d_0 = cx.matrix(0)
+        assert d_0 == _block_referee(d_v, d_w, psi, 1, pre_phi, Matrix.zeros(2, 0), True)
+    assert d_0.row(2) == [-1, Fraction(-1, 2)]
 
 
 def test_morphism_matrix_stores_no_zero():

@@ -211,19 +211,11 @@ class TestCohomology:
                                           doc, builder, argv):
         # The top differential maps into C^{top+1}, which is over the ceiling:
         # the table is refused before that differential is built.
-        import morphlie.cohomology
         import morphlie.groups
 
-        owner = morphlie.cohomology if builder == "mla_differential" else morphlie.groups
-        built = []
-        original = getattr(owner, builder)
-
-        def recording(obj, n, *rest):
-            built.append(n)
-            return original(obj, n, *rest)
-
-        monkeypatch.setattr(owner, builder, recording)
         path = request.getfixturevalue(doc)
+        built = (_record_cone_degrees(monkeypatch) if builder in _MORPHISM_DIFFERENTIALS
+                 else _record_calls(monkeypatch, morphlie.groups, builder))
         code, _, err = run(capsys, *[path if a == "DOC" else a for a in argv])
         assert code == 3
         assert "size-ceiling" in err
@@ -236,10 +228,19 @@ class TestCohomology:
         assert code == 2
 
 
-def _record_calls(monkeypatch, module, name):
-    """Replace module.name wherever a morphlie module holds it; log each call."""
+def _rebind(monkeypatch, original, replacement):
+    """Replace ``original`` under every name a morphlie module holds it by."""
     import sys
 
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("morphlie"):
+            for name, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, name, replacement)
+
+
+def _record_calls(monkeypatch, module, name):
+    """Replace module.name wherever a morphlie module holds it; log each call."""
     original = getattr(module, name)
     calls = []
 
@@ -247,11 +248,29 @@ def _record_calls(monkeypatch, module, name):
         calls.append(args[1] if len(args) > 1 else None)
         return original(*args, **kwargs)
 
-    for mod in list(sys.modules.values()):
-        if (getattr(mod, "__name__", "").startswith("morphlie")
-                and vars(mod).get(name) is original):
-            monkeypatch.setattr(mod, name, recording)
+    _rebind(monkeypatch, original, recording)
     return calls
+
+
+# The morphism differentials are the d_n that the ``linalg.cone`` of
+# ``mla_complex`` or ``mlg_complex`` builds; a table never calls the functions.
+_MORPHISM_DIFFERENTIALS = ("mla_differential", "mlg_differential")
+
+
+def _record_cone_degrees(monkeypatch):
+    """Log each degree whose differential a ``linalg.cone`` complex builds."""
+    import morphlie.linalg
+
+    original, built = morphlie.linalg.cone, []
+
+    def recording(*args, **kwargs):
+        cx = original(*args, **kwargs)
+        build = cx.differential
+        cx.differential = lambda n: built.append(n) or build(n)
+        return cx
+
+    _rebind(monkeypatch, original, recording)
+    return built
 
 
 class TestTableCalls:
@@ -275,8 +294,9 @@ class TestTableCalls:
         import morphlie.linalg
 
         path = request.getfixturevalue(doc)
-        built = _record_calls(monkeypatch, importlib.import_module(f"morphlie.{module}"),
-                              builder)
+        built = (_record_cone_degrees(monkeypatch) if builder in _MORPHISM_DIFFERENTIALS else
+                 _record_calls(monkeypatch, importlib.import_module(f"morphlie.{module}"),
+                               builder))
         ranked = _record_calls(monkeypatch, morphlie.linalg, "row_basis")
         code, _, _ = run(capsys, *[path if a == "DOC" else a for a in argv])
         assert code == 0

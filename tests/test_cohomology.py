@@ -19,7 +19,6 @@ from morphlie.cohomology import (
     inner_derivation_dim,
     invariant_vectors_dim,
     mla_block_dims,
-    mla_cochain_dim,
     mla_cohomology_dim,
     mla_complex,
     mla_differential,
@@ -116,7 +115,7 @@ def test_identity_phi_gives_negative_identity_gamma_block():
 
 def test_a1_cohomology_dims_and_ranks():
     rep = a1_triple()
-    assert [mla_cochain_dim(rep, n) for n in range(3)] == [1, 3, 1]
+    assert [mla_complex(rep).dim(n) for n in range(3)] == [1, 3, 1]
     from morphlie.linalg import rank
 
     assert rank(mla_differential(rep, 0)) == 0
@@ -159,10 +158,10 @@ def test_equal_sizes_with_different_data_get_their_own_tables():
 
 def test_cone_block_dims_differ_only_in_degree_zero():
     for name, rep in standard_morphism_reps():
-        assert mla_block_dims(rep, 0, cone=True) == (rep.dim_v, rep.dim_w, 0), name
-        assert mla_cochain_dim(rep, 0, cone=True) == rep.dim_v + rep.dim_w, name
+        full, default = mla_complex(rep, cone=True), mla_complex(rep)
+        assert full.dim(0) == rep.dim_v + rep.dim_w, name
         for n in (-1, 1, 2, 3):
-            assert mla_block_dims(rep, n, cone=True) == mla_block_dims(rep, n), name
+            assert full.dim(n) == default.dim(n) == sum(mla_block_dims(rep, n)), name
 
 
 def test_cone_differential_matches_oracle_on_all_fixtures():
@@ -347,7 +346,7 @@ def test_simple_equals_kernel_when_lower_differential_zero():
     from morphlie.linalg import rank
 
     d1 = mla_differential(rep, 1)
-    assert simple_cohomology_dim(rep, 1) == mla_cochain_dim(rep, 1) - rank(d1)
+    assert simple_cohomology_dim(rep, 1) == mla_complex(rep).dim(1) - rank(d1)
 
 
 def test_invariant_vectors_match_degree0_cohomology():
@@ -476,7 +475,7 @@ def test_sl2_v1_is_degree_one_counterexample_to_vanishing():
 def test_mcochain_roundtrip():
     rep = sl2_v1_triple()
     for n in range(4):
-        dim = mla_cochain_dim(rep, n)
+        dim = mla_complex(rep).dim(n)
         flat = [Fraction(i - 3, 2) for i in range(dim)]
         c = MCochain.from_vector(rep, n, flat)
         assert c.to_vector() == flat
@@ -565,7 +564,7 @@ def test_quotient_full_subalgebra_collapses():
     assert qrep.dim_v == 0 and qrep.dim_w == 0
     assert qrep.base.g.dim == 3
     for n in range(6):
-        assert mla_cochain_dim(qrep, n) == 0
+        assert mla_complex(qrep).dim(n) == 0
 
 
 def test_quotient_zero_subalgebra_is_identity():

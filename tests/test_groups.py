@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from morphlie import groups
 from morphlie.errors import (
     NotAHomomorphism,
     ShapeError,
@@ -28,13 +29,13 @@ from morphlie.groups import (
     group_complex,
     group_differential,
     mlg_block_dims,
-    mlg_cochain_dim,
     mlg_cohomology_dim,
     mlg_complex,
     mlg_differential,
     pullback_module,
 )
-from morphlie.linalg import Matrix
+from morphlie.linalg import Matrix, cone
+from morphlie.sampling import Sampler
 
 from .oracles import o_bar_apply, o_group_tuples, o_mlg_dims, o_mlg_matrix
 
@@ -324,7 +325,7 @@ class TestMlgDifferential:
     def test_degree_zero_shape(self):
         t = z2_identity_triple()
         delta = mlg_differential(t, 0)
-        assert (delta.rows, delta.cols) == (mlg_cochain_dim(t, 1), 1)
+        assert (delta.rows, delta.cols) == (mlg_complex(t).dim(1), 1)
         assert delta.is_zero()
 
     def test_degree0_differential_builds_no_pullback(self, monkeypatch):
@@ -392,6 +393,19 @@ class TestMlgCohomology:
                 got = [mlg_cohomology_dim(t, n, normalized) for n in range(3)]
                 assert got == expected, (name, normalized)
 
+    def test_the_default_complex_and_the_full_cone_differ_by_w_in_degree_one(self):
+        # The default complex T is the full cone K (C^0 = V + W) cut down to
+        # V in degree 0: a subcomplex with quotient W there, sharing H^0, so
+        # dim H^1(T) = dim H^1(K) + dim W and every other degree agrees.
+        s = Sampler(404)
+        triples = [t for _, t in _triple_fixtures()] + [s.group_module_triple() for _ in range(5)]
+        for k, t in enumerate(triples):
+            for normalized in (False, True):
+                full = cone(*groups._chain_map(t, normalized), graph=None)
+                expected = [full.dim_H(n) + (t.dim_w if n == 1 else 0) for n in range(4)]
+                default = mlg_complex(t, normalized)
+                assert [default.dim_H(n) for n in range(4)] == expected, (k, normalized)
+
     def test_degree_zero_is_stacked_invariants(self):
         trivial = z2_identity_triple()
         assert mlg_cohomology_dim(trivial, 0) == 1
@@ -411,4 +425,4 @@ class TestMlgCohomology:
         assert mlg_cohomology_dim(t, 0) == 1
         assert mlg_cohomology_dim(t, 1, normalized=True) == 1
         assert mlg_cohomology_dim(t, 2, normalized=True) == 0
-        assert mlg_cochain_dim(t, 2, normalized=True) == 0
+        assert mlg_complex(t, normalized=True).dim(2) == 0

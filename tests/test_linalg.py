@@ -8,10 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, MorphismRep, adjoint_morphism_rep
+from morphlie.cecomplex import ce_complex
+from morphlie import cohomology, groups
 from morphlie.cohomology import mla_complex, mla_differential
 from morphlie import linalg
-from morphlie.fixtures import heis_adjoint_triple, klein_to_z2_triple
-from morphlie.groups import mlg_complex
+from morphlie.fixtures import (
+    heis_adjoint_triple,
+    klein_to_z2_triple,
+    sign_module,
+    sl2,
+    sl2_adjoint_triple,
+    v1,
+    z4_to_z2_sign_triple,
+)
+from morphlie.groups import FiniteGroup, group_complex, mlg_complex
 from morphlie.errors import ShapeError, SizeCeilingExceeded
 from morphlie.linalg import (
     Complex,
@@ -415,6 +425,68 @@ def test_one_rank_path_builds_and_checks_each_degree_once(monkeypatch, call):
             cx.dim_H(n, simple=call == "dim_H simple")
         assert built == list(range(n + 1))
         assert checked == [(mla.dim(k + 1), mla.dim(k)) for k in range(1, n + 1)]
+
+
+def test_a_table_looks_the_rank_cache_up_linearly_often():
+    # The ranked degrees are always 0..k-1, so rank(n) starts at degree k: a
+    # table to degree N probes the cache O(N) times, not O(N^2) by
+    # scanning 0..n on every call.
+    class Probed(dict):
+        probes = 0
+
+        def __contains__(self, k):
+            Probed.probes += 1
+            return super().__contains__(k)
+
+        def get(self, *args):
+            Probed.probes += 1
+            return super().get(*args)
+
+    cx = Complex(lambda n: 1, lambda n: Matrix(1, 1), "line")
+    cx._bases = Probed()
+    assert [row["cohomology"] for row in cx.table(200)] == [1] * 201
+    assert Probed.probes <= 10 * 201
+
+
+def test_a_cone_of_the_zero_map_is_its_source_plus_the_shifted_target():
+    # A two-summand source: dim C^n = dim A_1^n + dim A_2^n + dim B^{n-1},
+    # d . d = 0, and with f = 0, H^n = H^n(A_1) + H^n(A_2) + H^{n-1}(B).
+    a_1, a_2 = ce_complex(v1(sl2())), group_complex(sign_module(FiniteGroup.cyclic(2)))
+    b = ce_complex(heis_adjoint_triple().v)
+    cx = linalg.cone((a_1, a_2), b, lambda n: (Matrix(b.dim(n), a_1.dim(n)),
+                                              Matrix(b.dim(n), a_2.dim(n))))
+    for n in range(4):
+        assert cx.dim(n) == a_1.dim(n) + a_2.dim(n) + b.dim(n - 1)
+        assert list(cx.keep(n)) == list(range(a_1.dim(n) + a_2.dim(n)))
+        assert product_is_zero(cx.matrix(n + 1), cx.matrix(n))
+        assert cx.dim_H(n) == a_1.dim_H(n) + a_2.dim_H(n) + b.dim_H(n - 1)
+
+
+def _negate_first_row(m):
+    return Matrix.vstack([-m.submatrix([0], range(m.cols)),
+                          m.submatrix(range(1, m.rows), range(m.cols))])
+
+
+@pytest.mark.parametrize("source, target, f", [
+    cohomology._chain_map(sl2_adjoint_triple()),
+    groups._chain_map(z4_to_z2_sign_triple(), False),
+], ids=["sl2-adjoint", "z4-to-z2"])
+def test_a_cone_of_a_map_that_does_not_commute_is_refused(source, target, f):
+    # f_n with one row's sign flipped (psi is 0 on Z4 -> Z2): no chain map,
+    # so some d_n . d_{n-1} of its cone is not 0.  rank and dim_H refuse that
+    # degree every time they are asked, and cache no rank for it.
+    def broken(n):
+        return tuple(_negate_first_row(block) for block in f(n))
+
+    for n in range(4):  # the cone of f itself passes every check
+        linalg.cone(source, target, f).dim_H(n)
+    probe = linalg.cone(source, target, broken)
+    bad = next(n for n in range(1, 4) if not product_is_zero(probe.matrix(n), probe.matrix(n - 1)))
+    cx = linalg.cone(source, target, broken)
+    for call in (cx.rank, cx.dim_H, cx.rank):
+        with pytest.raises(AssertionError, match="cone differential does not square to zero"):
+            call(bad)
+        assert sorted(cx._bases) == list(range(bad))
 
 
 def _greedy_completion(partial):
