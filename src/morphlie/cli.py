@@ -10,6 +10,7 @@ the computation.
 
 from __future__ import annotations
 
+import gc
 import json
 import re
 import sys
@@ -39,6 +40,9 @@ DEFAULT_SIZE_CEILING = 10 ** 6
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The cyclic collector is paused for the request, as timeit pauses it.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         handler, args = read_argv(sys.argv[1:] if argv is None else argv)
         return handler(args)
@@ -48,6 +52,9 @@ def main(argv: list[str] | None = None) -> int:
     except MorphismAlgebraError as exc:
         print(f"error ({_category(exc)}): {exc}", file=sys.stderr)
         return EXIT_DOCUMENT_ERROR
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _category(exc: MorphismAlgebraError) -> str:
@@ -62,7 +69,6 @@ def _category(exc: MorphismAlgebraError) -> str:
 
 _HELP = (("-h", "--help"), "flag", False, "print this help")
 _METAVAR = {"flag": "", "int": " N", "str": " OUT"}
-_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
 def read_argv(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
@@ -126,7 +132,7 @@ def _option(options: tuple, token: str) -> tuple[tuple, str | None] | None:
         raise UsageError(f"ambiguous option {token!r}: {', '.join(o[0][-1] for o in found)}")
     if found:
         return found[0], value if eq else None
-    if _NUMBER.match(token) or " " in token:
+    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:
         return None
     raise UsageError(f"unknown option {token!r}")
 

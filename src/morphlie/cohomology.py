@@ -187,9 +187,7 @@ def mla_complex(rep: MorphismRep, cone: bool = False,
     [I; psi] of psi, unless ``cone``.  The simple variant keeps the
     eta-free columns.
     """
-    return mapping_cone(*_chain_map(rep),
-                        None if cone else Matrix.vstack([Matrix.identity(rep.dim_v), rep.psi]),
-                        "morphism", size_ceiling)
+    return mapping_cone(*_chain_map(rep), None if cone else rep.psi, "morphism", size_ceiling)
 
 
 def mla_cohomology_dim(rep: MorphismRep, n: int, cone: bool = False) -> int:

@@ -12,11 +12,10 @@ loaded document is valid by construction.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import comb, gcd
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 from .algebras import LieAlgebra, MorphismLieAlgebra, MorphismRep, Representation, check_jacobi
 from .cohomology import MCochain, mla_block_shapes
@@ -25,8 +24,14 @@ from .groups import FiniteGroup, GroupModule, GroupModuleTriple
 from .linalg import Matrix, ZERO, _matrix, rat_str
 from .shlie import ShMorphism, TwoTermSh
 
-_RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?$")
-_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
+
+def _ratio(text: str) -> tuple[int, int] | None:
+    """(p, q) of "p" or "p/q" ("-" optional, q led by 1-9, digits of str.isdecimal), else None."""
+    p, slash, q = text.partition("/")
+    if (p.isdecimal() or p[:1] == "-" and p[1:].isdecimal()) and (
+            not slash or q.isdecimal() and "0" < q[0] <= "9"):
+        return int(p), int(q) if slash else 1
+    return None
 
 
 def parse_scalar(value: Any, where: str) -> Fraction:
@@ -40,17 +45,16 @@ def parse_scalar(value: Any, where: str) -> Fraction:
                          "write rationals as 'p/q' strings")
     if isinstance(value, str):
         text = value.strip()
-        if text == "0":
-            return ZERO
         if "/" in text and text.endswith("/0"):
             raise ParseError(f"{where}: zero denominator in {text!r}")
-        if not _RATIONAL.match(text):
-            raise ParseError(f"{where}: {text!r} is not a rational 'p/q' string")
         try:
-            return Fraction(text)
+            ratio = _ratio(text)
         except ValueError as exc:  # past Python's integer digit limit
             raise ParseError(f"{where}: a rational of {len(text)} characters "
                              "is too long to read") from exc
+        if ratio is None:
+            raise ParseError(f"{where}: {text!r} is not a rational 'p/q' string")
+        return Fraction(*ratio)
     raise ParseError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
@@ -96,9 +100,9 @@ def parse_matrix(value: Any, where: str, rows: int | None = None,
 def _integer_row(values: Any, where: str, i: int) -> tuple[dict[int, int], int]:
     """Row ``where[i]``, a list of scalars, as {index: numerator} of its nonzero entries.
 
-    The numerators are over one returned denominator.  Canonical scalars
-    (ints; ASCII "p" or "p/q", q not led by 0, under 100 characters) are
-    read as integers, any other through parse_scalar.  A failure names
+    The numerators are over one returned denominator.  Ints, and strings
+    "p" or "p/q" of ``_ratio`` under 100 characters, are read as integers,
+    any other scalar through parse_scalar.  A failure names
     ``where[i][j]``, or ``where[i]`` if values is not a list.
     """
     if not isinstance(values, list):
@@ -109,8 +113,8 @@ def _integer_row(values: Any, where: str, i: int) -> tuple[dict[int, int], int]:
             continue
         if type(x) is int:
             p, q = x, 1
-        elif type(x) is str and len(x) < 100 and (m := _CANONICAL.fullmatch(x)):
-            p, q = int(m[1]), int(m[2] or 1)
+        elif type(x) is str and len(x) < 100 and (ratio := _ratio(x)):
+            p, q = ratio
         else:
             p, q = parse_scalar(x, f"{where}[{i}][{j}]").as_integer_ratio()
         if not p:
@@ -179,12 +183,28 @@ def _brackets_data(a: LieAlgebra) -> list:
     return [[i, j, line] for (i, j), line in zip(pairs, rows.strings())]
 
 
-class ShMorphismEntry(NamedTuple):
+class _Record:
+    """A record of the fields in ``__slots__``, read, compared and ``_asdict``-ed as a tuple."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return (getattr(self, key) for key in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, _Record) else other)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self.__slots__, self))
+
+
+class ShMorphismEntry(_Record):
     """A named sh morphism together with its source and target names."""
 
-    source: str
-    target: str
-    morphism: ShMorphism
+    __slots__ = ("source", "target", "morphism")
+
+    def __init__(self, source: str, target: str, morphism: ShMorphism):
+        self.source, self.target, self.morphism = source, target, morphism
 
 
 def located(where: str, msg: str) -> str:
@@ -192,29 +212,30 @@ def located(where: str, msg: str) -> str:
     return msg if msg.startswith(where) else f"{where}: {msg}"
 
 
-class CheckRow(NamedTuple):
+class CheckRow(_Record):
     """One line of a validation report."""
 
-    section: str
-    name: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("section", "name", "ok", "detail")
+
+    def __init__(self, section: str, name: str, ok: bool, detail: str = ""):
+        self.section, self.name, self.ok, self.detail = section, name, ok, detail
 
 
 # -- the schema ---------------------------------------------------------------
 
 
-class FieldKind(NamedTuple):
+class FieldKind:
     """A field's reader ``read(doc, value, where, *shape)`` and writer ``write(doc, value)``.
 
     A reference names the section it points into; its errors name the entry,
     and with ``by_name`` the constructor gets the name, not the object.
     """
 
-    read: Callable[..., Any]
-    write: Callable[[Any, Any], Any]
-    ref: str | None = None
-    by_name: bool = False
+    __slots__ = ("read", "write", "ref", "by_name")
+
+    def __init__(self, read: Callable[..., Any], write: Callable[[Any, Any], Any],
+                 ref: str | None = None, by_name: bool = False):
+        self.read, self.write, self.ref, self.by_name = read, write, ref, by_name
 
 
 def _plain(read: Callable[..., Any],
@@ -259,27 +280,29 @@ TABLE = _plain(lambda value, where: [_ints(row, f"{where}[{k}]") for k, row
 BRACKETS = _plain(_brackets, _brackets_data)
 
 
-class Field(NamedTuple):
+class Field:
     """A field of an entry (the key None is the entry itself) and its accessor ``get``.
 
     ``shape`` (the reader's sizes) and ``when`` (read and write the field only
     if it holds) see the entry's earlier values by key; ``optional`` may be absent.
     """
 
-    key: str | None
-    kind: FieldKind
-    get: Callable[[Any], Any]
-    shape: Callable[[dict], tuple] = lambda got: ()
-    when: Callable[[dict], bool] = lambda got: True
-    optional: bool = False
+    __slots__ = ("key", "kind", "get", "shape", "when", "optional")
+
+    def __init__(self, key: str | None, kind: FieldKind, get: Callable[[Any], Any],
+                 shape: Callable[[dict], tuple] = lambda got: (),
+                 when: Callable[[dict], bool] = lambda got: True, optional: bool = False):
+        self.key, self.kind, self.get, self.shape, self.when, self.optional = (
+            key, kind, get, shape, when, optional)
 
 
-class Section(NamedTuple):
+class Section:
     """A label for messages, the fields, and ``make``: one argument per field, None if unread."""
 
-    label: str
-    make: Callable[..., Any]
-    fields: tuple[Field, ...]
+    __slots__ = ("label", "make", "fields")
+
+    def __init__(self, label: str, make: Callable[..., Any], fields: tuple[Field, ...]):
+        self.label, self.make, self.fields = label, make, fields
 
 
 def _lie_algebra(dim: int, brackets: tuple[list[tuple[int, int]], Matrix]) -> LieAlgebra:

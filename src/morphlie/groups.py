@@ -300,8 +300,7 @@ def mlg_complex(t: GroupModuleTriple, normalized: bool = False,
                 size_ceiling: int | None = None) -> Complex:
     """The morphism-group complex of a triple: the cone of ``_chain_map``, with C^0 = V,
     the graph [I; psi] of psi."""
-    return cone(*_chain_map(t, normalized), Matrix.vstack([Matrix.identity(t.dim_v), t.psi]),
-                "morphism-group", size_ceiling)
+    return cone(*_chain_map(t, normalized), t.psi, "morphism-group", size_ceiling)
 
 
 def mlg_cohomology_dim(t: GroupModuleTriple, n: int, normalized: bool = False) -> int:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from functools import cache
 from itertools import repeat
 from math import gcd, lcm
 from typing import Callable, Collection, Iterable, Mapping, Sequence
@@ -526,7 +525,7 @@ class Complex:
                  differential: Callable[[int], Matrix], name: str,
                  size_ceiling: int | None = None,
                  keep: Callable[[int], Sequence[int]] | None = None):
-        self.dim = cache(dim)
+        self._dim, self._dims = dim, {}
         self.differential = differential
         self.name = name
         self.size_ceiling = size_ceiling
@@ -535,6 +534,9 @@ class Complex:
         self._bases: dict[int, set[int]] = {}
         self._simple: dict[int, int] = {}
         self._verified: set[int] = set()
+
+    def dim(self, n: int) -> int:
+        return self._dims[n] if n in self._dims else self._dims.setdefault(n, self._dim(n))
 
     def _refuse(self, lo: int, hi: int) -> None:
         if self.size_ceiling is None:
@@ -609,9 +611,9 @@ def cone(source: Sequence[Complex], target: Complex, f: Callable[[int], Sequence
 
     C^n = A_1^n (+) ... (+) A_k^n (+) B^{n-1} and d(a, b) = (d a, f a - d b),
     with B^{-1} = 0 (``target.dim(-1)`` is 0).  ``f(n)`` is the row of blocks
-    [f_1 | ... | f_k] of f_n, block i from A_i^n to B^n.  With ``graph``, a
-    matrix with dim A^0 rows, C^0 is its column space and d_0 is the cone's
-    d_0 times ``graph``.  ``keep(n)`` is the source's columns.
+    [f_1 | ... | f_k] of f_n, block i from A_i^n to B^n.  With ``graph``, a map
+    psi from A_1^0 to A_2^0 (+) ... (+) A_k^0, C^0 is the graph of psi and d_0 is
+    the cone's d_0 times [I; psi], built for it.  ``keep(n)`` is the source's columns.
 
     d_n is written in one pass of integer rows, each zero-free: the rows of
     each d_{A_i} as stored, shifted past the earlier summands, then each B
@@ -651,7 +653,9 @@ def cone(source: Sequence[Complex], target: Complex, f: Callable[[int], Sequence
             for row, part in zip(eta, rows):
                 row.update(part)
         d = _matrix(off + target.dim(n - 1), num + eta, den + eta_den)
-        return d * graph if n == 0 and graph is not None else d
+        if n == 0 and graph is not None:
+            d = d * Matrix.vstack([Matrix.identity(graph.cols), graph])
+        return d
 
     return Complex(dim, differential, name, size_ceiling,
                    lambda n: range(dim(n) - target.dim(n - 1)))

@@ -334,9 +334,8 @@ def test_morphism_matrix_computes_the_graph_eta_block():
     source = [Complex(lambda n: [2, 1][n] if 0 <= n < 2 else 0, lambda n, d=d: d, name)
               for d, name in ((d_v, "V"), (d_w, "W"))]
     target = Complex(lambda n: 2 if n == 0 else 0, None, "W_phi")
-    graph = Matrix.vstack([Matrix.identity(2), psi])
     for pre_phi in (Matrix.identity(2), pre):
-        cx = cone(source, target, lambda n: (postcompose_matrix(psi, 1), -pre_phi), graph)
+        cx = cone(source, target, lambda n: (postcompose_matrix(psi, 1), -pre_phi), psi)
         d_0 = cx.matrix(0)
         assert d_0 == _block_referee(d_v, d_w, psi, 1, pre_phi, Matrix.zeros(2, 0), True)
     assert d_0.row(2) == [-1, Fraction(-1, 2)]

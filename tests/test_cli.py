@@ -1,5 +1,6 @@
 """End-to-end tests for the command line driver."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -14,8 +15,9 @@ from morphlie.algebras import (
     Representation,
     adjoint_morphism_rep,
 )
+from morphlie import cli
 from morphlie.cli import _base_document, main
-from morphlie.cohomology import MCochain
+from morphlie.cohomology import MCochain, mla_complex
 from morphlie.documents import ProblemDocument
 from morphlie.extensions import build_extension
 from morphlie.fixtures import (
@@ -456,6 +458,106 @@ class TestStartUp:
         assert "morphlie.cli" in added
         assert not added & {"dataclasses", "inspect", "dis", "ast",
                             "argparse", "gettext", "locale"}
+
+
+    # Run as bench/request.py runs a request: fractions and json, which
+    # compile their own patterns at import, are loaded before morphlie.cli.
+    SPY = ("import sys\n"
+           "sys.path.insert(0, sys.argv[1])\n"
+           "import fractions, json, re\n"
+           "compiled, compile_ = [], re._compile\n"
+           "re._compile = lambda *args: compiled.append(args[0]) or compile_(*args)\n"
+           "from morphlie.cli import main\n"
+           "code = main(sys.argv[2:])\n"
+           "print(compiled, file=sys.stderr)\n"
+           "sys.exit(code)\n")
+
+    def _spied(self, *argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        return subprocess.run([sys.executable, "-I", "-c", self.SPY, str(src), *argv],
+                              capture_output=True, timeout=60)
+
+    def test_import_and_a_table_compile_no_regular_expression(self, a1_doc):
+        done = self._spied("cohomology", a1_doc, "rep")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(b"cohomology of 'rep' (morphism rep)\n")
+        assert done.stderr == b"[]\n"
+
+    def test_check_json_bytes_of_a_failing_row(self, tmp_path):
+        path = write(tmp_path, "mixed.json", '{"lie_algebras": {"a": {"dim": 1, "brackets": []}, '
+                     '"bad": {"dim": 3, "brackets": [[0, 1, [0, 0, 1]], [0, 2, [1, 0, 0]]]}}}')
+        done = self._spied("check", path, "--json")
+        assert done.returncode == 1, done.stderr
+        assert done.stderr == b"[]\n"
+        assert done.stdout == (
+            b'{\n  "results": [\n'
+            b'    {\n      "section": "lie_algebras",\n      "name": "a",\n'
+            b'      "ok": true,\n      "detail": ""\n    },\n'
+            b'    {\n      "section": "lie_algebras",\n      "name": "bad",\n'
+            b'      "ok": false,\n      "detail": "Jacobi identity fails on basis triple '
+            b'(e1, e2, e3)"\n    }\n  ]\n}\n')
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector for the request and restores its state on every exit."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check", "A1"], 0),
+        (["check", "BROKEN"], 1),
+        (["check", "MISSING"], 2),
+        (["cohomology", "A1"], 2),
+        (["cohomology", "Z2", "t", "--group", "--max-degree", "3", "--size-ceiling", "10"], 3),
+    ], ids=["ok", "check-failed", "document-error", "usage-error", "size-ceiling"])
+    def test_state_is_restored(self, capsys, tmp_path, a1_doc, z2_doc, collector, argv, code):
+        paths = {"A1": a1_doc, "Z2": z2_doc, "MISSING": str(tmp_path / "missing.json"),
+                 "BROKEN": write(tmp_path, "broken.json", BROKEN_JACOBI)}
+        assert main([paths.get(word, word) for word in argv]) == code
+        assert gc.isenabled() is collector
+
+    def test_state_is_restored_when_a_handler_raises(self, monkeypatch, collector):
+        seen = []
+
+        def handler(args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("handler failed")
+
+        monkeypatch.setitem(cli.COMMANDS, "check", (handler, *cli.COMMANDS["check"][1:]))
+        with pytest.raises(RuntimeError, match="handler failed"):
+            main(["check", "doc.json"])
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_no_collection_during_a_table(self, capsys, tmp_path):
+        heis5 = LieAlgebra.from_brackets(5, {(0, 2): [0, 0, 0, 0, 1], (1, 3): [0, 0, 0, 0, 1]})
+        rep = adjoint_morphism_rep(MorphismLieAlgebra.identity(heis5))
+        path = str(tmp_path / "heis5.json")
+        _base_document(rep).dump(path)
+        argv = ["cohomology", path, "rep", "--max-degree", "4"]
+        starts, was, threshold = [], gc.isenabled(), gc.get_threshold()
+        # A low threshold makes the collector run every few allocations, wherever
+        # the count of generation 0 stood when the test began.
+        gc.enable()
+        gc.set_threshold(10)
+        gc.callbacks.append(count := lambda phase, info: starts.append(phase == "start"))
+        try:
+            code = main(argv)
+            during_main = starts.count(True)
+            # The control: the same table outside main runs the collector.
+            mla_complex(rep).table(4)
+        finally:
+            gc.callbacks.remove(count)
+            gc.set_threshold(*threshold)
+            (gc.enable if was else gc.disable)()
+        assert code == 0 and during_main == 0
+        assert starts.count(True) > 0
+        assert gc.isenabled() is was
 
 
 class TestLoadCost:

@@ -1,6 +1,8 @@
 """Tests for problem document parsing, validation, and serialization."""
 
 import json
+import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +11,7 @@ import pytest
 from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, MorphismRep
 from morphlie.documents import (
     ProblemDocument,
+    _ratio,
     check_document,
     parse_matrix,
     parse_scalar,
@@ -115,6 +118,83 @@ class TestScalars:
             with pytest.raises(ParseError) as info:
                 parse_scalar(bad, "x")
             assert str(info.value) == message
+
+
+# The two patterns the scalar readers matched before ``_ratio``: the referee.
+OLD_RATIONAL = re.compile(r"-?\d+(/[1-9]\d*)?$")
+OLD_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
+
+
+def old_scalar(text: str, where: str) -> Fraction:
+    """parse_scalar of a string as it read it on OLD_RATIONAL."""
+    text = text.strip()
+    if text == "0":
+        return Fraction(0)
+    if "/" in text and text.endswith("/0"):
+        raise ParseError(f"{where}: zero denominator in {text!r}")
+    if not OLD_RATIONAL.match(text):
+        raise ParseError(f"{where}: {text!r} is not a rational 'p/q' string")
+    try:
+        return Fraction(text)
+    except ValueError as exc:
+        raise ParseError(f"{where}: a rational of {len(text)} characters "
+                         "is too long to read") from exc
+
+
+def old_entry(text: str, where: str) -> Fraction:
+    """A matrix row's string entry as read on OLD_CANONICAL, else by old_scalar."""
+    if len(text) < 100 and (m := OLD_CANONICAL.fullmatch(text)):
+        return Fraction(int(m[1]), int(m[2] or 1))
+    return old_scalar(text, where)
+
+
+def outcome(read, *args):
+    """What read(*args) returns, or the text of the ParseError it raises."""
+    try:
+        return read(*args)
+    except ParseError as exc:
+        return str(exc)
+
+
+# Pieces of generated scalars: ASCII and Unicode Nd digits (Arabic-Indic,
+# fullwidth, Devanagari), characters that are digits of other kinds
+# (superscript two, one half), signs, slashes, spaces and other separators.
+PIECES = ("0", "1", "2", "5", "9", "0", "1", "-", "-", "/", "/", "+", " ", "\n", "\t", "_",
+          ".", "e", "x", "\u0660", "\u0661", "\u0662", "\u0663", "\uff11", "\u0967",
+          "\u00b2", "\u00bd")
+
+EDGES = ("\u0661\u0662", "1/2\u0663", "\u0661/\u0662", "+1", "-0", "0/5", "1/0", "1/05",
+         " 1/2 ", " -3 ", "\t7\n", "", "/", "1/", "-", "-/2", "0", " 0 ", "00", "-00/1",
+         "1" * 99, "1" * 100, "-" + "7" * 98, "-" + "7" * 99, "1/" + "3" * 97,
+         "1/" + "3" * 98, "\u0661" * 99, "\u0661" * 100, "9" * 98 + "/", "1/" + "0" * 97,
+         "1" * 4300, "1" * 4301, "-" + "9" * 5000, "1/" + "3" * 4400, "3" * 4400 + "/7",
+         "\u0663" * 4301, "2/" + "4" * 4300, "9" * 5000 + "/0", "\u00b2", "1/2\u00b2",
+         "\u00b2/3", "1/\u0661", "\uff11/\u0662")
+
+
+def generated_scalars(count: int = 3000, seed: int = 28) -> list[str]:
+    rng = random.Random(seed)
+    return [*EDGES, *("".join(rng.choices(PIECES, k=rng.randint(1, 7))) for _ in range(count))]
+
+
+class TestScalarReader:
+    """``_ratio`` reads what the two old patterns read, to the value and the error text."""
+
+    def test_digits_are_those_of_the_pattern(self):
+        chars = [chr(c) for c in range(0x110000)]
+        digits = [c for c in chars if OLD_RATIONAL.match(c)]
+        assert [c for c in chars if _ratio(c)] == digits
+        assert [c for c in chars if _ratio(f"-1/1{c}")] == digits
+
+    def test_against_the_old_patterns(self):
+        texts = generated_scalars()
+        assert len(set(texts)) > 1500
+        for text in texts:
+            assert outcome(parse_scalar, text, "x") == outcome(old_scalar, text, "x"), text
+            assert (outcome(lambda: parse_vector(["1", text], "v")[1])
+                    == outcome(old_scalar, text, "v[1]")), text
+            assert (outcome(lambda: parse_matrix([["1", text]], "m")[0, 1])
+                    == outcome(old_entry, text, "m[0][1]")), text
 
 
 class TestMatrices:
