@@ -346,6 +346,7 @@ class MorphismRep:
         self.v = v
         self.w = w
         self.psi = psi
+        self._w_phi: Representation | None = None  # W pulled back along phi, kept on first use
         if validate:
             res = check_morphism_rep(self)
             if not res:

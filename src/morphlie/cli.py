@@ -6,6 +6,19 @@ taxonomy: 0 all checks pass, 1 a check or axiom failed, 2 the document or
 the request is invalid (parse errors, unknown names, shape or validation
 errors, an output file that cannot be written), 3 a size ceiling refused
 the computation.
+
+A request is one process, and each request pays for all of its life: the
+interpreter starts (site and the standard library), ``import morphlie.cli``
+loads the package and builds nothing a request does not run, ``main``
+serves the request with the cyclic collector paused, and the interpreter
+shuts down.  The end of this module freezes everything start-up and the
+import built (``gc.freeze``), so the collections at shutdown walk only the
+request's own objects: from a request's last statement until its process
+is reaped took a median 8.7 ms without the freeze and 2.2 ms with it
+(Python 3.11, 2 vCPUs; 1.4-2.1 ms on 3.10-3.13; BENCH_29.json).  Only
+importing this module freezes: ``import morphlie`` does not, and ``main``
+freezes nothing, so a host that calls it many times still collects each
+request's cycles.
 """
 
 from __future__ import annotations
@@ -408,6 +421,13 @@ COMMANDS = {
         (("--normalized",), "flag", False, "normalized cochains"), _JSON, _CEILING),
         "bar cohomology table of a group module"),
 }
+
+# Everything built so far (site, the standard library, every morphlie module)
+# lives until the process ends.  Freezing moves it to the collector's permanent
+# generation, so the collections at interpreter shutdown, and any after main,
+# walk only a request's own objects.  Not in main: in a long-lived host that
+# would also freeze, and so leak, each request's uncollected cycles.
+gc.freeze()
 
 
 if __name__ == "__main__":

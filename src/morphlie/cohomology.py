@@ -25,7 +25,6 @@ exactly dim W, and every other degree agrees.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import comb
 from typing import Callable
 
@@ -169,9 +168,14 @@ def apply_mla_differential(c: MCochain) -> MCochain:
 def _chain_map(rep: MorphismRep) -> tuple[tuple[Complex, Complex], Complex, Callable]:
     """(source, target, f) of the morphism cone: f_n = [psi . | -(. wedge^n phi)]
     from C(g, V) + C(h, W) to C(g, W_phi); W_phi, W pulled back along phi, is
-    built once, on the first degree >= 1."""
+    built on the first degree >= 1 and kept on rep for every later complex."""
     base = rep.base
-    pulled = cache(lambda: pullback_rep(base, rep.w))
+
+    def pulled() -> Representation:
+        if rep._w_phi is None:
+            rep._w_phi = pullback_rep(base, rep.w)
+        return rep._w_phi
+
     w_phi = Complex(lambda n: cochain_dim(base.g.dim, rep.dim_w, n),
                     lambda n: ce_differential(pulled(), n), "Chevalley-Eilenberg")
     return ((ce_complex(rep.v), ce_complex(rep.w)), w_phi,

@@ -16,7 +16,6 @@ C(G, W_Phi), W pulled back along Phi, cut down in degree 0 to V, the graph
 from __future__ import annotations
 
 import itertools
-from functools import cache
 from math import lcm
 from typing import Callable, Sequence
 
@@ -226,6 +225,7 @@ class GroupModuleTriple:
         self.v = v
         self.w = w
         self.psi = psi
+        self._w_phi: GroupModule | None = None  # W pulled back along Phi, kept on first use
         for a in range(g.order):
             for b in range(g.order):
                 if phi[g.mul[a][b]] != h.mul[phi[a]][phi[b]]:
@@ -277,9 +277,13 @@ def mlg_differential(t: GroupModuleTriple, n: int, normalized: bool = False) -> 
 def _chain_map(t: GroupModuleTriple,
                normalized: bool) -> tuple[tuple[Complex, Complex], Complex, Callable]:
     """(source, target, f) of the morphism-group cone: f_n = [psi . | -(. Phi^n)]
-    from C(G, V) + C(H, W) to C(G, W_Phi); W_Phi is built once, on the first
-    degree >= 1."""
-    pulled = cache(lambda: pullback_module(t))
+    from C(G, V) + C(H, W) to C(G, W_Phi); W_Phi is built on the first
+    degree >= 1 and kept on t for every later complex."""
+    def pulled() -> GroupModule:
+        if t._w_phi is None:
+            t._w_phi = pullback_module(t)
+        return t._w_phi
+
     w_phi = Complex(lambda n: group_cochain_dim(t.g, t.dim_w, n, normalized),
                     lambda n: group_differential(pulled(), n, normalized), "bar")
 

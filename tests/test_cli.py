@@ -4,6 +4,7 @@ import gc
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,9 @@ from morphlie.fixtures import (
 from morphlie.groups import FiniteGroup
 from morphlie.linalg import Matrix
 from morphlie.sampling import Sampler
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -79,6 +83,8 @@ def write(tmp_path, name, text):
 
 BROKEN_JACOBI = ('{"lie_algebras": {"bad": {"dim": 3, "brackets": '
                  '[[0, 1, [0, 0, 1]], [0, 2, [1, 0, 0]]]}}}')
+MIXED = ('{"lie_algebras": {"a": {"dim": 1, "brackets": []}, '
+         '"bad": {"dim": 3, "brackets": [[0, 1, [0, 0, 1]], [0, 2, [1, 0, 0]]]}}}')
 
 
 class TestCheck:
@@ -440,7 +446,8 @@ class TestInputBoundary:
 
 
 class TestStartUp:
-    """A request loads neither dataclasses and its chain nor argparse and its own."""
+    """A request loads neither dataclasses and its chain nor argparse and its own,
+    and importing the CLI, not the library, freezes what start-up built."""
 
     def test_cli_loads_no_dataclasses_inspect_dis_or_ast(self, a1_doc):
         script = ("import sys\n"
@@ -450,8 +457,7 @@ class TestStartUp:
                   "code = main(['cohomology', sys.argv[2], 'rep'])\n"
                   "print(' '.join(sorted(set(sys.modules) - before)))\n"
                   "sys.exit(code)\n")
-        src = Path(__file__).resolve().parent.parent / "src"
-        done = subprocess.run([sys.executable, "-I", "-c", script, str(src), a1_doc],
+        done = subprocess.run([sys.executable, "-I", "-c", script, str(SRC), a1_doc],
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         added = set(done.stdout.splitlines()[-1].split())
@@ -473,8 +479,7 @@ class TestStartUp:
            "sys.exit(code)\n")
 
     def _spied(self, *argv):
-        src = Path(__file__).resolve().parent.parent / "src"
-        return subprocess.run([sys.executable, "-I", "-c", self.SPY, str(src), *argv],
+        return subprocess.run([sys.executable, "-I", "-c", self.SPY, str(SRC), *argv],
                               capture_output=True, timeout=60)
 
     def test_import_and_a_table_compile_no_regular_expression(self, a1_doc):
@@ -484,8 +489,7 @@ class TestStartUp:
         assert done.stderr == b"[]\n"
 
     def test_check_json_bytes_of_a_failing_row(self, tmp_path):
-        path = write(tmp_path, "mixed.json", '{"lie_algebras": {"a": {"dim": 1, "brackets": []}, '
-                     '"bad": {"dim": 3, "brackets": [[0, 1, [0, 0, 1]], [0, 2, [1, 0, 0]]]}}}')
+        path = write(tmp_path, "mixed.json", MIXED)
         done = self._spied("check", path, "--json")
         assert done.returncode == 1, done.stderr
         assert done.stderr == b"[]\n"
@@ -496,6 +500,53 @@ class TestStartUp:
             b'    {\n      "section": "lie_algebras",\n      "name": "bad",\n'
             b'      "ok": false,\n      "detail": "Jacobi identity fails on basis triple '
             b'(e1, e2, e3)"\n    }\n  ]\n}\n')
+
+    COUNTS = ("import gc, sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "import {}\n"
+              "print(gc.get_freeze_count(), len(gc.get_objects()))\n")
+
+    def _counts(self, module):
+        done = subprocess.run([sys.executable, "-I", "-c", self.COUNTS.format(module), str(SRC)],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return [int(x) for x in done.stdout.split()]
+
+    def test_importing_the_cli_freezes_the_start_up_heap(self):
+        frozen, tracked = self._counts("morphlie.cli")
+        assert frozen > 0
+        assert tracked < 100
+
+    def test_importing_the_library_freezes_nothing(self):
+        frozen, tracked = self._counts("morphlie")
+        assert frozen == 0
+        assert tracked > 1000
+
+    # The module run as a script, as python -m runs it, with stdout to a file,
+    # which makes it block-buffered: output lost at exit would show here first.
+    AS_MAIN = ("import runpy, sys\n"
+               "sys.path.insert(0, sys.argv.pop(1))\n"
+               "runpy.run_module('morphlie.cli', run_name='__main__', alter_sys=True)\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["cohomology", "SL2", "rep", "--simple"], 0),
+        (["check", "MIXED", "--json"], 1),
+        (["extend", "SL2", "c2", "-o", "OUT"], 0),
+    ], ids=["cohomology", "check-json", "extend"])
+    def test_a_process_exit_writes_what_main_prints(self, capsys, tmp_path, sl2_doc, argv, code):
+        paths = {"SL2": sl2_doc, "OUT": str(tmp_path / "out.json"),
+                 "MIXED": write(tmp_path, "mixed.json", MIXED)}
+        argv = [paths.get(word, word) for word in argv]
+        out, out_file = tmp_path / "stdout", tmp_path / "out.json"
+        with open(out, "wb") as fh:
+            done = subprocess.run([sys.executable, "-I", "-c", self.AS_MAIN, str(SRC), *argv],
+                                  stdout=fh, stderr=subprocess.PIPE, timeout=60)
+        written = out_file.read_bytes() if out_file.exists() else None
+        out_file.unlink(missing_ok=True)
+        assert (done.returncode, done.stderr) == (code, b"")
+        assert run(capsys, *argv) == (code, out.read_text(encoding="utf-8"), "")
+        assert written == (out_file.read_bytes() if out_file.exists() else None)
+        assert out.stat().st_size > 0
 
 
 class TestCollectorPause:
@@ -518,8 +569,10 @@ class TestCollectorPause:
     def test_state_is_restored(self, capsys, tmp_path, a1_doc, z2_doc, collector, argv, code):
         paths = {"A1": a1_doc, "Z2": z2_doc, "MISSING": str(tmp_path / "missing.json"),
                  "BROKEN": write(tmp_path, "broken.json", BROKEN_JACOBI)}
+        frozen = gc.get_freeze_count()
         assert main([paths.get(word, word) for word in argv]) == code
         assert gc.isenabled() is collector
+        assert gc.get_freeze_count() == frozen
 
     def test_state_is_restored_when_a_handler_raises(self, monkeypatch, collector):
         seen = []
@@ -533,6 +586,23 @@ class TestCollectorPause:
             main(["check", "doc.json"])
         assert seen == [False]
         assert gc.isenabled() is collector
+
+    def test_a_requests_cycles_are_collected_after_main(self, monkeypatch):
+        class Node:
+            pass
+
+        refs = []
+
+        def handler(args):
+            cycle = Node()
+            cycle.self = cycle
+            refs.append(weakref.ref(cycle))
+            return cli.EXIT_OK
+
+        monkeypatch.setitem(cli.COMMANDS, "check", (handler, *cli.COMMANDS["check"][1:]))
+        assert main(["check", "doc.json"]) == cli.EXIT_OK
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None
 
     def test_no_collection_during_a_table(self, capsys, tmp_path):
         heis5 = LieAlgebra.from_brackets(5, {(0, 2): [0, 0, 0, 0, 1], (1, 3): [0, 0, 0, 0, 1]})
@@ -579,8 +649,7 @@ class TestLoadCost:
                   "                   if line.startswith('VmHWM:'))\n"
                   "print(seconds, peak_kb / 1024)\n"
                   "sys.exit(code)\n")
-        src = Path(__file__).resolve().parent.parent / "src"
-        done = subprocess.run([sys.executable, "-I", "-c", script, str(src), str(path)],
+        done = subprocess.run([sys.executable, "-I", "-c", script, str(SRC), str(path)],
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert "1 object checked, 0 failures" in done.stdout
@@ -608,8 +677,7 @@ class TestRankCost:
                   "                   if line.startswith('VmHWM:'))\n"
                   "print(peak_kb / 1024)\n"
                   "sys.exit(code)\n")
-        src = Path(__file__).resolve().parent.parent / "src"
-        done = subprocess.run([sys.executable, "-I", "-c", script, str(src), str(path)],
+        done = subprocess.run([sys.executable, "-I", "-c", script, str(SRC), str(path)],
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         table, peak_mb = done.stdout.rsplit("\n", 2)[:2]

@@ -238,7 +238,8 @@ def test_degree0_differential_builds_no_pullback(monkeypatch):
 
 def test_complex_pulls_w_back_once(monkeypatch):
     # A table to degree 4 pulls W back along phi once, on degree 1, for
-    # every differential it builds; the simple columns reuse them.
+    # every differential it builds; the simple columns and every later
+    # complex of the same rep reuse it.
     import morphlie.cohomology as cohomology
 
     calls = []
@@ -255,6 +256,25 @@ def test_complex_pulls_w_back_once(monkeypatch):
     cx.table(4, simple=True)
     assert len(calls) == 1
     mla_complex(rep, cone=True).table(4)
+    assert len(calls) == 1
+
+
+def test_standalone_differentials_pull_w_back_once_per_rep(monkeypatch):
+    import morphlie.cohomology as cohomology
+
+    calls = []
+
+    def counting_pullback(*args):
+        calls.append(args)
+        return pullback_rep(*args)
+
+    monkeypatch.setattr(cohomology, "pullback_rep", counting_pullback)
+    rep, other = sl2_v1_triple(), sl2_v1_triple()
+    for n in range(4):
+        mla_differential(rep, n)
+        mla_differential(rep, n, cone=True)
+    assert len(calls) == 1
+    mla_differential(other, 3)
     assert len(calls) == 2
 
 

@@ -362,6 +362,24 @@ class TestMlgDifferential:
         cx.table(4)
         assert len(calls) == 1
 
+    def test_standalone_differentials_pull_w_back_once_per_triple(self, monkeypatch):
+        import morphlie.groups as groups
+
+        calls = []
+
+        def counting_pullback(*args):
+            calls.append(args)
+            return pullback_module(*args)
+
+        monkeypatch.setattr(groups, "pullback_module", counting_pullback)
+        t, other = klein_to_z2_triple(), klein_to_z2_triple()
+        for n in range(4):
+            mlg_differential(t, n)
+            mlg_differential(t, n, normalized=True)
+        assert len(calls) == 1
+        mlg_differential(other, 2)
+        assert len(calls) == 2
+
     def test_block_dims(self):
         t = klein_to_z2_triple()
         assert mlg_block_dims(t, 0) == (1, 0, 0)
