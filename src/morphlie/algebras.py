@@ -6,8 +6,13 @@ pair by pair (no dense dim^3 table), a representation is a list of action
 matrices, and a morphism Lie algebra (g, h, phi) is a pair of algebras with
 a homomorphism given as a matrix.  Antisymmetry is enforced at construction;
 the Jacobi identity is a separate queryable check so that broken data can
-still be represented and diagnosed.  Every bracket and every check sums
-integers over the nonzero structure constants only.
+still be represented and diagnosed.  Each of the four identities has one
+integer kernel, shared by the group and sh layers: ``jacobiator``,
+``commutator_defect`` (the representation axiom; sh axiom (iv) adds l3),
+``homomorphism_defect`` (sh condition (ii) passes extra = d' phi2) and
+``intertwining_defect`` (morphism reps, the Rota-Baxter module, group
+triples with b_a = rho_W(Phi a), sh axiom (i) with psi = d and b_i =
+ad(e_i), sh condition (iii) with extra_i = phi2(e_i, .) d).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
 from math import comb, lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import NotAHomomorphism, RotaBaxterViolation, ShapeError, ValidationError
 from .linalg import ONE, Matrix, Scalar, ZERO, _entry, _scalar_rows, rat
@@ -284,25 +289,50 @@ def commutator_defect(rep: Representation, l3: Matrix | None = None, d: Matrix |
     return None
 
 
-def is_lie_homomorphism(g: LieAlgebra, h: LieAlgebra, phi: Matrix) -> CheckResult:
-    """phi([x,y]_g) = [phi x, phi y]_h on all basis pairs, cross-multiplied in integers.
+def homomorphism_defect(g: LieAlgebra, h: LieAlgebra, phi: Matrix,
+                        extra: Matrix | None = None) -> tuple[int, int] | None:
+    """The first pair i < j with phi[e_i, e_j] - [phi e_i, phi e_j] - extra[:, t] != 0, or None.
 
-    Sums run over the nonzero entries of phi's columns, over their lcm e, and
-    the nonzero constants: [phi x, phi y]_h g.den against phi([x,y]_g) h.den e.
+    t counts the increasing pairs; extra defaults to 0.  Cross-multiplied in
+    integers: constants over g.den and h.den, phi's columns over e, extra's over f.
     """
     if phi.rows != h.dim or phi.cols != g.dim:
         raise ShapeError(f"phi must be {h.dim}x{g.dim}, got {phi.rows}x{phi.cols}")
-    cols, e = phi.transpose().integer_rows()
-    fg, fh = g.den, h.den * e
-    for i, j in combinations(range(g.dim), 2):
-        diff = {a: fg * x for a, x in _bracket_items(h, cols[i], cols[j]).items()}
-        for k, x in g.nonzero[i][j]:
+    pairs = list(combinations(range(g.dim), 2))
+    (cols, e), (xs, f) = phi.transpose().integer_rows(), (
+        extra.transpose().integer_rows() if extra is not None else ([{}] * len(pairs), 1))
+    fb, fp, fx = g.den * f, h.den * e * f, g.den * h.den * e * e
+    for (i, j), x in zip(pairs, xs, strict=True):
+        diff = {a: fb * y for a, y in _bracket_items(h, cols[i], cols[j]).items()}
+        for k, z in g.nonzero[i][j]:
             for a, y in cols[k].items():
-                diff[a] = diff.get(a, 0) - fh * x * y
+                diff[a] = diff.get(a, 0) - fp * z * y
+        for a, y in x.items():
+            diff[a] = diff.get(a, 0) + fx * y
         if any(diff.values()):
-            return CheckResult(
-                False, f"homomorphism equation fails on basis pair (e{i+1}, e{j+1})")
-    return CheckResult(True)
+            return i, j
+    return None
+
+
+def is_lie_homomorphism(g: LieAlgebra, h: LieAlgebra, phi: Matrix) -> CheckResult:
+    """phi([x,y]_g) = [phi x, phi y]_h on all basis pairs, by `homomorphism_defect`."""
+    spot = homomorphism_defect(g, h, phi)
+    return CheckResult(True) if spot is None else CheckResult(
+        False, f"homomorphism equation fails on basis pair (e{spot[0]+1}, e{spot[1]+1})")
+
+
+def intertwining_defect(psi: Matrix, a: Sequence[Matrix], b: Iterable[Matrix],
+                        extra: Iterable[Matrix] | None = None) -> tuple[int, int] | None:
+    """The first i with psi a_i - b_i psi - extra_i != 0 and its lowest nonzero column, or None.
+
+    b and extra (default 0) are read one i at a time, so a failure stops
+    building them; products and sums are those of ``Matrix``, on integer rows.
+    """
+    for i, (ai, bi, xi) in enumerate(zip(a, b, extra or [None] * len(a), strict=True)):
+        left, right = psi * ai, bi * psi if xi is None else bi * psi + xi
+        if left != right:
+            return i, (left - right).first_nonzero_col()
+    return None
 
 
 class MorphismLieAlgebra:
@@ -372,25 +402,14 @@ def check_morphism_rep(m: MorphismRep) -> CheckResult:
     V and W answer with the verdict of their own first check, so a triple
     built from validated modules evaluates only the intertwining.
     """
-    res = m.v.check()
-    if not res:
-        return CheckResult(False, f"V: {res.detail}")
-    res = m.w.check()
-    if not res:
-        return CheckResult(False, f"W: {res.detail}")
-    i = _intertwining_failure(m.psi, m.v.action, m.w, m.base.phi)
-    if i is not None:
-        return CheckResult(False, f"psi fails to intertwine the actions at basis vector e{i+1}")
+    for name, module in (("V", m.v), ("W", m.w)):
+        if not (res := module.check()):
+            return CheckResult(False, f"{name}: {res.detail}")
+    phi = m.base.phi
+    spot = intertwining_defect(m.psi, m.v.action, (m.w.act(phi.col(i)) for i in range(phi.cols)))
+    if spot is not None:
+        return CheckResult(False, f"psi fails to intertwine the actions at basis vector e{spot[0]+1}")
     return CheckResult(True)
-
-
-def _intertwining_failure(psi: Matrix, v_action: Sequence[Matrix], w: Representation,
-                          phi: Matrix) -> int | None:
-    """The first i with psi rho_V(e_i) != rho_W(phi e_i) psi, or None."""
-    for i, a in enumerate(v_action):
-        if psi * a != w.act(phi.col(i)) * psi:
-            return i
-    return None
 
 
 def check_morphism_homomorphism(source: MorphismLieAlgebra, target: MorphismLieAlgebra,
@@ -441,9 +460,10 @@ class RotaBaxterDatum:
         self.weight = rat(weight)
         self.rep = rep
         self.r_v = r_v
-        n = algebra.dim
-        g_r = LieAlgebra(n, [[self.twisted_bracket(_unit(n, i), _unit(n, j)) for j in range(n)]
-                             for i in range(n)])
+        # [e_i, e_j]_R is column j of the twisted action of e_i on g itself, with R_V = R.
+        ad = [algebra.ad_matrix(_unit(algebra.dim, i)) for i in range(algebra.dim)]
+        twisted_ad = _twisted_action(ad, r, r, self.weight)[1]
+        g_r = LieAlgebra(algebra.dim, [m.transpose().to_lists() for m in twisted_ad])
         res = is_lie_homomorphism(g_r, algebra, r)
         if not res:
             raise RotaBaxterViolation(f"operator identity: {res.detail}")
@@ -451,11 +471,10 @@ class RotaBaxterDatum:
         if rep is not None and r_v is not None:
             if r_v.rows != rep.dim_v or r_v.cols != rep.dim_v:
                 raise ShapeError("r_v must be square of size dim V")
-            twisted_action = [rep.act(r.col(i)) + rep.action[i] * r_v
-                              + rep.action[i].scale(self.weight) for i in range(n)]
-            i = _intertwining_failure(r_v, twisted_action, rep, r)
-            if i is not None:
-                raise RotaBaxterViolation(f"module identity fails at basis vector e{i+1}")
+            pulled, twisted_action = _twisted_action(rep.action, r, r_v, self.weight)
+            spot = intertwining_defect(r_v, twisted_action, pulled)
+            if spot is not None:
+                raise RotaBaxterViolation(f"module identity fails at basis vector e{spot[0]+1}")
         res = check_jacobi(g_r)
         if not res:
             raise RotaBaxterViolation(f"twisted bracket is not Lie: {res.detail}")
@@ -465,16 +484,12 @@ class RotaBaxterDatum:
             self.module = MorphismRep(self.morphism, Representation(g_r, rep.dim_v, twisted_action),
                                       rep, r_v, validate=False)
 
-    def twisted_bracket(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
-        """[x,y]_R = [Rx,y] + [x,Ry] + weight [x,y]."""
-        a = self.algebra
-        rx, ry = self.r.apply(x), self.r.apply(y)
-        out = a.bracket(rx, y)
-        for k, t in enumerate(a.bracket(x, ry)):
-            out[k] += t
-        for k, t in enumerate(a.bracket(x, y)):
-            out[k] += self.weight * t
-        return out
+
+def _twisted_action(action: Sequence[Matrix], r: Matrix, r_v: Matrix,
+                    weight: Fraction) -> tuple[list[Matrix], list[Matrix]]:
+    """rho(R e_i) and rho(R e_i) + rho(e_i) R_V + weight rho(e_i) for each i, rho = ``action``."""
+    pulled = [Matrix.lincomb(zip(r.col(i), action), r_v.rows, r_v.rows) for i in range(r.cols)]
+    return pulled, [p + a * r_v + a.scale(weight) for p, a in zip(pulled, action)]
 
 
 def rota_baxter_morphism(d: RotaBaxterDatum) -> tuple[MorphismLieAlgebra, MorphismRep | None]:

@@ -11,10 +11,11 @@ from __future__ import annotations
 import itertools
 from functools import cache
 from math import comb
+from typing import Sequence
 
 from .algebras import Representation, MorphismLieAlgebra
 from .errors import ShapeError
-from .linalg import Complex, Matrix, _matrix
+from .linalg import Complex, Matrix, Scalar, _matrix
 
 
 class ExteriorBasis:
@@ -32,6 +33,13 @@ class ExteriorBasis:
 
 # One ExteriorBasis per (dim, n), shared by the builders, which only read it.
 exterior_basis = cache(ExteriorBasis)
+
+
+def first_nonzero_tuple(flat: Sequence[Scalar], dim_g: int, n: int,
+                        dim_v: int) -> tuple[int, ...] | None:
+    """The basis n-tuple, k // dim_v, holding the first nonzero coordinate k of ``flat``, or None."""
+    k = next((k for k, x in enumerate(flat) if x), None)
+    return None if k is None else exterior_basis(dim_g, n).tuples[k // dim_v]
 
 
 def sort_with_sign(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:

@@ -37,10 +37,10 @@ from .algebras import (
     check_morphism_homomorphism,
 )
 from .cecomplex import (
-    ExteriorBasis,
     ce_complex,
     ce_differential,
     cochain_dim,
+    first_nonzero_tuple,
     postcompose_matrix,
     precompose_matrix,
     pullback_rep,
@@ -251,16 +251,13 @@ def _first_nonzero(rep: MorphismRep, n: int,
 
     ``flat`` is a flattened degree-n cochain, n >= 1; None when it is zero.
     """
-    k = next((i for i, x in enumerate(flat) if x), None)
-    if k is None:
-        return None
-    base = rep.base
+    base, k = rep.base, 0
     for name, (rows, cols), dim, arity in zip(
             ("theta", "gamma", "eta"), mla_block_shapes(rep, n),
             (base.g.dim, base.h.dim, base.g.dim), (n, n, n - 1)):
-        if k < rows * cols:
-            return name, ExteriorBasis(dim, arity).tuples[k // rows]
-        k -= rows * cols
+        if (tup := first_nonzero_tuple(flat[k:k + rows * cols], dim, arity, rows)) is not None:
+            return name, tup
+        k += rows * cols
 
 
 def check_derivation(rep: MorphismRep, d: Matrix, del_: Matrix,

@@ -21,17 +21,8 @@ from .algebras import LieAlgebra, MorphismLieAlgebra, MorphismRep, Representatio
 from .cohomology import MCochain, mla_block_shapes
 from .errors import MorphismAlgebraError, ParseError, UnknownObject, ValidationError
 from .groups import FiniteGroup, GroupModule, GroupModuleTriple
-from .linalg import Matrix, ZERO, _matrix, rat_str
+from .linalg import Matrix, ZERO, _matrix, _ratio, rat_str
 from .shlie import ShMorphism, TwoTermSh
-
-
-def _ratio(text: str) -> tuple[int, int] | None:
-    """(p, q) of "p" or "p/q" ("-" optional, q led by 1-9, digits of str.isdecimal), else None."""
-    p, slash, q = text.partition("/")
-    if (p.isdecimal() or p[:1] == "-" and p[1:].isdecimal()) and (
-            not slash or q.isdecimal() and "0" < q[0] <= "9"):
-        return int(p), int(q) if slash else 1
-    return None
 
 
 def parse_scalar(value: Any, where: str) -> Fraction:

@@ -19,7 +19,7 @@ import itertools
 from math import lcm
 from typing import Callable, Sequence
 
-from .algebras import CheckResult
+from .algebras import CheckResult, intertwining_defect
 from .cecomplex import postcompose_matrix, precompose_matrix
 from .errors import NotAHomomorphism, ShapeError, ValidationError
 from .linalg import Complex, Matrix, _matrix, cone
@@ -230,9 +230,8 @@ class GroupModuleTriple:
             for b in range(g.order):
                 if phi[g.mul[a][b]] != h.mul[phi[a]][phi[b]]:
                     raise NotAHomomorphism(f"phi is not a homomorphism at elements ({a}, {b})")
-        for a in range(g.order):
-            if psi * v.action[a] != w.action[phi[a]] * psi:
-                raise ValidationError(f"psi does not intertwine the actions at element {a}")
+        if (spot := intertwining_defect(psi, v.action, (w.action[x] for x in phi))) is not None:
+            raise ValidationError(f"psi does not intertwine the actions at element {spot[0]}")
 
     @property
     def dim_v(self) -> int:

@@ -49,14 +49,27 @@ Scalar = int | str | Fraction
 Number = int | Fraction
 
 
+def _ratio(text: str) -> tuple[int, int] | None:
+    """(p, q) of "p" or "p/q" ("-" optional, q led by 1-9, digits of str.isdecimal), else None."""
+    p, slash, q = text.partition("/")
+    if (p.isdecimal() or p[:1] == "-" and p[1:].isdecimal()) and (
+            not slash or q.isdecimal() and "0" < q[0] <= "9"):
+        return int(p), int(q) if slash else 1
+    return None
+
+
 def rat(value: Scalar) -> Fraction:
-    """Coerce an int, Fraction, or canonical "p/q" string to a Fraction."""
+    """An int (not a bool), Fraction, or canonical "p/q" string (``_ratio``) as a Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        if (ratio := _ratio(value)) is not None:
+            return Fraction(*ratio)
+        if value.endswith("/0") and _ratio(value[:-2]):
+            raise ZeroDivisionError(f"zero denominator in {value!r}")
+        raise ValueError(f"{value!r} is not a canonical 'p/q' string")
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 

@@ -3,12 +3,14 @@
 A 2-term sh Lie algebra is a two-step chain complex g1 -> g0 with a skew
 bracket l2 on g0, a compatibility action l2: g0 (x) g1 -> g1, and a skew
 trilinear l3: g0^3 -> g1 obeying five identities; the bracket need not
-satisfy Jacobi on the nose.  Each identity is stated through maps the
-package already builds: the action is a Representation (checked for
-nothing), so l2(x, .) is rep.act(x); axiom (iii) compares d . l3 with the
-Jacobiator, axiom (iv) is the representation axiom less l3(e_i, e_j, d .),
-axiom (v) is the Chevalley-Eilenberg differential of l3, and
-morphism condition (iv) is the eta row of the degree-3 morphism
+satisfy Jacobi on the nose.  Each identity is stated through a kernel or
+map the package already builds: the action is a Representation (checked
+for nothing), so l2(x, .) is rep.act(x); axiom (i) is the intertwining of
+d (b_i = ad(e_i)), (iii) compares d . l3 with the Jacobiator, (iv) is the
+representation axiom less l3(e_i, e_j, d .), (v) the Chevalley-Eilenberg
+differential of l3; morphism condition (ii) is the homomorphism law of
+phi0 up to extra = d' phi2, (iii) the intertwining of phi1 up to extra_i =
+phi2(e_i, .) d, and (iv) the eta row of the degree-3 morphism
 differential.  Skeletal objects (d = 0 on both layers of a morphism pair)
 correspond to closed degree-3 cochains of a morphism Lie algebra: each
 object keeps the triple its checked data amounts to, and each triple's
@@ -18,8 +20,7 @@ skeletal object is checked only for closedness.  Twisting by
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .algebras import (
     CheckResult,
@@ -29,18 +30,21 @@ from .algebras import (
     Representation,
     _unit,
     commutator_defect,
+    homomorphism_defect,
+    intertwining_defect,
     jacobiator,
 )
 from .cecomplex import (
-    ExteriorBasis,
     ce_differential,
+    exterior_basis,
+    first_nonzero_tuple,
     postcompose_matrix,
     precompose_matrix,
     wedge_minor_matrix,
 )
 from .cohomology import MCochain, _flat, mla_differential
 from .errors import NotACocycle, ShapeError, ValidationError
-from .linalg import Matrix, _row_times
+from .linalg import Matrix
 
 
 class TwoTermSh:
@@ -70,7 +74,7 @@ class TwoTermSh:
         self.action1 = self.rep.action
         self.d = d
         self.l3 = l3
-        self.triples = ExteriorBasis(dim0, 3)
+        self.triples = exterior_basis(dim0, 3)
 
     @classmethod
     def from_lie_algebra(cls, g: LieAlgebra) -> TwoTermSh:
@@ -85,10 +89,6 @@ class TwoTermSh:
 
     def __repr__(self) -> str:
         return f"TwoTermSh(dim0={self.dim0}, dim1={self.dim1})"
-
-
-def _first_nonzero(vector: list[Fraction]) -> int | None:
-    return next((q for q, x in enumerate(vector) if x), None)
 
 
 def check_two_term_sh(t: TwoTermSh) -> CheckResult:
@@ -106,10 +106,9 @@ def check_two_term_sh(t: TwoTermSh) -> CheckResult:
     A failure names the first basis tuple at which the identity fails.
     """
     g0, dim0, dim1, d = t.bracket0, t.dim0, t.dim1, t.d
-    for i in range(dim0):
-        a = (d * t.action1[i] - g0.ad_matrix(_unit(dim0, i)) * d).first_nonzero_col()
-        if a is not None:
-            return CheckResult(False, f"axiom (i) fails at (e{i+1}, p{a+1})")
+    spot = intertwining_defect(d, t.action1, (g0.ad_matrix(_unit(dim0, i)) for i in range(dim0)))
+    if spot is not None:
+        return CheckResult(False, f"axiom (i) fails at (e{spot[0]+1}, p{spot[1]+1})")
     acts = [t.rep.act(d.col(a)) for a in range(dim1)]
     for a in range(dim1):
         for b in range(a, dim1):
@@ -123,9 +122,9 @@ def check_two_term_sh(t: TwoTermSh) -> CheckResult:
     if spot is not None:
         i, j, a = spot
         return CheckResult(False, f"axiom (iv) fails at (e{i+1}, e{j+1}, p{a+1})")
-    q = _first_nonzero(ce_differential(t.rep, 3).apply(_flat(t.l3)))
-    if q is not None:
-        i, j, k, l = ExteriorBasis(dim0, 4).tuples[q // dim1]
+    tup = first_nonzero_tuple(ce_differential(t.rep, 3).apply(_flat(t.l3)), dim0, 4, dim1)
+    if tup is not None:
+        i, j, k, l = tup
         return CheckResult(False, f"axiom (v) fails at (e{i+1}, e{j+1}, e{k+1}, e{l+1})")
     return CheckResult(True)
 
@@ -160,56 +159,33 @@ def check_sh_morphism(src: TwoTermSh, dst: TwoTermSh, m: ShMorphism) -> CheckRes
           delta_pull is the Chevalley-Eilenberg differential of g0 acting
           on g1' through phi0, a homomorphism only up to d' phi2
     """
-    if (m.phi0.rows, m.phi0.cols) != (dst.dim0, src.dim0):
-        raise ShapeError(f"phi0 must be {dst.dim0}x{src.dim0}")
-    if (m.phi1.rows, m.phi1.cols) != (dst.dim1, src.dim1):
-        raise ShapeError(f"phi1 must be {dst.dim1}x{src.dim1}")
-    n2 = comb(src.dim0, 2)
-    if (m.phi2.rows, m.phi2.cols) != (dst.dim1, n2):
-        raise ShapeError(f"phi2 must be {dst.dim1}x{n2}")
+    for name, f, (rows, cols) in (("phi0", m.phi0, (dst.dim0, src.dim0)),
+                                  ("phi1", m.phi1, (dst.dim1, src.dim1)),
+                                  ("phi2", m.phi2, (dst.dim1, comb(src.dim0, 2)))):
+        if (f.rows, f.cols) != (rows, cols):
+            raise ShapeError(f"{name} must be {rows}x{cols}")
 
     if m.phi0 * src.d != dst.d * m.phi1:
         return CheckResult(False, "condition (i) fails: phi0 . d differs from d' . phi1")
-    pairs = ExteriorBasis(src.dim0, 2)
-    for (i, j) in pairs.tuples:
-        lhs = dst.d.apply(m.phi2.col(pairs.index[(i, j)]))
-        rhs_first = m.phi0.apply(src.bracket0.structure_vector(i, j))
-        rhs_second = dst.bracket0.bracket(m.phi0.col(i), m.phi0.col(j))
-        if lhs != [a - b for a, b in zip(rhs_first, rhs_second)]:
-            return CheckResult(False, f"condition (ii) fails at (e{i+1}, e{j+1})")
-    # Condition (iii) at e_i, row by row in integers: phi2(e_i, d .) - phi1 l2(e_i, .)
-    # + l2'(phi0 e_i, phi1 .), with x -> phi2(e_i, x) read off phi2's rows.
-    phi1, e1 = m.phi1.integer_rows()
-    d_rows, ed = src.d.integer_rows()
-    phi2_rows, e2 = m.phi2.integer_rows()
-    slices: list[list[dict[int, int]]] = [[{} for _ in range(dst.dim1)] for _ in range(src.dim0)]
-    for r, row in enumerate(phi2_rows):
-        for t, x in row.items():
-            i, j = pairs.tuples[t]
-            slices[i][r][j], slices[j][r][i] = x, -x
+    spot = homomorphism_defect(src.bracket0, dst.bracket0, m.phi0, dst.d * m.phi2)
+    if spot is not None:
+        return CheckResult(False, f"condition (ii) fails at (e{spot[0]+1}, e{spot[1]+1})")
+    # Condition (iii): extra_i = phi2(e_i, .) d is phi2 times the rows +-d_q at (i, q), (q, i).
+    (d_rows, ed), pairs = src.d.integer_rows(), exterior_basis(src.dim0, 2).tuples
     pulled = [dst.rep.act(m.phi0.col(i)) for i in range(src.dim0)]
-    for i in range(src.dim0):
-        (act, ea), (pull, ep) = src.action1[i].integer_rows(), pulled[i].integer_rows()
-        scale = lcm(e2 * ed, e1 * ea, ep * e1)
-        bad: set[int] = set()
-        for r in range(dst.dim1):
-            acc: dict[int, int] = {}
-            for left, right, f in ((slices[i][r], d_rows, scale // (e2 * ed)),
-                                   (phi1[r], act, -(scale // (e1 * ea))),
-                                   (pull[r], phi1, scale // (ep * e1))):
-                for c, y in _row_times(left, right).items():
-                    acc[c] = acc.get(c, 0) + f * y
-            bad.update(c for c, x in acc.items() if x)
-        if bad:
-            return CheckResult(False, f"condition (iii) fails at (e{i+1}, p{min(bad)+1})")
+    spot = intertwining_defect(m.phi1, src.action1, pulled, (m.phi2 * Matrix.from_integer_rows(
+        [d_rows[q] if p == i else {c: -x for c, x in d_rows[p].items()} if q == i else {}
+         for p, q in pairs], src.dim1, ed) for i in range(src.dim0)))
+    if spot is not None:
+        return CheckResult(False, f"condition (iii) fails at (e{spot[0]+1}, p{spot[1]+1})")
     # The eta row of the degree-3 cone on (l3, l3', phi2): f's blocks minus d_2 of W pulled back.
-    q = _first_nonzero([a - b - c for a, b, c in zip(
+    tup = first_nonzero_tuple([a - b - c for a, b, c in zip(
         postcompose_matrix(m.phi1, len(src.triples)).apply(_flat(src.l3)),
         precompose_matrix(wedge_minor_matrix(m.phi0, 3), dst.dim1).apply(_flat(dst.l3)),
         ce_differential(Representation(src.bracket0, dst.dim1, pulled, validate=False), 2)
-        .apply(_flat(m.phi2)))])
-    if q is not None:
-        i, j, k = src.triples.tuples[q // dst.dim1]
+        .apply(_flat(m.phi2)))], src.dim0, 3, dst.dim1)
+    if tup is not None:
+        i, j, k = tup
         return CheckResult(False, f"condition (iv) fails at (e{i+1}, e{j+1}, e{k+1})")
     return CheckResult(True)
 

@@ -306,6 +306,17 @@ def test_non_intertwining_psi_rejected():
         MorphismRep(m, rep, rep, psi)
 
 
+def test_intertwining_fails_at_the_last_basis_vector():
+    # On the abelian plane e1 acts by 0 on V and W, e2 by 1 on V and by 2 on
+    # W: psi = 1 intertwines e1 and fails only at e2, the last generator.
+    g = a2()
+    v = Representation(g, 1, [Matrix.zeros(1, 1), Matrix.identity(1)])
+    w = Representation(g, 1, [Matrix.zeros(1, 1), Matrix.identity(1).scale(2)])
+    broken = MorphismRep(MorphismLieAlgebra.identity(g), v, w, Matrix.identity(1), validate=False)
+    res = check_morphism_rep(broken)
+    assert (res.ok, res.detail) == (False, "psi fails to intertwine the actions at basis vector e2")
+
+
 def test_morphism_rep_shape_errors():
     g = sl2()
     m = MorphismLieAlgebra.identity(g)

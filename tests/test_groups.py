@@ -1,5 +1,6 @@
 """Tests for finite-group cochains and morphism-group cohomology."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,11 @@ def _oracle_bar_matrix(module: GroupModule, n: int, normalized: bool) -> Matrix:
         [[cols[j][i] for j in range(len(cols))] for i in range(len(dst) * dim)],
         cols=len(src) * dim,
     )
+
+
+def _dense_product(a: list, b: list) -> list:
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(len(b[0]))]
+            for row in a]
 
 
 def _raw(t: GroupModuleTriple) -> dict:
@@ -284,6 +290,37 @@ class TestGroupModuleTriple:
         with pytest.raises(ValidationError, match="intertwine"):
             GroupModuleTriple(g, g, [0, 1], sign_module(g),
                               GroupModule.trivial(g, 1), Matrix.identity(1))
+
+    def test_a_moved_psi_fails_at_the_first_element_that_does_not_intertwine(self):
+        # The dense reference scans the elements a in order for
+        # psi rho_V(a) != rho_W(Phi a) psi, as the product check before the
+        # integer kernel did.  Z2 acting by sign on V and trivially on W fails
+        # at its last element.
+        rng, s = random.Random(2030), Sampler(2030)
+        z2 = FiniteGroup.cyclic(2)
+        triples = [t for _, t in _triple_fixtures()] + [s.group_module_triple() for _ in range(8)]
+        triples.append(GroupModuleTriple(z2, z2, [0, 1], sign_module(z2),
+                                         GroupModule.trivial(z2, 1), Matrix.zeros(1, 1)))
+        elements = set()
+        for t in triples:
+            rho_v = [m.to_lists() for m in t.v.action]
+            rho_w = [t.w.action[x].to_lists() for x in t.phi]
+            for _ in range(3):
+                psi = t.psi.to_lists()
+                psi[rng.randrange(t.dim_w)][rng.randrange(t.dim_v)] += Fraction(
+                    rng.choice([-2, 1, 3]), rng.choice([1, 2]))
+                first = next((a for a in range(t.g.order)
+                              if _dense_product(psi, rho_v[a]) != _dense_product(rho_w[a], psi)),
+                             None)
+                args = (t.g, t.h, t.phi, t.v, t.w, Matrix.from_rows(psi, cols=t.dim_v))
+                if first is None:
+                    GroupModuleTriple(*args)
+                    continue
+                with pytest.raises(ValidationError) as exc:
+                    GroupModuleTriple(*args)
+                assert str(exc.value) == f"psi does not intertwine the actions at element {first}"
+                elements.add((t.g.order, first))
+        assert len(elements) >= 3 and (2, 1) in elements
 
     def test_zero_psi_always_intertwines(self):
         g = FiniteGroup.cyclic(2)

@@ -66,6 +66,23 @@ def test_rat_rejects_zero_denominator():
         rat("1/0")
 
 
+@pytest.mark.parametrize("text", ["0.5", "1e3", "1_000", " 1/2 ", "+3", "1/2/3", "1/-2", ""])
+def test_rat_reads_only_canonical_strings(text):
+    # The scalar reader of documents, ``_ratio``, is the one reader of strings.
+    with pytest.raises(ValueError):
+        rat(text)
+    with pytest.raises(ValueError):
+        Matrix.from_rows([[text]])
+
+
+def test_rat_rejects_booleans():
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            rat(flag)
+        with pytest.raises(TypeError):
+            Matrix.from_rows([[1, flag]])
+
+
 def test_rank_of_rational_matrix():
     m = Matrix.from_rows([[rat("1/2"), 1], [rat("1/3"), 1]])
     assert rank(m) == 2

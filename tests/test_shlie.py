@@ -14,6 +14,7 @@ from morphlie.algebras import (
     Representation,
     check_jacobi,
     check_morphism_rep,
+    is_lie_homomorphism,
 )
 from morphlie.cecomplex import ce_differential
 from morphlie.cohomology import MCochain, mla_differential
@@ -705,3 +706,75 @@ class TestOracleReferee:
                 failed.add((found[0], src.d.is_zero()))
         assert {label for label, _ in failed} == set(_MORPHISM_DETAILS)
         assert any(zero for _, zero in failed) and not all(zero for _, zero in failed)
+
+
+def _non_skeletal_morphism(g: LieAlgebra, p: Matrix) -> tuple[TwoTermSh, TwoTermSh, ShMorphism]:
+    """A sh morphism whose phi0 = P is not a homomorphism, corrected by phi2.
+
+    The source is g -> g (d = id), the target g + Q -> g (d' = [id | 0], e_i
+    acting by ad on g and by 0 on the line Q).  phi1 = [P; 0] and phi2 =
+    [D; 0] with D(x, y) = P[x, y] - [Px, Py], so condition (ii) holds only
+    through d' phi2 = D and condition (iii) only through phi2(x, d p).
+    Condition (iv) is then Jacobi in g.
+    """
+    n = g.dim
+    e = [[int(k == i) for k in range(n)] for i in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    defect = [[a - b for a, b in zip(p.apply(g.bracket(e[i], e[j])), g.bracket(p.col(i), p.col(j)))]
+              for i, j in pairs]
+    line = Matrix.zeros(1, n)
+    column = line.transpose()
+    dst = TwoTermSh(g, [Matrix.block([[g.ad_matrix(x), column], [line, Matrix.zeros(1, 1)]])
+                        for x in e], Matrix.hstack([Matrix.identity(n), column]))
+    phi2 = Matrix.from_rows([[col[r] for col in defect] for r in range(n)] + [[0] * len(pairs)],
+                            cols=len(pairs))
+    return TwoTermSh.identity_complex(g), dst, ShMorphism(p, Matrix.vstack([p, line]), phi2)
+
+
+def _moved(m: Matrix, row: int, col: int, step: Fraction) -> Matrix:
+    rows = m.to_lists()
+    rows[row][col] += step
+    return Matrix.from_rows(rows, cols=m.cols)
+
+
+class TestNonSkeletalMorphism:
+    """Conditions (ii) and (iii) where d' phi2 and phi2(x, d p) are not zero."""
+
+    P = Matrix.from_rows([[1, Fraction(1, 2), 0], [0, 2, 0], [Fraction(-1, 3), 0, 3]])
+
+    def _check(self, src, dst, m):
+        raw_phi2 = {tup: m.phi2.col(k) for k, tup
+                    in enumerate(itertools.combinations(range(src.dim0), 2))}
+        found = o_sh_morphism_failure(_sh_raw(src), _sh_raw(dst), m.phi0.to_lists(),
+                                      m.phi1.to_lists(), raw_phi2)
+        res = check_sh_morphism(src, dst, m)
+        assert (res.ok, res.detail) == (found is None, _oracle_detail(_MORPHISM_DETAILS, found))
+        return res.detail
+
+    def test_conditions_hold_only_through_phi2(self):
+        for g in (sl2(), heis(), _sl2_plus_line()):
+            p = self.P if g.dim == 3 else Matrix.from_rows(
+                [[1, 0, 0, Fraction(1, 2)], [0, 2, 0, 0], [0, 1, 1, 0], [0, 0, 0, 3]])
+            src, dst, m = _non_skeletal_morphism(g, p)
+            assert check_two_term_sh(src) and check_two_term_sh(dst)
+            assert not is_lie_homomorphism(g, g, p) and not dst.d.is_zero()
+            assert self._check(src, dst, m) is None
+            # Without phi2, condition (ii) fails where P is not a homomorphism.
+            zero = ShMorphism(m.phi0, m.phi1, Matrix.zeros(m.phi2.rows, m.phi2.cols))
+            assert self._check(src, dst, zero).startswith("condition (ii) fails")
+
+    def test_a_moved_phi2_fails_at_the_oracle_spot(self):
+        # An entry on g moves d' phi2, so (ii) fails at its pair; an entry on the
+        # line Q passes (ii), which d' kills, and (iii) fails at (e_i, p_j).
+        src, dst, m = _non_skeletal_morphism(sl2(), self.P)
+        seen = set()
+        for row in range(m.phi2.rows):
+            for t, (i, j) in enumerate(itertools.combinations(range(3), 2)):
+                for step in (Fraction(1), Fraction(-2, 3)):
+                    moved = ShMorphism(m.phi0, m.phi1, _moved(m.phi2, row, t, step))
+                    detail = self._check(src, dst, moved)
+                    expected = (f"condition (ii) fails at (e{i+1}, e{j+1})" if row < 3
+                                else f"condition (iii) fails at (e{i+1}, p{j+1})")
+                    assert detail == expected
+                    seen.add(detail.split(" fails")[0])
+        assert seen == {"condition (ii)", "condition (iii)"}
