@@ -55,6 +55,8 @@ class LieAlgebra:
     so near-Lie data can be built and examined.
     """
 
+    _jacobi: CheckResult | None = None  # check_jacobi's verdict, stored on its first call
+
     def __init__(self, dim: int, structure: Sequence[Sequence[Sequence[Scalar]]]):
         """Read the dense table structure[i][j][k] = c_ij^k; it is not kept."""
         if dim < 0:
@@ -182,13 +184,16 @@ def jacobiator(a: LieAlgebra) -> Matrix:
 
 
 def check_jacobi(a: LieAlgebra) -> CheckResult:
-    """The Jacobiator vanishes; a failure names its first nonzero column."""
-    t = jacobiator(a).first_nonzero_col()
-    if t is None:
-        return CheckResult(True)
-    i, j, k = next(islice(combinations(range(a.dim), 3), t, None))
-    return CheckResult(
-        False, f"Jacobi identity fails on basis triple (e{i+1}, e{j+1}, e{k+1})")
+    """The Jacobiator vanishes; a failure names its first nonzero column.  Kept on ``a``."""
+    if a._jacobi is None:
+        t = jacobiator(a).first_nonzero_col()
+        if t is None:
+            a._jacobi = CheckResult(True)
+        else:
+            i, j, k = next(islice(combinations(range(a.dim), 3), t, None))
+            a._jacobi = CheckResult(
+                False, f"Jacobi identity fails on basis triple (e{i+1}, e{j+1}, e{k+1})")
+    return a._jacobi
 
 
 class Representation:
@@ -298,17 +303,18 @@ def homomorphism_defect(g: LieAlgebra, h: LieAlgebra, phi: Matrix,
     """
     if phi.rows != h.dim or phi.cols != g.dim:
         raise ShapeError(f"phi must be {h.dim}x{g.dim}, got {phi.rows}x{phi.cols}")
-    pairs = list(combinations(range(g.dim), 2))
     (cols, e), (xs, f) = phi.transpose().integer_rows(), (
-        extra.transpose().integer_rows() if extra is not None else ([{}] * len(pairs), 1))
+        extra.transpose().integer_rows() if extra is not None else (None, 1))
     fb, fp, fx = g.den * f, h.den * e * f, g.den * h.den * e * e
-    for (i, j), x in zip(pairs, xs, strict=True):
+    xs = iter(xs) if xs is not None else None  # column t of extra, read at the t-th pair
+    for i, j in combinations(range(g.dim), 2):
         diff = {a: fb * y for a, y in _bracket_items(h, cols[i], cols[j]).items()}
         for k, z in g.nonzero[i][j]:
             for a, y in cols[k].items():
                 diff[a] = diff.get(a, 0) - fp * z * y
-        for a, y in x.items():
-            diff[a] = diff.get(a, 0) + fx * y
+        if xs is not None:
+            for a, y in next(xs).items():
+                diff[a] = diff.get(a, 0) + fx * y
         if any(diff.values()):
             return i, j
     return None
@@ -344,8 +350,9 @@ class MorphismLieAlgebra:
         self.g = g
         self.h = h
         self.phi = phi
+        self._verdict: CheckResult | None = None  # the homomorphism law, kept when checked
         if validate:
-            res = is_lie_homomorphism(g, h, phi)
+            res = self._verdict = is_lie_homomorphism(g, h, phi)
             if not res:
                 raise NotAHomomorphism(res.detail)
 
@@ -377,8 +384,9 @@ class MorphismRep:
         self.w = w
         self.psi = psi
         self._w_phi: Representation | None = None  # W pulled back along phi, kept on first use
+        self._verdict: CheckResult | None = None  # check_morphism_rep's, kept when checked
         if validate:
-            res = check_morphism_rep(self)
+            res = self._verdict = check_morphism_rep(self)
             if not res:
                 raise ValidationError(res.detail)
 
@@ -400,15 +408,17 @@ def check_morphism_rep(m: MorphismRep) -> CheckResult:
     """Rep axioms for V and W plus the intertwining of psi, on bases.
 
     V and W answer with the verdict of their own first check, so a triple
-    built from validated modules evaluates only the intertwining.
+    built from validated modules evaluates only the intertwining, whose
+    matrices rho_W(phi e_i) are kept on m as W pulled back along phi.
     """
     for name, module in (("V", m.v), ("W", m.w)):
         if not (res := module.check()):
             return CheckResult(False, f"{name}: {res.detail}")
     phi = m.base.phi
-    spot = intertwining_defect(m.psi, m.v.action, (m.w.act(phi.col(i)) for i in range(phi.cols)))
-    if spot is not None:
+    pulled = [m.w.act(phi.col(i)) for i in range(phi.cols)]
+    if (spot := intertwining_defect(m.psi, m.v.action, pulled)) is not None:
         return CheckResult(False, f"psi fails to intertwine the actions at basis vector e{spot[0]+1}")
+    m._w_phi = Representation(m.base.g, m.dim_w, pulled, validate=False)
     return CheckResult(True)
 
 

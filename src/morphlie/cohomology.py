@@ -34,6 +34,7 @@ from .algebras import (
     MorphismLieAlgebra,
     MorphismRep,
     Representation,
+    check_jacobi,
     check_morphism_homomorphism,
 )
 from .cecomplex import (
@@ -183,15 +184,23 @@ def _chain_map(rep: MorphismRep) -> tuple[tuple[Complex, Complex], Complex, Call
                        precompose_matrix(-wedge_minor_matrix(base.phi, n), rep.dim_w)))
 
 
+def _psi_is_iso(rep: MorphismRep) -> bool:
+    """psi invertible, rep and its base checked (kept verdicts), g and h Lie: psi . is a chain iso."""
+    psi, base = rep.psi, rep.base
+    return bool(rep._verdict and base._verdict and check_jacobi(base.g)
+                and check_jacobi(base.h) and psi.rows == psi.cols and rank(psi) == psi.rows)
+
+
 def mla_complex(rep: MorphismRep, cone: bool = False,
                 size_ceiling: int | None = None) -> Complex:
     """The morphism complex of rep, or its full mapping cone with ``cone=True``.
 
     The cone of ``_chain_map``, cut down in degree 0 to V, the graph
     [I; psi] of psi, unless ``cone``.  The simple variant keeps the
-    eta-free columns.
+    eta-free columns.  With ``_psi_is_iso`` it is ranked on C(h, W) alone.
     """
-    return mapping_cone(*_chain_map(rep), None if cone else rep.psi, "morphism", size_ceiling)
+    return mapping_cone(*_chain_map(rep), None if cone else rep.psi, "morphism", size_ceiling,
+                        lambda: _psi_is_iso(rep))
 
 
 def mla_cohomology_dim(rep: MorphismRep, n: int, cone: bool = False) -> int:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from .algebras import CheckResult, intertwining_defect
 from .cecomplex import postcompose_matrix, precompose_matrix
 from .errors import NotAHomomorphism, ShapeError, ValidationError
-from .linalg import Complex, Matrix, _matrix, cone
+from .linalg import Complex, Matrix, _matrix, cone, rank
 
 
 class FiniteGroup:
@@ -98,8 +98,9 @@ class GroupModule:
         self.group = group
         self.dim = dim
         self.action = list(action)
+        self._verdict: CheckResult | None = None  # check's, kept when validated
         if validate:
-            res = self.check()
+            res = self._verdict = self.check()
             if not res:
                 raise ValidationError(res.detail)
 
@@ -302,8 +303,10 @@ def _chain_map(t: GroupModuleTriple,
 def mlg_complex(t: GroupModuleTriple, normalized: bool = False,
                 size_ceiling: int | None = None) -> Complex:
     """The morphism-group complex of a triple: the cone of ``_chain_map``, with C^0 = V,
-    the graph [I; psi] of psi."""
-    return cone(*_chain_map(t, normalized), t.psi, "morphism-group", size_ceiling)
+    the graph [I; psi] of psi; with V and W validated and psi invertible, ranked on C(H, W)."""
+    return cone(*_chain_map(t, normalized), t.psi, "morphism-group", size_ceiling,
+                lambda: bool(t.v._verdict and t.w._verdict and t.psi.rows == t.psi.cols
+                             and rank(t.psi) == t.psi.rows))
 
 
 def mlg_cohomology_dim(t: GroupModuleTriple, n: int, normalized: bool = False) -> int:

@@ -531,18 +531,21 @@ class Complex:
       dependencies.  On the transpose of d_n without the columns S they are
       independent rows of d_n, rank d_n many: a row basis S_n.
     s_n is ranked, after the same lower degrees and check, as ``row_basis``
-    of d_n without the columns outside keep(n).
+    of d_n without the columns outside keep(n).  A ``known(n)`` that is not
+    None is both ranks of degree n, read off other complexes (``cone``).
     """
 
     def __init__(self, dim: Callable[[int], int],
                  differential: Callable[[int], Matrix], name: str,
                  size_ceiling: int | None = None,
-                 keep: Callable[[int], Sequence[int]] | None = None):
+                 keep: Callable[[int], Sequence[int]] | None = None,
+                 known: Callable[[int], int | None] | None = None):
         self._dim, self._dims = dim, {}
         self.differential = differential
         self.name = name
         self.size_ceiling = size_ceiling
         self.keep = keep
+        self.known = known
         self._held: dict[int, Matrix] = {}
         self._bases: dict[int, set[int]] = {}
         self._simple: dict[int, int] = {}
@@ -570,6 +573,8 @@ class Complex:
 
     def rank(self, n: int, simple: bool = False) -> int:
         """Rank of d_n, or with ``simple`` of s_n: d_n on the columns keep(n)."""
+        if self.known is not None and (r := self.known(n)) is not None:
+            return r
         simple = simple and n > 0 and self.keep is not None
         # The ranked degrees are always 0..len(_bases)-1: a failed check adds none.
         for k in range(len(self._bases), n if simple else n + 1):
@@ -619,7 +624,7 @@ class Complex:
 
 def cone(source: Sequence[Complex], target: Complex, f: Callable[[int], Sequence[Matrix]],
          graph: Matrix | None = None, name: str = "cone",
-         size_ceiling: int | None = None) -> Complex:
+         size_ceiling: int | None = None, iso: Callable[[], bool] | None = None) -> Complex:
     """The mapping cone of a chain map f: A_1 (+) ... (+) A_k -> B, as a Complex.
 
     C^n = A_1^n (+) ... (+) A_k^n (+) B^{n-1} and d(a, b) = (d a, f a - d b),
@@ -627,6 +632,15 @@ def cone(source: Sequence[Complex], target: Complex, f: Callable[[int], Sequence
     [f_1 | ... | f_k] of f_n, block i from A_i^n to B^n.  With ``graph``, a map
     psi from A_1^0 to A_2^0 (+) ... (+) A_k^0, C^0 is the graph of psi and d_0 is
     the cone's d_0 times [I; psi], built for it.  ``keep(n)`` is the source's columns.
+
+    ``iso``, asked once at the first rank, says f_1 is a chain isomorphism
+    A_1 -> B.  Then each rank of d_n and s_n, n >= 1 (and of d_0 without a
+    graph), is dim A_1^n + sum_{i>=2} rank d_n(A_i), with no d_n built, after
+    the size ceiling has passed degrees 0..n+1.  Proof (Weibel 1.5): h =
+    f_1^{-1} [f_2 | ... | f_k] is a chain map and (a_1, a', b) -> (a_1 + h a', a',
+    b) an isomorphism K = cone(f_1) (+) A_2 (+) ... (+) A_k; the cocycles of
+    cone(f_1) are the (f_1^{-1} d b, b), so its rank d_n is dim A_1^n.  The
+    kernel of s_n, the (-h a', a') with d a' = 0, gives s_n the same rank.
 
     d_n is written in one pass of integer rows, each zero-free: the rows of
     each d_{A_i} as stored, shifted past the earlier summands, then each B
@@ -670,8 +684,17 @@ def cone(source: Sequence[Complex], target: Complex, f: Callable[[int], Sequence
             d = d * Matrix.vstack([Matrix.identity(graph.cols), graph])
         return d
 
-    return Complex(dim, differential, name, size_ceiling,
-                   lambda n: range(dim(n) - target.dim(n - 1)))
+    def known(n: int) -> int | None:
+        nonlocal iso  # asked once, at the first rank it answers: True, or None for the cone route
+        if (n < (0 if graph is None else 1) or iso is None
+                or iso is not True and not (iso := iso() or None)):
+            return None
+        cx._refuse(0, n + 1)
+        return source[0].dim(n) + sum(a.rank(n) for a in source[1:])
+
+    cx = Complex(dim, differential, name, size_ceiling,
+                 lambda n: range(dim(n) - target.dim(n - 1)), known)
+    return cx
 
 
 def kernel_basis(m: Matrix) -> Matrix:

@@ -729,10 +729,11 @@ def o_betti_heis(n):
 
 
 def o_identity_triple_dims(ce_dims, dim_v):
-    """The default complex of (g, g, id) on (V, V, id), from dim H^n(g, V).
+    """The default complex of a triple with psi invertible, from dim H^n(h, W).
 
-    f is onto with the diagonal as kernel, so the full cone has
-    H^n(K) = H^n(g, V) in every degree, and the default complex differs
-    from it only by dim W = dim V more in H^1.
+    psi . is then a chain isomorphism C(g, V) -> C(g, W_phi), whose cone is
+    contractible, so the full cone has H^n(K) = H^n(h, W) in every degree,
+    and the default complex differs from it only by dim W more in H^1.
+    (g, g, id) on (V, V, id) is the case W = V.
     """
     return [h + (dim_v if n == 1 else 0) for n, h in enumerate(ce_dims)]

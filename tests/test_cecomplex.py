@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, Representation
-from morphlie import cecomplex
+from morphlie import cecomplex, cohomology, linalg
 from morphlie.cecomplex import (
     ExteriorBasis,
     ce_cohomology_dim,
@@ -25,6 +25,7 @@ from morphlie.cohomology import mla_complex, mla_differential
 from morphlie.errors import ShapeError
 from morphlie.fixtures import (
     a1,
+    a1_into_sl2_triple,
     a2,
     heis,
     heis_adjoint_triple,
@@ -371,24 +372,56 @@ def test_morphism_matrix_stores_no_zero():
                 assert all(0 not in row.values() for row in num), (n, normalized)
 
 
-def test_a_table_rescales_each_action_and_builds_each_exterior_basis_once(monkeypatch):
-    # The morphism table of heis to degree 3 builds d_0..d_3: V's, W's and the
-    # pulled-back module's differentials in every degree, and wedge minors of
-    # phi.  Each action matrix is rescaled to integers once, and each (dim, n)
-    # exterior basis built once.
-    rep = heis_adjoint_triple()
-    rescaled, built, made = [], [], []
+def _record_table_pieces(monkeypatch):
+    """Log the matrices rescaled to integers, the exterior bases, modules and wedge minors built."""
+    rescaled, built, made, minors = [], [], [], []
     real_rows, real_basis = Matrix.integer_rows, ExteriorBasis.__init__
-    real_rep = Representation.__init__
+    real_rep, real_minors = Representation.__init__, cecomplex.wedge_minor_matrix
     monkeypatch.setattr(Matrix, "integer_rows",
                         lambda m, d=0: rescaled.append(m) or real_rows(m, d))
     monkeypatch.setattr(ExteriorBasis, "__init__",
                         lambda b, dim, n: built.append((dim, n)) or real_basis(b, dim, n))
     monkeypatch.setattr(Representation, "__init__",
                         lambda r, *a, **k: made.append(r) or real_rep(r, *a, **k))
+    monkeypatch.setattr(cohomology, "wedge_minor_matrix",
+                        lambda phi, n: minors.append(n) or real_minors(phi, n))
     cecomplex.exterior_basis.cache_clear()
+    return rescaled, built, made, minors
+
+
+def test_a_table_rescales_each_action_and_builds_each_exterior_basis_once(monkeypatch):
+    # psi is not invertible, so the morphism table of a1 into sl2 to degree 3
+    # builds d_0..d_3 of the cone: V's, W's and the pulled-back module's
+    # differentials in every degree, and wedge minors of phi.  Each action
+    # matrix is rescaled to integers once, and each (dim, n) exterior basis
+    # built once.  The pulled-back module is the one the rep's check built.
+    rep = a1_into_sl2_triple()
+    rescaled, built, made, minors = _record_table_pieces(monkeypatch)
     mla_complex(rep).table(3)
-    assert len(made) == 1  # the pulled-back module
-    for module in (rep.v, rep.w, *made):
+    assert made == [] and minors == [0, 1, 2, 3]
+    for module in (rep.v, rep.w, rep._w_phi):
         assert [sum(x is m for x in rescaled) for m in module.action] == [1] * len(module.action)
     assert sorted(built) == sorted(set(built)) and (3, 4) in built
+
+
+@pytest.mark.parametrize("cone", [False, True])
+def test_an_invertible_psi_table_builds_only_w_and_the_graph(monkeypatch, cone):
+    # psi = id: the heis adjoint table to degree 3 ranks C(h, W) alone.  W's
+    # action is rescaled once, no module is pulled back, and each degree of
+    # W is built once and ranked once, after psi's one rank.  The full cone
+    # builds nothing of its own; the default complex builds and ranks the
+    # graph's d_0, which takes V's and W's d_0 and the degree-0 wedge minors.
+    rep = heis_adjoint_triple()
+    rescaled, _, made, minors = _record_table_pieces(monkeypatch)
+    degrees, ranked = [], []
+    real_ce, real_basis = cecomplex.ce_differential, linalg.row_basis
+    monkeypatch.setattr(cecomplex, "ce_differential",
+                        lambda r, n: degrees.append((r, n)) or real_ce(r, n))
+    monkeypatch.setattr(linalg, "row_basis",
+                        lambda m, skip=(): ranked.append(m) or real_basis(m, skip))
+    mla_complex(rep, cone).table(3)
+    assert made == [] and minors == ([] if cone else [0])
+    assert [n for r, n in degrees if r is rep.w] == ([0, 1, 2, 3] if cone else [0, 0, 1, 2, 3])
+    assert [n for r, n in degrees if r is rep.v] == ([] if cone else [0])
+    assert len(ranked) == (5 if cone else 6)
+    assert [sum(x is m for x in rescaled) for m in rep.w.action] == [1] * rep.w.algebra.dim

@@ -23,12 +23,14 @@ from morphlie.documents import ProblemDocument
 from morphlie.extensions import build_extension
 from morphlie.fixtures import (
     a1,
+    a1_into_sl2_triple,
     a1_triple,
     a2,
     sign_module,
     sl2,
     sl2_v1_triple,
     z2_identity_triple,
+    z4_to_z2_sign_triple,
 )
 from morphlie.groups import FiniteGroup
 from morphlie.linalg import Matrix
@@ -58,6 +60,25 @@ def sl2_doc(tmp_path):
     doc.cochains["c2"] = Sampler(5).closed_cochain(rep, 2)
     doc.cochains["c3"] = Sampler(5).closed_cochain(rep, 3)
     path = tmp_path / "sl2.json"
+    doc.dump(str(path))
+    return str(path)
+
+
+@pytest.fixture
+def a1_sl2_doc(tmp_path):
+    path = tmp_path / "a1_sl2.json"
+    _base_document(a1_into_sl2_triple()).dump(str(path))
+    return str(path)
+
+
+@pytest.fixture
+def z4_doc(tmp_path):
+    t = z4_to_z2_sign_triple()
+    doc = ProblemDocument()
+    doc.groups.update(z4=t.g, z2=t.h)
+    doc.group_modules.update(v=t.v, w=t.w)
+    doc.group_module_triples["t"] = t
+    path = tmp_path / "z4.json"
     doc.dump(str(path))
     return str(path)
 
@@ -284,31 +305,40 @@ def _record_cone_degrees(monkeypatch):
 class TestTableCalls:
     """A table of degrees 0..top builds each d_n once and eliminates each matrix once."""
 
-    @pytest.mark.parametrize("doc, module, builder, argv, ranks", [
+    @pytest.mark.parametrize("doc, module, builder, argv, built, ranks", [
+        # psi = id: the cone builds only the graph's d_0, and its ranks of
+        # degree >= 1 are W's d_0..d_3, ranked after psi; --simple adds none.
         ("sl2_doc", "cohomology", "mla_differential",
-         ["cohomology", "DOC", "rep", "--max-degree", "3"], 4),
-        # s_0 = d_0, so --simple adds the ranks of s_1 and s_2 only.
+         ["cohomology", "DOC", "rep", "--max-degree", "3"], [0], 6),
         ("sl2_doc", "cohomology", "mla_differential",
-         ["cohomology", "DOC", "rep", "--max-degree", "3", "--simple"], 6),
+         ["cohomology", "DOC", "rep", "--max-degree", "3", "--simple"], [0], 6),
         ("z2_doc", "groups", "mlg_differential",
-         ["cohomology", "DOC", "t", "--group", "--max-degree", "3"], 4),
+         ["cohomology", "DOC", "t", "--group", "--max-degree", "3"], [0], 6),
         ("z2_doc", "groups", "group_differential",
-         ["group", "cohomology", "DOC", "sign", "--max-degree", "3"], 4),
+         ["group", "cohomology", "DOC", "sign", "--max-degree", "3"], [0, 1, 2, 3], 4),
+        # psi is not square: the cone is built and ranked in every degree.
+        ("a1_sl2_doc", "cohomology", "mla_differential",
+         ["cohomology", "DOC", "rep", "--max-degree", "3"], [0, 1, 2, 3], 4),
+        # s_0 = d_0, so --simple adds the ranks of s_1 and s_2 only.
+        ("a1_sl2_doc", "cohomology", "mla_differential",
+         ["cohomology", "DOC", "rep", "--max-degree", "3", "--simple"], [0, 1, 2, 3], 6),
+        ("z4_doc", "groups", "mlg_differential",
+         ["cohomology", "DOC", "t", "--group", "--max-degree", "3"], [0, 1, 2, 3], 4),
     ])
     def test_each_differential_built_and_ranked_once(
-            self, capsys, monkeypatch, request, doc, module, builder, argv, ranks):
+            self, capsys, monkeypatch, request, doc, module, builder, argv, built, ranks):
         import importlib
 
         import morphlie.linalg
 
         path = request.getfixturevalue(doc)
-        built = (_record_cone_degrees(monkeypatch) if builder in _MORPHISM_DIFFERENTIALS else
-                 _record_calls(monkeypatch, importlib.import_module(f"morphlie.{module}"),
-                               builder))
+        degrees = (_record_cone_degrees(monkeypatch) if builder in _MORPHISM_DIFFERENTIALS else
+                   _record_calls(monkeypatch, importlib.import_module(f"morphlie.{module}"),
+                                 builder))
         ranked = _record_calls(monkeypatch, morphlie.linalg, "row_basis")
         code, _, _ = run(capsys, *[path if a == "DOC" else a for a in argv])
         assert code == 0
-        assert built == [0, 1, 2, 3]
+        assert degrees == built
         assert len(ranked) == ranks
 
 

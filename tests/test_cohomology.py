@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, MorphismRep, Representation
+from morphlie import cohomology, linalg
+from morphlie.algebras import (
+    LieAlgebra,
+    MorphismLieAlgebra,
+    MorphismRep,
+    Representation,
+    check_jacobi,
+)
 from morphlie.cecomplex import ce_cohomology_dim, ce_differential, pullback_rep
 from morphlie.cohomology import (
     MCochain,
@@ -34,11 +41,13 @@ from morphlie.errors import (
 )
 from morphlie.fixtures import (
     a1,
+    a1_into_sl2_triple,
     a1_triple,
     a2,
     a2_triple,
     heis,
     heis_adjoint_triple,
+    heis_to_a2_triple,
     sl2,
     sl2_adjoint_triple,
     sl2_v1_triple,
@@ -53,13 +62,17 @@ from morphlie.fixtures import (
     z4_to_z2_sign_triple,
 )
 from morphlie.groups import FiniteGroup, GroupModule, GroupModuleTriple, group_complex, mlg_complex
-from morphlie.linalg import Matrix
+from morphlie.linalg import Complex, Matrix
 from morphlie.sampling import Sampler
 
 from .oracles import (
+    _mk_act,
+    _mk_brk,
     dense_table,
+    o_ce_dims,
     o_derivation_dims,
     o_derivation_failure,
+    o_identity_triple_dims,
     o_mla_dims,
     o_mla_matrix,
     o_rank,
@@ -228,7 +241,7 @@ def test_degree0_differential_builds_no_pullback(monkeypatch):
         return pullback_rep(*args)
 
     monkeypatch.setattr(cohomology, "pullback_rep", counting_pullback)
-    rep = heis_adjoint_triple()
+    rep = _unchecked(heis_adjoint_triple())
     mla_differential(rep, 0)
     mla_differential(rep, 0, cone=True)
     assert calls == []
@@ -236,10 +249,17 @@ def test_degree0_differential_builds_no_pullback(monkeypatch):
     assert len(calls) == 1
 
 
+def _unchecked(rep: MorphismRep) -> MorphismRep:
+    """The same triple built without its check, so it keeps no W_phi."""
+    return MorphismRep(rep.base, rep.v, rep.w, rep.psi, validate=False)
+
+
 def test_complex_pulls_w_back_once(monkeypatch):
-    # A table to degree 4 pulls W back along phi once, on degree 1, for
-    # every differential it builds; the simple columns and every later
-    # complex of the same rep reuse it.
+    # psi is not invertible, so a table to degree 4 builds the cone, which
+    # pulls W back along phi once, on degree 1, for every differential it
+    # builds; the simple columns and every later complex of the same rep
+    # reuse it.  A checked rep kept the W_phi of its check and pulls back
+    # nothing, and a table with psi invertible never reads W_phi.
     import morphlie.cohomology as cohomology
 
     calls = []
@@ -249,7 +269,7 @@ def test_complex_pulls_w_back_once(monkeypatch):
         return pullback_rep(*args)
 
     monkeypatch.setattr(cohomology, "pullback_rep", counting_pullback)
-    rep = heis_adjoint_triple()
+    rep = _unchecked(a1_into_sl2_triple())
     cx = mla_complex(rep)
     cx.matrix(0)
     assert calls == []
@@ -257,6 +277,22 @@ def test_complex_pulls_w_back_once(monkeypatch):
     assert len(calls) == 1
     mla_complex(rep, cone=True).table(4)
     assert len(calls) == 1
+    checked = a1_into_sl2_triple()
+    kept = checked._w_phi
+    mla_complex(checked).table(4, simple=True)
+    assert len(calls) == 1 and checked._w_phi is kept
+    fresh = heis_adjoint_triple()
+    fresh._w_phi = None
+    mla_complex(fresh).table(4, simple=True)
+    assert len(calls) == 1 and fresh._w_phi is None
+
+
+def test_a_check_keeps_the_pulled_back_module():
+    # The matrices rho_W(phi e_i) that the intertwining check compared are W_phi.
+    for name, rep in standard_morphism_reps():
+        pulled = pullback_rep(rep.base, rep.w)
+        assert rep._w_phi.action == pulled.action and rep._w_phi.algebra is rep.base.g, name
+        assert _unchecked(rep)._w_phi is None, name
 
 
 def test_standalone_differentials_pull_w_back_once_per_rep(monkeypatch):
@@ -269,7 +305,7 @@ def test_standalone_differentials_pull_w_back_once_per_rep(monkeypatch):
         return pullback_rep(*args)
 
     monkeypatch.setattr(cohomology, "pullback_rep", counting_pullback)
-    rep, other = sl2_v1_triple(), sl2_v1_triple()
+    rep, other = _unchecked(sl2_v1_triple()), _unchecked(sl2_v1_triple())
     for n in range(4):
         mla_differential(rep, n)
         mla_differential(rep, n, cone=True)
@@ -283,6 +319,96 @@ def test_complex_verifies_square_zero():
         cx = mla_complex(rep)
         for n in range(max(rep.base.g.dim + 1, rep.base.h.dim)):
             assert (cx.matrix(n + 1) * cx.matrix(n)).is_zero(), name
+
+
+def _cone_route(rep: MorphismRep, cone: bool = False) -> Complex:
+    """``mla_complex`` built by ``linalg.cone`` without ``iso``: every d_n is built and ranked."""
+    return linalg.cone(*cohomology._chain_map(rep), None if cone else rep.psi, "morphism")
+
+
+def _route_taken(cx: Complex) -> bool:
+    """Whether a ranked morphism complex read its ranks of degree >= 1 off C(h, W)."""
+    return list(cx._bases) in ([0], [])
+
+
+def _assert_routes_agree(label: str, rep: MorphismRep) -> list[list[int]]:
+    """Tables of both routes to the top degree, default with --simple and full cone, agree.
+
+    Returns the dims of the default complex and of the full cone; each ranked
+    d_n >= 1 through C(h, W) exactly when psi is checked invertible.
+    """
+    top = max(rep.base.g.dim + 1, rep.base.h.dim)
+    dims = []
+    for cone in (False, True):
+        cx = mla_complex(rep, cone)
+        rows = cx.table(top, not cone)
+        assert rows == _cone_route(rep, cone).table(top, not cone), (label, cone)
+        assert _route_taken(cx) == cohomology._psi_is_iso(rep), (label, cone)
+        dims.append([row["cohomology"] for row in rows])
+    return dims
+
+
+def test_the_invertible_psi_route_agrees_with_the_cone_on_the_catalog():
+    # Every catalog triple but a1 into sl2 (psi is 2x1) has psi invertible.
+    taken = []
+    for name, rep in standard_morphism_reps():
+        top = max(rep.base.g.dim + 1, rep.base.h.dim)
+        assert _assert_routes_agree(name, rep) == [o_mla_dims(_raw(rep), top, cone)
+                                                   for cone in (False, True)], name
+        if cohomology._psi_is_iso(rep):
+            taken.append(name)
+    assert len(taken) == 8 and "a1-into-sl2" not in taken
+
+
+def test_the_invertible_psi_route_agrees_with_the_cone_on_sampled_triples():
+    # 52 of the 60 draws have psi invertible.  There the oracle is H^n(h, W),
+    # plus dim W in H^1 of the default complex (o_identity_triple_dims), and
+    # on the first five also o_mla_dims, whose dense ranks take ~4 s on all.
+    taken = 0
+    for seed in range(404, 464):
+        rep = Sampler(seed).morphism_rep()
+        default, full = _assert_routes_agree(f"Sampler({seed})", rep)
+        if cohomology._psi_is_iso(rep):
+            taken += 1
+            if taken <= 5:
+                assert default == o_mla_dims(_raw(rep), len(default) - 1), seed
+            h = rep.base.h
+            ce = o_ce_dims(h.dim, _mk_brk(dense_table(h)), _mk_act([m.to_lists() for m in rep.w.action]),
+                           rep.dim_w, len(full) - 1)
+            assert default == o_identity_triple_dims(ce, rep.dim_w), seed
+            assert full == ce, seed
+    assert taken == 52
+
+
+def test_a_singular_psi_takes_the_cone_route():
+    # psi = 0 is square and intertwines, but is no isomorphism.  With phi = id
+    # and V = W the cone still has the route's ranks, as -. wedge^n phi is
+    # then the isomorphism; heis onto a2, first, tells them apart.
+    for rep in (heis_to_a2_triple(), sl2_v1_triple(), heis_adjoint_triple()):
+        zero = MorphismRep(rep.base, rep.v, rep.w, Matrix.zeros(rep.dim_w, rep.dim_v))
+        top = rep.base.g.dim + 1
+        assert _assert_routes_agree(f"{rep} with psi = 0", zero) == [
+            o_mla_dims(_raw(zero), top, cone) for cone in (False, True)]
+        assert not cohomology._psi_is_iso(zero)
+
+
+def test_unchecked_or_non_lie_data_takes_the_cone_route():
+    # An unchecked rep is ranked through the cone, whose d . d check still
+    # refuses a psi that does not intertwine; so is a valid triple over a
+    # bracket that fails Jacobi, which the module and homomorphism checks
+    # cannot see with trivial modules.
+    broken = _non_intertwining_rep()
+    assert not cohomology._psi_is_iso(broken)
+    with pytest.raises(AssertionError, match="morphism differential does not square to zero"):
+        mla_complex(broken).table(2)
+    unchecked = _unchecked(sl2_v1_triple())
+    assert not cohomology._psi_is_iso(unchecked)
+    _assert_routes_agree("unchecked", unchecked)
+    g = LieAlgebra.from_brackets(3, {(0, 1): [0, 1, 0], (1, 2): [1, 0, 0]})
+    assert not check_jacobi(g)
+    rep = MorphismRep(MorphismLieAlgebra.identity(g), v0(g), v0(g), Matrix.identity(1))
+    with pytest.raises(AssertionError, match="morphism differential does not square to zero"):
+        mla_complex(rep).table(3)
 
 
 def _tables_to_referee():

@@ -35,10 +35,17 @@ from morphlie.groups import (
     mlg_differential,
     pullback_module,
 )
-from morphlie.linalg import Matrix, cone
+from morphlie.linalg import Matrix, cone, rank
 from morphlie.sampling import Sampler
 
-from .oracles import o_bar_apply, o_group_tuples, o_mlg_dims, o_mlg_matrix
+from .oracles import (
+    o_bar_apply,
+    o_gp_dims,
+    o_group_tuples,
+    o_identity_triple_dims,
+    o_mlg_dims,
+    o_mlg_matrix,
+)
 
 
 def _module_fixtures() -> list[tuple[str, GroupModule]]:
@@ -392,11 +399,15 @@ class TestMlgDifferential:
             return pullback_module(*args)
 
         monkeypatch.setattr(groups, "pullback_module", counting_pullback)
-        t = klein_to_z2_triple()
+        # psi = 0: the cone is built, and pulls W back once, on degree 1.
+        t = z4_to_z2_sign_triple()
         cx = mlg_complex(t, normalized=True)
         cx.matrix(0)
         assert calls == []
         cx.table(4)
+        assert len(calls) == 1
+        # psi = 1: the ranks are C(H, W)'s, and nothing is pulled back.
+        mlg_complex(klein_to_z2_triple(), normalized=True).table(4)
         assert len(calls) == 1
 
     def test_standalone_differentials_pull_w_back_once_per_triple(self, monkeypatch):
@@ -432,6 +443,66 @@ class TestMlgDifferential:
                     prod = mlg_differential(t, n + 1, normalized) * \
                         mlg_differential(t, n, normalized)
                     assert prod.is_zero(), (name, n, normalized)
+
+
+def _cone_route(t: GroupModuleTriple, normalized: bool):
+    """``mlg_complex`` built by ``linalg.cone`` without ``iso``: every d_n is built and ranked."""
+    return cone(*groups._chain_map(t, normalized), t.psi, "morphism-group")
+
+
+def _psi_invertible(t: GroupModuleTriple) -> bool:
+    return t.psi.rows == t.psi.cols and rank(t.psi) == t.psi.rows
+
+
+class TestInvertiblePsiRoute:
+    """A triple with psi invertible is ranked on C(H, W) alone; the rest through the cone."""
+
+    def _agree(self, label, t, top=2):
+        """Both routes' tables, full to ``top`` and normalized one degree further; the dims."""
+        dims = []
+        for normalized in (False, True):
+            cx = mlg_complex(t, normalized)
+            rows = cx.table(top + normalized)
+            assert rows == _cone_route(t, normalized).table(top + normalized), (label, normalized)
+            assert (list(cx._bases) == [0]) == _psi_invertible(t), (label, normalized)
+            dims.append([row["cohomology"] for row in rows])
+        return dims
+
+    def test_sampled_triples_agree_with_the_cone_and_the_oracles(self):
+        # 39 of the 120 draws have psi invertible.  There H^n is that of
+        # C(H, W), plus dim W in H^1 (o_identity_triple_dims), and so is
+        # o_mlg_dims.  The dense oracles run to degree 1, and normalized
+        # o_gp_dims to degree 2: to degree 3 they take ~40 s.
+        taken = 0
+        for seed in range(1, 121):
+            t = Sampler(seed).group_module_triple()
+            dims = self._agree(f"Sampler({seed})", t)
+            if _psi_invertible(t):
+                taken += 1
+                rho = [m.to_lists() for m in t.w.action]
+                for normalized, got in zip((False, True), dims):
+                    top = 2 if normalized else 1
+                    ce = o_gp_dims(t.h.order, t.h.mul, t.h.identity, rho, t.dim_w, top, normalized)
+                    assert got[:top + 1] == o_identity_triple_dims(ce, t.dim_w), (seed, normalized)
+                    assert got[:2] == o_mlg_dims(_raw(t), 1, normalized), (seed, normalized)
+        assert taken == 39
+
+    def test_a_singular_psi_takes_the_cone_route(self):
+        for module in (sign_module(FiniteGroup.cyclic(2)), z3_rotation_module()):
+            t = GroupModuleTriple.identity(module)
+            zero = GroupModuleTriple(t.g, t.h, t.phi, t.v, t.w, Matrix.zeros(t.dim_w, t.dim_v))
+            assert not _psi_invertible(zero)
+            assert self._agree("psi = 0", zero, top=1) == [
+                o_mlg_dims(_raw(zero), 1 + normalized, normalized) for normalized in (False, True)]
+
+    def test_an_unchecked_module_takes_the_cone_route(self):
+        # psi = 1 intertwines, but V and W, built unchecked, fail the module
+        # axioms; the cone's d . d check refuses them.
+        g = FiniteGroup.cyclic(2)
+        bad = GroupModule(g, 1, [Matrix.identity(1), Matrix.from_rows([[2]])], validate=False)
+        t = GroupModuleTriple.identity(bad)
+        with pytest.raises(AssertionError, match="morphism-group differential does not square"):
+            mlg_complex(t).table(2)
 
 
 class TestMlgCohomology:

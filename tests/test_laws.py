@@ -16,6 +16,7 @@ from itertools import combinations, product
 
 import pytest
 
+from morphlie import cohomology
 from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, Representation, adjoint_morphism_rep
 from morphlie.cecomplex import ce_complex, ce_differential
 from morphlie.cohomology import mla_complex
@@ -38,6 +39,7 @@ from morphlie.groups import (
     group_differential,
     mlg_complex,
 )
+from morphlie.linalg import cone
 
 from .oracles import (
     _mk_act,
@@ -148,8 +150,11 @@ def test_identity_triple_law_on_adjoint_triples(name):
     g = ALGEBRAS[name]()
     ce = ce_complex(g.adjoint_rep())
     expected = o_identity_triple_dims([ce.dim_H(n) for n in range(g.dim + 2)], g.dim)
-    triple = mla_complex(adjoint_morphism_rep(MorphismLieAlgebra.identity(g)))
-    assert [triple.dim_H(n) for n in range(g.dim + 2)] == expected
+    rep = adjoint_morphism_rep(MorphismLieAlgebra.identity(g))
+    # psi = id: the table is read off C(h, W), by this very law, so the cone
+    # route, which builds and ranks the whole cone, referees it too.
+    for triple in (mla_complex(rep), cone(*cohomology._chain_map(rep), rep.psi, "morphism")):
+        assert [triple.dim_H(n) for n in range(g.dim + 2)] == expected
 
 
 MODULES = {

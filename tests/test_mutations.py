@@ -13,9 +13,9 @@ import inspect
 
 import pytest
 
-from morphlie import algebras
+from morphlie import algebras, cohomology, linalg
 
-from . import test_algebras, test_groups, test_shlie
+from . import test_algebras, test_cohomology, test_groups, test_shlie
 
 
 def _mutant_code(func, old: str, new: str):
@@ -55,6 +55,15 @@ MUTANTS = [
      [test_algebras.test_intertwining_fails_at_the_last_basis_vector,
       _GROUP_TRIPLES.test_non_intertwining_psi_rejected,
       _GROUP_TRIPLES.test_a_moved_psi_fails_at_the_first_element_that_does_not_intertwine]),
+    ("cone: A_1's rank in place of its dimension", linalg.cone,
+     "source[0].dim(n) + sum(", "source[0].rank(n) + sum(",
+     [test_cohomology.test_the_invertible_psi_route_agrees_with_the_cone_on_the_catalog]),
+    ("cone: the graph's d_0 read off the summands", linalg.cone,
+     "(n < (0 if graph is None else 1) or iso is None", "(n < 0 or iso is None",
+     [test_cohomology.test_the_invertible_psi_route_agrees_with_the_cone_on_the_catalog]),
+    ("_psi_is_iso: a square singular psi taken as invertible", cohomology._psi_is_iso,
+     " and rank(psi) == psi.rows)", ")",
+     [test_cohomology.test_a_singular_psi_takes_the_cone_route]),
 ]
 
 
