@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from .algebras import CheckResult, intertwining_defect
 from .cecomplex import postcompose_matrix, precompose_matrix
 from .errors import NotAHomomorphism, ShapeError, ValidationError
-from .linalg import Complex, Matrix, _matrix, cone, rank
+from .linalg import Complex, Matrix, _matrix, acyclic_from, cone, rank
 
 
 class FiniteGroup:
@@ -189,10 +189,16 @@ def group_differential(module: GroupModule, n: int,
 
 def group_complex(module: GroupModule, normalized: bool = False,
                   size_ceiling: int | None = None) -> Complex:
-    """The bar complex of a module (normalized subcomplex if requested)."""
-    return Complex(lambda n: group_cochain_dim(module.group, module.dim, n, normalized),
-                   lambda n: group_differential(module, n, normalized), "bar",
-                   size_ceiling)
+    """The bar complex of a module (normalized subcomplex if requested).
+
+    A validated module (a kept verdict) has H^n = 0 for n >= 1 over Q, since
+    |G| is invertible (Maschke; Brown, Cohomology of Groups, III.10), so only
+    d_0 is built and eliminated (``acyclic_from``).  d_1 . d_0 = 0 there is
+    rho(g_1 g_2) = rho(g_1) rho(g_2), which the verdict holds.
+    """
+    cx = Complex(lambda n: group_cochain_dim(module.group, module.dim, n, normalized),
+                 lambda n: group_differential(module, n, normalized), "bar", size_ceiling)
+    return acyclic_from(cx, 1) if module._verdict else cx
 
 
 def group_cohomology_dim(module: GroupModule, n: int, normalized: bool = False) -> int:
@@ -303,10 +309,18 @@ def _chain_map(t: GroupModuleTriple,
 def mlg_complex(t: GroupModuleTriple, normalized: bool = False,
                 size_ceiling: int | None = None) -> Complex:
     """The morphism-group complex of a triple: the cone of ``_chain_map``, with C^0 = V,
-    the graph [I; psi] of psi; with V and W validated and psi invertible, ranked on C(H, W)."""
-    return cone(*_chain_map(t, normalized), t.psi, "morphism-group", size_ceiling,
-                lambda: bool(t.v._verdict and t.w._verdict and t.psi.rows == t.psi.cols
-                             and rank(t.psi) == t.psi.rows))
+    the graph [I; psi] of psi.
+
+    With V and W validated, psi invertible, it is ranked on C(H, W) alone.
+    With V and W validated and any psi, H^n = 0 for n >= 2: C(G, V), C(H, W)
+    and C(G, W_Phi) have no cohomology above degree 0 (``group_complex``), so
+    the cone's long exact sequence (Weibel 1.5) leaves none in degree n >= 2,
+    where T and the full cone agree.  Only d_0 and d_1 are then built.
+    """
+    checked = bool(t.v._verdict and t.w._verdict)
+    cx = cone(*_chain_map(t, normalized), t.psi, "morphism-group", size_ceiling,
+              lambda: checked and t.psi.rows == t.psi.cols and rank(t.psi) == t.psi.rows)
+    return acyclic_from(cx, 2) if checked else cx
 
 
 def mlg_cohomology_dim(t: GroupModuleTriple, n: int, normalized: bool = False) -> int:

@@ -514,7 +514,7 @@ class Complex:
     ``size_ceiling``, is built once, and is held only while a neighbouring
     degree may still need it: building d_n drops every held matrix but
     d_{n-1} and d_{n+1}.  ``keep(n)`` lists the columns of d_n that the
-    simple variant keeps (n >= 1; s_0 = d_0).  Every dimension is reported
+    simple variant keeps (n >= 1; s_0 = d_0).  Every eliminated rank is read
     only after d_n . d_{n-1} = 0 has been checked.
 
     Ranks.  ``rank(n)`` ranks d_0, ..., d_{n-1} first, lowest first, then
@@ -531,15 +531,16 @@ class Complex:
       dependencies.  On the transpose of d_n without the columns S they are
       independent rows of d_n, rank d_n many: a row basis S_n.
     s_n is ranked, after the same lower degrees and check, as ``row_basis``
-    of d_n without the columns outside keep(n).  A ``known(n)`` that is not
-    None is both ranks of degree n, read off other complexes (``cone``).
+    of d_n without the columns outside keep(n).  A ``known(n, simple)`` that
+    is not None is that rank of degree n, read off a theorem instead
+    (``cone``, ``acyclic_from``).
     """
 
     def __init__(self, dim: Callable[[int], int],
                  differential: Callable[[int], Matrix], name: str,
                  size_ceiling: int | None = None,
                  keep: Callable[[int], Sequence[int]] | None = None,
-                 known: Callable[[int], int | None] | None = None):
+                 known: Callable[[int, bool], int | None] | None = None):
         self._dim, self._dims = dim, {}
         self.differential = differential
         self.name = name
@@ -573,9 +574,9 @@ class Complex:
 
     def rank(self, n: int, simple: bool = False) -> int:
         """Rank of d_n, or with ``simple`` of s_n: d_n on the columns keep(n)."""
-        if self.known is not None and (r := self.known(n)) is not None:
-            return r
         simple = simple and n > 0 and self.keep is not None
+        if self.known is not None and (r := self.known(n, simple)) is not None:
+            return r
         # The ranked degrees are always 0..len(_bases)-1: a failed check adds none.
         for k in range(len(self._bases), n if simple else n + 1):
             d = self.matrix(k)
@@ -634,13 +635,18 @@ def cone(source: Sequence[Complex], target: Complex, f: Callable[[int], Sequence
     the cone's d_0 times [I; psi], built for it.  ``keep(n)`` is the source's columns.
 
     ``iso``, asked once at the first rank, says f_1 is a chain isomorphism
-    A_1 -> B.  Then each rank of d_n and s_n, n >= 1 (and of d_0 without a
-    graph), is dim A_1^n + sum_{i>=2} rank d_n(A_i), with no d_n built, after
-    the size ceiling has passed degrees 0..n+1.  Proof (Weibel 1.5): h =
-    f_1^{-1} [f_2 | ... | f_k] is a chain map and (a_1, a', b) -> (a_1 + h a', a',
-    b) an isomorphism K = cone(f_1) (+) A_2 (+) ... (+) A_k; the cocycles of
-    cone(f_1) are the (f_1^{-1} d b, b), so its rank d_n is dim A_1^n.  The
-    kernel of s_n, the (-h a', a') with d a' = 0, gives s_n the same rank.
+    A_1 -> B and, with a graph, that psi is invertible and f_0 [I; psi] = 0
+    (both callers' graphs: psi v - psi v).  Then each rank of d_n and s_n,
+    n >= 1 (and of d_0 without a graph), is dim A_1^n + sum_{i>=2} rank
+    d_n(A_i), and with a graph rank d_0 is sum_{i>=2} rank d_0(A_i); no d_n
+    of the cone is built, and the size ceiling passes degrees 0..n+1 first.
+    Proof (Weibel 1.5): h = f_1^{-1} [f_2 | ... | f_k] is a chain map and
+    (a_1, a', b) -> (a_1 + h a', a', b) an isomorphism K = cone(f_1) (+) A_2
+    (+) ... (+) A_k; the cocycles of cone(f_1) are the (f_1^{-1} d b, b), so
+    its rank d_n is dim A_1^n.  The kernel of s_n, the (-h a', a') with
+    d a' = 0, gives s_n the same rank.  On the graph d_0 v = (d v, d psi v,
+    0), and f_1 d v + f' d psi v = d f_0 (v, psi v) = 0 with f_1 injective,
+    so ker d_0 = psi^{-1}(ker d_0 of A_2 (+) ... (+) A_k).
 
     d_n is written in one pass of integer rows, each zero-free: the rows of
     each d_{A_i} as stored, shifted past the earlier summands, then each B
@@ -684,16 +690,41 @@ def cone(source: Sequence[Complex], target: Complex, f: Callable[[int], Sequence
             d = d * Matrix.vstack([Matrix.identity(graph.cols), graph])
         return d
 
-    def known(n: int) -> int | None:
+    def known(n: int, simple: bool) -> int | None:
         nonlocal iso  # asked once, at the first rank it answers: True, or None for the cone route
-        if (n < (0 if graph is None else 1) or iso is None
-                or iso is not True and not (iso := iso() or None)):
+        if n < 0 or iso is None or iso is not True and not (iso := iso() or None):
             return None
         cx._refuse(0, n + 1)
-        return source[0].dim(n) + sum(a.rank(n) for a in source[1:])
+        a_1 = 0 if n == 0 and graph is not None else source[0].dim(n)
+        return a_1 + sum(a.rank(n) for a in source[1:])
 
     cx = Complex(dim, differential, name, size_ceiling,
                  lambda n: range(dim(n) - target.dim(n - 1)), known)
+    return cx
+
+
+def acyclic_from(cx: Complex, lo: int) -> Complex:
+    """cx, given H^n = 0 for n >= lo by a theorem, ranked without d_n for n >= lo.
+
+    There ker d_n = im d_{n-1}, so rank d_n = dim C^n - rank d_{n-1}: each
+    such rank is read off d_{lo-1}'s, which is built, checked and eliminated
+    as before, after the size ceiling has passed degrees 0..n+1.  A rank the
+    hook cx already has answers first; s_n is not read off.
+    """
+    inner = cx.known
+
+    def known(n: int, simple: bool) -> int | None:
+        if inner is not None and (r := inner(n, simple)) is not None:
+            return r
+        if n < lo or simple:
+            return None
+        cx._refuse(0, n + 1)
+        r = cx.rank(lo - 1)
+        for k in range(lo, n + 1):
+            r = cx.dim(k) - r
+        return r
+
+    cx.known = known
     return cx
 
 

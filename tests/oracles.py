@@ -377,6 +377,29 @@ def o_bar_apply(order, mul, identity, rho, dim, f, n, normalized):
     return out
 
 
+def o_average_apply(order, identity, dim, f, n, normalized):
+    """Maschke's averaging homotopy h_n: C^n -> C^{n-1} on a group n-cochain dict, n >= 1.
+
+    (h_n f)(g_1, ..., g_{n-1}) = (-1)^n / |G| * sum_g f(g_1, ..., g_{n-1}, g).
+    With the differential of ``o_bar_apply``, d_{n-1} h_n + h_{n+1} d_n is
+    the identity of C^n for n >= 1, on the full and the normalized cochains,
+    and h_1 d_0 is I - A on C^0 (``o_average_action``).
+    """
+    scale = Fraction((-1) ** n, order)
+    out = {}
+    for tup in o_group_tuples(order, identity, n - 1, normalized):
+        total = [Z] * dim
+        for g in range(order):
+            total = _vadd(total, o_group_eval(f, tup + (g,), identity, normalized, dim))
+        out[tup] = _vscale(scale, total)
+    return out
+
+
+def o_average_action(order, rho, vec):
+    """A v = 1/|G| sum_g rho(g) v, the projection onto the invariant vectors."""
+    return _vscale(Fraction(1, order), _vadd(*(_mv(rho[g], vec) for g in range(order))))
+
+
 def o_mlg_basis(raw, n, normalized):
     if n == 0:
         return [("v", (), a) for a in range(raw["dim_v"])]

@@ -408,9 +408,9 @@ def test_a_table_rescales_each_action_and_builds_each_exterior_basis_once(monkey
 def test_an_invertible_psi_table_builds_only_w_and_the_graph(monkeypatch, cone):
     # psi = id: the heis adjoint table to degree 3 ranks C(h, W) alone.  W's
     # action is rescaled once, no module is pulled back, and each degree of
-    # W is built once and ranked once, after psi's one rank.  The full cone
-    # builds nothing of its own; the default complex builds and ranks the
-    # graph's d_0, which takes V's and W's d_0 and the degree-0 wedge minors.
+    # W is built once and ranked once, after psi's one rank.  Neither complex
+    # builds a differential of its own: the graph's rank d_0 is W's, so no d_0
+    # of V and no wedge minor is built, and W's d_0 is built once.
     rep = heis_adjoint_triple()
     rescaled, _, made, minors = _record_table_pieces(monkeypatch)
     degrees, ranked = [], []
@@ -420,8 +420,8 @@ def test_an_invertible_psi_table_builds_only_w_and_the_graph(monkeypatch, cone):
     monkeypatch.setattr(linalg, "row_basis",
                         lambda m, skip=(): ranked.append(m) or real_basis(m, skip))
     mla_complex(rep, cone).table(3)
-    assert made == [] and minors == ([] if cone else [0])
-    assert [n for r, n in degrees if r is rep.w] == ([0, 1, 2, 3] if cone else [0, 0, 1, 2, 3])
-    assert [n for r, n in degrees if r is rep.v] == ([] if cone else [0])
-    assert len(ranked) == (5 if cone else 6)
+    assert made == [] and minors == []
+    assert [n for r, n in degrees if r is rep.w] == [0, 1, 2, 3]
+    assert [n for r, n in degrees if r is rep.v] == []
+    assert len(ranked) == 5
     assert [sum(x is m for x in rescaled) for m in rep.w.action] == [1] * rep.w.algebra.dim

@@ -327,15 +327,15 @@ def _cone_route(rep: MorphismRep, cone: bool = False) -> Complex:
 
 
 def _route_taken(cx: Complex) -> bool:
-    """Whether a ranked morphism complex read its ranks of degree >= 1 off C(h, W)."""
-    return list(cx._bases) in ([0], [])
+    """Whether a ranked morphism complex read its ranks off C(h, W), eliminating none of its own."""
+    return not cx._bases
 
 
 def _assert_routes_agree(label: str, rep: MorphismRep) -> list[list[int]]:
     """Tables of both routes to the top degree, default with --simple and full cone, agree.
 
     Returns the dims of the default complex and of the full cone; each ranked
-    d_n >= 1 through C(h, W) exactly when psi is checked invertible.
+    d_n through C(h, W) exactly when psi is checked invertible.
     """
     top = max(rep.base.g.dim + 1, rep.base.h.dim)
     dims = []

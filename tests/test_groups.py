@@ -93,6 +93,16 @@ def _oracle_bar_matrix(module: GroupModule, n: int, normalized: bool) -> Matrix:
     )
 
 
+def _unchecked(module: GroupModule) -> GroupModule:
+    """The same module built with ``validate=False``: its tables eliminate every degree."""
+    return GroupModule(module.group, module.dim, module.action, validate=False)
+
+
+def _unchecked_triple(t: GroupModuleTriple) -> GroupModuleTriple:
+    """t over unchecked copies of V and W: its tables eliminate every degree of the cone."""
+    return GroupModuleTriple(t.g, t.h, t.phi, _unchecked(t.v), _unchecked(t.w), t.psi)
+
+
 def _dense_product(a: list, b: list) -> list:
     return [[sum((x * b[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(len(b[0]))]
             for row in a]
@@ -235,11 +245,18 @@ class TestGroupCohomology:
             assert group_cohomology_dim(module, 2, normalized=True) == 0
 
     def test_z6_normalized_table_follows_maschke(self):
-        """H^n(Z6, Q) = 0 for n > 0, so rank d_n = 5^n - rank d_{n-1}."""
-        cx = group_complex(GroupModule.trivial(FiniteGroup.cyclic(6), 1), normalized=True)
+        """H^n(Z6, Q) = 0 for n > 0, so rank d_n = 5^n - rank d_{n-1}.
+
+        Eliminated on an unchecked module, then equal to the validated
+        module's table, which reads those ranks off the theorem.
+        """
+        module = GroupModule.trivial(FiniteGroup.cyclic(6), 1)
+        cx = group_complex(_unchecked(module), normalized=True)
         rows = cx.table(4)
         assert [r["rank"] for r in rows] == [0, 5, 20, 105, 520]
         assert [r["cohomology"] for r in rows] == [1, 0, 0, 0, 0]
+        assert sorted(cx._bases) == [0, 1, 2, 3, 4]
+        assert group_complex(module, normalized=True).table(4) == rows
 
     def test_z6_sign_table_eliminates_a_complement_of_the_image(self, monkeypatch):
         """Each d_n is ranked on dim C^n - rank d_{n-1} columns, not on its dim C^{n+1} rows."""
@@ -253,12 +270,17 @@ class TestGroupCohomology:
             return original(work, touching, reduce)
 
         monkeypatch.setattr(morphlie.linalg, "_pivot", recording)
-        cx = group_complex(sign_module(FiniteGroup.cyclic(6)), normalized=True)
+        module = sign_module(FiniteGroup.cyclic(6))
+        cx = group_complex(_unchecked(module), normalized=True)
         rows = cx.table(5)
         assert [r["cohomology"] for r in rows] == [0] * 6
         assert all(entering[n] <= cx.dim(n) - cx.rank(n - 1) for n in range(6))
         # H = 0, so every row entering an elimination becomes a pivot row.
         assert entering == [r["rank"] for r in rows] == [1, 4, 21, 104, 521, 2604]
+        # The validated module eliminates only d_0, and reads the rest off H = 0.
+        entering.clear()
+        assert group_complex(module, normalized=True).table(5) == rows
+        assert entering == [1]
 
     def test_sign_module_has_no_invariants(self):
         module = sign_module(FiniteGroup.cyclic(2))
@@ -445,11 +467,6 @@ class TestMlgDifferential:
                     assert prod.is_zero(), (name, n, normalized)
 
 
-def _cone_route(t: GroupModuleTriple, normalized: bool):
-    """``mlg_complex`` built by ``linalg.cone`` without ``iso``: every d_n is built and ranked."""
-    return cone(*groups._chain_map(t, normalized), t.psi, "morphism-group")
-
-
 def _psi_invertible(t: GroupModuleTriple) -> bool:
     return t.psi.rows == t.psi.cols and rank(t.psi) == t.psi.rows
 
@@ -458,13 +475,19 @@ class TestInvertiblePsiRoute:
     """A triple with psi invertible is ranked on C(H, W) alone; the rest through the cone."""
 
     def _agree(self, label, t, top=2):
-        """Both routes' tables, full to ``top`` and normalized one degree further; the dims."""
+        """Both routes' tables, full to ``top`` and normalized one degree further; the dims.
+
+        The other route is t over unchecked V and W, which eliminates every
+        degree of the cone; the validated table eliminates none of the cone
+        with psi invertible, else only d_0 and d_1.
+        """
         dims = []
         for normalized in (False, True):
-            cx = mlg_complex(t, normalized)
+            cx, other = mlg_complex(t, normalized), mlg_complex(_unchecked_triple(t), normalized)
             rows = cx.table(top + normalized)
-            assert rows == _cone_route(t, normalized).table(top + normalized), (label, normalized)
-            assert (list(cx._bases) == [0]) == _psi_invertible(t), (label, normalized)
+            assert rows == other.table(top + normalized), (label, normalized)
+            assert sorted(other._bases) == list(range(top + normalized + 1)), (label, normalized)
+            assert sorted(cx._bases) == ([] if _psi_invertible(t) else [0, 1]), (label, normalized)
             dims.append([row["cohomology"] for row in rows])
         return dims
 
@@ -503,6 +526,72 @@ class TestInvertiblePsiRoute:
         t = GroupModuleTriple.identity(bad)
         with pytest.raises(AssertionError, match="morphism-group differential does not square"):
             mlg_complex(t).table(2)
+
+
+def _record_bar_builds(monkeypatch):
+    """Log (module, n) for each bar differential ``group_complex`` builds."""
+    built, real = [], groups.group_differential
+    monkeypatch.setattr(groups, "group_differential",
+                        lambda m, n, normalized=False: built.append((m, n)) or real(m, n, normalized))
+    return built
+
+
+def _record_cone_builds(cx):
+    """cx, and the log of each degree whose differential it builds."""
+    built, build = [], cx.differential
+    cx.differential = lambda n: built.append(n) or build(n)
+    return cx, built
+
+
+class TestMaschkeRoute:
+    """Validated data rank what Maschke's theorem leaves: d_0 of a module, d_0 and d_1 of a cone.
+
+    Unchecked data eliminate and check every degree, and both routes' tables agree.
+    """
+
+    def test_a_validated_module_table_builds_only_d0(self, monkeypatch):
+        built = _record_bar_builds(monkeypatch)
+        for name, module in _module_fixtures():
+            for normalized in (False, True):
+                built.clear()
+                cx = group_complex(module, normalized)
+                rows = cx.table(6)
+                assert built == [(module, 0)] and not cx._verified, (name, normalized)
+                assert [r["cohomology"] for r in rows][1:] == [0] * 6, (name, normalized)
+                other = _unchecked(module)
+                eliminated = group_complex(other, normalized)
+                assert eliminated.table(3) == rows[:4], (name, normalized)
+                assert built[1:] == [(other, n) for n in range(4)], (name, normalized)
+                assert sorted(eliminated._verified) == [1, 2, 3], (name, normalized)
+
+    def test_a_validated_triple_with_singular_psi_builds_only_d0_and_d1(self):
+        triples = [("z4-to-z2-sign", z4_to_z2_sign_triple())]
+        for module in (sign_module(FiniteGroup.cyclic(2)), z3_rotation_module()):
+            t = GroupModuleTriple.identity(module)
+            triples.append(("psi = 0", GroupModuleTriple(t.g, t.h, t.phi, t.v, t.w,
+                                                         Matrix.zeros(t.dim_w, t.dim_v))))
+        for name, t in triples:
+            for normalized in (False, True):
+                cx, built = _record_cone_builds(mlg_complex(t, normalized))
+                rows = cx.table(5)
+                assert built == [0, 1] and sorted(cx._verified) == [1], (name, normalized)
+                assert [r["cohomology"] for r in rows][2:] == [0] * 4, (name, normalized)
+                eliminated, built = _record_cone_builds(mlg_complex(_unchecked_triple(t),
+                                                                    normalized))
+                assert eliminated.table(3) == rows[:4], (name, normalized)
+                assert built == [0, 1, 2, 3], (name, normalized)
+                assert sorted(eliminated._verified) == [1, 2, 3], (name, normalized)
+
+    def test_an_invertible_psi_table_builds_no_cone_differential(self, monkeypatch):
+        bar = _record_bar_builds(monkeypatch)
+        for name, t in _triple_fixtures():
+            if not _psi_invertible(t):
+                continue
+            for normalized in (False, True):
+                bar.clear()
+                cx, built = _record_cone_builds(mlg_complex(t, normalized))
+                cx.table(4)
+                assert built == [] and bar == [(t.w, 0)], (name, normalized)
 
 
 class TestMlgCohomology:

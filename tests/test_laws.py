@@ -45,14 +45,18 @@ from .oracles import (
     _mk_act,
     _mk_brk,
     dense_table,
+    o_average_action,
+    o_average_apply,
     o_bar_apply,
     o_betti_heis,
     o_betti_sl2_power,
     o_betti_sl3,
     o_ce_apply,
+    o_group_tuples,
     o_identity_triple_dims,
     o_poly_product,
 )
+from .test_groups import _unchecked, _unchecked_triple
 
 
 def _sl(n: int) -> LieAlgebra:
@@ -177,18 +181,66 @@ TRIPLES = {
 # Maschke over Q: |G| is invertible, so averaging is a contracting homotopy
 # of the bar complex in degrees >= 1, and of the morphism-group cone in
 # degrees >= 2 (the default complex differs from the cone only in H^1).
+# A validated module's table reads its ranks there off this theorem, so the
+# laws run on unchecked modules, which eliminate every degree, and the two
+# routes' tables must agree.
 @pytest.mark.parametrize("normalized", [False, True])
 @pytest.mark.parametrize("name", MODULES)
 def test_maschke_group_cohomology_vanishes(name, normalized):
-    complex_ = group_complex(MODULES[name](), normalized)
+    module = MODULES[name]()
+    complex_ = group_complex(_unchecked(module), normalized)
     assert [complex_.dim_H(n) for n in (1, 2, 3)] == [0, 0, 0]
+    assert group_complex(module, normalized).table(3) == complex_.table(3)
 
 
 @pytest.mark.parametrize("normalized", [False, True])
 @pytest.mark.parametrize("name", TRIPLES)
 def test_maschke_morphism_group_cohomology_vanishes(name, normalized):
-    complex_ = mlg_complex(TRIPLES[name](), normalized)
+    t = TRIPLES[name]()
+    complex_ = mlg_complex(_unchecked_triple(t), normalized)
     assert [complex_.dim_H(n) for n in (2, 3)] == [0, 0]
+    assert mlg_complex(t, normalized).table(3) == complex_.table(3)
+
+
+def test_averaging_is_a_contracting_homotopy_of_the_bar_differential():
+    """d_{n-1} h_n + h_{n+1} d_n = I on C^n for n = 1..3, and h_1 d_0 = I - A on C^0.
+
+    h is the oracle's averaging over the last argument, d the package's
+    ``group_differential``, on every catalog module, full and normalized:
+    the theorem that validated tables read their ranks off.  Averaging over
+    the last argument commutes with the first face, so the identity above
+    degree 0 does not see rho; the degree-0 case, with A the average of rho,
+    does.
+    """
+    for name, make in MODULES.items():
+        module = make()
+        group, dim = module.group, module.dim
+        rho = [m.to_lists() for m in module.action]
+        for normalized in (False, True):
+            tuples = [o_group_tuples(group.order, group.identity, n, normalized)
+                      for n in range(5)]
+
+            def cochain(n, flat):
+                return {t: flat[i * dim:(i + 1) * dim] for i, t in enumerate(tuples[n])}
+
+            def h(n, flat):
+                f = o_average_apply(group.order, group.identity, dim, cochain(n, flat), n,
+                                    normalized)
+                return [x for t in tuples[n - 1] for x in f[t]]
+
+            d = [group_differential(module, n, normalized) for n in range(4)]
+            for n in range(4):
+                size = len(tuples[n]) * dim
+                for j in range(size):
+                    unit = [Fraction(int(k == j)) for k in range(size)]
+                    got = h(n + 1, d[n].apply(unit))
+                    if n:
+                        got = [x + y for x, y in zip(got, d[n - 1].apply(h(n, unit)))]
+                        expected = unit
+                    else:
+                        expected = [x - y for x, y in zip(unit, o_average_action(group.order,
+                                                                                 rho, unit))]
+                    assert got == expected, (name, normalized, n, j)
 
 
 def _sparse_cochains(seed, tuples, dim, count=3):

@@ -13,9 +13,9 @@ import inspect
 
 import pytest
 
-from morphlie import algebras, cohomology, linalg
+from morphlie import algebras, cohomology, groups, linalg
 
-from . import test_algebras, test_cohomology, test_groups, test_shlie
+from . import test_algebras, test_cohomology, test_groups, test_laws, test_shlie
 
 
 def _mutant_code(func, old: str, new: str):
@@ -56,11 +56,17 @@ MUTANTS = [
       _GROUP_TRIPLES.test_non_intertwining_psi_rejected,
       _GROUP_TRIPLES.test_a_moved_psi_fails_at_the_first_element_that_does_not_intertwine]),
     ("cone: A_1's rank in place of its dimension", linalg.cone,
-     "source[0].dim(n) + sum(", "source[0].rank(n) + sum(",
+     "else source[0].dim(n)", "else source[0].rank(n)",
      [test_cohomology.test_the_invertible_psi_route_agrees_with_the_cone_on_the_catalog]),
-    ("cone: the graph's d_0 read off the summands", linalg.cone,
-     "(n < (0 if graph is None else 1) or iso is None", "(n < 0 or iso is None",
+    ("cone: the graph's rank d_0 read as dim A_1^0 plus the summands'", linalg.cone,
+     "0 if n == 0 and graph is not None else ", "",
      [test_cohomology.test_the_invertible_psi_route_agrees_with_the_cone_on_the_catalog]),
+    ("group_differential: the first face without rho(g_1)", groups.group_differential,
+     "acts[tup[0]][a]", "acts[group.identity][a]",
+     [test_laws.test_averaging_is_a_contracting_homotopy_of_the_bar_differential]),
+    ("group_differential: the last face dropped", groups.group_differential,
+     "for i in range(1, n + 2):", "for i in range(1, n + 1):",
+     [test_laws.test_averaging_is_a_contracting_homotopy_of_the_bar_differential]),
     ("_psi_is_iso: a square singular psi taken as invertible", cohomology._psi_is_iso,
      " and rank(psi) == psi.rows)", ")",
      [test_cohomology.test_a_singular_psi_takes_the_cone_route]),
