@@ -361,9 +361,10 @@ def _skeletal_document(skeletal: SkeletalMorphismSh) -> ProblemDocument:
 
 
 def _read(path: str) -> str:
+    """The file decoded as UTF-8 in one call, with text mode's newlines: CR LF and CR read as LF."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:

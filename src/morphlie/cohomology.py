@@ -1,9 +1,10 @@
 """The cochain complex of a morphism Lie algebra and its cohomology.
 
-The complex is one ``linalg.cone``: the mapping cone of the chain map
+The complex is one ``linalg.cone``: the mapping cone of the ``ChainMap``
 f(theta, gamma) = psi . theta - gamma . wedge^n phi from C(g, V) + C(h, W)
 to C(g, W_phi), W pulled back along phi, cut down in degree 0 to V, the
-graph {(v, psi v)}.  Degree n >= 1 cochains are triples (theta, gamma, eta)
+graph {(v, psi v)}; f sizes the blocks and says if psi . is a chain
+isomorphism.  Degree n >= 1 cochains are triples (theta, gamma, eta)
 with eta in Hom(wedge^{n-1} g, W), and
     delta(theta, gamma, eta) = (delta' theta, delta'' gamma, f(theta, gamma) - delta''' eta),
     delta(v) = (delta' v, delta'' (psi v), psi v - psi v),
@@ -26,8 +27,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Callable
-
 from .algebras import (
     CheckResult,
     LieAlgebra,
@@ -54,6 +53,7 @@ from .errors import (
     ShapeError,
 )
 from .linalg import (
+    ChainMap,
     Complex,
     Matrix,
     ZERO,
@@ -67,12 +67,7 @@ from .linalg import (
 
 def mla_block_dims(rep: MorphismRep, n: int) -> tuple[int, int, int]:
     """Flat sizes of the (theta, gamma, eta) blocks at degree n; degree 0 is (V, 0, 0)."""
-    base = rep.base
-    return (
-        cochain_dim(base.g.dim, rep.dim_v, n),
-        cochain_dim(base.h.dim, rep.dim_w, n) if n else 0,
-        cochain_dim(base.g.dim, rep.dim_w, n - 1),
-    )
+    return _chain_map(rep).sizes(n, graph=True)
 
 
 def mla_block_shapes(rep: MorphismRep, n: int) -> tuple[tuple[int, int], ...]:
@@ -166,10 +161,10 @@ def apply_mla_differential(c: MCochain) -> MCochain:
     return MCochain.from_vector(c.rep, c.degree + 1, mat.apply(c.to_vector()))
 
 
-def _chain_map(rep: MorphismRep) -> tuple[tuple[Complex, Complex], Complex, Callable]:
-    """(source, target, f) of the morphism cone: f_n = [psi . | -(. wedge^n phi)]
-    from C(g, V) + C(h, W) to C(g, W_phi); W_phi, W pulled back along phi, is
-    built on the first degree >= 1 and kept on rep for every later complex."""
+def _chain_map(rep: MorphismRep) -> ChainMap:
+    """f_n = [psi . | -(. wedge^n phi)]: C(g, V) + C(h, W) -> C(g, W_phi), a chain map when rep
+    and its base were checked (kept verdicts) and g and h are Lie.  W_phi, W pulled back
+    along phi, is built on the first degree >= 1 and kept on rep for every later complex."""
     base = rep.base
 
     def pulled() -> Representation:
@@ -179,16 +174,11 @@ def _chain_map(rep: MorphismRep) -> tuple[tuple[Complex, Complex], Complex, Call
 
     w_phi = Complex(lambda n: cochain_dim(base.g.dim, rep.dim_w, n),
                     lambda n: ce_differential(pulled(), n), "Chevalley-Eilenberg")
-    return ((ce_complex(rep.v), ce_complex(rep.w)), w_phi,
-            lambda n: (postcompose_matrix(rep.psi, comb(base.g.dim, n)),
-                       precompose_matrix(-wedge_minor_matrix(base.phi, n), rep.dim_w)))
-
-
-def _psi_is_iso(rep: MorphismRep) -> bool:
-    """psi invertible, rep and its base checked (kept verdicts), g and h Lie: psi . is a chain iso."""
-    psi, base = rep.psi, rep.base
-    return bool(rep._verdict and base._verdict and check_jacobi(base.g)
-                and check_jacobi(base.h) and psi.rows == psi.cols and rank(psi) == psi.rows)
+    return ChainMap((ce_complex(rep.v), ce_complex(rep.w)), w_phi,
+                    lambda n: (postcompose_matrix(rep.psi, comb(base.g.dim, n)),
+                               precompose_matrix(-wedge_minor_matrix(base.phi, n), rep.dim_w)),
+                    rep.psi, lambda: (rep._verdict and base._verdict and check_jacobi(base.g)
+                                      and check_jacobi(base.h)))
 
 
 def mla_complex(rep: MorphismRep, cone: bool = False,
@@ -197,10 +187,9 @@ def mla_complex(rep: MorphismRep, cone: bool = False,
 
     The cone of ``_chain_map``, cut down in degree 0 to V, the graph
     [I; psi] of psi, unless ``cone``.  The simple variant keeps the
-    eta-free columns.  With ``_psi_is_iso`` it is ranked on C(h, W) alone.
+    eta-free columns.  With psi . a chain iso it is ranked on C(h, W) alone.
     """
-    return mapping_cone(*_chain_map(rep), None if cone else rep.psi, "morphism", size_ceiling,
-                        lambda: _psi_is_iso(rep))
+    return mapping_cone(_chain_map(rep), not cone, "morphism", size_ceiling)
 
 
 def mla_cohomology_dim(rep: MorphismRep, n: int, cone: bool = False) -> int:

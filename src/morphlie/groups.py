@@ -6,23 +6,24 @@ of element indices, flattened tuple-major exactly like the Lie-side
 cochains.  The normalized subcomplex keeps only cochains vanishing when
 some argument is the identity; its tuples simply omit the identity index.
 
-The morphism complex is one ``linalg.cone``: the mapping cone of the chain
-map f(Theta, Gamma) = psi . Theta - Gamma . Phi^n from C(G, V) + C(H, W) to
-C(G, W_Phi), W pulled back along Phi, cut down in degree 0 to V, the graph
-{(v, psi v)}.  Degree n >= 1 holds blocks (Theta, Gamma, Lambda) and
+The morphism complex is one ``linalg.cone``: the mapping cone of the
+``ChainMap`` f(Theta, Gamma) = psi . Theta - Gamma . Phi^n from C(G, V) +
+C(H, W) to C(G, W_Phi), W pulled back along Phi, cut down in degree 0 to V,
+the graph {(v, psi v)}.  Degree n >= 1 holds blocks (Theta, Gamma, Lambda) and
     delta(Theta, Gamma, Lambda) = (delta' Theta, delta'' Gamma, f(Theta, Gamma) - delta''' Lambda).
+The chain map sizes the blocks and says if psi . is a chain isomorphism.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .algebras import CheckResult, intertwining_defect
 from .cecomplex import postcompose_matrix, precompose_matrix
 from .errors import NotAHomomorphism, ShapeError, ValidationError
-from .linalg import Complex, Matrix, _matrix, acyclic_from, cone, rank
+from .linalg import ChainMap, Complex, Matrix, _matrix, acyclic_from, cone
 
 
 class FiniteGroup:
@@ -268,11 +269,7 @@ def pullback_module(t: GroupModuleTriple) -> GroupModule:
 def mlg_block_dims(t: GroupModuleTriple, n: int,
                    normalized: bool = False) -> tuple[int, int, int]:
     """(Theta, Gamma, Lambda) coordinate counts in degree n; degree 0 is V."""
-    return (
-        group_cochain_dim(t.g, t.dim_v, n, normalized),
-        group_cochain_dim(t.h, t.dim_w, n, normalized) if n else 0,
-        group_cochain_dim(t.g, t.dim_w, n - 1, normalized),
-    )
+    return _chain_map(t, normalized).sizes(n, graph=True)
 
 
 def mlg_differential(t: GroupModuleTriple, n: int, normalized: bool = False) -> Matrix:
@@ -280,11 +277,10 @@ def mlg_differential(t: GroupModuleTriple, n: int, normalized: bool = False) -> 
     return mlg_complex(t, normalized).differential(n)
 
 
-def _chain_map(t: GroupModuleTriple,
-               normalized: bool) -> tuple[tuple[Complex, Complex], Complex, Callable]:
-    """(source, target, f) of the morphism-group cone: f_n = [psi . | -(. Phi^n)]
-    from C(G, V) + C(H, W) to C(G, W_Phi); W_Phi is built on the first
-    degree >= 1 and kept on t for every later complex."""
+def _chain_map(t: GroupModuleTriple, normalized: bool) -> ChainMap:
+    """f_n = [psi . | -(. Phi^n)]: C(G, V) + C(H, W) -> C(G, W_Phi), a chain map when V and W
+    were validated (the triple checks Phi and psi).  W_Phi, W pulled back along Phi, is built
+    on the first degree >= 1 and kept on t for every later complex."""
     def pulled() -> GroupModule:
         if t._w_phi is None:
             t._w_phi = pullback_module(t)
@@ -303,7 +299,8 @@ def _chain_map(t: GroupModuleTriple,
         return (postcompose_matrix(t.psi, len(g_tuples)),
                 precompose_matrix(Matrix.from_integer_rows(phi_n, len(g_tuples)), t.dim_w))
 
-    return (group_complex(t.v, normalized), group_complex(t.w, normalized)), w_phi, f
+    return ChainMap((group_complex(t.v, normalized), group_complex(t.w, normalized)), w_phi, f,
+                    t.psi, lambda: t.v._verdict and t.w._verdict)
 
 
 def mlg_complex(t: GroupModuleTriple, normalized: bool = False,
@@ -311,16 +308,14 @@ def mlg_complex(t: GroupModuleTriple, normalized: bool = False,
     """The morphism-group complex of a triple: the cone of ``_chain_map``, with C^0 = V,
     the graph [I; psi] of psi.
 
-    With V and W validated, psi invertible, it is ranked on C(H, W) alone.
-    With V and W validated and any psi, H^n = 0 for n >= 2: C(G, V), C(H, W)
+    When psi . is a chain isomorphism it is ranked on C(H, W) alone.  With
+    V and W validated and any psi, H^n = 0 for n >= 2: C(G, V), C(H, W)
     and C(G, W_Phi) have no cohomology above degree 0 (``group_complex``), so
     the cone's long exact sequence (Weibel 1.5) leaves none in degree n >= 2,
     where T and the full cone agree.  Only d_0 and d_1 are then built.
     """
-    checked = bool(t.v._verdict and t.w._verdict)
-    cx = cone(*_chain_map(t, normalized), t.psi, "morphism-group", size_ceiling,
-              lambda: checked and t.psi.rows == t.psi.cols and rank(t.psi) == t.psi.rows)
-    return acyclic_from(cx, 2) if checked else cx
+    cx = cone(chain := _chain_map(t, normalized), True, "morphism-group", size_ceiling)
+    return acyclic_from(cx, 2) if chain.verdict() else cx
 
 
 def mlg_cohomology_dim(t: GroupModuleTriple, n: int, normalized: bool = False) -> int:

@@ -28,8 +28,9 @@ It has one rank path: the lower degrees are ranked first, lowest first, and
 every rank of degree n >= 1 comes after the check d_n . d_{n-1} = 0; d_n is
 then ranked by ``row_basis`` on the columns outside a row basis of
 d_{n-1}, which the check makes exact (the proof is in ``Complex``).
-``cone`` is the ``Complex`` of the mapping cone of a chain map from a
-direct sum of complexes; both morphism complexes are one.
+``ChainMap`` is a chain map from a direct sum of complexes: its blocks,
+its cone's block sizes, and whether its first block is a chain isomorphism.
+``cone`` is the ``Complex`` of its mapping cone; both morphism complexes are one.
 """
 
 from __future__ import annotations
@@ -623,21 +624,45 @@ class Complex:
         return rows
 
 
-def cone(source: Sequence[Complex], target: Complex, f: Callable[[int], Sequence[Matrix]],
-         graph: Matrix | None = None, name: str = "cone",
-         size_ceiling: int | None = None, iso: Callable[[], bool] | None = None) -> Complex:
-    """The mapping cone of a chain map f: A_1 (+) ... (+) A_k -> B, as a Complex.
+class ChainMap:
+    """A chain map f: A_1 (+) ... (+) A_k -> B with f_n = ``f(n)`` = [f_1 | ... | f_k].
 
-    C^n = A_1^n (+) ... (+) A_k^n (+) B^{n-1} and d(a, b) = (d a, f a - d b),
-    with B^{-1} = 0 (``target.dim(-1)`` is 0).  ``f(n)`` is the row of blocks
-    [f_1 | ... | f_k] of f_n, block i from A_i^n to B^n.  With ``graph``, a map
-    psi from A_1^0 to A_2^0 (+) ... (+) A_k^0, C^0 is the graph of psi and d_0 is
-    the cone's d_0 times [I; psi], built for it.  ``keep(n)`` is the source's columns.
+    ``psi``, if given, maps A_1^0 to A_2^0 (+) ... (+) A_k^0, with f_1 = psi .
+    in every degree and f_0 [I; psi] = 0 (both morphism cones: psi: V -> W,
+    psi v - psi v).  ``verdict()`` is true when kept input checks make f a chain map.
+    """
 
-    ``iso``, asked once at the first rank, says f_1 is a chain isomorphism
-    A_1 -> B and, with a graph, that psi is invertible and f_0 [I; psi] = 0
-    (both callers' graphs: psi v - psi v).  Then each rank of d_n and s_n,
-    n >= 1 (and of d_0 without a graph), is dim A_1^n + sum_{i>=2} rank
+    def __init__(self, source: Sequence[Complex], target: Complex,
+                 f: Callable[[int], Sequence[Matrix]], psi: Matrix | None = None,
+                 verdict: Callable[[], object] = lambda: False):
+        self.source, self.target, self.f, self.psi = tuple(source), target, f, psi
+        self.verdict, self._iso = verdict, None
+
+    def sizes(self, n: int, graph: bool = False) -> tuple[int, ...]:
+        """The cone's C^n in blocks (A_1^n, ..., A_k^n, B^{n-1}); C^0 = A_1^0 with ``graph``."""
+        if n == 0 and graph:
+            return self.source[0].dim(0), *(0 for _ in self.source)
+        return *(a.dim(n) for a in self.source), self.target.dim(n - 1)
+
+    def psi_is_iso(self) -> bool:
+        """Whether f_1 = psi . is a chain iso: the verdict, then psi square of full rank; kept."""
+        if self._iso is None:
+            psi = self.psi
+            self._iso = bool(psi is not None and self.verdict() and psi.rows == psi.cols
+                             and rank(psi) == psi.rows)
+        return self._iso
+
+
+def cone(chain: ChainMap, graph: bool = False, name: str = "cone",
+         size_ceiling: int | None = None) -> Complex:
+    """The mapping cone of a ``ChainMap`` f: A_1 (+) ... (+) A_k -> B, as a Complex.
+
+    C^n = A_1^n (+) ... (+) A_k^n (+) B^{n-1} (``chain.sizes``), d(a, b) = (d a,
+    f a - d b).  With ``graph``, C^0 is the graph of psi and d_0 the cone's
+    d_0 times [I; psi], built for it.  ``keep(n)`` is the source's columns.
+
+    If ``chain.psi_is_iso()``, asked at the first rank, each rank of d_n and
+    s_n, n >= 1 (and of d_0 without a graph), is dim A_1^n + sum_{i>=2} rank
     d_n(A_i), and with a graph rank d_0 is sum_{i>=2} rank d_0(A_i); no d_n
     of the cone is built, and the size ceiling passes degrees 0..n+1 first.
     Proof (Weibel 1.5): h = f_1^{-1} [f_2 | ... | f_k] is a chain map and
@@ -655,21 +680,16 @@ def cone(source: Sequence[Complex], target: Complex, f: Callable[[int], Sequence
     1.  It calls the summands' ``differential``, not ``matrix``: the cone
     holds d_n itself.
     """
-    def dim(n: int) -> int:
-        if n == 0 and graph is not None:
-            return graph.cols
-        return sum(a.dim(n) for a in source) + target.dim(n - 1)
-
     def differential(n: int) -> Matrix:
         num, den, parts, off = [], [], [], 0
-        for d_a, block in zip([a.differential(n) for a in source], f(n)):
+        for d_a, block in zip([a.differential(n) for a in chain.source], chain.f(n)):
             rows, dens = d_a.stored_rows()
             num += [{off + j: x for j, x in row.items()} for row in rows] if off else rows
             den += dens
             parts.append((off, 1, *block.stored_rows()))
             off += d_a.cols
         if n:
-            parts.append((off, -1, *target.differential(n - 1).stored_rows()))
+            parts.append((off, -1, *chain.target.differential(n - 1).stored_rows()))
         dens = [d for *_, d in parts]
         if all(d.count(1) == len(d) for d in dens):
             eta_den = dens[0]
@@ -685,21 +705,20 @@ def cone(source: Sequence[Complex], target: Complex, f: Callable[[int], Sequence
         for rows in blocks:
             for row, part in zip(eta, rows):
                 row.update(part)
-        d = _matrix(off + target.dim(n - 1), num + eta, den + eta_den)
-        if n == 0 and graph is not None:
-            d = d * Matrix.vstack([Matrix.identity(graph.cols), graph])
+        d = _matrix(off + chain.target.dim(n - 1), num + eta, den + eta_den)
+        if n == 0 and graph:
+            d = d * Matrix.vstack([Matrix.identity(chain.psi.cols), chain.psi])
         return d
 
     def known(n: int, simple: bool) -> int | None:
-        nonlocal iso  # asked once, at the first rank it answers: True, or None for the cone route
-        if n < 0 or iso is None or iso is not True and not (iso := iso() or None):
+        if n < 0 or not chain.psi_is_iso():
             return None
         cx._refuse(0, n + 1)
-        a_1 = 0 if n == 0 and graph is not None else source[0].dim(n)
-        return a_1 + sum(a.rank(n) for a in source[1:])
+        a_1 = 0 if n == 0 and graph else chain.source[0].dim(n)
+        return a_1 + sum(a.rank(n) for a in chain.source[1:])
 
-    cx = Complex(dim, differential, name, size_ceiling,
-                 lambda n: range(dim(n) - target.dim(n - 1)), known)
+    cx = Complex(lambda n: sum(chain.sizes(n, graph)), differential, name, size_ceiling,
+                 lambda n: range(sum(chain.sizes(n)[:-1])), known)
     return cx
 
 

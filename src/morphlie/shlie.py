@@ -10,12 +10,12 @@ d (b_i = ad(e_i)), (iii) compares d . l3 with the Jacobiator, (iv) is the
 representation axiom less l3(e_i, e_j, d .), (v) the Chevalley-Eilenberg
 differential of l3; morphism condition (ii) is the homomorphism law of
 phi0 up to extra = d' phi2, (iii) the intertwining of phi1 up to extra_i =
-phi2(e_i, .) d, and (iv) the eta row of the degree-3 morphism
-differential.  Skeletal objects (d = 0 on both layers of a morphism pair)
-correspond to closed degree-3 cochains of a morphism Lie algebra: each
-object keeps the triple its checked data amounts to, and each triple's
-skeletal object is checked only for closedness.  Twisting by
-(sigma, sigma', phi) adds the coboundary of that data to the cochain.
+phi2(e_i, .) d, and (iv) the eta row of the degree-3 cone of the unchecked
+triple (g0, g0', phi0; g1, g1', phi1).  Skeletal objects (d = 0 on both
+layers of a morphism pair) correspond to closed degree-3 cochains of a
+morphism Lie algebra: each keeps the triple its checked data amounts to,
+and each triple's skeletal object is checked only for closedness.
+Twisting by (sigma, sigma', phi) adds the coboundary of that data.
 """
 
 from __future__ import annotations
@@ -34,15 +34,8 @@ from .algebras import (
     intertwining_defect,
     jacobiator,
 )
-from .cecomplex import (
-    ce_differential,
-    exterior_basis,
-    first_nonzero_tuple,
-    postcompose_matrix,
-    precompose_matrix,
-    wedge_minor_matrix,
-)
-from .cohomology import MCochain, _flat, mla_differential
+from .cecomplex import ce_differential, exterior_basis, first_nonzero_tuple, pullback_rep
+from .cohomology import MCochain, _chain_map, _flat, mla_differential
 from .errors import NotACocycle, ShapeError, ValidationError
 from .linalg import Matrix
 
@@ -154,10 +147,10 @@ def check_sh_morphism(src: TwoTermSh, dst: TwoTermSh, m: ShMorphism) -> CheckRes
     (iii) phi2(x, d p) = phi1 l2(x, p) - l2'(phi0 x, phi1 p)
     (iv)  l2'(phi0 x, phi2(y, z)) + c.p. + phi2(x, l2(y, z)) + c.p.
             = phi1 l3(x, y, z) - l3'(phi0 x, phi0 y, phi0 z),
-          the eta row [phi1 . , -(. wedge^3 phi0), -delta_pull] of the
-          degree-3 morphism differential applied to (l3, l3', phi2), where
-          delta_pull is the Chevalley-Eilenberg differential of g0 acting
-          on g1' through phi0, a homomorphism only up to d' phi2
+          the eta row [f_3 | -delta_pull] of the degree-3 cone of the
+          unchecked triple (g0, g0', phi0; g1, g1', phi1) on (l3, l3',
+          phi2): f_3 = [phi1 . | -(. wedge^3 phi0)], delta_pull its d_2 of
+          g0 on g1' through phi0, a homomorphism only up to d' phi2
     """
     for name, f, (rows, cols) in (("phi0", m.phi0, (dst.dim0, src.dim0)),
                                   ("phi1", m.phi1, (dst.dim1, src.dim1)),
@@ -172,18 +165,20 @@ def check_sh_morphism(src: TwoTermSh, dst: TwoTermSh, m: ShMorphism) -> CheckRes
         return CheckResult(False, f"condition (ii) fails at (e{spot[0]+1}, e{spot[1]+1})")
     # Condition (iii): extra_i = phi2(e_i, .) d is phi2 times the rows +-d_q at (i, q), (q, i).
     (d_rows, ed), pairs = src.d.integer_rows(), exterior_basis(src.dim0, 2).tuples
-    pulled = [dst.rep.act(m.phi0.col(i)) for i in range(src.dim0)]
-    spot = intertwining_defect(m.phi1, src.action1, pulled, (m.phi2 * Matrix.from_integer_rows(
-        [d_rows[q] if p == i else {c: -x for c, x in d_rows[p].items()} if q == i else {}
-         for p, q in pairs], src.dim1, ed) for i in range(src.dim0)))
+    base = MorphismLieAlgebra(src.bracket0, dst.bracket0, m.phi0, validate=False)
+    rep = MorphismRep(base, src.rep, dst.rep, m.phi1, validate=False)
+    rep._w_phi = pullback_rep(base, dst.rep)
+    spot = intertwining_defect(m.phi1, src.action1, rep._w_phi.action, (
+        m.phi2 * Matrix.from_integer_rows(
+            [d_rows[q] if p == i else {c: -x for c, x in d_rows[p].items()} if q == i else {}
+             for p, q in pairs], src.dim1, ed) for i in range(src.dim0)))
     if spot is not None:
         return CheckResult(False, f"condition (iii) fails at (e{spot[0]+1}, p{spot[1]+1})")
-    # The eta row of the degree-3 cone on (l3, l3', phi2): f's blocks minus d_2 of W pulled back.
-    tup = first_nonzero_tuple([a - b - c for a, b, c in zip(
-        postcompose_matrix(m.phi1, len(src.triples)).apply(_flat(src.l3)),
-        precompose_matrix(wedge_minor_matrix(m.phi0, 3), dst.dim1).apply(_flat(dst.l3)),
-        ce_differential(Representation(src.bracket0, dst.dim1, pulled, validate=False), 2)
-        .apply(_flat(m.phi2)))], src.dim0, 3, dst.dim1)
+    # The eta row of the degree-3 cone of rep on (l3, l3', phi2): f_3 minus the pulled-back d_2.
+    theta, gamma = (chain := _chain_map(rep)).f(3)
+    tup = first_nonzero_tuple([a + b - c for a, b, c in zip(
+        theta.apply(_flat(src.l3)), gamma.apply(_flat(dst.l3)),
+        chain.target.differential(2).apply(_flat(m.phi2)))], src.dim0, 3, dst.dim1)
     if tup is not None:
         i, j, k = tup
         return CheckResult(False, f"condition (iv) fails at (e{i+1}, e{j+1}, e{k+1})")

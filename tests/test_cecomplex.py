@@ -48,7 +48,7 @@ from morphlie.groups import (
     mlg_differential,
     pullback_module,
 )
-from morphlie.linalg import Complex, Matrix, cone, inverse, rank
+from morphlie.linalg import ChainMap, Complex, Matrix, cone, inverse, rank
 from morphlie.sampling import Sampler
 
 from .oracles import _mk_act, _mk_brk, dense_table, o_ce_dims, o_ce_matrix, o_det
@@ -336,7 +336,8 @@ def test_morphism_matrix_computes_the_graph_eta_block():
               for d, name in ((d_v, "V"), (d_w, "W"))]
     target = Complex(lambda n: 2 if n == 0 else 0, None, "W_phi")
     for pre_phi in (Matrix.identity(2), pre):
-        cx = cone(source, target, lambda n: (postcompose_matrix(psi, 1), -pre_phi), psi)
+        cx = cone(ChainMap(source, target, lambda n: (postcompose_matrix(psi, 1), -pre_phi), psi),
+                  graph=True)
         d_0 = cx.matrix(0)
         assert d_0 == _block_referee(d_v, d_w, psi, 1, pre_phi, Matrix.zeros(2, 0), True)
     assert d_0.row(2) == [-1, Fraction(-1, 2)]

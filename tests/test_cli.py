@@ -464,6 +464,38 @@ class TestInputBoundary:
         assert code == 2 and out == ""
         assert err.startswith(f"error (parse-error): cannot read {path}: 'utf-8' codec")
 
+    def test_unreadable_files_keep_their_messages(self, capsys, tmp_path):
+        # The file is read as bytes and decoded in one call; each message is
+        # the one a text-mode read gave.
+        (tmp_path / "dir.json").mkdir()
+        late = tmp_path / "late.json"
+        late.write_bytes(b"{" + b" " * 20000 + b"\xc3(}")
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf{}")
+        for path, detail in (
+                (tmp_path / "missing.json", f"cannot read {tmp_path / 'missing.json'}: "
+                                            "No such file or directory"),
+                (tmp_path / "dir.json", f"cannot read {tmp_path / 'dir.json'}: Is a directory"),
+                (late, f"cannot read {late}: 'utf-8' codec can't decode byte 0xc3 in "
+                       "position 20001: invalid continuation byte"),
+                (bom, "line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)")):
+            code, out, err = run(capsys, "check", str(path))
+            assert (code, out, err) == (2, "", f"error (parse-error): {detail}\n"), path
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_files_read_as_lf(self, capsys, tmp_path, newline):
+        # Text mode's newline translation: the same table, and a JSON error
+        # at the same line and column, as the LF file.
+        good = _base_document(a1_triple()).dumps()
+        bad = good.replace('"dim": 1', '"dim": 1,,', 1)
+        for text in (good, bad):
+            lf = write(tmp_path, "lf.json", text)
+            other = tmp_path / "other.json"
+            other.write_bytes(text.replace("\n", newline).encode("utf-8"))
+            assert run(capsys, "cohomology", str(other), "rep") == run(capsys, "cohomology", lf, "rep")
+        code, _, err = run(capsys, "cohomology", str(other), "rep")
+        assert code == 2 and err.startswith("error (parse-error): line ") and ", column " in err
+
     def test_negative_cochain_degree(self, capsys, tmp_path):
         data = _base_document(a1_triple()).to_dict()
         data["cochains"] = {"bad": {"morphism_rep": "rep", "degree": -1}}
@@ -695,30 +727,37 @@ class TestLoadCost:
 class TestRankCost:
     """A table ranks d_n on a complement of im d_{n-1}: memory follows the rank, not dim C^{n+1}."""
 
-    def test_z6_sign_module_normalized_to_degree_5(self, tmp_path):
-        # Eliminating each d_n in full peaked at 153 MB (Python 3.11.7, x86-64 Linux).
-        # The document's module is validated, so only d_0 is eliminated now;
-        # test_groups pins the elimination of an unvalidated one.
+    def test_z6_sign_module_normalized_to_degree_5(self, capsys, tmp_path):
+        # The document's module is validated, so its CLI table eliminates only
+        # d_0.  The memory bound is on an unvalidated copy in a fresh process,
+        # whose table eliminates d_0..d_5: each d_n in full peaked at 153 MB
+        # (Python 3.11.7, x86-64 Linux).
         doc = ProblemDocument()
         doc.groups["z6"] = FiniteGroup.cyclic(6)
         doc.group_modules["sign"] = sign_module(doc.groups["z6"])
         path = tmp_path / "z6.json"
         doc.dump(str(path))
+        code, out, _ = run(capsys, "group", "cohomology", str(path), "sign", "--normalized",
+                           "--max-degree", "5", "--json")
+        assert code == 0
+        assert [r["cohomology"] for r in json.loads(out)["rows"]] == [0] * 6
         script = ("import sys\n"
                   "sys.path.insert(0, sys.argv[1])\n"
-                  "from morphlie.cli import main\n"
-                  "code = main(['group', 'cohomology', sys.argv[2], 'sign', '--normalized',\n"
-                  "             '--max-degree', '5', '--json'])\n"
+                  "from morphlie.fixtures import sign_module\n"
+                  "from morphlie.groups import FiniteGroup, GroupModule, group_complex\n"
+                  "m = sign_module(FiniteGroup.cyclic(6))\n"
+                  "cx = group_complex(GroupModule(m.group, m.dim, m.action, validate=False),\n"
+                  "                   normalized=True)\n"
+                  "print([r['cohomology'] for r in cx.table(5)], sorted(cx._bases))\n"
                   "with open('/proc/self/status', encoding='ascii') as fh:\n"
                   "    peak_kb = next(int(line.split()[1]) for line in fh\n"
                   "                   if line.startswith('VmHWM:'))\n"
-                  "print(peak_kb / 1024)\n"
-                  "sys.exit(code)\n")
-        done = subprocess.run([sys.executable, "-I", "-c", script, str(SRC), str(path)],
+                  "print(peak_kb / 1024)\n")
+        done = subprocess.run([sys.executable, "-I", "-c", script, str(SRC)],
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        table, peak_mb = done.stdout.rsplit("\n", 2)[:2]
-        assert [r["cohomology"] for r in json.loads(table)["rows"]] == [0] * 6
+        eliminated, peak_mb = done.stdout.splitlines()
+        assert eliminated == f"{[0] * 6} {list(range(6))}"
         assert float(peak_mb) < 90, peak_mb
 
 

@@ -322,8 +322,10 @@ def test_complex_verifies_square_zero():
 
 
 def _cone_route(rep: MorphismRep, cone: bool = False) -> Complex:
-    """``mla_complex`` built by ``linalg.cone`` without ``iso``: every d_n is built and ranked."""
-    return linalg.cone(*cohomology._chain_map(rep), None if cone else rep.psi, "morphism")
+    """``mla_complex`` as the cone of its chain map without a verdict: every d_n is built and ranked."""
+    chain = cohomology._chain_map(rep)
+    return linalg.cone(linalg.ChainMap(chain.source, chain.target, chain.f, chain.psi), not cone,
+                       "morphism")
 
 
 def _route_taken(cx: Complex) -> bool:
@@ -343,7 +345,7 @@ def _assert_routes_agree(label: str, rep: MorphismRep) -> list[list[int]]:
         cx = mla_complex(rep, cone)
         rows = cx.table(top, not cone)
         assert rows == _cone_route(rep, cone).table(top, not cone), (label, cone)
-        assert _route_taken(cx) == cohomology._psi_is_iso(rep), (label, cone)
+        assert _route_taken(cx) == cohomology._chain_map(rep).psi_is_iso(), (label, cone)
         dims.append([row["cohomology"] for row in rows])
     return dims
 
@@ -355,7 +357,7 @@ def test_the_invertible_psi_route_agrees_with_the_cone_on_the_catalog():
         top = max(rep.base.g.dim + 1, rep.base.h.dim)
         assert _assert_routes_agree(name, rep) == [o_mla_dims(_raw(rep), top, cone)
                                                    for cone in (False, True)], name
-        if cohomology._psi_is_iso(rep):
+        if cohomology._chain_map(rep).psi_is_iso():
             taken.append(name)
     assert len(taken) == 8 and "a1-into-sl2" not in taken
 
@@ -368,7 +370,7 @@ def test_the_invertible_psi_route_agrees_with_the_cone_on_sampled_triples():
     for seed in range(404, 464):
         rep = Sampler(seed).morphism_rep()
         default, full = _assert_routes_agree(f"Sampler({seed})", rep)
-        if cohomology._psi_is_iso(rep):
+        if cohomology._chain_map(rep).psi_is_iso():
             taken += 1
             if taken <= 5:
                 assert default == o_mla_dims(_raw(rep), len(default) - 1), seed
@@ -389,7 +391,7 @@ def test_a_singular_psi_takes_the_cone_route():
         top = rep.base.g.dim + 1
         assert _assert_routes_agree(f"{rep} with psi = 0", zero) == [
             o_mla_dims(_raw(zero), top, cone) for cone in (False, True)]
-        assert not cohomology._psi_is_iso(zero)
+        assert not cohomology._chain_map(zero).psi_is_iso()
 
 
 def test_unchecked_or_non_lie_data_takes_the_cone_route():
@@ -398,17 +400,52 @@ def test_unchecked_or_non_lie_data_takes_the_cone_route():
     # bracket that fails Jacobi, which the module and homomorphism checks
     # cannot see with trivial modules.
     broken = _non_intertwining_rep()
-    assert not cohomology._psi_is_iso(broken)
+    assert not cohomology._chain_map(broken).psi_is_iso()
     with pytest.raises(AssertionError, match="morphism differential does not square to zero"):
         mla_complex(broken).table(2)
     unchecked = _unchecked(sl2_v1_triple())
-    assert not cohomology._psi_is_iso(unchecked)
+    assert not cohomology._chain_map(unchecked).psi_is_iso()
     _assert_routes_agree("unchecked", unchecked)
     g = LieAlgebra.from_brackets(3, {(0, 1): [0, 1, 0], (1, 2): [1, 0, 0]})
     assert not check_jacobi(g)
     rep = MorphismRep(MorphismLieAlgebra.identity(g), v0(g), v0(g), Matrix.identity(1))
     with pytest.raises(AssertionError, match="morphism differential does not square to zero"):
         mla_complex(rep).table(3)
+
+
+def test_psi_is_ranked_once_per_complex_and_only_for_a_rank(monkeypatch):
+    # Whether psi . is a chain isomorphism is asked of the chain map at the
+    # first rank of its cone and kept: one rank(psi) per complex, in any
+    # number of tables, and none for a standalone differential.  A psi that
+    # is not square, or an unchecked triple, is not ranked at all.
+    from morphlie.groups import mlg_differential
+
+    rank, ranked = linalg.rank, []
+    monkeypatch.setattr(linalg, "rank", lambda m: ranked.append(m) or rank(m))
+    for rep in (sl2_v1_triple(), heis_adjoint_triple(), a1_into_sl2_triple()):
+        for n in range(4):
+            mla_differential(rep, n)
+            mla_differential(rep, n, cone=True)
+        assert ranked == []
+        for cone in (False, True):
+            cx = mla_complex(rep, cone)
+            cx.table(3, simple=True)
+            cx.table(4)
+            assert ranked == ([rep.psi] if rep.psi.rows == rep.psi.cols else []), (rep, cone)
+            ranked.clear()
+        mla_complex(_unchecked(rep)).table(3)
+        assert ranked == []
+    for t in (z2_identity_triple(), klein_to_z2_triple(), z4_to_z2_sign_triple()):
+        for n in range(4):
+            for normalized in (False, True):
+                mlg_differential(t, n, normalized)
+        assert ranked == []
+        for normalized in (False, True):
+            cx = mlg_complex(t, normalized)
+            cx.table(2)
+            cx.table(3)
+            assert ranked == ([t.psi] if t.psi.rows == t.psi.cols else []), (t, normalized)
+            ranked.clear()
 
 
 def _tables_to_referee():

@@ -35,7 +35,7 @@ from morphlie.groups import (
     mlg_differential,
     pullback_module,
 )
-from morphlie.linalg import Matrix, cone, rank
+from morphlie.linalg import ChainMap, Matrix, cone, rank
 from morphlie.sampling import Sampler
 
 from .oracles import (
@@ -616,7 +616,8 @@ class TestMlgCohomology:
         triples = [t for _, t in _triple_fixtures()] + [s.group_module_triple() for _ in range(5)]
         for k, t in enumerate(triples):
             for normalized in (False, True):
-                full = cone(*groups._chain_map(t, normalized), graph=None)
+                chain = groups._chain_map(t, normalized)
+                full = cone(ChainMap(chain.source, chain.target, chain.f))
                 expected = [full.dim_H(n) + (t.dim_w if n == 1 else 0) for n in range(4)]
                 default = mlg_complex(t, normalized)
                 assert [default.dim_H(n) for n in range(4)] == expected, (k, normalized)

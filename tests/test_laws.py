@@ -39,7 +39,7 @@ from morphlie.groups import (
     group_differential,
     mlg_complex,
 )
-from morphlie.linalg import cone
+from morphlie.linalg import ChainMap, cone
 
 from .oracles import (
     _mk_act,
@@ -157,7 +157,9 @@ def test_identity_triple_law_on_adjoint_triples(name):
     rep = adjoint_morphism_rep(MorphismLieAlgebra.identity(g))
     # psi = id: the table is read off C(h, W), by this very law, so the cone
     # route, which builds and ranks the whole cone, referees it too.
-    for triple in (mla_complex(rep), cone(*cohomology._chain_map(rep), rep.psi, "morphism")):
+    chain = cohomology._chain_map(rep)
+    for triple in (mla_complex(rep), cone(ChainMap(chain.source, chain.target, chain.f, chain.psi),
+                                          True, "morphism")):
         assert [triple.dim_H(n) for n in range(g.dim + 2)] == expected
 
 

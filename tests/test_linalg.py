@@ -470,8 +470,8 @@ def test_a_cone_of_the_zero_map_is_its_source_plus_the_shifted_target():
     # d . d = 0, and with f = 0, H^n = H^n(A_1) + H^n(A_2) + H^{n-1}(B).
     a_1, a_2 = ce_complex(v1(sl2())), group_complex(sign_module(FiniteGroup.cyclic(2)))
     b = ce_complex(heis_adjoint_triple().v)
-    cx = linalg.cone((a_1, a_2), b, lambda n: (Matrix(b.dim(n), a_1.dim(n)),
-                                              Matrix(b.dim(n), a_2.dim(n))))
+    cx = linalg.cone(linalg.ChainMap((a_1, a_2), b, lambda n: (Matrix(b.dim(n), a_1.dim(n)),
+                                                               Matrix(b.dim(n), a_2.dim(n)))))
     for n in range(4):
         assert cx.dim(n) == a_1.dim(n) + a_2.dim(n) + b.dim(n - 1)
         assert list(cx.keep(n)) == list(range(a_1.dim(n) + a_2.dim(n)))
@@ -484,22 +484,24 @@ def _negate_first_row(m):
                           m.submatrix(range(1, m.rows), range(m.cols))])
 
 
-@pytest.mark.parametrize("source, target, f", [
+@pytest.mark.parametrize("chain", [
     cohomology._chain_map(sl2_adjoint_triple()),
     groups._chain_map(z4_to_z2_sign_triple(), False),
 ], ids=["sl2-adjoint", "z4-to-z2"])
-def test_a_cone_of_a_map_that_does_not_commute_is_refused(source, target, f):
+def test_a_cone_of_a_map_that_does_not_commute_is_refused(chain):
     # f_n with one row's sign flipped (psi is 0 on Z4 -> Z2): no chain map,
     # so some d_n . d_{n-1} of its cone is not 0.  rank and dim_H refuse that
-    # degree every time they are asked, and cache no rank for it.
-    def broken(n):
-        return tuple(_negate_first_row(block) for block in f(n))
+    # degree every time they are asked, and cache no rank for it.  Neither
+    # map has a verdict, so every rank is eliminated.
+    source, target, f = chain.source, chain.target, chain.f
+    broken = linalg.ChainMap(source, target,
+                             lambda n: tuple(_negate_first_row(block) for block in f(n)))
 
     for n in range(4):  # the cone of f itself passes every check
-        linalg.cone(source, target, f).dim_H(n)
-    probe = linalg.cone(source, target, broken)
+        linalg.cone(linalg.ChainMap(source, target, f)).dim_H(n)
+    probe = linalg.cone(broken)
     bad = next(n for n in range(1, 4) if not product_is_zero(probe.matrix(n), probe.matrix(n - 1)))
-    cx = linalg.cone(source, target, broken)
+    cx = linalg.cone(broken)
     for call in (cx.rank, cx.dim_H, cx.rank):
         with pytest.raises(AssertionError, match="cone differential does not square to zero"):
             call(bad)

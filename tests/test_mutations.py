@@ -10,18 +10,20 @@ the mutant.
 
 import __future__
 import inspect
+import textwrap
 
 import pytest
 
-from morphlie import algebras, cohomology, groups, linalg
+from morphlie import algebras, groups, linalg
 
-from . import test_algebras, test_cohomology, test_groups, test_laws, test_shlie
+from . import test_algebras, test_cecomplex, test_cohomology, test_groups, test_laws, test_shlie
 
 
 def _mutant_code(func, old: str, new: str):
-    """The code object of ``func`` with ``old``, which occurs once, replaced by ``new``."""
+    """The code object of ``func`` (a function or a method) with ``old``, which occurs once,
+    replaced by ``new``."""
     lines, start = inspect.getsourcelines(func)
-    source = "".join(lines)
+    source = textwrap.dedent("".join(lines))
     assert source.count(old) == 1 and old != new, f"{func.__name__}: {old!r}"
     namespace = dict(vars(inspect.getmodule(func)))
     # Leading newlines keep the mutant's line numbers those of the file.
@@ -56,19 +58,30 @@ MUTANTS = [
       _GROUP_TRIPLES.test_non_intertwining_psi_rejected,
       _GROUP_TRIPLES.test_a_moved_psi_fails_at_the_first_element_that_does_not_intertwine]),
     ("cone: A_1's rank in place of its dimension", linalg.cone,
-     "else source[0].dim(n)", "else source[0].rank(n)",
+     "else chain.source[0].dim(n)", "else chain.source[0].rank(n)",
      [test_cohomology.test_the_invertible_psi_route_agrees_with_the_cone_on_the_catalog]),
     ("cone: the graph's rank d_0 read as dim A_1^0 plus the summands'", linalg.cone,
-     "0 if n == 0 and graph is not None else ", "",
+     "0 if n == 0 and graph else ", "",
      [test_cohomology.test_the_invertible_psi_route_agrees_with_the_cone_on_the_catalog]),
+    ("cone: the sign of the f blocks", linalg.cone,
+     "parts.append((off, 1, *block", "parts.append((off, -1, *block",
+     [test_cecomplex.test_morphism_matrix_equals_the_block_assembly]),
+    ("cone: the sign of -d_B", linalg.cone,
+     "(off, -1, *chain.target", "(off, 1, *chain.target",
+     [test_cecomplex.test_morphism_matrix_equals_the_block_assembly,
+      test_cohomology.test_complex_verifies_square_zero]),
+    ("cone: the graph of -psi in the product", linalg.cone,
+     "chain.psi.cols), chain.psi]", "chain.psi.cols), -chain.psi]",
+     [test_cecomplex.test_morphism_matrix_equals_the_block_assembly,
+      test_cecomplex.test_morphism_matrix_computes_the_graph_eta_block]),
     ("group_differential: the first face without rho(g_1)", groups.group_differential,
      "acts[tup[0]][a]", "acts[group.identity][a]",
      [test_laws.test_averaging_is_a_contracting_homotopy_of_the_bar_differential]),
     ("group_differential: the last face dropped", groups.group_differential,
      "for i in range(1, n + 2):", "for i in range(1, n + 1):",
      [test_laws.test_averaging_is_a_contracting_homotopy_of_the_bar_differential]),
-    ("_psi_is_iso: a square singular psi taken as invertible", cohomology._psi_is_iso,
-     " and rank(psi) == psi.rows)", ")",
+    ("psi_is_iso: a square singular psi taken as invertible", linalg.ChainMap.psi_is_iso,
+     "and rank(psi) == psi.rows)", ")",
      [test_cohomology.test_a_singular_psi_takes_the_cone_route]),
 ]
 
