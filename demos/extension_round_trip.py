@@ -7,7 +7,6 @@ written down and verified.
 """
 
 from morphlie import MCochain, Matrix, build_extension, extract_cocycle
-from morphlie.cohomology import mla_differential
 from morphlie.extensions import coboundary_isomorphism
 from morphlie.fixtures import a2_triple, heis
 from morphlie.linalg import rat_str
@@ -34,7 +33,7 @@ print()
 # the bracket defect [s x, s y] - s [x, y], which lands in the fiber.
 back, induced = extract_cocycle(ext, *ext.canonical_section())
 print(f"canonical section recovers the cocycle bit-exactly: "
-      f"{back.to_vector() == area.to_vector()}")
+      f"{back == area}")
 
 # Any other section differs by a degree-1 shift and recovers a
 # cohomologous cocycle; the induced representation never changes.
@@ -48,9 +47,7 @@ print()
 # The isomorphism between extensions of cohomologous cocycles, explicitly:
 # alpha(x, v) = (x, v + d0 x) on the g side, beta likewise on the h side.
 shift = MCochain(rep, 1, theta=d0, gamma=del0)
-moved = mla_differential(rep, 1).apply(shift.to_vector())
-other = MCochain.from_vector(
-    rep, 2, [a - b for a, b in zip(area.to_vector(), moved)])
+other = area - shift.coboundary()
 alpha, beta = coboundary_isomorphism(rep, area, other, d0, del0)
 print("coboundary isomorphism between the two extensions:")
 print(f"  alpha = {alpha}")
@@ -64,4 +61,4 @@ cocycle = s.closed_cochain(big, 2)
 ext = build_extension(big, cocycle)
 back, _ = extract_cocycle(ext, *ext.canonical_section())
 print(f"random cocycle on {big}: round trip bit-exact = "
-      f"{back.to_vector() == cocycle.to_vector()}")
+      f"{back == cocycle}")

@@ -28,7 +28,6 @@ from .cecomplex import (
 )
 from .cohomology import (
     MCochain,
-    apply_mla_differential,
     check_derivation,
     check_infinitesimal_deformation,
     derivation_space_dim,

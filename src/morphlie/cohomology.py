@@ -10,8 +10,9 @@ with eta in Hom(wedge^{n-1} g, W), and
     delta(v) = (delta' v, delta'' (psi v), psi v - psi v),
 with delta', delta'' and delta''' the Chevalley-Eilenberg differentials of
 V, W and W_phi.  Flattened coordinate vectors order the blocks (theta,
-gamma, eta), each block column-major by basis tuple: ``_flat`` and
-``_value_array`` are that layout.
+gamma, eta), each block column-major by basis tuple (``_flat``,
+``_value_array``).  ``MCochain`` adds, subtracts, applies delta through
+``mla_differential`` (``coboundary``) and names its ``first_nonzero`` entry.
 
 The functions that take ``cone=True`` use the full cone, which differs
 only in degree 0: there the cochains are pairs (v, w) in V + W, and
@@ -40,7 +41,7 @@ from .cecomplex import (
     ce_complex,
     ce_differential,
     cochain_dim,
-    first_nonzero_tuple,
+    exterior_basis,
     postcompose_matrix,
     precompose_matrix,
     pullback_rep,
@@ -61,6 +62,7 @@ from .linalg import (
     cone as mapping_cone,
     inverse,
     rank,
+    rat,
     solve_columns,
 )
 
@@ -106,7 +108,7 @@ class MCochain:
                 raise ShapeError("degree 0 carries exactly the V-vector")
             if len(v) != rep.dim_v:
                 raise ShapeError("v must have length dim V")
-            self.v = [Fraction(x) for x in v]
+            self.v = [rat(x) for x in v]
             self.theta = self.gamma = self.eta = None
             return
         if v is not None:
@@ -121,30 +123,59 @@ class MCochain:
         self.v = None
         self.theta, self.gamma, self.eta = blocks
 
+    def _blocks(self) -> tuple[Matrix, ...]:
+        """The value arrays in the flat order; degree 0's is v as a column."""
+        return (Matrix.column(self.v),) if self.degree == 0 else (self.theta, self.gamma, self.eta)
+
     def to_vector(self) -> list[Fraction]:
-        """Flatten to (theta-block, gamma-block, eta-block) coordinates."""
-        if self.degree == 0:
-            return list(self.v)
-        return _flat(self.theta) + _flat(self.gamma) + _flat(self.eta)
+        """Flatten to (theta-block, gamma-block, eta-block) coordinates, or v."""
+        return [x for block in self._blocks() for x in _flat(block)]
 
     @classmethod
     def from_vector(cls, rep: MorphismRep, degree: int, flat: list[Fraction]) -> MCochain:
-        dims = mla_block_dims(rep, degree)
-        if len(flat) != sum(dims):
-            raise ShapeError(f"flat vector must have length {sum(dims)}")
         if degree <= 0:
             return cls(rep, degree, v=list(flat))
+        shapes = mla_block_shapes(rep, degree)
+        if len(flat) != (size := sum(rows * cols for rows, cols in shapes)):
+            raise ShapeError(f"flat vector must have length {size}")
         blocks, pos = [], 0
-        for rows, cols in mla_block_shapes(rep, degree):
+        for rows, cols in shapes:
             blocks.append(_value_array(flat[pos:pos + rows * cols], rows, cols))
             pos += rows * cols
         return cls(rep, degree, *blocks)
 
+    def coboundary(self) -> MCochain:
+        """delta of this cochain: d_n of ``mla_complex`` applied, a degree n+1 cochain."""
+        return MCochain.from_vector(self.rep, self.degree + 1,
+                                    mla_differential(self.rep, self.degree).apply(self.to_vector()))
+
+    def first_nonzero(self) -> tuple[str, tuple[int, ...]] | None:
+        """Block name and basis tuple of the first nonzero coordinate; None when zero."""
+        n, g, h = self.degree, self.rep.base.g.dim, self.rep.base.h.dim
+        spots = (("theta", g, n), ("gamma", h, n), ("eta", g, n - 1)) if n else (("v", g, 0),)
+        for (name, dim, arity), block in zip(spots, self._blocks()):
+            if (col := block.first_nonzero_col()) is not None:
+                return name, exterior_basis(dim, arity).tuples[col]
+
+    def __add__(self, other: MCochain) -> MCochain:
+        return self._plus(other, 1)
+
+    def __sub__(self, other: MCochain) -> MCochain:
+        return self._plus(other, -1)
+
+    def _plus(self, other: MCochain, sign: int) -> MCochain:
+        if other.degree != self.degree:
+            raise ShapeError("cochains of different degrees")
+        sums = [Matrix.lincomb(((1, a), (sign, b)), a.rows, a.cols)
+                for a, b in zip(self._blocks(), other._blocks())]
+        if self.degree == 0:
+            return MCochain(self.rep, 0, v=sums[0].col(0))
+        return MCochain(self.rep, self.degree, *sums)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MCochain):
             return NotImplemented
-        return (self.degree == other.degree
-                and self.to_vector() == other.to_vector())
+        return self.degree == other.degree and self._blocks() == other._blocks()
 
     def __repr__(self) -> str:
         return f"MCochain(degree={self.degree}, dim={len(self.to_vector())})"
@@ -153,12 +184,6 @@ class MCochain:
 def mla_differential(rep: MorphismRep, n: int, cone: bool = False) -> Matrix:
     """Block matrix of the morphism differential from degree n to n+1: d_n of ``mla_complex``."""
     return mla_complex(rep, cone).differential(n)
-
-
-def apply_mla_differential(c: MCochain) -> MCochain:
-    """The differential applied to a single cochain."""
-    mat = mla_differential(c.rep, c.degree)
-    return MCochain.from_vector(c.rep, c.degree + 1, mat.apply(c.to_vector()))
 
 
 def _chain_map(rep: MorphismRep) -> ChainMap:
@@ -243,21 +268,6 @@ def outer_derivation_dim(rep: MorphismRep) -> int:
     return mla_complex(rep).dim_H(1)
 
 
-def _first_nonzero(rep: MorphismRep, n: int,
-                   flat: list[Fraction]) -> tuple[str, tuple[int, ...]] | None:
-    """Block name and basis tuple of the first nonzero coordinate of a cochain.
-
-    ``flat`` is a flattened degree-n cochain, n >= 1; None when it is zero.
-    """
-    base, k = rep.base, 0
-    for name, (rows, cols), dim, arity in zip(
-            ("theta", "gamma", "eta"), mla_block_shapes(rep, n),
-            (base.g.dim, base.h.dim, base.g.dim), (n, n, n - 1)):
-        if (tup := first_nonzero_tuple(flat[k:k + rows * cols], dim, arity, rows)) is not None:
-            return name, tup
-        k += rows * cols
-
-
 def check_derivation(rep: MorphismRep, d: Matrix, del_: Matrix,
                      w: list) -> CheckResult:
     """Whether (d, del, w) is a derivation triple, that is d_1 (d, del, w) = 0.
@@ -268,16 +278,14 @@ def check_derivation(rep: MorphismRep, d: Matrix, del_: Matrix,
       rho_W(phi x) w = psi d(x) - del(phi x)          (basis vectors of g)
     and the report names the one at the first nonzero coordinate.
     """
-    base = rep.base
-    g, h = base.g, base.h
+    g, h = rep.base.g, rep.base.h
     if (d.rows, d.cols) != (rep.dim_v, g.dim):
         raise ShapeError(f"d must be {rep.dim_v}x{g.dim}")
     if (del_.rows, del_.cols) != (rep.dim_w, h.dim):
         raise ShapeError(f"del must be {rep.dim_w}x{h.dim}")
     if len(w) != rep.dim_w:
         raise ShapeError("w must have length dim W")
-    cochain = MCochain(rep, 1, theta=d, gamma=del_, eta=Matrix.column(w))
-    spot = _first_nonzero(rep, 2, mla_differential(rep, 1).apply(cochain.to_vector()))
+    spot = MCochain(rep, 1, theta=d, gamma=del_, eta=Matrix.column(w)).coboundary().first_nonzero()
     if spot is None:
         return CheckResult(True)
     block, tup = spot

@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .algebras import LieAlgebra, MorphismLieAlgebra, MorphismRep
 from .cecomplex import ExteriorBasis
-from .cohomology import MCochain, _first_nonzero, _value_array, mla_differential
+from .cohomology import MCochain, _value_array
 from .errors import (
     NotACocycle,
     NotASection,
@@ -142,9 +142,8 @@ def _fiber_block(vectors: list[list[Fraction]], n: int, dim: int) -> Matrix:
     return _value_array([x for vec in vectors for x in vec[n:]], dim, len(vectors))
 
 
-def _require_closed(rep: MorphismRep, cocycle: MCochain) -> None:
-    spot = _first_nonzero(rep, 3, mla_differential(rep, 2).apply(cocycle.to_vector()))
-    if spot is not None:
+def _require_closed(cocycle: MCochain) -> None:
+    if (spot := cocycle.coboundary().first_nonzero()) is not None:
         raise NotACocycle(f"differential of the cochain is nonzero in the {spot[0]} block")
 
 
@@ -171,7 +170,7 @@ def build_extension(rep: MorphismRep, cocycle: MCochain) -> AbelianExtension:
     """
     if cocycle.degree != 2:
         raise ShapeError("extension cocycles live in degree 2")
-    _require_closed(rep, cocycle)
+    _require_closed(cocycle)
     base = rep.base
     g_hat = _extended_algebra(base.g, rep.v.action, rep.dim_v, cocycle.theta)
     h_hat = _extended_algebra(base.h, rep.w.action, rep.dim_w, cocycle.gamma)
@@ -238,12 +237,8 @@ def coboundary_isomorphism(rep: MorphismRep, c1: MCochain, c2: MCochain,
     s, sbar = _sections(rep, d0, del0)
     if c1.degree != 2 or c2.degree != 2:
         raise ShapeError("cocycles must have degree 2")
-    simple = MCochain(rep, 1, theta=d0, gamma=del0)
-    boundary = mla_differential(rep, 1).apply(simple.to_vector())
-    if boundary != _sub(c1.to_vector(), c2.to_vector()):
-        raise NotSimplyCohomologous(
-            "c1 - c2 is not the simple coboundary of (d0, del0)"
-        )
-    _require_closed(rep, c1)
+    if c1 - c2 != MCochain(rep, 1, theta=d0, gamma=del0).coboundary():
+        raise NotSimplyCohomologous("c1 - c2 is not the simple coboundary of (d0, del0)")
+    _require_closed(c1)
     i, _, i_bar, _ = _block_maps(rep)
     return Matrix.hstack([s, i]), Matrix.hstack([sbar, i_bar])

@@ -35,7 +35,7 @@ from .algebras import (
     jacobiator,
 )
 from .cecomplex import ce_differential, exterior_basis, first_nonzero_tuple, pullback_rep
-from .cohomology import MCochain, _chain_map, _flat, mla_differential
+from .cohomology import MCochain, _chain_map, _flat
 from .errors import NotACocycle, ShapeError, ValidationError
 from .linalg import Matrix
 
@@ -259,7 +259,7 @@ def triple_to_skeletal(m: MorphismLieAlgebra, rep: MorphismRep,
     """
     if c.degree != 3:
         raise ShapeError("skeletal data needs a degree-3 cochain")
-    if any(mla_differential(rep, 3).apply(c.to_vector())):
+    if c.coboundary().first_nonzero() is not None:
         raise NotACocycle("the cochain is not closed")
     return SkeletalMorphismSh._of_closed(m, rep, c)
 
@@ -284,8 +284,4 @@ def twist_equivalence(s: SkeletalMorphismSh, sigma: Matrix, sigma_p: Matrix,
     if (phi.rows, phi.cols) != (dst.dim1, src.dim0):
         raise ShapeError(f"phi must be {dst.dim1}x{src.dim0}")
     base, rep, before = s.triple
-    shift = MCochain(rep, 2, theta=sigma, gamma=sigma_p, eta=phi)
-    boundary = mla_differential(rep, 2).apply(shift.to_vector())
-    after = MCochain.from_vector(
-        rep, 3, [a + b for a, b in zip(before.to_vector(), boundary)])
-    return triple_to_skeletal(base, rep, after)
+    return triple_to_skeletal(base, rep, before + MCochain(rep, 2, sigma, sigma_p, phi).coboundary())

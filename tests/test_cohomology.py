@@ -1,6 +1,7 @@
 """Morphism-complex differentials, cohomology, derivations, quotients."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from morphlie.algebras import (
 from morphlie.cecomplex import ce_cohomology_dim, ce_differential, pullback_rep
 from morphlie.cohomology import (
     MCochain,
-    apply_mla_differential,
     check_derivation,
     check_infinitesimal_deformation,
     check_subalgebra_deformation_cocycle,
@@ -685,10 +685,49 @@ def test_mcochain_shape_validation():
 def test_apply_differential_shifts_degree():
     rep = sl2_v1_triple()
     c = MCochain(rep, 0, v=[Fraction(1), Fraction(0)])
-    dc = apply_mla_differential(c)
+    dc = c.coboundary()
     assert dc.degree == 1
-    ddc = apply_mla_differential(dc)
+    ddc = dc.coboundary()
     assert all(x == 0 for x in ddc.to_vector())
+
+
+@pytest.mark.parametrize("bad, error", [("0.5", ValueError), ("1e3", ValueError),
+                                        ("1_000", ValueError), (" 1/2 ", ValueError),
+                                        (True, TypeError), (0.5, TypeError)])
+def test_mcochain_reads_v_as_matrices_read_scalars(bad, error):
+    with pytest.raises(error):
+        Matrix.from_rows([[bad]])
+    with pytest.raises(error):
+        MCochain(a1_triple(), 0, v=[bad])
+    assert MCochain(a1_triple(), 0, v=["-3/4"]).v == [Fraction(-3, 4)]
+
+
+def test_mcochain_coboundary_sum_and_first_nonzero_follow_the_flat_layout():
+    rep = sl2_v1_triple()
+    base = rep.base
+    for n in range(4):
+        cx, d = mla_complex(rep), mla_differential(rep, n)
+        flat = [Fraction(k % 5 - 2, k % 3 + 1) for k in range(cx.dim(n))]
+        c, e = MCochain.from_vector(rep, n, flat), MCochain.from_vector(rep, n, flat[::-1])
+        assert c.coboundary() == MCochain.from_vector(rep, n + 1, d.apply(flat))
+        assert (c + e).to_vector() == [a + b for a, b in zip(flat, flat[::-1])]
+        assert (c - e).to_vector() == [a - b for a, b in zip(flat, flat[::-1])]
+        assert (c - c).first_nonzero() is None
+        # The unit cochain at coordinate k names its block and the basis
+        # tuple of its column: blocks (theta, gamma, eta), column-major.
+        blocks = [("v", rep.dim_v, 0, 0)] if n == 0 else [
+            ("theta", rep.dim_v, base.g.dim, n), ("gamma", rep.dim_w, base.h.dim, n),
+            ("eta", rep.dim_w, base.g.dim, n - 1)]
+        k = 0
+        for name, rows, dim, arity in blocks:
+            tuples = list(combinations(range(dim), arity))
+            for t in range(len(tuples) * rows):
+                unit = MCochain.from_vector(rep, n, [int(j == k) for j in range(len(flat))])
+                assert unit.first_nonzero() == (name, tuples[t // rows]), (n, k)
+                k += 1
+        assert k == len(flat)
+    with pytest.raises(ShapeError):
+        MCochain(rep, 1) + MCochain(rep, 2)
 
 
 def test_induced_rep_identity_is_adjoint():

@@ -227,3 +227,14 @@ def test_not_simply_cohomologous_rejected():
     c2 = MCochain(rep, 2)  # differs from c by a NON-coboundary (c is not exact)
     with pytest.raises(NotSimplyCohomologous):
         coboundary_isomorphism(rep, c, c2, Matrix.zeros(1, 2), Matrix.zeros(1, 2))
+
+
+def test_not_simply_cohomologous_when_only_the_sum_is_the_coboundary():
+    # c1 + c2 = delta(d0, del0, 0) but c1 - c2 is not; c2 is written out
+    # without cochain arithmetic, so the difference taken is the check's own.
+    rep, c = area_cocycle()
+    d0, del0 = Matrix.from_rows([[3, 1]]), Matrix.from_rows([[-2, 5]])
+    boundary = MCochain(rep, 1, theta=d0, gamma=del0).coboundary().to_vector()
+    c2 = MCochain.from_vector(rep, 2, [b - a for a, b in zip(c.to_vector(), boundary)])
+    with pytest.raises(NotSimplyCohomologous):
+        coboundary_isomorphism(rep, c, c2, d0, del0)

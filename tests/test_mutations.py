@@ -14,9 +14,18 @@ import textwrap
 
 import pytest
 
-from morphlie import algebras, groups, linalg
+from morphlie import algebras, cohomology, groups, linalg
 
-from . import test_algebras, test_cecomplex, test_cohomology, test_groups, test_laws, test_shlie
+from . import (
+    test_algebras,
+    test_cecomplex,
+    test_cohomology,
+    test_extensions,
+    test_groups,
+    test_laws,
+    test_linalg,
+    test_shlie,
+)
 
 
 def _mutant_code(func, old: str, new: str):
@@ -83,6 +92,20 @@ MUTANTS = [
     ("psi_is_iso: a square singular psi taken as invertible", linalg.ChainMap.psi_is_iso,
      "and rank(psi) == psi.rows)", ")",
      [test_cohomology.test_a_singular_psi_takes_the_cone_route]),
+    ("MCochain.first_nonzero: the eta block skipped", cohomology.MCochain.first_nonzero,
+     "if (col :=", "if name != \"eta\" and (col :=",
+     [test_cohomology.test_check_derivation_names_the_one_failing_identity,
+      test_cohomology.test_mcochain_coboundary_sum_and_first_nonzero_follow_the_flat_layout]),
+    ("MCochain.__sub__: adding in place of subtracting", cohomology.MCochain.__sub__,
+     "self._plus(other, -1)", "self._plus(other, 1)",
+     [test_extensions.test_not_simply_cohomologous_when_only_the_sum_is_the_coboundary]),
+    ("product_is_zero: the last row skipped", linalg.product_is_zero,
+     "for row in a._num:", "for row in a._num[:-1]:",
+     [test_linalg.test_complex_refuses_non_square_zero_and_oversized]),
+    ("Complex.rank: no d . d check before a reduced rank", linalg.Complex.rank,
+     "self.verify(k)", "None",
+     [test_linalg.test_complex_refuses_non_square_zero_and_oversized,
+      test_cohomology.test_default_and_simple_paths_refuse_non_intertwining_psi]),
 ]
 
 
