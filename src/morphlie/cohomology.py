@@ -80,8 +80,11 @@ def mla_block_shapes(rep: MorphismRep, n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _flat(m: Matrix) -> list[Fraction]:
-    """The cochain layout of a value array: its columns, one after another."""
-    return [x for col in m.transpose().to_lists() for x in col]
+    """The cochain layout of a value array: its columns in turn, so row r is flat[r::rows]."""
+    flat = [ZERO] * (m.rows * m.cols)
+    for r in range(m.rows):
+        flat[r::m.rows] = m.row(r)
+    return flat
 
 
 def _value_array(flat: list[Fraction], rows: int, cols: int) -> Matrix:

@@ -496,9 +496,17 @@ def _json(value: Any, newline: str = "\n") -> str:
     return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object; a key given twice is refused, where ``json.loads`` keeps the later value."""
+    if len(obj := dict(pairs)) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ParseError(f"the key {key!r} is given twice")
+    return obj
+
+
 def _decode(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:

@@ -23,7 +23,7 @@ from typing import Sequence
 from .algebras import CheckResult, intertwining_defect
 from .cecomplex import postcompose_matrix, precompose_matrix
 from .errors import NotAHomomorphism, ShapeError, ValidationError
-from .linalg import ChainMap, Complex, Matrix, _matrix, acyclic_from, cone
+from .linalg import ChainMap, Complex, Matrix, _matrix, cone
 
 
 class FiniteGroup:
@@ -194,12 +194,12 @@ def group_complex(module: GroupModule, normalized: bool = False,
 
     A validated module (a kept verdict) has H^n = 0 for n >= 1 over Q, since
     |G| is invertible (Maschke; Brown, Cohomology of Groups, III.10), so only
-    d_0 is built and eliminated (``acyclic_from``).  d_1 . d_0 = 0 there is
-    rho(g_1 g_2) = rho(g_1) rho(g_2), which the verdict holds.
+    d_0 is built and eliminated (``Complex`` with ``acyclic=1``).  d_1 . d_0 = 0
+    there is rho(g_1 g_2) = rho(g_1) rho(g_2), which the verdict holds.
     """
-    cx = Complex(lambda n: group_cochain_dim(module.group, module.dim, n, normalized),
-                 lambda n: group_differential(module, n, normalized), "bar", size_ceiling)
-    return acyclic_from(cx, 1) if module._verdict else cx
+    return Complex(lambda n: group_cochain_dim(module.group, module.dim, n, normalized),
+                   lambda n: group_differential(module, n, normalized), "bar", size_ceiling,
+                   acyclic=1 if module._verdict else None)
 
 
 def group_cohomology_dim(module: GroupModule, n: int, normalized: bool = False) -> int:
@@ -312,10 +312,11 @@ def mlg_complex(t: GroupModuleTriple, normalized: bool = False,
     V and W validated and any psi, H^n = 0 for n >= 2: C(G, V), C(H, W)
     and C(G, W_Phi) have no cohomology above degree 0 (``group_complex``), so
     the cone's long exact sequence (Weibel 1.5) leaves none in degree n >= 2,
-    where T and the full cone agree.  Only d_0 and d_1 are then built.
+    where T and the full cone agree; the cone's ``acyclic`` is 2 and builds only d_0, d_1.
     """
     cx = cone(chain := _chain_map(t, normalized), True, "morphism-group", size_ceiling)
-    return acyclic_from(cx, 2) if chain.verdict() else cx
+    cx.acyclic = 2 if chain.verdict() else None
+    return cx
 
 
 def mlg_cohomology_dim(t: GroupModuleTriple, n: int, normalized: bool = False) -> int:

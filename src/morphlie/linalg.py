@@ -510,15 +510,21 @@ class Complex:
     """A cochain complex given degree by degree: H^n = ker d_n / im d_{n-1}.
 
     ``dim(n)`` is dim C^n, evaluated once per degree, and ``differential(n)``
-    builds d_n: C^n -> C^{n+1}.  Ranks are cached.  A differential is
-    refused before it is built if max(dim C^n, dim C^{n+1}) exceeds
-    ``size_ceiling``, is built once, and is held only while a neighbouring
-    degree may still need it: building d_n drops every held matrix but
-    d_{n-1} and d_{n+1}.  ``keep(n)`` lists the columns of d_n that the
-    simple variant keeps (n >= 1; s_0 = d_0).  Every eliminated rank is read
-    only after d_n . d_{n-1} = 0 has been checked.
+    builds d_n: C^n -> C^{n+1}.  A differential is refused before it is
+    built if max(dim C^n, dim C^{n+1}) exceeds ``size_ceiling``, is built
+    once, and is held only while a neighbouring degree may still need it:
+    building d_n drops every held matrix but d_{n-1} and d_{n+1}.
+    ``keep(n)`` lists the columns of d_n that the simple variant s_n keeps
+    (n >= 1; s_0 = d_0); s_n is ranked as ``row_basis`` of d_n on them.
+    Every eliminated rank, of d_n or s_n, is read only after d_0, ...,
+    d_{n-1} are ranked and d_n . d_{n-1} = 0 has been checked.
 
-    Ranks.  ``rank(n)`` ranks d_0, ..., d_{n-1} first, lowest first, then
+    Ranks.  ``rank(n, simple)`` keeps each rank it returns, however read, in
+    one table keyed (n, simple).  A ``known(n, simple)`` that is not None is
+    that rank, read off a theorem (``cone``).  Else, for n >= ``acyclic``,
+    where a theorem gives H^n = 0, rank d_n = dim C^n - rank d_{n-1}, read
+    up from d_{acyclic-1} once the size ceiling passes degrees 0..n+1 (not
+    for s_n).  Else ``rank(n)`` ranks d_0, ..., d_{n-1}, lowest first, then
     checks d_n . d_{n-1} = 0 and keeps S_n = ``row_basis(d_n, S_{n-1})``,
     with S_{-1} empty: d_n is ranked only on the columns outside S_{n-1}.
     It is exact:
@@ -531,26 +537,24 @@ class Complex:
       the pivot block is triangular, and row operations keep column
       dependencies.  On the transpose of d_n without the columns S they are
       independent rows of d_n, rank d_n many: a row basis S_n.
-    s_n is ranked, after the same lower degrees and check, as ``row_basis``
-    of d_n without the columns outside keep(n).  A ``known(n, simple)`` that
-    is not None is that rank of degree n, read off a theorem instead
-    (``cone``, ``acyclic_from``).
     """
 
     def __init__(self, dim: Callable[[int], int],
                  differential: Callable[[int], Matrix], name: str,
                  size_ceiling: int | None = None,
                  keep: Callable[[int], Sequence[int]] | None = None,
-                 known: Callable[[int, bool], int | None] | None = None):
+                 known: Callable[[int, bool], int | None] | None = None,
+                 acyclic: int | None = None):
         self._dim, self._dims = dim, {}
         self.differential = differential
         self.name = name
         self.size_ceiling = size_ceiling
         self.keep = keep
         self.known = known
+        self.acyclic = acyclic
         self._held: dict[int, Matrix] = {}
         self._bases: dict[int, set[int]] = {}
-        self._simple: dict[int, int] = {}
+        self._ranks: dict[tuple[int, bool], int] = {}
         self._verified: set[int] = set()
 
     def dim(self, n: int) -> int:
@@ -576,20 +580,28 @@ class Complex:
     def rank(self, n: int, simple: bool = False) -> int:
         """Rank of d_n, or with ``simple`` of s_n: d_n on the columns keep(n)."""
         simple = simple and n > 0 and self.keep is not None
-        if self.known is not None and (r := self.known(n, simple)) is not None:
+        if (r := self._ranks.get((n, simple))) is not None:
             return r
-        # The ranked degrees are always 0..len(_bases)-1: a failed check adds none.
-        for k in range(len(self._bases), n if simple else n + 1):
-            d = self.matrix(k)
-            self.verify(k)
-            self._bases[k] = row_basis(d, self._bases.get(k - 1, ()))
-        if not simple:
-            return len(self._bases.get(n, ()))
-        if n not in self._simple:
-            d = self.matrix(n)
-            self.verify(n)
-            self._simple[n] = len(row_basis(d, set(range(d.cols)).difference(self.keep(n))))
-        return self._simple[n]
+        r = None if self.known is None else self.known(n, simple)
+        if r is None and self.acyclic is not None and n >= self.acyclic and not simple:
+            self._refuse(0, n + 1)
+            r = self.rank(self.acyclic - 1)
+            for k in range(self.acyclic, n + 1):
+                r = self.dim(k) - r
+        elif r is None:
+            # The ranked degrees are always 0..len(_bases)-1: a failed check adds none.
+            for k in range(len(self._bases), n if simple else n + 1):
+                d = self.matrix(k)
+                self.verify(k)
+                self._bases[k] = row_basis(d, self._bases.get(k - 1, ()))
+            if simple:
+                d = self.matrix(n)
+                self.verify(n)
+                r = len(row_basis(d, set(range(d.cols)).difference(self.keep(n))))
+            else:
+                r = len(self._bases.get(n, ()))
+        self._ranks[n, simple] = r
+        return r
 
     def verify(self, n: int) -> None:
         """Raise AssertionError unless d_n . d_{n-1} = 0."""
@@ -719,31 +731,6 @@ def cone(chain: ChainMap, graph: bool = False, name: str = "cone",
 
     cx = Complex(lambda n: sum(chain.sizes(n, graph)), differential, name, size_ceiling,
                  lambda n: range(sum(chain.sizes(n)[:-1])), known)
-    return cx
-
-
-def acyclic_from(cx: Complex, lo: int) -> Complex:
-    """cx, given H^n = 0 for n >= lo by a theorem, ranked without d_n for n >= lo.
-
-    There ker d_n = im d_{n-1}, so rank d_n = dim C^n - rank d_{n-1}: each
-    such rank is read off d_{lo-1}'s, which is built, checked and eliminated
-    as before, after the size ceiling has passed degrees 0..n+1.  A rank the
-    hook cx already has answers first; s_n is not read off.
-    """
-    inner = cx.known
-
-    def known(n: int, simple: bool) -> int | None:
-        if inner is not None and (r := inner(n, simple)) is not None:
-            return r
-        if n < lo or simple:
-            return None
-        cx._refuse(0, n + 1)
-        r = cx.rank(lo - 1)
-        for k in range(lo, n + 1):
-            r = cx.dim(k) - r
-        return r
-
-    cx.known = known
     return cx
 
 

@@ -142,6 +142,16 @@ class TestCheck:
         code, out, err = run(capsys, "cohomology", path, "rep")
         assert (code, out, err) == (2, "", f"error (parse-error): {message}\n")
 
+    @pytest.mark.parametrize("argv", [["check", "DOC"], ["cohomology", "DOC", "rep"]],
+                             ids=["check", "cohomology"])
+    def test_repeated_key_is_refused(self, capsys, tmp_path, argv):
+        # json.loads alone keeps the later object and passes the document.
+        path = write(tmp_path, "repeated.json",
+                     '{"lie_algebras": {"g": {"dim": 2, "brackets": []}, '
+                     '"g": {"dim": 1, "brackets": []}}}')
+        code, out, err = run(capsys, *[path if a == "DOC" else a for a in argv])
+        assert (code, out, err) == (2, "", "error (parse-error): the key 'g' is given twice\n")
+
     def test_json_syntax_error(self, capsys, tmp_path):
         path = write(tmp_path, "syntax.json", "{nope")
         code, _, err = run(capsys, "check", path)
@@ -304,34 +314,64 @@ def _record_cone_degrees(monkeypatch):
     return built
 
 
-class TestTableCalls:
-    """A table of degrees 0..top builds each d_n once and eliminates each matrix once."""
+def _record_theorem_reads(monkeypatch):
+    """Log each rank asked of a theorem: a cone's ``known`` hook, which asks
+    ``ChainMap.psi_is_iso`` on each evaluation, or the acyclic formula, which
+    asks a complex's rank d_{lo-1} while that complex ranks a higher degree."""
+    from morphlie.linalg import ChainMap, Complex
 
-    @pytest.mark.parametrize("doc, module, builder, argv, built, ranks", [
+    psi_is_iso, rank, reads, ranking = ChainMap.psi_is_iso, Complex.rank, [], []
+
+    def asked(self):
+        reads.append("known")
+        return psi_is_iso(self)
+
+    def nested(self, n, simple=False):
+        if ranking and ranking[-1] is self:
+            reads.append("acyclic")
+        ranking.append(self)
+        try:
+            return rank(self, n, simple)
+        finally:
+            ranking.pop()
+
+    monkeypatch.setattr(ChainMap, "psi_is_iso", asked)
+    monkeypatch.setattr(Complex, "rank", nested)
+    return reads
+
+
+class TestTableCalls:
+    """A table of degrees 0..top builds each d_n once, eliminates each matrix once,
+    and reads each rank off a theorem at most once; a second table reads nothing."""
+
+    @pytest.mark.parametrize("doc, module, builder, argv, built, ranks, reads", [
         # psi = id: the cone builds nothing, and its ranks are W's d_0..d_3,
         # ranked after psi; --simple adds none.  A validated W has only its
-        # d_0 ranked, and so has a validated module's own table.
+        # d_0 ranked, and so has a validated module's own table.  Reads: the
+        # cone's hook once per rank it is asked (s_1 and s_2 too with
+        # --simple), and a validated W's or module's d_1..d_3 off Maschke.
         ("sl2_doc", "cohomology", "mla_differential",
-         ["cohomology", "DOC", "rep", "--max-degree", "3"], [], 5),
+         ["cohomology", "DOC", "rep", "--max-degree", "3"], [], 5, 4),
         ("sl2_doc", "cohomology", "mla_differential",
-         ["cohomology", "DOC", "rep", "--max-degree", "3", "--simple"], [], 5),
+         ["cohomology", "DOC", "rep", "--max-degree", "3", "--simple"], [], 5, 6),
         ("z2_doc", "groups", "mlg_differential",
-         ["cohomology", "DOC", "t", "--group", "--max-degree", "3"], [], 2),
+         ["cohomology", "DOC", "t", "--group", "--max-degree", "3"], [], 2, 4 + 3),
         ("z2_doc", "groups", "group_differential",
-         ["group", "cohomology", "DOC", "sign", "--max-degree", "3"], [0], 1),
+         ["group", "cohomology", "DOC", "sign", "--max-degree", "3"], [0], 1, 3),
         # psi is not square: the cone is built and ranked in every degree.
         ("a1_sl2_doc", "cohomology", "mla_differential",
-         ["cohomology", "DOC", "rep", "--max-degree", "3"], [0, 1, 2, 3], 4),
+         ["cohomology", "DOC", "rep", "--max-degree", "3"], [0, 1, 2, 3], 4, 4),
         # s_0 = d_0, so --simple adds the ranks of s_1 and s_2 only.
         ("a1_sl2_doc", "cohomology", "mla_differential",
-         ["cohomology", "DOC", "rep", "--max-degree", "3", "--simple"], [0, 1, 2, 3], 6),
+         ["cohomology", "DOC", "rep", "--max-degree", "3", "--simple"], [0, 1, 2, 3], 6, 6),
         # V and W are validated: above degree 1 the cone has no cohomology,
-        # so only its d_0 and d_1 are built and ranked.
+        # so only its d_0 and d_1 are built and ranked, and d_2, d_3 are read
+        # off the acyclic formula.
         ("z4_doc", "groups", "mlg_differential",
-         ["cohomology", "DOC", "t", "--group", "--max-degree", "3"], [0, 1], 2),
+         ["cohomology", "DOC", "t", "--group", "--max-degree", "3"], [0, 1], 2, 4 + 2),
     ])
     def test_each_differential_built_and_ranked_once(
-            self, capsys, monkeypatch, request, doc, module, builder, argv, built, ranks):
+            self, capsys, monkeypatch, request, doc, module, builder, argv, built, ranks, reads):
         import importlib
 
         import morphlie.linalg
@@ -341,10 +381,22 @@ class TestTableCalls:
                    _record_calls(monkeypatch, importlib.import_module(f"morphlie.{module}"),
                                  builder))
         ranked = _record_calls(monkeypatch, morphlie.linalg, "row_basis")
+        read = _record_theorem_reads(monkeypatch)
+        table, again = morphlie.linalg.Complex.table, []
+
+        def twice(cx, top, simple=False):
+            rows, counts = table(cx, top, simple), (len(degrees), len(ranked), len(read))
+            again.append(table(cx, top, simple) == rows
+                         and counts == (len(degrees), len(ranked), len(read)))
+            return rows
+
+        monkeypatch.setattr(morphlie.linalg.Complex, "table", twice)
         code, _, _ = run(capsys, *[path if a == "DOC" else a for a in argv])
         assert code == 0
         assert degrees == built
         assert len(ranked) == ranks
+        assert len(read) == reads
+        assert again == [True]
 
 
 def _record_axiom_evaluations(monkeypatch):

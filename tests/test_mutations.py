@@ -9,8 +9,14 @@ the mutant.
 """
 
 import __future__
+import contextlib
 import inspect
+import io
+import tempfile
 import textwrap
+from functools import partial
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +25,7 @@ from morphlie import algebras, cohomology, groups, linalg
 from . import (
     test_algebras,
     test_cecomplex,
+    test_cli,
     test_cohomology,
     test_extensions,
     test_groups,
@@ -40,6 +47,48 @@ def _mutant_code(func, old: str, new: str):
                    "exec", flags=__future__.annotations.compiler_flag, dont_inherit=True)
     exec(code, namespace)
     return namespace[func.__name__].__code__
+
+
+class _Capture:
+    """capsys outside pytest: what was printed since the last read."""
+
+    def __init__(self):
+        self.out, self.err = io.StringIO(), io.StringIO()
+
+    def readouterr(self):
+        read = SimpleNamespace(out=self.out.getvalue(), err=self.err.getvalue())
+        for stream in (self.out, self.err):
+            stream.seek(0)
+            stream.truncate()
+        return read
+
+
+def _cli_referee(test, **params):
+    """A ``test_cli`` test as a referee: the fixtures it names (capsys, monkeypatch,
+    request and ``test_cli``'s documents) made outside pytest, and ``params`` for the rest."""
+    def referee():
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            capture = _Capture()
+
+            def document(name):
+                return getattr(test_cli, name).__wrapped__(Path(tmp))
+
+            fixtures = {"capsys": capture, "monkeypatch": mp,
+                        "request": SimpleNamespace(getfixturevalue=document)}
+            args = {name: params[name] if name in params else
+                    fixtures[name] if name in fixtures else document(name)
+                    for name in inspect.signature(test).parameters}
+            with contextlib.redirect_stdout(capture.out), contextlib.redirect_stderr(capture.err):
+                test(**args)
+    return referee
+
+
+def _table_calls(doc: str, simple: bool):
+    """The ``TestTableCalls`` case on ``doc``, with or without --simple, as a referee."""
+    test = test_cli.TestTableCalls().test_each_differential_built_and_ranked_once
+    names, rows = test.pytestmark[0].args
+    row = next(r for r in rows if r[0] == doc and ("--simple" in r[3]) == simple)
+    return _cli_referee(test, **dict(zip(names.split(", "), row)))
 
 
 _NON_SKELETAL = test_shlie.TestNonSkeletalMorphism()
@@ -106,6 +155,13 @@ MUTANTS = [
      "self.verify(k)", "None",
      [test_linalg.test_complex_refuses_non_square_zero_and_oversized,
       test_cohomology.test_default_and_simple_paths_refuse_non_intertwining_psi]),
+    ("Complex.rank: a rank of s_n kept as the rank of d_n", linalg.Complex.rank,
+     "self._ranks[n, simple] = r", "self._ranks[n, False] = r",
+     [_table_calls("a1_sl2_doc", simple=True)]),
+    ("Complex.rank: the acyclic formula reads dim C^{k-1} for dim C^k", linalg.Complex.rank,
+     "r = self.dim(k) - r", "r = self.dim(k - 1) - r",
+     [partial(test_laws.test_maschke_morphism_group_cohomology_vanishes, "z4-to-z2-sign", False),
+      _cli_referee(test_cli.TestGroupCohomology().test_sign_module)]),
 ]
 
 
