@@ -496,19 +496,46 @@ def _json(value: Any, newline: str = "\n") -> str:
     return "[" + inner + ("," + inner).join(items) + newline + "]"
 
 
-def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    """A JSON object; a key given twice is refused, where ``json.loads`` keeps the later value."""
-    if len(obj := dict(pairs)) < len(pairs):
-        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
-        raise ParseError(f"the key {key!r} is given twice")
-    return obj
+class _Repeats(dict):
+    """A decoded JSON object that gives ``key`` twice (``json.loads`` keeps the later value)."""
+
+    key: str
+
+
+def _first_repeat(data: Any) -> tuple[str, str]:
+    """Where the first ``_Repeats`` in the text is, in the reader's style (document, section,
+    section/name, then .field and [i]), and its key.  A preorder walk of what was kept finds
+    it: an object opens before its values, and one whose value was dropped repeats a key."""
+    stack = [("document", data, 0)]
+    while True:
+        where, value, depth = stack.pop()
+        if isinstance(value, _Repeats):
+            return where, value.key
+        if isinstance(value, dict):
+            stack += reversed([(k if depth == 0 else f"{where}{'/' if depth == 1 else '.'}{k}",
+                                v, depth + 1) for k, v in value.items()])
+        elif isinstance(value, list):
+            stack += reversed([(f"{where}[{i}]", v, depth + 1) for i, v in enumerate(value)])
 
 
 def _decode(text: str) -> Any:
+    """The JSON value of text; a key given twice in one object is refused with its location."""
+    repeats = []
+
+    def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        if len(obj := dict(pairs)) < len(pairs):
+            repeats.append(obj := _Repeats(obj))
+            obj.key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        return obj
+
     try:
-        return json.loads(text, object_pairs_hook=_object)
+        data = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:
         # An integer past Python's digit limit, or nesting past the stack.
         raise ParseError(f"cannot decode the document: {exc}") from exc
+    if repeats:
+        where, key = _first_repeat(data)
+        raise ParseError(f"{where}: the key {key!r} is given twice")
+    return data

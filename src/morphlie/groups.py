@@ -194,12 +194,12 @@ def group_complex(module: GroupModule, normalized: bool = False,
 
     A validated module (a kept verdict) has H^n = 0 for n >= 1 over Q, since
     |G| is invertible (Maschke; Brown, Cohomology of Groups, III.10), so only
-    d_0 is built and eliminated (``Complex`` with ``acyclic=1``).  d_1 . d_0 = 0
-    there is rho(g_1 g_2) = rho(g_1) rho(g_2), which the verdict holds.
+    d_0 is built and eliminated (``Complex`` with ``known_h`` 0 from degree 1).
+    d_1 . d_0 = 0 there is rho(g_1 g_2) = rho(g_1) rho(g_2), which the verdict holds.
     """
     return Complex(lambda n: group_cochain_dim(module.group, module.dim, n, normalized),
                    lambda n: group_differential(module, n, normalized), "bar", size_ceiling,
-                   acyclic=1 if module._verdict else None)
+                   known_h=(lambda n: 0 if n >= 1 else None) if module._verdict else None)
 
 
 def group_cohomology_dim(module: GroupModule, n: int, normalized: bool = False) -> int:
@@ -309,13 +309,13 @@ def mlg_complex(t: GroupModuleTriple, normalized: bool = False,
     the graph [I; psi] of psi.
 
     When psi . is a chain isomorphism it is ranked on C(H, W) alone.  With
-    V and W validated and any psi, H^n = 0 for n >= 2: C(G, V), C(H, W)
-    and C(G, W_Phi) have no cohomology above degree 0 (``group_complex``), so
-    the cone's long exact sequence (Weibel 1.5) leaves none in degree n >= 2,
-    where T and the full cone agree; the cone's ``acyclic`` is 2 and builds only d_0, d_1.
+    V and W validated and any psi, H^n = 0 for n >= 2: C(G, V), C(H, W) and
+    C(G, W_Phi) have no cohomology above degree 0 (``group_complex``), so the
+    cone's long exact sequence (Weibel 1.5) leaves none in degree n >= 2, where
+    T and the full cone agree: the cone's ``known_h`` is 0 there, so only d_0, d_1 are built.
     """
     cx = cone(chain := _chain_map(t, normalized), True, "morphism-group", size_ceiling)
-    cx.acyclic = 2 if chain.verdict() else None
+    cx.known_h = (lambda n: 0 if n >= 2 else None) if chain.verdict() else None
     return cx
 
 

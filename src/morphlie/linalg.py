@@ -521,12 +521,13 @@ class Complex:
 
     Ranks.  ``rank(n, simple)`` keeps each rank it returns, however read, in
     one table keyed (n, simple).  A ``known(n, simple)`` that is not None is
-    that rank, read off a theorem (``cone``).  Else, for n >= ``acyclic``,
-    where a theorem gives H^n = 0, rank d_n = dim C^n - rank d_{n-1}, read
-    up from d_{acyclic-1} once the size ceiling passes degrees 0..n+1 (not
-    for s_n).  Else ``rank(n)`` ranks d_0, ..., d_{n-1}, lowest first, then
-    checks d_n . d_{n-1} = 0 and keeps S_n = ``row_basis(d_n, S_{n-1})``,
-    with S_{-1} empty: d_n is ranked only on the columns outside S_{n-1}.
+    that rank, read off a theorem (``cone``).  Else, if ``known_h(n)`` is
+    dim H^n off a theorem, rank d_n = dim C^n - dim H^n - rank d_{n-1}, in a
+    loop up from the highest lower degree that is ranked or known_h declines,
+    once the size ceiling passes 0..n+1 (not s_n).  Else ``rank(n)`` ranks
+    d_0..d_{n-1}, lowest first, checks d_n . d_{n-1} = 0 and ranks d_n only on
+    the columns outside S_{n-1}, keeping S_n = ``row_basis(d_n, S_{n-1})``
+    (S_{-1} empty).
     It is exact:
     - The rows S of d_{n-1} are independent, so the projection onto the
       coordinates S is injective on im d_{n-1} (of dimension |S|) and onto
@@ -544,14 +545,14 @@ class Complex:
                  size_ceiling: int | None = None,
                  keep: Callable[[int], Sequence[int]] | None = None,
                  known: Callable[[int, bool], int | None] | None = None,
-                 acyclic: int | None = None):
+                 known_h: Callable[[int], int | None] | None = None):
         self._dim, self._dims = dim, {}
         self.differential = differential
         self.name = name
         self.size_ceiling = size_ceiling
         self.keep = keep
         self.known = known
-        self.acyclic = acyclic
+        self.known_h = known_h
         self._held: dict[int, Matrix] = {}
         self._bases: dict[int, set[int]] = {}
         self._ranks: dict[tuple[int, bool], int] = {}
@@ -583,11 +584,13 @@ class Complex:
         if (r := self._ranks.get((n, simple))) is not None:
             return r
         r = None if self.known is None else self.known(n, simple)
-        if r is None and self.acyclic is not None and n >= self.acyclic and not simple:
+        if r is None and not simple and self.known_h is not None and self.known_h(n) is not None:
             self._refuse(0, n + 1)
-            r = self.rank(self.acyclic - 1)
-            for k in range(self.acyclic, n + 1):
-                r = self.dim(k) - r
+            lo = next(k for k in range(n - 1, -2, -1)
+                      if k < 0 or (k, False) in self._ranks or self.known_h(k) is None)
+            r = self.rank(lo)
+            for k in range(lo + 1, n + 1):
+                r = self.dim(k) - self.known_h(k) - r
         elif r is None:
             # The ranked degrees are always 0..len(_bases)-1: a failed check adds none.
             for k in range(len(self._bases), n if simple else n + 1):

@@ -52,9 +52,29 @@ def o_rref(rows, ncols):
         for i in range(len(rows)):
             if i != rk and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rk])]
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[rk])]
         pivots.append(c)
     return rows[:len(pivots)], pivots
+
+
+def o_induced_rank(parts, d_prev):
+    """rank of f_*: H^n(A) -> H^n(B) for a chain map f from A = A_1 (+) ... (+) A_k.
+
+    parts holds (d_n of A_i, f_n's block on A_i, dim A_i^n) and d_prev is
+    d'_{n-1}: B^{n-1} -> B^n, all as lists of rows.  Z^n(A) is the sum of the
+    ker d_n(A_i), read off reduced row echelon forms (one vector per free
+    column), and the rank is rank[f_n Z^n | im d'_{n-1}] - rank d'_{n-1}.
+    """
+    columns = []  # the columns of f_n Z^n
+    for d, f, dim in parts:
+        reduced, pivots = o_rref(d, dim)
+        for c in (c for c in range(dim) if c not in pivots):
+            z = [Fraction(int(j == c)) for j in range(dim)]
+            for row, p in zip(reduced, pivots):
+                z[p] = -row[c]
+            columns.append([sum((x * y for x, y in zip(row, z) if x and y), Z) for row in f])
+    stacked = [list(row) + [col[i] for col in columns] for i, row in enumerate(d_prev)]
+    return o_rank(stacked) - o_rank(d_prev)
 
 
 def o_det(rows):

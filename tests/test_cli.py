@@ -145,12 +145,26 @@ class TestCheck:
     @pytest.mark.parametrize("argv", [["check", "DOC"], ["cohomology", "DOC", "rep"]],
                              ids=["check", "cohomology"])
     def test_repeated_key_is_refused(self, capsys, tmp_path, argv):
-        # json.loads alone keeps the later object and passes the document.
-        path = write(tmp_path, "repeated.json",
-                     '{"lie_algebras": {"g": {"dim": 2, "brackets": []}, '
-                     '"g": {"dim": 1, "brackets": []}}}')
-        code, out, err = run(capsys, *[path if a == "DOC" else a for a in argv])
-        assert (code, out, err) == (2, "", "error (parse-error): the key 'g' is given twice\n")
+        # json.loads alone keeps the later value and passes the document.  The
+        # error names the object that repeats a key; where several do, the
+        # first in the text, so an enclosing object before the ones inside it.
+        for text, where, key in [
+            ('{"lie_algebras": {"g": {"dim": 2, "brackets": []}, '
+             '"g": {"dim": 1, "brackets": []}}}', "lie_algebras", "g"),
+            ('{"groups": {}, "lie_algebras": {}, "groups": {}}', "document", "groups"),
+            ('{"lie_algebras": {"g": {"dim": 1, "dim": 1, "brackets": []}}}',
+             "lie_algebras/g", "dim"),
+            ('{"lie_algebras": {"g": {"dim": 2, "brackets": [[0, 1, {"a": 1, "a": 1}]]}}}',
+             "lie_algebras/g.brackets[0][2]", "a"),
+            ('{"lie_algebras": {"g": {"dim": 1, "x": {"y": 1, "y": 2}, "dim": 1}}, '
+             '"groups": {"z": 1, "z": 2}}', "lie_algebras/g", "dim"),
+            ('{"lie_algebras": {"g": {"x": {"y": 1, "y": 2}, "dim": 1}, "h": {"b": 1, "b": 1}}}',
+             "lie_algebras/g.x", "y"),
+        ]:
+            path = write(tmp_path, "repeated.json", text)
+            code, out, err = run(capsys, *[path if a == "DOC" else a for a in argv])
+            assert (code, out, err) == (
+                2, "", f"error (parse-error): {where}: the key {key!r} is given twice\n"), text
 
     def test_json_syntax_error(self, capsys, tmp_path):
         path = write(tmp_path, "syntax.json", "{nope")
@@ -316,8 +330,9 @@ def _record_cone_degrees(monkeypatch):
 
 def _record_theorem_reads(monkeypatch):
     """Log each rank asked of a theorem: a cone's ``known`` hook, which asks
-    ``ChainMap.psi_is_iso`` on each evaluation, or the acyclic formula, which
-    asks a complex's rank d_{lo-1} while that complex ranks a higher degree."""
+    ``ChainMap.psi_is_iso`` on each evaluation, or the known-cohomology formula
+    of ``known_h``, which asks a complex's rank of a lower degree while that
+    complex ranks a higher one."""
     from morphlie.linalg import ChainMap, Complex
 
     psi_is_iso, rank, reads, ranking = ChainMap.psi_is_iso, Complex.rank, [], []
@@ -328,7 +343,7 @@ def _record_theorem_reads(monkeypatch):
 
     def nested(self, n, simple=False):
         if ranking and ranking[-1] is self:
-            reads.append("acyclic")
+            reads.append("known_h")
         ranking.append(self)
         try:
             return rank(self, n, simple)

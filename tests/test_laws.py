@@ -4,8 +4,9 @@ The dense oracles referee the catalog and small samples; at sl3 or heis7
 scale the only other check is d . d = 0, which a wrong but square-zero
 block passes.  The expected values here come from closed forms in
 ``tests/oracles.py``: Betti numbers, Whitehead's vanishing, Poincare
-duality, the identity-triple law and Maschke's theorem over Q.  A sign error that keeps
-d . d = 0 and these laws (a negated bracket term on trivial or 2-step
+duality, the identity-triple law, Maschke's theorem over Q and the cone's
+long exact sequence (with a dense induced-map oracle).  A sign error that
+keeps d . d = 0 and these laws (a negated bracket term on trivial or 2-step
 nilpotent modules, a flipped last face on Z2) is caught by applying the
 differentials at that scale to a few sparse cochains, against the oracles.
 """
@@ -16,7 +17,7 @@ from itertools import combinations, product
 
 import pytest
 
-from morphlie import cohomology
+from morphlie import cohomology, groups
 from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, Representation, adjoint_morphism_rep
 from morphlie.cecomplex import ce_complex, ce_differential
 from morphlie.cohomology import mla_complex
@@ -25,6 +26,7 @@ from morphlie.fixtures import (
     klein_to_z2_triple,
     sign_module,
     sl2,
+    standard_morphism_reps,
     v1,
     z2_identity_triple,
     z3_rotation_module,
@@ -40,6 +42,7 @@ from morphlie.groups import (
     mlg_complex,
 )
 from morphlie.linalg import ChainMap, cone
+from morphlie.sampling import Sampler
 
 from .oracles import (
     _mk_act,
@@ -54,6 +57,7 @@ from .oracles import (
     o_ce_apply,
     o_group_tuples,
     o_identity_triple_dims,
+    o_induced_rank,
     o_poly_product,
 )
 from .test_groups import _unchecked, _unchecked_triple
@@ -299,3 +303,49 @@ def test_normalized_z6_bar_differential_applies_like_the_oracle(module):
         for f, flat in _sparse_cochains(n, source, m.dim):
             df = o_bar_apply(z6.order, z6.mul, z6.identity, rho, m.dim, f, n, True)
             assert d.apply(flat) == [x for tup in target for x in df[tup]], n
+
+
+def _assert_long_exact_sequence(chain, full, cut, top=3):
+    """The cone K = ``full`` of f: A -> B against the long exact sequence, to degree top:
+    dim H^n(K) = (dim H^n(A) - rank f_*^n) + (dim H^{n-1}(B) - rank f_*^{n-1}), with
+    rank f_* from the dense oracle.  T = ``cut``, K with C^0 cut down to the graph of
+    psi, has H^0(T) = H^0(K), dim H^1(T) = dim H^1(K) + dim W and H^n(T) = H^n(K) above."""
+    b = chain.target
+
+    def induced(n):
+        if n < 0:
+            return 0
+        d_prev = b.differential(n - 1).to_lists() if n else [[] for _ in range(b.dim(0))]
+        return o_induced_rank([(a.differential(n).to_lists(), f.to_lists(), a.dim(n))
+                               for a, f in zip(chain.source, chain.f(n))], d_prev)
+
+    ranks = [induced(n) for n in range(-1, top + 1)]  # rank f_*^{n-1} at index n
+    for n in range(top + 1):
+        kernel = sum(a.dim_H(n) for a in chain.source) - ranks[n + 1]
+        assert full.dim_H(n) == kernel + b.dim_H(n - 1) - ranks[n], n
+        assert cut.dim_H(n) == full.dim_H(n) + (chain.psi.rows if n == 1 else 0), n
+
+
+@pytest.mark.parametrize("name, rep", standard_morphism_reps(),
+                         ids=[name for name, _ in standard_morphism_reps()])
+def test_the_cone_obeys_its_long_exact_sequence(name, rep):
+    _assert_long_exact_sequence(cohomology._chain_map(rep), mla_complex(rep, cone=True),
+                                mla_complex(rep))
+
+
+def test_the_cone_obeys_its_long_exact_sequence_on_sampled_triples():
+    # The 20 Sampler(404) draws of acceptance check 4: modules in random
+    # bases and psi drawn from the whole intertwiner space.
+    s = Sampler(404)
+    for _ in range(20):
+        rep = s.morphism_rep()
+        _assert_long_exact_sequence(cohomology._chain_map(rep), mla_complex(rep, cone=True),
+                                    mla_complex(rep))
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("name", TRIPLES)
+def test_the_group_cone_obeys_its_long_exact_sequence(name, normalized):
+    t = TRIPLES[name]()
+    _assert_long_exact_sequence(groups._chain_map(t, normalized),
+                                cone(groups._chain_map(t, normalized)), mlg_complex(t, normalized))

@@ -7,12 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphlie.algebras import LieAlgebra, MorphismLieAlgebra, MorphismRep, adjoint_morphism_rep
+from morphlie.algebras import (
+    LieAlgebra,
+    MorphismLieAlgebra,
+    MorphismRep,
+    Representation,
+    adjoint_morphism_rep,
+)
 from morphlie.cecomplex import ce_complex
 from morphlie import cohomology, groups
 from morphlie.cohomology import mla_complex, mla_differential
 from morphlie import linalg
 from morphlie.fixtures import (
+    heis,
     heis_adjoint_triple,
     klein_to_z2_triple,
     sign_module,
@@ -37,7 +44,8 @@ from morphlie.linalg import (
     solve_columns,
 )
 
-from .oracles import o_rank, o_rref
+from .oracles import o_betti_heis, o_betti_sl2_power, o_rank, o_rref
+from .test_groups import _unchecked_triple
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -506,6 +514,40 @@ def test_a_cone_of_a_map_that_does_not_commute_is_refused(chain):
         with pytest.raises(AssertionError, match="cone differential does not square to zero"):
             call(bad)
         assert sorted(cx._bases) == list(range(bad))
+
+
+@pytest.mark.parametrize("g, betti", [(sl2, o_betti_sl2_power(1)), (heis, o_betti_heis(1))],
+                         ids=["sl2", "heis3"])
+def test_known_cohomology_ranks_equal_the_elimination(g, betti):
+    # On the trivial module, a known_h that gives the Betti numbers (nonzero
+    # in degrees 1..3) ranks every d_n >= 1 off dim C^n - dim H^n - rank d_{n-1},
+    # so only d_0 is eliminated, and each rank and dim H^n is the hookless one.
+    rep, h = Representation.trivial(g(), 1), dict(enumerate(betti))
+
+    def known():
+        cx = ce_complex(rep)
+        cx.known_h = lambda n: h.get(n, 0) if n >= 1 else None
+        return cx
+
+    top = len(betti)
+    cx, eliminated = known(), ce_complex(rep)
+    assert cx.table(top) == eliminated.table(top)
+    assert sorted(cx._bases) == [0] and sorted(eliminated._bases) == list(range(top + 1))
+    for n in range(top + 1):
+        assert known().rank(n) == eliminated.rank(n)
+        assert known().dim_H(n) == eliminated.dim_H(n) == h.get(n, 0)
+
+
+def test_the_simple_variant_never_takes_the_known_cohomology():
+    # A validated Z4 -> Z2 triple has H^n = 0 from degree 2, which ranks d_n,
+    # not s_n: s_n is d_n on the source columns, and its rank is eliminated.
+    t = z4_to_z2_sign_triple()
+    cx, eliminated = mlg_complex(t), mlg_complex(_unchecked_triple(t))
+    assert cx.known_h is not None and eliminated.known_h is None
+    for n, d_n, s_n in [(2, 32, 30), (3, 120, 110)]:
+        assert cx.rank(n) == eliminated.rank(n) == d_n
+        assert cx.rank(n, simple=True) == eliminated.rank(n, simple=True) == s_n
+        assert mlg_complex(t).rank(n, simple=True) == s_n
 
 
 def _greedy_completion(partial):

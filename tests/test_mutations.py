@@ -20,7 +20,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from morphlie import algebras, cohomology, groups, linalg
+from morphlie import algebras, cecomplex, cohomology, groups, linalg
+from morphlie.fixtures import heis, sl2
 
 from . import (
     test_algebras,
@@ -33,6 +34,7 @@ from . import (
     test_linalg,
     test_shlie,
 )
+from .oracles import o_betti_heis, o_betti_sl2_power
 
 
 def _mutant_code(func, old: str, new: str):
@@ -159,9 +161,30 @@ MUTANTS = [
      "self._ranks[n, simple] = r", "self._ranks[n, False] = r",
      [_table_calls("a1_sl2_doc", simple=True)]),
     ("Complex.rank: the acyclic formula reads dim C^{k-1} for dim C^k", linalg.Complex.rank,
-     "r = self.dim(k) - r", "r = self.dim(k - 1) - r",
+     "r = self.dim(k) - self.known_h(k) - r", "r = self.dim(k - 1) - self.known_h(k) - r",
      [partial(test_laws.test_maschke_morphism_group_cohomology_vanishes, "z4-to-z2-sign", False),
       _cli_referee(test_cli.TestGroupCohomology().test_sign_module)]),
+    ("Complex.rank: the dim H^n term dropped from the known-cohomology formula",
+     linalg.Complex.rank,
+     "r = self.dim(k) - self.known_h(k) - r", "r = self.dim(k) - r",
+     [partial(test_linalg.test_known_cohomology_ranks_equal_the_elimination, sl2,
+              o_betti_sl2_power(1)),
+      partial(test_linalg.test_known_cohomology_ranks_equal_the_elimination, heis,
+              o_betti_heis(1))]),
+    ("Complex.rank: s_n read off the known-cohomology formula", linalg.Complex.rank,
+     "r is None and not simple and", "r is None and",
+     [test_linalg.test_the_simple_variant_never_takes_the_known_cohomology]),
+    ("ce_differential: the sign of the action terms", cecomplex.ce_differential,
+     "1 - 2 * (i % 2))", "2 * (i % 2) - 1)",
+     [test_cecomplex.test_differential_matches_oracle_on_all_fixtures,
+      partial(test_laws.test_ce_differential_applies_like_the_oracle, "sl3", "adjoint")]),
+    ("ce_differential: the sign of the bracket terms", cecomplex.ce_differential,
+     "pair_sign = 1 if", "pair_sign = -1 if",
+     [test_cecomplex.test_differential_matches_oracle_on_all_fixtures,
+      partial(test_laws.test_ce_differential_applies_like_the_oracle, "sl3", "adjoint")]),
+    ("wedge_minor_matrix: the permutation sign dropped", cecomplex.wedge_minor_matrix,
+     "step.get(u, 0) + sign * x * y", "step.get(u, 0) + x * y",
+     [test_cecomplex.test_wedge_minor_top_degree_is_determinant]),
 ]
 
 
